@@ -62,6 +62,7 @@ from .pools import (
     ProductivityDistribution,
     discrete,
     firing_split,
+    leaver_moments,
     m_operator,
     piecewise_linear,
     pool_inf,
@@ -70,6 +71,7 @@ from .pools import (
     pool_sup,
     quantile,
     sample_productivities,
+    stayer_moments,
     truncated_mean,
     uniform,
 )
@@ -101,8 +103,8 @@ __all__ = [
     # pools
     "ProductivityDistribution", "LaborPool", "uniform", "discrete",
     "piecewise_linear", "pool_mass", "pool_mean", "truncated_mean",
-    "firing_split", "m_operator", "pool_inf", "pool_sup", "quantile",
-    "sample_productivities",
+    "firing_split", "leaver_moments", "stayer_moments", "m_operator",
+    "pool_inf", "pool_sup", "quantile", "sample_productivities",
     # solvers
     "SolverOptions", "DEFAULT_OPTIONS", "m_extended", "m_fixed_points",
     # screening

@@ -174,7 +174,11 @@ def secondhand_fixed_point(dist: ProductivityDistribution, mu: float,
     there); it is returned when it is a nonnegative wage and reported as a
     collapse otherwise, matching the mu = 0 shutdown of the market.
     """
-    roots = secondhand_fixed_points(dist, mu, opts)
+    return _largest_admissible_root(secondhand_fixed_points(dist, mu, opts))
+
+
+def _largest_admissible_root(roots: tuple[float, ...]) -> float | MarketCollapse:
+    """The largest nonnegative root, or a collapse listing every root."""
     admissible = [r for r in roots if r >= 0.0]
     if not admissible:
         detail = f"no nonnegative re-hiring wage (roots: {list(roots)})"
@@ -216,7 +220,7 @@ def solve_two_period(dist: ProductivityDistribution, mu: float,
     n = pool_mass(pool)
     theta_bar = pool_mean(pool)
     roots = secondhand_fixed_points(dist, mu, opts)
-    w1 = secondhand_fixed_point(dist, mu, opts)
+    w1 = _largest_admissible_root(roots)
     if isinstance(w1, MarketCollapse):
         nan = float("nan")
         return TwoPeriodSolution(

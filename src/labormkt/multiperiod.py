@@ -51,10 +51,12 @@ from .pools import (
     _moments,
     _restricted_moments,
     firing_split,
+    leaver_moments,
     pool_inf,
     pool_mass,
     pool_mean,
     quantile,
+    stayer_moments,
 )
 from .solvers import DEFAULT_OPTIONS, SolverOptions, m_extended, m_fixed_points, scan_roots
 
@@ -354,8 +356,7 @@ def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float,
     w2p = roots_twice[-1]
     w1 = w_plus + w2 - w2p  # stay/quit indifference
     n_rel, m1_rel = _moments(released)
-    _, rehired = firing_split(released, w2p, mu)
-    n_reh, m1_reh = _moments(rehired)
+    n_reh, m1_reh = stayer_moments(released, w2p, mu)
     profit = (m1_rel - n_rel * w1) + (m1_reh - n_reh * w2p)
     return _Stage(w_plus, w1, w2, w2p, released, stayed, profit,
                   tuple(roots_late), tuple(roots_twice))
@@ -366,10 +367,11 @@ def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
     pool0 = LaborPool.entry(dist)
     n, m1 = _moments(pool0)
     theta_bar = m1 / n
-    late, kept = firing_split(stage.stayed, stage.w2, mu)
-    twice, rehired = firing_split(stage.released, stage.w2p, mu)
+    n_late, m1_late = leaver_moments(stage.stayed, stage.w2, mu)
+    n_kept, m1_kept = stayer_moments(stage.stayed, stage.w2, mu)
+    n_twice, m1_twice = leaver_moments(stage.released, stage.w2p, mu)
+    n_reh, m1_reh = stayer_moments(stage.released, stage.w2p, mu)
     n_stay, m1_stay = _moments(stage.stayed)
-    n_kept, m1_kept = _moments(kept)
     mean_stayed = m1_stay / n_stay if n_stay > 0.0 else float("nan")
     mean_kept = m1_kept / n_kept if n_kept > 0.0 else float("nan")
     w0 = theta_bar + ((m1_stay - n_stay * stage.w_plus)
@@ -385,9 +387,9 @@ def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
         "fixed_point_roots_twice": list(stage.roots_twice),
         "market_means": {
             "released": pool_mean(stage.released),
-            "late": pool_mean(late) if pool_mass(late) > 0.0 else None,
-            "twice": pool_mean(twice) if pool_mass(twice) > 0.0 else None,
-            "rehired": pool_mean(rehired) if pool_mass(rehired) > 0.0 else None,
+            "late": m1_late / n_late if n_late > 0.0 else None,
+            "twice": m1_twice / n_twice if n_twice > 0.0 else None,
+            "rehired": m1_reh / n_reh if n_reh > 0.0 else None,
         },
         # Fresh-slice masses treat each later market as an unweighted slice
         # of the entry distribution, dropping the quit-survival factors the
@@ -406,8 +408,8 @@ def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
         mu=mu, w0=w0, w1=stage.w1, w_plus=stage.w_plus, w2=stage.w2, w2p=stage.w2p,
         theta_bar=theta_bar, theta_bar_stayed=mean_stayed, theta_bar_kept=mean_kept,
         mass_entry=n, mass_released=pool_mass(stage.released),
-        mass_stayed=n_stay, mass_late=pool_mass(late), mass_kept=pool_mass(kept),
-        mass_twice=pool_mass(twice), mass_rehired=pool_mass(rehired),
+        mass_stayed=n_stay, mass_late=n_late, mass_kept=n_kept,
+        mass_twice=n_twice, mass_rehired=n_reh,
         residuals=(r_late, r_twice, r_indiff, r_entry, stage.rehire_profit),
         diagnostics=diag)
 
@@ -513,8 +515,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
             w2_new = w2 + d * (m_extended(stayed, w2, mu) - w2)
             w2p_new = w2p + d * (m_extended(released, w2p, mu) - w2p)
             w1 = w_plus + w2_new - w2p_new
-            _, rehired = firing_split(released, w2p_new, mu)
-            n_reh, m1_reh = _moments(rehired)
+            n_reh, m1_reh = stayer_moments(released, w2p_new, mu)
             profit = (m1_rel - n_rel * w1) + (m1_reh - n_reh * w2p_new)
             w_plus_new = w_plus + d * profit / n_rel
             # Keep the retention offer where someone is retained.

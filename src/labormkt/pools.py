@@ -15,22 +15,28 @@ Conventions
   for discrete bases an atom sitting exactly at ``t`` follows the
   at-or-above rule.
 * Thresholds outside the support are clamped to the nearest endpoint.
-* Moments of uniform and discrete bases are closed-form.  Piecewise-linear
-  densities are integrated by adaptive Simpson with every density
-  breakpoint and weight cut as a panel boundary, which makes the panels
-  polynomial and the quadrature effectively exact.
+* Every moment comes from one primitive,
+  :meth:`ProductivityDistribution.moments_below`: the (mass, first moment)
+  strictly below x.  Uniform bases use the closed form.  Piecewise-linear
+  and discrete bases read cumulative tables built once per distribution:
+  prefix sums of the exact per-segment integrals plus one partial segment,
+  or prefix sums over the sorted atoms.  A pool's moments are weighted
+  differences of the primitive at its piece boundaries, and the moments of
+  a split (:func:`leaver_moments`, :func:`stayer_moments`) are taken the
+  same way without building the split pools.
 
 All values are immutable; operations return new pools.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyPoolError, InvalidThresholdError
-from .quadrature import adaptive_simpson
 
 __all__ = [
     "ProductivityDistribution",
@@ -42,14 +48,14 @@ __all__ = [
     "pool_mean",
     "truncated_mean",
     "firing_split",
+    "leaver_moments",
+    "stayer_moments",
     "m_operator",
     "pool_inf",
     "pool_sup",
     "quantile",
     "sample_productivities",
 ]
-
-_QUAD_TOL = 1e-10
 
 
 # =====================================================================
@@ -72,18 +78,67 @@ class ProductivityDistribution:
     level: float = 1.0
     atoms: tuple[tuple[float, float], ...] = ()
     nodes: tuple[tuple[float, float], ...] = ()
+    # Cumulative tables for the discrete and piecewise kinds: the sorted
+    # atoms or breakpoints, and the (mass, first moment) strictly below each.
+    _xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _cum_n: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _cum_m1: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _total: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("uniform", "discrete", "piecewise"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.kind != "discrete" and not self.support_low < self.support_high:
             raise ValueError("support must have positive width")
+        xs, cum_n, cum_m1 = [], [0.0], [0.0]
+        if self.kind == "discrete":
+            for t, c in self.atoms:
+                xs.append(t)
+                cum_n.append(cum_n[-1] + c)
+                cum_m1.append(cum_m1[-1] + t * c)
+        elif self.kind == "piecewise":
+            xs = [t for t, _ in self.nodes]
+            for (x0, d0), (x1, d1) in zip(self.nodes, self.nodes[1:]):
+                h = x1 - x0
+                cum_n.append(cum_n[-1] + h * (d0 + d1) / 2.0)
+                cum_m1.append(cum_m1[-1] + h / 6.0 * (x0 * (2.0 * d0 + d1)
+                                                      + x1 * (d0 + 2.0 * d1)))
+        object.__setattr__(self, "_xs", tuple(xs))
+        object.__setattr__(self, "_cum_n", tuple(cum_n))
+        object.__setattr__(self, "_cum_m1", tuple(cum_m1))
+        object.__setattr__(self, "_total", self._moments_at_or_below(self.support_high))
+
+    # -- the moment primitive -------------------------------------------
+
+    def moments_below(self, x: float) -> tuple[float, float]:
+        """(mass, first moment) of N(theta) strictly below x."""
+        if self.kind == "discrete":
+            k = bisect_left(self._xs, x)
+            return self._cum_n[k], self._cum_m1[k]
+        lo = self.support_low
+        if x <= lo:
+            return 0.0, 0.0
+        if self.kind == "uniform":
+            x = min(x, self.support_high)
+            h = x - lo
+            return self.level * h, self.level * h * (x + lo) / 2.0
+        xs = self._xs
+        if x >= xs[-1]:
+            return self._cum_n[-1], self._cum_m1[-1]
+        k = bisect_right(xs, x) - 1  # xs[k] <= x < xs[k + 1]
+        (x0, d0), (x1, d1) = self.nodes[k], self.nodes[k + 1]
+        dx = d0 + (d1 - d0) * (x - x0) / (x1 - x0)
+        h = x - x0
+        return (self._cum_n[k] + h * (d0 + dx) / 2.0,
+                self._cum_m1[k] + h / 6.0 * (x0 * (2.0 * d0 + dx) + x * (d0 + 2.0 * dx)))
+
+    def _moments_at_or_below(self, x: float) -> tuple[float, float]:
+        # Only a discrete atom sitting at x tells this apart from moments_below.
+        if self.kind == "discrete":
+            x = math.nextafter(x, math.inf)
+        return self.moments_below(x)
 
     # -- density integrals over [a, b] for the continuous kinds ---------
-
-    def _segment_density(self, x0, d0, x1, d1):
-        slope = (d1 - d0) / (x1 - x0)
-        return lambda t: d0 + slope * (t - x0)
 
     def mass_between(self, a: float, b: float) -> float:
         """Integral of N(theta) over [a, b] (continuous kinds only)."""
@@ -91,16 +146,7 @@ class ProductivityDistribution:
         b = min(b, self.support_high)
         if b <= a:
             return 0.0
-        if self.kind == "uniform":
-            return self.level * (b - a)
-        total = 0.0
-        for (x0, d0), (x1, d1) in zip(self.nodes, self.nodes[1:]):
-            lo, hi = max(a, x0), min(b, x1)
-            if hi <= lo:
-                continue
-            total += adaptive_simpson(self._segment_density(x0, d0, x1, d1),
-                                      lo, hi, tol=_QUAD_TOL)
-        return total
+        return self.moments_below(b)[0] - self.moments_below(a)[0]
 
     def first_moment_between(self, a: float, b: float) -> float:
         """Integral of theta * N(theta) over [a, b] (continuous kinds only)."""
@@ -108,46 +154,38 @@ class ProductivityDistribution:
         b = min(b, self.support_high)
         if b <= a:
             return 0.0
-        if self.kind == "uniform":
-            return self.level * (b - a) * (b + a) / 2.0
-        total = 0.0
-        for (x0, d0), (x1, d1) in zip(self.nodes, self.nodes[1:]):
-            lo, hi = max(a, x0), min(b, x1)
-            if hi <= lo:
-                continue
-            dens = self._segment_density(x0, d0, x1, d1)
-            total += adaptive_simpson(lambda t: t * dens(t), lo, hi, tol=_QUAD_TOL)
-        return total
+        return self.moments_below(b)[1] - self.moments_below(a)[1]
 
     # -- whole-measure summaries ----------------------------------------
 
     def total_mass(self) -> float:
-        if self.kind == "discrete":
-            return float(sum(c for _, c in self.atoms))
-        return self.mass_between(self.support_low, self.support_high)
+        return self._total[0]
 
     def mean(self) -> float:
-        n = self.total_mass()
+        n, m1 = self._total
         if n <= 0.0:
             raise EmptyPoolError("distribution carries no mass")
-        if self.kind == "discrete":
-            return sum(t * c for t, c in self.atoms) / n
-        return self.first_moment_between(self.support_low, self.support_high) / n
+        return m1 / n
 
     def cdf(self, x: float) -> float:
         """Mass at or below x."""
-        if self.kind == "discrete":
-            return float(sum(c for t, c in self.atoms if t <= x))
-        return self.mass_between(self.support_low, x)
+        return self._moments_at_or_below(x)[0]
+
+
+def _require_finite(values, what: str) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite real numbers")
 
 
 def uniform(low: float, high: float, level: float = 1.0) -> ProductivityDistribution:
     """Uniform base: constant density `level` on [low, high]."""
+    low, high, level = float(low), float(high), float(level)
+    _require_finite((low, high, level), "uniform support bounds and density level")
     if not low < high:
         raise ValueError("uniform support needs low < high")
     if not level > 0.0:
         raise ValueError("density level must be positive")
-    return ProductivityDistribution("uniform", float(low), float(high), level=float(level))
+    return ProductivityDistribution("uniform", low, high, level=level)
 
 
 def discrete(atoms) -> ProductivityDistribution:
@@ -155,6 +193,7 @@ def discrete(atoms) -> ProductivityDistribution:
     merged: dict[float, float] = {}
     for theta, count in atoms:
         theta, count = float(theta), float(count)
+        _require_finite((theta, count), "atom thetas and counts")
         if count < 0.0:
             raise ValueError("atom counts must be nonnegative")
         merged[theta] = merged.get(theta, 0.0) + count
@@ -170,6 +209,7 @@ def piecewise_linear(nodes) -> ProductivityDistribution:
     pts = tuple((float(t), float(d)) for t, d in nodes)
     if len(pts) < 2:
         raise ValueError("piecewise density needs at least two breakpoints")
+    _require_finite([v for pt in pts for v in pt], "breakpoints and densities")
     for (t0, _), (t1, _) in zip(pts, pts[1:]):
         if not t1 > t0:
             raise ValueError("breakpoints must be strictly increasing")
@@ -218,48 +258,49 @@ class LaborPool:
         """The whole distribution at weight one (the hiring pool at entry)."""
         return LaborPool(dist)
 
-    def weight_at(self, theta: float) -> float:
-        """Multiplier applied at productivity theta.
 
-        Pieces are half-open on the right except the last; a degenerate
-        piece created by cutting at the top of the support is the last
-        piece and therefore catches the boundary atom.
-        """
-        for lo, hi, w in self.pieces[:-1]:
-            if lo <= theta < hi:
-                return w
-        lo, hi, w = self.pieces[-1]
-        if lo <= theta <= hi:
-            return w
-        return 0.0
+def _rescale_pieces(pieces, cut: float, low_factor: float, high_factor: float) -> list:
+    """`pieces` with weights scaled by `low_factor` strictly below `cut`,
+    `high_factor` at or above; a piece straddling `cut` is cut in two."""
+    out = []
+    for lo, hi, w in pieces:
+        if lo >= cut:
+            out.append((lo, hi, w * high_factor))
+        elif hi <= cut:
+            out.append((lo, hi, w * low_factor))
+        else:
+            out.append((lo, cut, w * low_factor))
+            out.append((cut, hi, w * high_factor))
+    return out
 
-    def _rescaled(self, cut: float, low_factor: float, high_factor: float) -> "LaborPool":
-        """Scale weights by `low_factor` strictly below `cut`, `high_factor` at or above."""
-        out = []
-        for lo, hi, w in self.pieces:
-            if lo >= cut:
-                out.append((lo, hi, w * high_factor))
-            elif hi <= cut:
-                out.append((lo, hi, w * low_factor))
-            else:
-                out.append((lo, cut, w * low_factor))
-                out.append((cut, hi, w * high_factor))
-        return LaborPool(self.base, tuple(out))
+
+def _piece_ends(base: ProductivityDistribution, pieces) -> list[tuple[float, float]]:
+    """Base (mass, first moment) up to the right end of each piece.
+
+    Pieces are [lo, hi) except the last, which is closed on the right and
+    ends at the support top, so it ends with the whole base (a discrete atom
+    at the top of the support included).
+    """
+    below = base.moments_below
+    ends = [below(hi) for _, hi, _ in pieces[:-1]]
+    ends.append(base._total)
+    return ends
+
+
+def _piece_moments(base: ProductivityDistribution, pieces) -> tuple[float, float]:
+    """(mass, first moment) of `base` weighted by contiguous `pieces`."""
+    n = m1 = n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
+    for (_, _, w), (n_hi, m1_hi) in zip(pieces, _piece_ends(base, pieces)):
+        if w > 0.0:
+            n += w * (n_hi - n_lo)
+            m1 += w * (m1_hi - m1_lo)
+        n_lo, m1_lo = n_hi, m1_hi
+    return n, m1
 
 
 def _moments(pool: LaborPool) -> tuple[float, float]:
     """(mass, first moment) of the whole pool."""
-    base = pool.base
-    if base.kind == "discrete":
-        n = sum(c * pool.weight_at(t) for t, c in base.atoms)
-        m1 = sum(t * c * pool.weight_at(t) for t, c in base.atoms)
-        return n, m1
-    n = m1 = 0.0
-    for lo, hi, w in pool.pieces:
-        if w > 0.0 and hi > lo:
-            n += w * base.mass_between(lo, hi)
-            m1 += w * base.first_moment_between(lo, hi)
-    return n, m1
+    return _piece_moments(pool.base, pool.pieces)
 
 
 def _restricted_moments(pool: LaborPool, a: float, b: float) -> tuple[float, float]:
@@ -271,22 +312,21 @@ def _restricted_moments(pool: LaborPool, a: float, b: float) -> tuple[float, flo
     base = pool.base
     a = max(a, base.support_low)
     b = min(b, base.support_high)
-    if base.kind == "discrete":
-        n = m1 = 0.0
-        for t, c in base.atoms:
-            if a <= t <= b:
-                wgt = c * pool.weight_at(t)
-                n += wgt
-                m1 += t * wgt
-        return n, m1
-    if b <= a:
-        return 0.0, 0.0
     n = m1 = 0.0
-    for lo, hi, w in pool.pieces:
+    last = len(pool.pieces) - 1
+    for i, (lo, hi, w) in enumerate(pool.pieces):
         clo, chi = max(lo, a), min(hi, b)
-        if w > 0.0 and chi > clo:
-            n += w * base.mass_between(clo, chi)
-            m1 += w * base.first_moment_between(clo, chi)
+        if w <= 0.0 or chi < clo:
+            continue
+        # The clipped piece is closed on the right unless it ends where its
+        # half-open piece does; an atom there belongs to the next piece.
+        if chi == hi and i != last:
+            n_hi, m1_hi = base.moments_below(chi)
+        else:
+            n_hi, m1_hi = base._moments_at_or_below(chi)
+        n_lo, m1_lo = base.moments_below(clo)
+        n += w * (n_hi - n_lo)
+        m1 += w * (m1_hi - m1_lo)
     return n, m1
 
 
@@ -319,6 +359,14 @@ def truncated_mean(pool: LaborPool, a: float, b: float) -> float:
     return m1 / n
 
 
+def _split_threshold(pool: LaborPool, threshold: float, mu: float) -> float:
+    """Validate a split and clamp its threshold to the support."""
+    _check_mu(mu)
+    if not math.isfinite(threshold):
+        raise InvalidThresholdError(f"threshold {threshold!r} is not a finite real")
+    return min(max(threshold, pool.base.support_low), pool.base.support_high)
+
+
 def firing_split(pool: LaborPool, threshold: float, mu: float) -> tuple[LaborPool, LaborPool]:
     """Split a pool at an end-of-period review.
 
@@ -327,13 +375,25 @@ def firing_split(pool: LaborPool, threshold: float, mu: float) -> tuple[LaborPoo
     Returns ``(leavers, stayers)``; their masses sum to the original.
     Thresholds outside the support are clamped to its endpoints.
     """
-    _check_mu(mu)
-    if not np.isfinite(threshold):
-        raise InvalidThresholdError(f"threshold {threshold!r} is not a finite real")
-    t = min(max(threshold, pool.base.support_low), pool.base.support_high)
-    leavers = pool._rescaled(t, 1.0, mu)
-    stayers = pool._rescaled(t, 0.0, 1.0 - mu)
-    return leavers, stayers
+    t = _split_threshold(pool, threshold, mu)
+    return (LaborPool(pool.base, tuple(_rescale_pieces(pool.pieces, t, 1.0, mu))),
+            LaborPool(pool.base, tuple(_rescale_pieces(pool.pieces, t, 0.0, 1.0 - mu))))
+
+
+def leaver_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
+    """(mass, first moment) of ``firing_split(pool, threshold, mu)[0]``.
+
+    Same rules and the same arithmetic as moments of the split pool, but
+    no pool is built.
+    """
+    t = _split_threshold(pool, threshold, mu)
+    return _piece_moments(pool.base, _rescale_pieces(pool.pieces, t, 1.0, mu))
+
+
+def stayer_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
+    """(mass, first moment) of ``firing_split(pool, threshold, mu)[1]``."""
+    t = _split_threshold(pool, threshold, mu)
+    return _piece_moments(pool.base, _rescale_pieces(pool.pieces, t, 0.0, 1.0 - mu))
 
 
 def m_operator(pool: LaborPool, w: float, mu: float) -> float:
@@ -351,39 +411,43 @@ def m_operator(pool: LaborPool, w: float, mu: float) -> float:
         raise EmptyPoolError("pool has no workers")
     if w >= pool.base.support_high:
         return m1_all / n_all
-    leavers, _ = firing_split(pool, w, mu)
-    n, m1 = _moments(leavers)
+    n, m1 = leaver_moments(pool, w, mu)
     if n <= 0.0:
         raise EmptyPoolError(f"no one leaves at wage {w} with mu={mu}")
     return m1 / n
 
 
+def _occupied_pieces(pool: LaborPool):
+    """(index, lo, hi) of the pieces with positive weight and base mass."""
+    n_lo = 0.0
+    for i, ((lo, hi, w), (n_hi, _)) in enumerate(
+            zip(pool.pieces, _piece_ends(pool.base, pool.pieces))):
+        if w > 0.0 and n_hi > n_lo:
+            yield i, lo, hi
+        n_lo = n_hi
+
+
 def pool_inf(pool: LaborPool) -> float:
     """Lowest productivity carrying positive weight."""
-    base = pool.base
-    if base.kind == "discrete":
-        for t, c in base.atoms:
-            if c * pool.weight_at(t) > 0.0:
-                return t
+    first = next(_occupied_pieces(pool), None)
+    if first is None:
         raise EmptyPoolError("pool has no workers")
-    for lo, hi, w in pool.pieces:
-        if w > 0.0 and base.mass_between(lo, hi) > 0.0:
-            return lo
-    raise EmptyPoolError("pool has no workers")
+    lo, base = first[1], pool.base
+    return base._xs[bisect_left(base._xs, lo)] if base.kind == "discrete" else lo
 
 
 def pool_sup(pool: LaborPool) -> float:
     """Highest productivity carrying positive weight."""
-    base = pool.base
-    if base.kind == "discrete":
-        for t, c in reversed(base.atoms):
-            if c * pool.weight_at(t) > 0.0:
-                return t
+    occupied = list(_occupied_pieces(pool))
+    if not occupied:
         raise EmptyPoolError("pool has no workers")
-    for lo, hi, w in reversed(pool.pieces):
-        if w > 0.0 and base.mass_between(lo, hi) > 0.0:
-            return hi
-    raise EmptyPoolError("pool has no workers")
+    i, _, hi = occupied[-1]
+    base = pool.base
+    if base.kind != "discrete":
+        return hi
+    # The last piece is closed on the right; the others are half-open.
+    k = bisect_right(base._xs, hi) if i == len(pool.pieces) - 1 else bisect_left(base._xs, hi)
+    return base._xs[k - 1]
 
 
 def _check_mu(mu: float) -> None:
@@ -405,24 +469,21 @@ def quantile(dist: ProductivityDistribution, q: float) -> float:
 def sample_productivities(dist: ProductivityDistribution, u: np.ndarray) -> np.ndarray:
     """Map uniform draws u in [0, 1) to productivities by inverse CDF."""
     u = np.asarray(u, dtype=np.float64)
-    total = dist.total_mass()
     if dist.kind == "uniform":
         return dist.support_low + u * (dist.support_high - dist.support_low)
+    thetas = np.array(dist._xs)
+    cum = np.array(dist._cum_n)  # mass strictly below each atom or breakpoint
+    total = cum[-1]
     if dist.kind == "discrete":
-        thetas = np.array([t for t, _ in dist.atoms])
-        cum = np.cumsum([c for _, c in dist.atoms]) / total
-        idx = np.searchsorted(cum, u, side="right")
+        idx = np.searchsorted(cum[1:] / total, u, side="right")
         idx = np.minimum(idx, len(thetas) - 1)
         return thetas[idx]
     # piecewise: invert the per-segment quadratic CDF
-    xs = np.array([t for t, _ in dist.nodes])
     ds = np.array([d for _, d in dist.nodes])
-    seg_mass = np.array([dist.mass_between(x0, x1) for x0, x1 in zip(xs, xs[1:])])
-    cum = np.concatenate([[0.0], np.cumsum(seg_mass)])
     target = u * total
     idx = np.searchsorted(cum, target, side="right") - 1
-    idx = np.clip(idx, 0, len(seg_mass) - 1)
-    x0, x1 = xs[idx], xs[idx + 1]
+    idx = np.clip(idx, 0, len(thetas) - 2)
+    x0, x1 = thetas[idx], thetas[idx + 1]
     d0, d1 = ds[idx], ds[idx + 1]
     h = x1 - x0
     rem = target - cum[idx]

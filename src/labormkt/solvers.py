@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyPoolError, NoConvergenceError
-from .pools import LaborPool, _moments, firing_split, pool_inf, pool_mean
+from .pools import LaborPool, leaver_moments, pool_inf, pool_mean
 
 __all__ = ["SolverOptions", "bisect_root", "scan_roots", "m_extended", "m_fixed_points"]
 
@@ -114,8 +114,7 @@ def m_extended(pool: LaborPool, w: float, mu: float) -> float:
     """
     if w >= pool.base.support_high:
         return pool_mean(pool)
-    leavers, _ = firing_split(pool, w, mu)
-    n, m1 = _moments(leavers)
+    n, m1 = leaver_moments(pool, w, mu)
     if n <= 0.0:
         return pool_inf(pool)
     return m1 / n

@@ -317,6 +317,14 @@ def test_missing_config_file(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dist", ["uniform(0, inf)", "discrete((0.2, 1); (nan, 1))",
+                                  "piecewise((0, 1); (1, inf))"])
+def test_non_finite_dist_exits_1(tmp_path, capsys, dist):
+    cfg = write(tmp_path, "nf.cfg", f"dist = {dist}\nmu = 0.5\nregime = two_period\n")
+    assert cli.main(["solve", "--config", cfg]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_unknown_subcommand(capsys):
     assert cli.main(["frobnicate"]) == 1
 

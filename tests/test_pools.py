@@ -7,13 +7,14 @@ direct atom sums (for discrete ones) before any identity is trusted.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import labormkt as lm
 from labormkt import pools
-from labormkt.errors import EmptyPoolError
+from labormkt.errors import EmptyPoolError, InvalidThresholdError
 from labormkt.solvers import m_extended
 
 
@@ -57,6 +58,7 @@ UNI = lm.uniform(0.0, 1.0)
 UNI_WIDE = lm.uniform(2.0, 5.0, level=0.4)
 PW = lm.piecewise_linear([(0.0, 0.2), (0.3, 1.1), (0.7, 0.9), (1.0, 0.1)])
 DISC = lm.discrete([(0.2, 1.0), (0.5, 2.0), (0.9, 1.5)])
+POINT = lm.discrete([(0.7, 2.0)])
 
 
 # ---------------------------------------------------------------------
@@ -97,6 +99,69 @@ def test_constructor_validation():
         lm.uniform(2.0, 1.0)
     with pytest.raises(ValueError):
         pools.ProductivityDistribution(kind="cauchy", support_low=0, support_high=1)
+    inf, nan = math.inf, math.nan
+    bad = [
+        lambda: lm.uniform(0.0, inf),
+        lambda: lm.uniform(-inf, 1.0),
+        lambda: lm.uniform(nan, 1.0),
+        lambda: lm.uniform(0.0, 1.0, level=inf),
+        lambda: lm.uniform(0.0, 1.0, level=nan),
+        lambda: lm.discrete([(0.2, 1.0), (nan, 1.0)]),
+        lambda: lm.discrete([(0.2, 1.0), (inf, 1.0)]),
+        lambda: lm.discrete([(0.2, 1.0), (0.5, nan)]),
+        lambda: lm.discrete([(0.2, 1.0), (0.5, inf)]),
+        lambda: lm.piecewise_linear([(0.0, 1.0), (1.0, inf)]),
+        lambda: lm.piecewise_linear([(0.0, 1.0), (1.0, nan)]),
+        lambda: lm.piecewise_linear([(0.0, 1.0), (inf, 1.0)]),
+        lambda: lm.piecewise_linear([(nan, 1.0), (1.0, 1.0)]),
+    ]
+    for build in bad:
+        with pytest.raises(ValueError):
+            build()
+
+
+def exact_moments_between(nodes, a, b):
+    """Exact integrals of N and theta * N over [a, b] for a piecewise-linear
+    density, in rational arithmetic from the antiderivative of each segment."""
+    n = m1 = Fraction(0)
+    for (x0, d0), (x1, d1) in zip(nodes, nodes[1:]):
+        x0, d0, x1, d1 = map(Fraction, (x0, d0, x1, d1))
+        lo, hi = max(a, x0), min(b, x1)
+        if hi <= lo:
+            continue
+        slope = (d1 - d0) / (x1 - x0)
+        icpt = d0 - slope * x0          # density = icpt + slope * theta
+        n += icpt * (hi - lo) + slope * (hi ** 2 - lo ** 2) / 2
+        m1 += icpt * (hi ** 2 - lo ** 2) / 2 + slope * (hi ** 3 - lo ** 3) / 3
+    return n, m1
+
+
+RATIONAL_PW = lm.piecewise_linear(
+    [(-0.5, 0.25), (0.375, 1.25), (0.625, 0.0), (1.0, 0.75), (2.5, 0.125)])
+
+
+@pytest.mark.parametrize("dist", [PW, RATIONAL_PW])
+def test_piecewise_moments_match_rational_oracle(dist):
+    """The cumulative tables are exact up to rounding: against rational
+    arithmetic on the stored nodes, every prefix and window agrees to a few
+    ulps of the total."""
+    nodes = dist.nodes
+    lo, hi = dist.support_low, dist.support_high
+    n_tot, m1_tot = exact_moments_between(nodes, Fraction(lo), Fraction(hi))
+    scale_n, scale_m1 = float(n_tot), float(abs(m1_tot)) + float(n_tot) * max(abs(lo), abs(hi))
+    xs = [t for t, _ in nodes]
+    probes = xs + [lo + (hi - lo) * k / 7 for k in range(8)] + [lo - 1.0, hi + 1.0]
+    for x in probes:
+        want_n, want_m1 = exact_moments_between(nodes, Fraction(lo), Fraction(min(max(x, lo), hi)))
+        got_n, got_m1 = dist.moments_below(x)
+        assert got_n == pytest.approx(float(want_n), rel=1e-14, abs=1e-15 * scale_n)
+        assert got_m1 == pytest.approx(float(want_m1), rel=1e-14, abs=1e-15 * scale_m1)
+    for a, b in zip(probes, probes[3:]):
+        a, b = min(a, b), max(a, b)
+        want_n, want_m1 = exact_moments_between(nodes, Fraction(a), Fraction(b))
+        assert dist.mass_between(a, b) == pytest.approx(float(want_n), abs=1e-15 * scale_n)
+        assert dist.first_moment_between(a, b) == pytest.approx(
+            float(want_m1), abs=1e-15 * scale_m1)
 
 
 # ---------------------------------------------------------------------
@@ -163,6 +228,86 @@ def test_m_extended_edges():
     assert m_extended(pool, 0.0, 0.0) == pools.pool_inf(pool)
     # mu > 0 at the bottom: leavers are a thinned copy of the whole pool
     assert m_extended(pool, 0.0, 0.3) == pytest.approx(mean)
+
+
+def _twice_split(dist):
+    pool = pools.LaborPool.entry(dist)
+    lo, hi = dist.support_low, dist.support_high
+    _, stayed = pools.firing_split(pool, lo + 0.3 * (hi - lo), 0.4)
+    released, _ = pools.firing_split(stayed, lo + 0.7 * (hi - lo), 0.25)
+    return released
+
+
+def _thresholds(dist):
+    """Below and above the support, interior points, every piecewise node
+    and every discrete atom (the last atom is the top of the support)."""
+    lo, hi = dist.support_low, dist.support_high
+    ts = [lo - 1.0, hi + 1.0, lo, hi, lo + 0.37 * (hi - lo)]
+    ts += [t for t, _ in dist.nodes] + [t for t, _ in dist.atoms]
+    return ts
+
+
+@pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, DISC, POINT])
+@pytest.mark.parametrize("twice_split", [False, True])
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+def test_split_moments_match_split_pools(dist, twice_split, mu):
+    pool = _twice_split(dist) if twice_split else pools.LaborPool.entry(dist)
+    for t in _thresholds(dist):
+        leavers, stayers = pools.firing_split(pool, t, mu)
+        for got, want in ((pools.leaver_moments(pool, t, mu), pools._moments(leavers)),
+                          (pools.stayer_moments(pool, t, mu), pools._moments(stayers))):
+            assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
+            assert got[1] == pytest.approx(want[1], rel=1e-13, abs=1e-300)
+
+
+def test_split_moments_reject_what_firing_split_rejects():
+    pool = pools.LaborPool.entry(DISC)
+    for split in (pools.leaver_moments, pools.stayer_moments):
+        for bad_t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidThresholdError):
+                split(pool, bad_t, 0.5)
+        for bad_mu in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                split(pool, 0.5, bad_mu)
+
+
+def test_discrete_split_moments_by_hand():
+    """Atom at the threshold goes to the at-or-above side; outside the
+    support the threshold is clamped."""
+    pool = pools.LaborPool.entry(DISC)
+    mu = 0.25
+    assert pools.leaver_moments(pool, 0.5, mu) == pytest.approx(
+        (1.0 + mu * 3.5, 0.2 + mu * (1.0 + 1.35)), abs=1e-15)
+    assert pools.stayer_moments(pool, 0.5, mu) == pytest.approx(
+        ((1 - mu) * 3.5, (1 - mu) * (1.0 + 1.35)), abs=1e-15)
+    assert pools.leaver_moments(pool, -5.0, mu) == pytest.approx(
+        (mu * 4.5, mu * 2.55), abs=1e-15)
+
+
+def test_pool_inf_sup_on_split_discrete_pools():
+    pool = pools.LaborPool.entry(DISC)
+    _, stayed = pools.firing_split(pool, 0.5, 0.3)
+    assert (pools.pool_inf(stayed), pools.pool_sup(stayed)) == (0.5, 0.9)
+    leavers, _ = pools.firing_split(pool, 0.5, 0.0)
+    assert (pools.pool_inf(leavers), pools.pool_sup(leavers)) == (0.2, 0.2)
+    leavers, _ = pools.firing_split(pool, 0.6, 0.0)
+    assert (pools.pool_inf(leavers), pools.pool_sup(leavers)) == (0.2, 0.5)
+    point = pools.LaborPool.entry(POINT)
+    assert (pools.pool_inf(point), pools.pool_sup(point)) == (0.7, 0.7)
+
+
+def test_discrete_window_moments_match_atom_sums():
+    """Windows are closed at both ends, on the entry pool and on a split
+    pool whose piece boundary sits on an atom."""
+    entry = pools.LaborPool.entry(DISC)
+    _, stayed = pools.firing_split(entry, 0.5, 0.3)
+    cases = ((entry, lambda t: 1.0), (stayed, lambda t: 0.7 if t >= 0.5 else 0.0))
+    windows = [(0.2, 0.9), (0.2, 0.5), (0.5, 0.5), (0.5, 0.9), (0.9, 0.9), (0.3, 0.6), (-1.0, 2.0)]
+    for pool, weight in cases:
+        for a, b in windows:
+            inside = [(t, c * weight(t)) for t, c in DISC.atoms if a <= t <= b]
+            want = (sum(w for _, w in inside), sum(t * w for t, w in inside))
+            assert pools._restricted_moments(pool, a, b) == pytest.approx(want, abs=1e-15)
 
 
 def test_truncated_mean_windows():
