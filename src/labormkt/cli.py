@@ -62,7 +62,7 @@ from .screening import (
     residual_below_average_probability,
 )
 from .simulator import SimulationConfig, simulate
-from .solvers import DEFAULT_OPTIONS, SolverOptions, m_extended
+from .solvers import DEFAULT_OPTIONS, SolverOptions, m_extended, scan_grid
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -485,11 +485,9 @@ def _run_solve(cfg: RunConfig) -> None:
 def _write_m_series(cfg: RunConfig) -> None:
     """Plot-ready (w, leaver-mean) series used to picture the fixed point."""
     pool = LaborPool.entry(cfg.dist)
-    lo, hi = cfg.dist.support_low, cfg.dist.support_high
-    rows = []
-    for i in range(201):
-        w = lo + (hi - lo) * i / 200
-        rows.append([w, m_extended(pool, w, cfg.mu)])
+    ws = scan_grid(cfg.dist.support_low, cfg.dist.support_high, 201)
+    # tolist() keeps every cell a Python float, formatted as before.
+    rows = zip(ws.tolist(), m_extended(pool, ws, cfg.mu).tolist())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["w", "m_of_w"])

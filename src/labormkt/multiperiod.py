@@ -207,15 +207,14 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
 
 
 def submarket_count(n_periods: int) -> int:
-    """Number of post-release markets over an n-period horizon.
+    """Number of post-release markets over an n-period horizon: 2**(n-1) - 1.
 
-    Counted by enumerating the history tree (histories ending in a leave
-    step); equals 2**(n-1) - 1.
+    These are the histories ending in a leave step; build_market_tree
+    enumerates the same nodes.
     """
-    from .pools import uniform
-
-    tree = build_market_tree(uniform(0.0, 1.0), 0.5, n_periods)
-    return len(tree.off_market_nodes())
+    if n_periods < 1:
+        raise ValueError("n_periods must be at least 1")
+    return 2 ** (n_periods - 1) - 1
 
 
 # =====================================================================

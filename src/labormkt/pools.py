@@ -24,6 +24,11 @@ Conventions
   differences of the primitive at its piece boundaries, and the moments of
   a split (:func:`leaver_moments`, :func:`stayer_moments`) are taken the
   same way without building the split pools.
+* :meth:`ProductivityDistribution.moments_below_array` and
+  :func:`leaver_moments_array` are the same kernels over a float64 array
+  of thresholds, for scan grids.  They use the same formulas in the same
+  order of float operations, so each element is bit-for-bit equal to the
+  scalar result.
 
 All values are immutable; operations return new pools.
 """
@@ -49,6 +54,7 @@ __all__ = [
     "truncated_mean",
     "firing_split",
     "leaver_moments",
+    "leaver_moments_array",
     "stayer_moments",
     "m_operator",
     "pool_inf",
@@ -84,6 +90,9 @@ class ProductivityDistribution:
     _cum_n: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _cum_m1: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _total: tuple[float, float] = field(init=False, repr=False, compare=False)
+    # The same tables as float64 arrays, plus the node densities, for
+    # moments_below_array.
+    _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("uniform", "discrete", "piecewise"):
@@ -107,6 +116,9 @@ class ProductivityDistribution:
         object.__setattr__(self, "_cum_n", tuple(cum_n))
         object.__setattr__(self, "_cum_m1", tuple(cum_m1))
         object.__setattr__(self, "_total", self._moments_at_or_below(self.support_high))
+        object.__setattr__(self, "_arrays", tuple(
+            np.array(v, dtype=np.float64)
+            for v in (xs, cum_n, cum_m1, [d for _, d in self.nodes])))
 
     # -- the moment primitive -------------------------------------------
 
@@ -131,6 +143,38 @@ class ProductivityDistribution:
         h = x - x0
         return (self._cum_n[k] + h * (d0 + dx) / 2.0,
                 self._cum_m1[k] + h / 6.0 * (x0 * (2.0 * d0 + dx) + x * (d0 + 2.0 * dx)))
+
+    def moments_below_array(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`moments_below` at every element of a float64 array.
+
+        The same formulas in the same order of float operations, so each
+        element is bit-for-bit equal to the scalar result.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        xs, cum_n, cum_m1, ds = self._arrays
+        if self.kind == "discrete":
+            k = np.searchsorted(xs, x, side="left")  # bisect_left
+            return cum_n[k], cum_m1[k]
+        lo, hi = self.support_low, self.support_high
+        # Inside (lo, hi) the clipped value is x itself; outside, the
+        # partial-segment result is replaced below.
+        xc = np.clip(x, lo, hi)
+        if self.kind == "uniform":
+            h = xc - lo
+            n = self.level * h
+            m1 = n * (xc + lo) / 2.0
+        else:
+            k = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, len(xs) - 2)
+            x0, x1, d0, d1 = xs[k], xs[k + 1], ds[k], ds[k + 1]
+            dx = d0 + (d1 - d0) * (xc - x0) / (x1 - x0)
+            h = xc - x0
+            n = cum_n[k] + h * (d0 + dx) / 2.0
+            m1 = cum_m1[k] + h / 6.0 * (x0 * (2.0 * d0 + dx) + xc * (d0 + 2.0 * dx))
+            top = x >= hi
+            n = np.where(top, cum_n[-1], n)
+            m1 = np.where(top, cum_m1[-1], m1)
+        bottom = x <= lo
+        return np.where(bottom, 0.0, n), np.where(bottom, 0.0, m1)
 
     def _moments_at_or_below(self, x: float) -> tuple[float, float]:
         # Only a discrete atom sitting at x tells this apart from moments_below.
@@ -388,6 +432,44 @@ def leaver_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float,
     """
     t = _split_threshold(pool, threshold, mu)
     return _piece_moments(pool.base, _rescale_pieces(pool.pieces, t, 1.0, mu))
+
+
+def leaver_moments_array(pool: LaborPool, thresholds: np.ndarray,
+                         mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`leaver_moments` at every element of a float64 array of thresholds.
+
+    Each piece of the pool adds its part in the order :func:`_piece_moments`
+    adds the pieces of the split pool, so every element is bit-for-bit equal
+    to the scalar result.
+    """
+    _check_mu(mu)
+    t = np.asarray(thresholds, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise InvalidThresholdError("thresholds must be finite reals")
+    base = pool.base
+    t = np.minimum(np.maximum(t, base.support_low), base.support_high)
+    n_cut, m1_cut = base.moments_below_array(t)
+    n = np.zeros_like(t)
+    m1 = np.zeros_like(t)
+    n_lo = m1_lo = 0.0
+    for (lo, hi, w), (n_hi, m1_hi) in zip(pool.pieces, _piece_ends(base, pool.pieces)):
+        wm = w * mu
+        # As in _rescale_pieces, lo >= t is tested first: a zero-width piece
+        # at t goes to the at-or-above side.
+        above = lo >= t
+        split = ~above & (hi > t)
+        # At or above t the piece leaves at weight w * mu, below t in full;
+        # a straddling piece adds [lo, t) and then [t, hi).  Where
+        # _piece_moments skips a zero weight this adds 0.0: the same sum.
+        for total, lo_end, hi_end, cut in ((n, n_lo, n_hi, n_cut),
+                                           (m1, m1_lo, m1_hi, m1_cut)):
+            below = np.where(split, w * (cut - lo_end), w * (hi_end - lo_end))
+            total += np.where(above, wm * (hi_end - lo_end) if wm > 0.0 else 0.0,
+                              below if w > 0.0 else 0.0)
+            if wm > 0.0:
+                total += np.where(split, wm * (hi_end - cut), 0.0)
+        n_lo, m1_lo = n_hi, m1_hi
+    return n, m1
 
 
 def stayer_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:

@@ -63,6 +63,9 @@ class SimulationConfig:
         missing = [k for k in _REQUIRED_WAGES[self.regime] if k not in self.wages]
         if missing:
             raise ValueError(f"wages missing for this regime: {missing}")
+        bad = [k for k, v in self.wages.items() if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"wages must be finite real numbers: {bad}")
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,26 @@ the economically selected equilibrium is the largest.  So the strategy is
 always: evaluate on a grid, collect every sign change plus every grid
 point that is already a root, bisect each bracket, and let the caller pick
 from the sorted root list.
+
+The grid is fixed before any value is known, so a caller that can evaluate
+its function on a whole array passes that form to :func:`scan_roots`:
+:func:`m_fixed_points` fills its grid with one call of the leaver-mean
+operator :func:`m_extended` on an array, which is bit-for-bit equal to the
+scalar operator element by element.  Brackets are detected on the array;
+bisection and residuals use the scalar operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyPoolError, NoConvergenceError
-from .pools import LaborPool, leaver_moments, pool_inf, pool_mean
+import numpy as np
 
-__all__ = ["SolverOptions", "bisect_root", "scan_roots", "m_extended", "m_fixed_points"]
+from .errors import NoConvergenceError
+from .pools import LaborPool, leaver_moments, leaver_moments_array, pool_inf, pool_mean
+
+__all__ = ["SolverOptions", "bisect_root", "scan_grid", "scan_roots",
+           "m_extended", "m_fixed_points"]
 
 
 @dataclass(frozen=True)
@@ -80,21 +90,42 @@ def bisect_root(g, a: float, b: float, ga: float, gb: float,
         best={"x": best_x}, residuals={"g": best_g})
 
 
-def scan_roots(g, lo: float, hi: float, opts: SolverOptions = DEFAULT_OPTIONS) -> list[float]:
-    """All roots of g on [lo, hi] found by grid scan plus bracket bisection."""
+def scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n evenly spaced points from lo to hi, both included."""
+    return lo + (hi - lo) * np.arange(n) / (n - 1)
+
+
+def _grid_roots(g, xs: list[float], gs, opts: SolverOptions = DEFAULT_OPTIONS) -> list[float]:
+    """Roots of g from its values gs on the grid xs, in grid order.
+
+    A grid point with |g| <= tol is a root; a sign change between two
+    points that are not is a bracket, bisected with the scalar g.
+    """
+    gs = np.asarray(gs, dtype=np.float64)
+    small = np.abs(gs) <= opts.tol
+    pos = gs > 0.0
+    bracket = np.zeros_like(small)
+    bracket[1:] = ~small[1:] & (pos[1:] != pos[:-1]) & (np.abs(gs[:-1]) > opts.tol)
+    g_at = gs.tolist()
+    return [xs[i] if small[i] else bisect_root(g, xs[i - 1], xs[i], g_at[i - 1], g_at[i], opts)
+            for i in np.flatnonzero(small | bracket).tolist()]
+
+
+def scan_roots(g, lo: float, hi: float, opts: SolverOptions = DEFAULT_OPTIONS,
+               g_grid=None) -> list[float]:
+    """All roots of g on [lo, hi] found by grid scan plus bracket bisection.
+
+    g_grid, if given, evaluates g on the whole float64 scan grid in one
+    call; it must equal g element by element.
+    """
     if hi < lo:
         raise ValueError("empty scan interval")
     if hi == lo:
         return [lo] if abs(g(lo)) <= opts.tol else []
-    n = opts.scan_points
-    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    gs = [g(x) for x in xs]
-    roots: list[float] = []
-    for i, (x, gx) in enumerate(zip(xs, gs)):
-        if gx == 0.0 or abs(gx) <= opts.tol:
-            roots.append(x)
-        elif i > 0 and (gs[i - 1] > 0.0) != (gx > 0.0) and abs(gs[i - 1]) > opts.tol:
-            roots.append(bisect_root(g, xs[i - 1], x, gs[i - 1], gx, opts))
+    grid = scan_grid(lo, hi, opts.scan_points)
+    xs = grid.tolist()
+    gs = g_grid(grid) if g_grid is not None else [g(x) for x in xs]
+    roots = _grid_roots(g, xs, gs, opts)
     # Deduplicate near-identical roots, keeping sorted order.
     scale = max(abs(lo), abs(hi), 1.0)
     out: list[float] = []
@@ -111,13 +142,32 @@ def m_extended(pool: LaborPool, w: float, mu: float) -> float:
     (mu = 0 at or below the bottom of the pool) the mean degenerates to
     the pool infimum, which is its limit from the right; at or above the
     top of the support everyone leaves and the value is the pool mean.
+
+    `w` may be a float64 array; the result is then the array of the scalar
+    values, bit for bit.
     """
+    if isinstance(w, np.ndarray):
+        return _m_extended_array(pool, w, mu)
     if w >= pool.base.support_high:
         return pool_mean(pool)
     n, m1 = leaver_moments(pool, w, mu)
     if n <= 0.0:
         return pool_inf(pool)
     return m1 / n
+
+
+def _m_extended_array(pool: LaborPool, w: np.ndarray, mu: float) -> np.ndarray:
+    top = w >= pool.base.support_high
+    # +inf is clamped with the rest of the top; NaN and -inf still raise.
+    n, m1 = leaver_moments_array(pool, np.minimum(w, pool.base.support_high), mu)
+    empty = n <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = m1 / n
+    if empty.any():
+        out = np.where(empty, pool_inf(pool), out)
+    if top.any():
+        out = np.where(top, pool_mean(pool), out)
+    return out
 
 
 def m_fixed_points(pool: LaborPool, mu: float,
@@ -134,4 +184,4 @@ def m_fixed_points(pool: LaborPool, mu: float,
     if mean <= lo:
         return [mean]  # degenerate pool concentrated at a single point
     g = lambda w: w - m_extended(pool, w, mu)
-    return scan_roots(g, lo, mean, opts)
+    return scan_roots(g, lo, mean, opts, g_grid=g)

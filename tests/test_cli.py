@@ -8,6 +8,7 @@ import pytest
 import labormkt as lm
 from labormkt import cli
 from labormkt.errors import ConfigError, NoConvergenceError
+from labormkt.solvers import m_extended
 
 
 def write(tmp_path, name, text):
@@ -173,6 +174,11 @@ def test_solve_series_out(tmp_path):
     w, m = map(float, lines[-1].split(","))
     assert w == pytest.approx(1.0)
     assert m == pytest.approx(0.5, abs=1e-9)   # leaver mean at the top = pool mean
+    # Every row is exactly the scalar operator at the same grid point.
+    pool = lm.LaborPool.entry(lm.uniform(0, 1))
+    for i, line in enumerate(lines[1:]):
+        w = 0.0 + (1.0 - 0.0) * i / 200
+        assert line == f"{w!r},{m_extended(pool, w, 0.5)!r}"
 
 
 # ---------------------------------------------------------------------
@@ -230,6 +236,15 @@ def test_simulate_explicit_wages_skip_solving(tmp_path):
     data = json.loads(out.read_text())
     assert data["wages"]["w0"] == 0.6
     assert data["wages"]["w1"] == 0.4
+
+
+@pytest.mark.parametrize("wages", ["w0 = nan\nw1 = 0.4\n", "w0 = 0.6\nw1 = inf\n"])
+def test_simulate_non_finite_wage_exits_1(tmp_path, capsys, wages):
+    cfg = write(tmp_path, "m.cfg", SIM_CFG + wages)
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_three_period_requires_regime_wages(tmp_path):

@@ -10,7 +10,9 @@ pins down both implementations.
 """
 
 import functools
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +211,43 @@ def test_other_bases_still_balance(dist):
     assert sol.mass_released + sol.mass_stayed == pytest.approx(sol.mass_entry, abs=1e-9)
 
 
+GOLDEN = json.loads((Path(__file__).parent / "data" / "three_period_golden.json")
+                    .read_text(encoding="utf-8"))["cells"]
+GOLDEN_BASES = {
+    "piecewise_readme": lm.piecewise_linear([(0.0, 0.2), (0.3, 1.1), (1.0, 0.1)]),
+    "uniform_0_1": lm.uniform(0.0, 1.0),
+    "discrete_41": lm.discrete([(k / 40, 1.0) for k in range(41)]),
+}
+
+
+@pytest.mark.parametrize("cell", GOLDEN, ids=lambda c: f"{c['base']}-mu{c['mu']}")
+def test_three_period_golden_table(cell):
+    """The solver selects the same equilibrium, or raises the same typed
+    error, as the table tests/data/make_three_period_golden.py recorded."""
+    dist = GOLDEN_BASES[cell["base"]]
+    if cell["outcome"] == "error":
+        with pytest.raises(getattr(lm, cell["error"])) as info:
+            lm.solve_three_period(dist, cell["mu"])
+        assert set(info.value.residuals) == set(cell["residuals"])
+        return
+    sol = lm.solve_three_period(dist, cell["mu"])
+    for name, value in cell["wages"].items():
+        assert getattr(sol, name) == pytest.approx(value, abs=1e-8), name
+    for key in ("w_plus_candidates", "fixed_point_roots_late", "fixed_point_roots_twice"):
+        assert len(sol.diagnostics[key]) == len(cell[key]), key
+
+
+def test_near_coincident_atoms_fail_with_typed_error():
+    """Two atoms 1e-7 apart leave the period-2 hirers' books unbalanced by
+    about 5e-8, above the 1e-8 residual gate: a typed failure, not a hang."""
+    dist = lm.discrete([(0.5, 1.0), (0.5 + 1e-7, 1.0)])
+    with pytest.raises(lm.NoConvergenceError) as info:
+        lm.solve_three_period(dist, 0.5)
+    worst = max(info.value.residuals, key=lambda k: abs(info.value.residuals[k]))
+    assert worst == "rehire_zero_profit"
+    assert 1e-8 < abs(info.value.residuals[worst]) < 1e-6
+
+
 def test_point_mass_is_exactly_degenerate():
     sol = lm.solve_three_period(lm.discrete([(0.7, 2.0)]), 0.3)
     assert {sol.w0, sol.w1, sol.w_plus, sol.w2, sol.w2p} == {0.7}
@@ -269,6 +308,9 @@ def test_submarket_count_matches_enumeration():
         tree = lm.build_market_tree(lm.uniform(0, 1), 0.5, n)
         by_walk = sum(1 for node in tree.nodes() if node.off_market)
         assert lm.submarket_count(n) == by_walk == 2 ** (n - 1) - 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            lm.submarket_count(bad)
 
 
 def test_tree_masses_conserve_at_every_split():

@@ -271,6 +271,127 @@ def test_split_moments_reject_what_firing_split_rejects():
                 split(pool, 0.5, bad_mu)
 
 
+# ---------------------------------------------------------------------
+# Array kernels: equal to the scalar kernels element by element, exactly
+# ---------------------------------------------------------------------
+
+def _zero_width_pool(dist):
+    """A pool with a zero-width piece in the middle of the support (and, for
+    a one-atom base, the only piece is zero-width already)."""
+    lo, hi = dist.support_low, dist.support_high
+    if lo == hi:
+        return pools.LaborPool.entry(dist)
+    atoms = [t for t, _ in dist.atoms]
+    m = atoms[1] if len(atoms) > 1 else lo + 0.3 * (hi - lo)
+    return pools.LaborPool(dist, ((lo, m, 1.0), (m, m, 2.0), (m, hi, 0.5)))
+
+
+def _array_thresholds(pool):
+    ts = _thresholds(pool.base) + [x for lo, hi, _ in pool.pieces for x in (lo, hi)]
+    lo, hi = pool.base.support_low, pool.base.support_high
+    return ts + [lo + (hi - lo) * i / 50 for i in range(51)]
+
+
+# At its interior nodes d0 + (d1 - d0) != d1 in floating point, so a node
+# read as the right end of the segment before it gives different bits.
+PW_NODES_ROUND = lm.piecewise_linear([(0.0, 0.2), (0.4, 0.9), (0.8, 0.1), (1.0, 0.5)])
+
+
+@pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, PW_NODES_ROUND, DISC, POINT])
+@pytest.mark.parametrize("shape", ["entry", "split", "twice_split", "zero_width"])
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+def test_array_kernels_equal_scalar_kernels(dist, shape, mu):
+    entry = pools.LaborPool.entry(dist)
+    pool = {"entry": entry,
+            "split": pools.firing_split(entry, dist.support_low + 0.45 *
+                                        (dist.support_high - dist.support_low), 0.35)[1],
+            "twice_split": _twice_split(dist),
+            "zero_width": _zero_width_pool(dist)}[shape]
+    ts = _array_thresholds(pool)
+    arr = np.array(ts)
+    n, m1 = dist.moments_below_array(arr)
+    assert [(a, b) for a, b in zip(n.tolist(), m1.tolist())] == [
+        dist.moments_below(t) for t in ts]
+    n, m1 = pools.leaver_moments_array(pool, arr, mu)
+    assert [(a, b) for a, b in zip(n.tolist(), m1.tolist())] == [
+        pools.leaver_moments(pool, t, mu) for t in ts]
+    if pools.pool_mass(pool) > 0.0:
+        ws = np.array(ts + [math.inf])
+        assert m_extended(pool, ws, mu).tolist() == [
+            m_extended(pool, w, mu) for w in ws.tolist()]
+
+
+def test_array_kernels_reject_what_scalar_kernels_reject():
+    pool = _twice_split(PW)
+    for bad in (math.nan, -math.inf):
+        ts = np.array([0.2, bad, 0.5])
+        with pytest.raises(InvalidThresholdError):
+            pools.leaver_moments_array(pool, ts, 0.5)
+        with pytest.raises(InvalidThresholdError):
+            m_extended(pool, ts, 0.5)
+    with pytest.raises(InvalidThresholdError):
+        pools.leaver_moments_array(pool, np.array([math.inf]), 0.5)
+    for bad_mu in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            pools.leaver_moments_array(pool, np.array([0.5]), bad_mu)
+
+
+def scan_roots_by_loop(g, lo, hi, opts):
+    """Reference scan: scalar g at each grid point, brackets found one by one."""
+    from labormkt.solvers import bisect_root
+
+    n = opts.scan_points
+    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    gs = [g(x) for x in xs]
+    roots = []
+    for i, (x, gx) in enumerate(zip(xs, gs)):
+        if gx == 0.0 or abs(gx) <= opts.tol:
+            roots.append(x)
+        elif i > 0 and (gs[i - 1] > 0.0) != (gx > 0.0) and abs(gs[i - 1]) > opts.tol:
+            roots.append(bisect_root(g, xs[i - 1], x, gs[i - 1], gx, opts))
+    scale = max(abs(lo), abs(hi), 1.0)
+    out = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > 1e-9 * scale:
+            out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, DISC])
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+def test_m_fixed_points_matches_scalar_scan(dist, mu):
+    """Oracle: the array-filled scan finds exactly the roots of a scan that
+    evaluates the scalar operator point by point."""
+    from labormkt.solvers import SolverOptions, m_fixed_points, scan_roots
+
+    for opts in (SolverOptions(), SolverOptions(scan_points=129, tol=1e-12)):
+        for pool in (pools.LaborPool.entry(dist), _twice_split(dist)):
+            g = lambda w: w - m_extended(pool, w, mu)
+            lo, mean = min(pools.pool_inf(pool), 0.0), pools.pool_mean(pool)
+            roots = m_fixed_points(pool, mu, opts)
+            assert roots == scan_roots(g, lo, mean, opts)
+            assert roots == scan_roots_by_loop(g, lo, mean, opts)
+
+
+def test_grid_point_within_tol_is_a_root_and_not_bisected():
+    """A grid value with |g| <= tol is taken as a root; the sign change
+    from it to the next grid point is not a second bracket."""
+    from labormkt.solvers import SolverOptions, scan_roots
+
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x - 0.5 - 1e-12  # -1e-12 at the grid point 0.5
+
+    opts = SolverOptions(scan_points=129)
+    g_grid = lambda xs: np.array([g(x) for x in xs.tolist()])
+    for kwargs in ({}, {"g_grid": g_grid}):
+        calls.clear()
+        assert scan_roots(g, 0.0, 1.0, opts, **kwargs) == [0.5]
+        assert len(calls) == 129
+
+
 def test_discrete_split_moments_by_hand():
     """Atom at the threshold goes to the at-or-above side; outside the
     support the threshold is clamped."""

@@ -6,6 +6,7 @@ quit probabilities.  Examples are derandomized so every run of the suite
 checks the same cases; raise max_examples locally to search further.
 """
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -84,3 +85,27 @@ def test_leaver_mean_lies_between_pool_inf_and_pool_mean(case):
     value = m_extended(pool, w, mu)
     tol = 1e-9 * max(abs(pool.base.support_low), abs(pool.base.support_high), 1.0)
     assert pools.pool_inf(pool) - tol <= value <= pools.pool_mean(pool) + tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pools_and_splits(), st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=20))
+def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
+    pool, t, mu = case
+    base = pool.base
+    ts = [t, base.support_low, base.support_high] + extra
+    ts += [x for lo, hi, _ in pool.pieces for x in (lo, hi)]
+    n, m1 = pools.leaver_moments_array(pool, np.array(ts), mu)
+    assert list(zip(n.tolist(), m1.tolist())) == [pools.leaver_moments(pool, x, mu) for x in ts]
+    n, m1 = base.moments_below_array(np.array(ts))
+    assert list(zip(n.tolist(), m1.tolist())) == [base.moments_below(x) for x in ts]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(-1.0, 5.0), st.floats(0.05, 5.0), st.floats(0.01, 0.99))
+def test_two_period_wages_average_to_the_uniform_mean(low, width, mu):
+    """On a uniform base the entry and re-hiring wages sum to twice the
+    mean productivity: w0 + w1 = 2 * theta_bar."""
+    sol = lm.solve_two_period(lm.uniform(low, low + width), mu)
+    hypothesis.assume(not sol.collapsed)
+    scale = max(abs(low), abs(low + width), 1.0)
+    assert sol.w0 + sol.w1 == pytest.approx(2.0 * sol.theta_bar, abs=1e-9 * scale)

@@ -168,6 +168,17 @@ def test_config_validation():
         simulator.SimulationConfig(**{**good, "mu": 1.5})
 
 
+@pytest.mark.parametrize("wage", ["w0", "w1"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_wages(wage, bad):
+    """A NaN or infinite wage fails at the boundary instead of turning the
+    profit into NaN (or running silently at an infinite wage)."""
+    wages = {"w0": 0.6, "w1": 0.4, wage: bad}
+    with pytest.raises(ValueError, match="finite"):
+        simulator.SimulationConfig(n_agents=10, seed=0, regime="two_period",
+                                   dist=lm.uniform(0, 1), mu=0.5, wages=wages)
+
+
 def test_report_serialization_is_plain_python():
     rep = simulator.simulate(two_period_cfg(n=5_000))
     d = rep.to_dict()
