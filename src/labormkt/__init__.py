@@ -63,7 +63,6 @@ from .pools import (
     discrete,
     firing_split,
     leaver_moments,
-    m_operator,
     piecewise_linear,
     pool_inf,
     pool_mass,
@@ -103,8 +102,8 @@ __all__ = [
     # pools
     "ProductivityDistribution", "LaborPool", "uniform", "discrete",
     "piecewise_linear", "pool_mass", "pool_mean", "truncated_mean",
-    "firing_split", "leaver_moments", "stayer_moments", "m_operator",
-    "pool_inf", "pool_sup", "quantile", "sample_productivities",
+    "firing_split", "leaver_moments", "stayer_moments", "pool_inf",
+    "pool_sup", "quantile", "sample_productivities",
     # solvers
     "SolverOptions", "DEFAULT_OPTIONS", "m_extended", "m_fixed_points",
     # screening

@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -253,6 +254,29 @@ def _parse_utility(raw: str, key: str, problems: list[str]) -> UtilitySpec | Non
         return None
 
 
+# Range rules of the numeric keys, shared with the flags that override
+# some of them: parser, accept test, rule text.
+_RANGES = {
+    "tol": (_parse_float, lambda v: 0.0 < v < math.inf, "must be finite and positive"),
+    "jobs": (_parse_int, lambda v: v >= 1, "must be at least 1"),
+    "n_periods": (_parse_int, lambda v: v >= 1, "must be at least 1"),
+    "n_agents": (_parse_int, lambda v: v >= 1, "must be at least 1"),
+    "seed": (_parse_int, lambda v: 0 <= v < 2 ** 64, "must fit in 64 unsigned bits"),
+}
+
+
+def _set_in_range(cfg: RunConfig, key: str, v, problems: list[str]) -> None:
+    """Store v as cfg.<key> if _RANGES accepts it, else record the problem.
+    None (a value that did not parse, or an absent flag) is skipped."""
+    if v is None:
+        return
+    _, ok, rule = _RANGES[key]
+    if ok(v):
+        setattr(cfg, key, v)
+    else:
+        problems.append(f"{key}: {rule} (got {v})")
+
+
 def parse_config(text: str, subcommand: str = "solve") -> RunConfig:
     """Parse and validate a config document for the given subcommand.
 
@@ -284,20 +308,9 @@ def parse_config(text: str, subcommand: str = "solve") -> RunConfig:
             problems.append(f"format: must be csv or json, got {pairs['format']!r}")
         else:
             cfg.fmt = pairs["format"]
-    if "tol" in pairs:
-        v = _parse_float(pairs["tol"], "tol", problems)
-        if v is not None:
-            if v <= 0:
-                problems.append(f"tol: must be positive (got {v})")
-            else:
-                cfg.tol = v
-    if "jobs" in pairs:
-        v = _parse_int(pairs["jobs"], "jobs", problems)
-        if v is not None:
-            if v < 1:
-                problems.append(f"jobs: must be at least 1 (got {v})")
-            else:
-                cfg.jobs = v
+    for key in ("tol", "jobs"):
+        if key in pairs:
+            _set_in_range(cfg, key, _RANGES[key][0](pairs[key], key, problems), problems)
     if "dist" in pairs:
         cfg.dist = _parse_dist(pairs["dist"], problems)
     if "mu" in pairs:
@@ -315,27 +328,9 @@ def parse_config(text: str, subcommand: str = "solve") -> RunConfig:
                             f"got {pairs['regime']!r}")
         else:
             cfg.regime = pairs["regime"]
-    if "n_periods" in pairs:
-        v = _parse_int(pairs["n_periods"], "n_periods", problems)
-        if v is not None:
-            if v < 1:
-                problems.append(f"n_periods: must be at least 1 (got {v})")
-            else:
-                cfg.n_periods = v
-    if "n_agents" in pairs:
-        v = _parse_int(pairs["n_agents"], "n_agents", problems)
-        if v is not None:
-            if v < 1:
-                problems.append(f"n_agents: must be at least 1 (got {v})")
-            else:
-                cfg.n_agents = v
-    if "seed" in pairs:
-        v = _parse_int(pairs["seed"], "seed", problems)
-        if v is not None:
-            if not 0 <= v < 2 ** 64:
-                problems.append(f"seed: must fit in 64 unsigned bits (got {v})")
-            else:
-                cfg.seed = v
+    for key in ("n_periods", "n_agents", "seed"):
+        if key in pairs:
+            _set_in_range(cfg, key, _RANGES[key][0](pairs[key], key, problems), problems)
     for wage_key in ("w0", "w1", "w_plus", "w2", "w2p"):
         if wage_key in pairs:
             v = _parse_float(pairs[wage_key], wage_key, problems)
@@ -670,21 +665,8 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
         cfg.out = args.out
     if args.format is not None:
         cfg.fmt = args.format
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            problems.append(f"seed: must fit in 64 unsigned bits (got {args.seed})")
-        else:
-            cfg.seed = args.seed
-    if args.tol is not None:
-        if args.tol <= 0:
-            problems.append(f"tol: must be positive (got {args.tol})")
-        else:
-            cfg.tol = args.tol
-    if args.jobs is not None:
-        if args.jobs < 1:
-            problems.append(f"jobs: must be at least 1 (got {args.jobs})")
-        else:
-            cfg.jobs = args.jobs
+    for key in ("seed", "tol", "jobs"):
+        _set_in_range(cfg, key, getattr(args, key), problems)
     if problems:
         raise ConfigError(problems)
     return cfg

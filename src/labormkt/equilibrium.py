@@ -20,13 +20,13 @@ than an exception.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import EmptyPoolError
 from .pools import (
     LaborPool,
     ProductivityDistribution,
+    _check_mu,
     _restricted_moments,
     pool_mass,
     pool_mean,
@@ -186,6 +186,16 @@ def _largest_admissible_root(roots: tuple[float, ...]) -> float | MarketCollapse
     return admissible[-1]
 
 
+def _retained(pool: LaborPool, mu: float, w1: float) -> tuple[float, float]:
+    """(theta_bar2, Q): mean of the workers at or above w1 and the mass of
+    them that is retained, (1 - mu) times theirs.  Raises EmptyPoolError
+    when no worker sits at or above w1."""
+    n_above, m1_above = _restricted_moments(pool, w1, pool.base.support_high)
+    if n_above <= 0.0:
+        raise EmptyPoolError(f"no worker at or above w1={w1}")
+    return m1_above / n_above, (1.0 - mu) * n_above
+
+
 def entry_wage_two_period(dist: ProductivityDistribution, mu: float, w1: float) -> float:
     """Entry wage w0 implied by zero profit at a given re-hiring wage w1.
 
@@ -193,19 +203,13 @@ def entry_wage_two_period(dist: ProductivityDistribution, mu: float, w1: float) 
     the mass at or above w1 and theta_bar2 that mass's mean.  Raises
     EmptyPoolError when no worker sits at or above w1.
     """
-    from .pools import _check_mu
-
     _check_mu(mu)
     pool = LaborPool.entry(dist)
     n = pool_mass(pool)
     if n <= 0.0:
         raise EmptyPoolError("entry pool has no workers")
     theta_bar = pool_mean(pool)
-    n_above, m1_above = _restricted_moments(pool, w1, dist.support_high)
-    if n_above <= 0.0:
-        raise EmptyPoolError(f"no worker at or above w1={w1}")
-    theta_bar2 = m1_above / n_above
-    q = (1.0 - mu) * n_above
+    theta_bar2, q = _retained(pool, mu, w1)
     return theta_bar + (q / n) * (theta_bar2 - w1)
 
 
@@ -228,14 +232,14 @@ def solve_two_period(dist: ProductivityDistribution, mu: float,
             mass_total=n, mass_retained=nan,
             residual_fixed_point=nan, residual_zero_profit=nan,
             collapsed=True, collapse_reason=w1.reason, fixed_point_roots=roots)
-    n_above, m1_above = _restricted_moments(pool, w1, dist.support_high)
-    if n_above > 0.0:
-        theta_bar2 = m1_above / n_above
-        q = (1.0 - mu) * n_above
-    else:
-        # Fixed point at the support top with nothing at or above it cannot
-        # happen (the top atom or the closed support end is always counted),
-        # but keep the degenerate fallback total.
+    # The review clamps its threshold to the support, as firing_split does:
+    # a one-atom base whose mean rounds above its atom, such as
+    # discrete([(0.1, 3.0)]), has w1 above the atom and still retains it.
+    try:
+        theta_bar2, q = _retained(pool, mu, min(w1, dist.support_high))
+    except EmptyPoolError:
+        # Keeps the solver total if w1 ever reaches the top of a base with
+        # no mass there; nobody is then retained.
         theta_bar2, q = theta_bar, 0.0
     w0 = theta_bar + (q / n) * (theta_bar2 - w1)
     r_fp = w1 - m_extended(pool, w1, mu)

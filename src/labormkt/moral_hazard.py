@@ -261,45 +261,12 @@ def solve_first_best(p: ContractProblem) -> ContractSolution:
     lexicographically earliest optimal rule is returned); larger ones fall
     back to deterministic coordinate ascent from every flat rule.
     """
-    grid, agent_u, principal_u = _tables(p)
-    if _enumeration_size(p) <= _ENUMERATION_BUDGET:
-        best = None
-        for rule_idx in _all_rules(p):
-            for i in range(len(p.efforts)):
-                av = _agent_value(p, rule_idx, agent_u, i)
-                if av < p.reservation - _IR_TOL:
-                    continue
-                pv = _principal_value(p, rule_idx, principal_u, i)
-                if best is None or pv > best[0]:
-                    best = (pv, rule_idx, i, av)
-        if best is None:
-            raise InfeasibleError(
-                "no wage rule on the grid meets the agent's participation bar")
-        pv, rule_idx, i, av = best
-        return ContractSolution(tuple(grid[k] for k in rule_idx), i, p.efforts[i],
-                                pv, av, "first_best")
-    return _ascent(p, grid, agent_u, principal_u, incentive=False)
+    return _solve(p, incentive=False)
 
 
 def solve_second_best(p: ContractProblem) -> ContractSolution:
     """Best rule when the effort must be the agent's own best response."""
-    grid, agent_u, principal_u = _tables(p)
-    if _enumeration_size(p) <= _ENUMERATION_BUDGET:
-        best = None
-        for rule_idx in _all_rules(p):
-            i, av = _best_response(p, rule_idx, agent_u, principal_u)
-            if av < p.reservation - _IR_TOL:
-                continue
-            pv = _principal_value(p, rule_idx, principal_u, i)
-            if best is None or pv > best[0]:
-                best = (pv, rule_idx, i, av)
-        if best is None:
-            raise InfeasibleError(
-                "no wage rule on the grid meets the agent's participation bar")
-        pv, rule_idx, i, av = best
-        return ContractSolution(tuple(grid[k] for k in rule_idx), i, p.efforts[i],
-                                pv, av, "second_best")
-    return _ascent(p, grid, agent_u, principal_u, incentive=True)
+    return _solve(p, incentive=True)
 
 
 def welfare_gap(p: ContractProblem) -> GapReport:
@@ -314,32 +281,61 @@ def welfare_gap(p: ContractProblem) -> GapReport:
                      second_best=solve_second_best(p))
 
 
-def _ascent(p: ContractProblem, grid, agent_u, principal_u,
-            incentive: bool) -> ContractSolution:
-    """Coordinate ascent over outcome wages, restarted from every flat rule.
+def _solve(p: ContractProblem, incentive: bool) -> ContractSolution:
+    """Search the wage rules for the best admissible (rule, effort) pair.
 
-    Deterministic: outcomes are swept in index order, candidate wages in
-    grid order, strict improvements only.  Heuristic — optimality is only
-    guaranteed on the enumeration path.
+    `evaluate` gives a rule's best admissible effort as (principal value,
+    effort index, agent value), or None when it has none.  An effort is
+    admissible when the agent accepts it and, with `incentive`, when it is
+    also the agent's best response.  Rules are enumerated when the grid is
+    within budget and searched by :func:`_ascent` otherwise; only strict
+    improvements replace the best so far, so ties go to the earlier effort
+    and the earlier rule.
     """
-    n_out, n_grid = len(p.outcomes), len(grid)
+    grid, agent_u, principal_u = _tables(p)
+    efforts = range(len(p.efforts))
+    bar = p.reservation - _IR_TOL
 
     def evaluate(rule_idx):
         if incentive:
             i, av = _best_response(p, rule_idx, agent_u, principal_u)
-            if av < p.reservation - _IR_TOL:
+            if av < bar:
                 return None
             return _principal_value(p, rule_idx, principal_u, i), i, av
-        best_t = None
-        for i in range(len(p.efforts)):
-            av_i = _agent_value(p, rule_idx, agent_u, i)
-            if av_i < p.reservation - _IR_TOL:
+        best_i = None
+        for i in efforts:
+            av = _agent_value(p, rule_idx, agent_u, i)
+            if av < bar:
                 continue
-            pv_i = _principal_value(p, rule_idx, principal_u, i)
-            if best_t is None or pv_i > best_t[0]:
-                best_t = (pv_i, i, av_i)
-        return best_t
+            pv = _principal_value(p, rule_idx, principal_u, i)
+            if best_i is None or pv > best_i[0]:
+                best_i = (pv, i, av)
+        return best_i
 
+    if _enumeration_size(p) <= _ENUMERATION_BUDGET:
+        best = None
+        for rule_idx in _all_rules(p):
+            trial = evaluate(rule_idx)
+            if trial is not None and (best is None or trial[0] > best[0][0]):
+                best = (trial, rule_idx)
+    else:
+        best = _ascent(len(p.outcomes), len(grid), evaluate)
+    if best is None:
+        raise InfeasibleError(
+            "no wage rule on the grid meets the agent's participation bar")
+    (pv, i, av), rule_idx = best
+    return ContractSolution(tuple(grid[k] for k in rule_idx), i, p.efforts[i], pv, av,
+                            "second_best" if incentive else "first_best")
+
+
+def _ascent(n_out: int, n_grid: int, evaluate):
+    """Coordinate ascent over outcome wages, restarted from every flat rule.
+
+    Deterministic: outcomes are swept in index order, candidate wages in
+    grid order, strict improvements only.  Heuristic — optimality is only
+    guaranteed on the enumeration path.  Returns (evaluation, rule) of the
+    best rule reached, or None when no rule visited was admissible.
+    """
     best = None
     for flat in range(n_grid):
         rule = [flat] * n_out
@@ -358,12 +354,6 @@ def _ascent(p: ContractProblem, grid, agent_u, principal_u,
                         continue
                     if current is None or trial[0] > current[0]:
                         rule, current, improved = cand, trial, True
-        if current is not None and (best is None or current[0] > best[0]):
-            best = (current[0], tuple(rule), current[1], current[2])
-    if best is None:
-        raise InfeasibleError(
-            "no wage rule on the grid meets the agent's participation bar")
-    pv, rule_idx, i, av = best
-    kind = "second_best" if incentive else "first_best"
-    return ContractSolution(tuple(grid[k] for k in rule_idx), i, p.efforts[i],
-                            pv, av, kind)
+        if current is not None and (best is None or current[0] > best[0][0]):
+            best = (current, tuple(rule))
+    return best

@@ -38,6 +38,7 @@ import numpy as np
 from .equilibrium import (
     InequalityCheck,
     TwoPeriodSolution,
+    one_period_wage,
     solve_two_period,
 )
 from .errors import (
@@ -313,6 +314,7 @@ class MultiStartReport:
 
 _INNER_SCAN = 129
 _OUTER_SCAN = 257
+_DAMPING = 0.5  # step factor of the multi-start iteration
 
 
 def _is_point_mass(dist: ProductivityDistribution) -> bool:
@@ -380,7 +382,6 @@ def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
     r_indiff = (stage.w1 + stage.w2p) - (stage.w_plus + stage.w2)
     r_entry = (n * (theta_bar - w0) + (m1_stay - n_stay * stage.w_plus)
                + (m1_kept - n_kept * stage.w2))
-    base = dist
     diag = {
         "fixed_point_roots_late": list(stage.roots_late),
         "fixed_point_roots_twice": list(stage.roots_twice),
@@ -389,16 +390,6 @@ def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
             "late": m1_late / n_late if n_late > 0.0 else None,
             "twice": m1_twice / n_twice if n_twice > 0.0 else None,
             "rehired": m1_reh / n_reh if n_reh > 0.0 else None,
-        },
-        # Fresh-slice masses treat each later market as an unweighted slice
-        # of the entry distribution, dropping the quit-survival factors the
-        # cohorts actually carry; the gap to the tree masses shows how much
-        # those factors matter.  Only the tree masses conserve total mass.
-        "masses_fresh_slice": {
-            "late": (1.0 - mu) * _restricted_moments(pool0, stage.w_plus, stage.w2)[0],
-            "kept": (1.0 - mu) * _restricted_moments(pool0, stage.w2, base.support_high)[0],
-            "twice": _restricted_moments(pool0, base.support_low, stage.w2p)[0],
-            "rehired": (1.0 - mu) * _restricted_moments(pool0, stage.w2p, base.support_high)[0],
         },
     }
     if extra_diag:
@@ -483,7 +474,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     """Damped fixed-point iteration from random starts.
 
     An independent route to the three-period solution: all five wages are
-    updated simultaneously with step `opts.damping` (terminal wages toward
+    updated simultaneously with step `_DAMPING` (terminal wages toward
     the current leaver means, the retention offer along the period-2
     hirers' profit), from n_starts random initial offers.  Reports the
     largest across-start wage spread; disagreement beyond 1e-6 flags a
@@ -498,7 +489,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     theta_bar = pool_mean(pool0)
     lo = pool_inf(pool0)
     rng = np.random.default_rng(seed)
-    d = opts.damping
+    d = _DAMPING
     budget = max(opts.max_iter * 20, 2000)
     sols: list[ThreePeriodSolution] = []
     n_failed = 0
@@ -542,55 +533,19 @@ def solve_regime(dist: ProductivityDistribution, mu: float, n_periods: int,
                  opts: SolverOptions = DEFAULT_OPTIONS):
     """Solve the model under an n-period horizon (n = 1, 2 or 3).
 
-    n = 1 returns the pooled one-period wage (or MarketCollapse); n = 2
-    re-derives the two-period solution through the market tree (terminal
-    wage = released pool's own mean at the fixed point), which must agree
-    with the direct solver; n = 3 is the full system.  Larger horizons
-    build trees but have no wage solver yet.
+    n = 1 returns the pooled one-period wage (or MarketCollapse), n = 2
+    the :func:`solve_two_period` solution and n = 3 the full system.
+    Larger horizons build trees but have no wage solver yet.
     """
     if n_periods == 1:
-        from .equilibrium import one_period_wage
-
         return one_period_wage(dist)
     if n_periods == 2:
-        return _solve_two_period_by_tree(dist, mu, opts)
+        return solve_two_period(dist, mu, opts)
     if n_periods == 3:
         return solve_three_period(dist, mu, opts)
     raise NotImplementedError(
         f"wage solving is implemented for horizons 1..3, not {n_periods} "
         "(build_market_tree still works for any horizon)")
-
-
-def _solve_two_period_by_tree(dist: ProductivityDistribution, mu: float,
-                              opts: SolverOptions) -> TwoPeriodSolution:
-    pool0 = LaborPool.entry(dist)
-    n, m1 = _moments(pool0)
-    theta_bar = m1 / n
-    roots = m_fixed_points(pool0, mu, opts)
-    admissible = [r for r in roots if r >= 0.0]
-    if not admissible:
-        nan = float("nan")
-        return TwoPeriodSolution(
-            mu=mu, w0=nan, w1=nan, theta_bar=theta_bar, theta_bar2=nan,
-            mass_total=n, mass_retained=nan, residual_fixed_point=nan,
-            residual_zero_profit=nan, collapsed=True,
-            collapse_reason="no nonnegative re-hiring wage",
-            fixed_point_roots=tuple(roots))
-    threshold = admissible[-1]
-    tree = build_market_tree(dist, mu, 2, thresholds={"": threshold})
-    released = tree.node(LEFT).pool
-    stayed = tree.node(STAYED).pool
-    n_rel, m1_rel = _moments(released)
-    n_stay, m1_stay = _moments(stayed)
-    w1 = m1_rel / n_rel if n_rel > 0.0 else threshold  # terminal market mean
-    theta_bar2 = m1_stay / n_stay if n_stay > 0.0 else theta_bar
-    w0 = theta_bar + (m1_stay - n_stay * w1) / n
-    return TwoPeriodSolution(
-        mu=mu, w0=w0, w1=w1, theta_bar=theta_bar, theta_bar2=theta_bar2,
-        mass_total=n, mass_retained=n_stay,
-        residual_fixed_point=w1 - threshold,
-        residual_zero_profit=n * (theta_bar - w0) + n_stay * (theta_bar2 - w1),
-        collapsed=False, fixed_point_roots=tuple(roots))
 
 
 # =====================================================================

@@ -29,6 +29,8 @@ Conventions
   of thresholds, for scan grids.  They use the same formulas in the same
   order of float operations, so each element is bit-for-bit equal to the
   scalar result.
+* The leaver-mean operator built on these moments is
+  :func:`labormkt.solvers.m_extended`, the only one in the package.
 
 All values are immutable; operations return new pools.
 """
@@ -56,7 +58,6 @@ __all__ = [
     "leaver_moments",
     "leaver_moments_array",
     "stayer_moments",
-    "m_operator",
     "pool_inf",
     "pool_sup",
     "quantile",
@@ -476,27 +477,6 @@ def stayer_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float,
     """(mass, first moment) of ``firing_split(pool, threshold, mu)[1]``."""
     t = _split_threshold(pool, threshold, mu)
     return _piece_moments(pool.base, _rescale_pieces(pool.pieces, t, 0.0, 1.0 - mu))
-
-
-def m_operator(pool: LaborPool, w: float, mu: float) -> float:
-    """Average productivity of the leavers when the review wage is `w`.
-
-    Everyone strictly below `w` leaves, everyone at or above leaves with
-    probability `mu`; the result is the mean of that mixture.  At or above
-    the top of the support the whole pool turns over, so the value is the
-    pool mean (the same limit the split gives from the left for continuous
-    bases, and the sensible reading for a top atom).
-    """
-    _check_mu(mu)
-    n_all, m1_all = _moments(pool)
-    if n_all <= 0.0:
-        raise EmptyPoolError("pool has no workers")
-    if w >= pool.base.support_high:
-        return m1_all / n_all
-    n, m1 = leaver_moments(pool, w, mu)
-    if n <= 0.0:
-        raise EmptyPoolError(f"no one leaves at wage {w} with mu={mu}")
-    return m1 / n
 
 
 def _occupied_pieces(pool: LaborPool):

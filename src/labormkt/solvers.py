@@ -13,10 +13,14 @@ its function on a whole array passes that form to :func:`scan_roots`:
 operator :func:`m_extended` on an array, which is bit-for-bit equal to the
 scalar operator element by element.  Brackets are detected on the array;
 bisection and residuals use the scalar operator.
+
+:func:`m_extended` is the package's only leaver-mean operator: every
+solver, residual and CLI series evaluates M(w) through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,24 +37,20 @@ class SolverOptions:
     """Tolerances and budgets for the iterative solvers.
 
     tol is the absolute residual target, max_iter the bisection budget per
-    bracket, scan_points the grid resolution used to hunt for brackets,
-    and damping the step factor of the damped-iteration paths.
+    bracket and scan_points the grid resolution used to hunt for brackets.
     """
 
     tol: float = 1e-10
     max_iter: int = 200
     scan_points: int = 1024
-    damping: float = 0.5
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.scan_points < 2:
             raise ValueError("scan_points must be at least 2")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 DEFAULT_OPTIONS = SolverOptions()

@@ -131,6 +131,18 @@ def test_solve_two_period_csv(tmp_path):
     assert float(vals["w0"]) == pytest.approx(sol.w0, abs=1e-12)
 
 
+def test_solve_two_period_one_atom_base(tmp_path):
+    cfg = write(tmp_path, "a.cfg",
+                "dist = discrete((0.1, 3))\nmu = 0.5\nregime = two_period\n")
+    out = tmp_path / "a.json"
+    assert cli.main(["solve", "--config", cfg, "--format", "json",
+                     "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["collapsed"] is False
+    assert data["w0"] == data["w1"] == data["theta_bar"]
+    assert data["mass_retained"] == 1.5
+
+
 def test_solve_json_round_trips_two_period(tmp_path):
     cfg = write(tmp_path, "a.cfg", TWO_PERIOD_CFG)
     out = tmp_path / "a.json"
@@ -338,6 +350,44 @@ def test_non_finite_dist_exits_1(tmp_path, capsys, dist):
     cfg = write(tmp_path, "nf.cfg", f"dist = {dist}\nmu = 0.5\nregime = two_period\n")
     assert cli.main(["solve", "--config", cfg]) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("seed", "-1"), ("jobs", "0"), ("tol", "0"),
+                                        ("tol", "inf"), ("tol", "nan")])
+def test_flag_range_checks_match_config_keys(tmp_path, capsys, key, value):
+    """A flag obeys the same range rule, and prints the same problem, as
+    the config key it overrides; a non-finite tol is rejected both ways."""
+    base = SIM_CFG.replace("seed = 7\n", "")
+    by_flag = write(tmp_path, "flag.cfg", base)
+    by_key = write(tmp_path, "key.cfg", base + f"{key} = {value}\n")
+    assert cli.main(["simulate", "--config", by_flag, f"--{key}", value]) == 1
+    flag_err = capsys.readouterr().err
+    assert cli.main(["simulate", "--config", by_key]) == 1
+    assert capsys.readouterr().err == flag_err
+    assert flag_err.startswith(f"config error: {key}: ") and f"(got {value}" in flag_err
+
+
+def test_problem_order_is_stable():
+    bad = ("nonsense\nbogus = 3\nformat = xml\ntol = 0\njobs = 0\ndist = gaussian(0, 1)\n"
+           "mu = 1.5\nregime = four_period\nn_periods = 0\nn_agents = 0\nseed = -1\n"
+           "w0 = abc\n")
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(bad, "simulate")
+    assert exc.value.problems == [
+        "line 1: expected `key = value`, got 'nonsense'",
+        "unknown key 'bogus' for subcommand simulate",
+        "unknown key 'n_periods' for subcommand simulate",
+        "format: must be csv or json, got 'xml'",
+        "tol: must be finite and positive (got 0.0)",
+        "jobs: must be at least 1 (got 0)",
+        "dist: expected uniform(a,b), discrete(...) or piecewise(...), got 'gaussian(0, 1)'",
+        "mu must lie in [0,1] (got 1.5)",
+        "regime: must be one of one_period, two_period, three_period, got 'four_period'",
+        "n_periods: must be at least 1 (got 0)",
+        "n_agents: must be at least 1 (got 0)",
+        "seed: must fit in 64 unsigned bits (got -1)",
+        "w0: not a number: 'abc'",
+    ]
 
 
 def test_unknown_subcommand(capsys):

@@ -285,3 +285,70 @@ def test_gap_report_serialization():
     assert d["gap"] == report.gap
     assert d["first_best"]["rule"] == list(report.first_best.rule)
     assert float(report) == report.gap
+
+
+# ---------------------------------------------------------------------
+# Over-budget instances (coordinate-ascent path)
+# ---------------------------------------------------------------------
+
+# 4 outcomes x 22 wage levels is 234,256 rules, over the enumeration
+# budget, so both programs run the coordinate-ascent heuristic.  Its
+# output is not provably optimal, so it is frozen as first computed.
+ASCENT_OUTCOMES = (0.0, 1.0, 3.0, 6.0)
+ASCENT_FROZEN = [
+    (dict(efforts=(0.0, 1.0),
+          density=((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4)),
+          effort_costs=(0.0, 0.3)),
+     {'first_best': {'rule': [1.7142857142857142, 0.5714285714285714, 0.5714285714285714,
+                              0.5714285714285714],
+                     'effort_index': 1, 'effort': 1.0, 'principal_value': 2.8142857142857145,
+                     'agent_value': 0.5112667855582043, 'kind': 'first_best'},
+      'second_best': {'rule': [0.0, 0.2857142857142857, 0.8571428571428571, 1.1428571428571428],
+                      'effort_index': 1, 'effort': 1.0, 'principal_value': 2.7285714285714286,
+                      'agent_value': 0.5122685137566143, 'kind': 'second_best'},
+      'gap': 0.08571428571428585, 'effort_reduced': False}),
+    (dict(efforts=(0.0, 1.0, 2.0),
+          density=((0.4, 0.3, 0.2, 0.1), (0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4)),
+          effort_costs=(0.0, 0.2, 0.6)),
+     {'first_best': {'rule': [2.0, 1.1428571428571428, 1.1428571428571428, 1.1428571428571428],
+                     'effort_index': 2, 'effort': 2.0, 'principal_value': 2.271428571428572,
+                     'agent_value': 0.5035618271220376, 'kind': 'first_best'},
+      'second_best': {'rule': [0.0, 0.2857142857142857, 1.1428571428571428, 1.7142857142857142],
+                      'effort_index': 1, 'effort': 1.0, 'principal_value': 1.7142857142857144,
+                      'agent_value': 0.5282186982226251, 'kind': 'second_best'},
+      'gap': 0.5571428571428574, 'effort_reduced': True}),
+    # Zero-probability outcomes leave many rules tied, which pins the
+    # ascent's tie-breaking and the order of its restarts.
+    (dict(efforts=(0.0, 1.0),
+          density=((0.5, 0.5, 0.0, 0.0), (0.0, 0.25, 0.25, 0.5)),
+          effort_costs=(0.0, 0.3)),
+     {'first_best': {'rule': [0.2857142857142857, 1.1428571428571428, 0.5714285714285714,
+                              0.5714285714285714],
+                     'effort_index': 1, 'effort': 1.0, 'principal_value': 3.285714285714286,
+                     'agent_value': 0.5342079514262652, 'kind': 'first_best'},
+      'second_best': {'rule': [0.0, 0.2857142857142857, 0.8571428571428571, 0.8571428571428571],
+                      'effort_index': 1, 'effort': 1.0, 'principal_value': 3.285714285714286,
+                      'agent_value': 0.5279956957856258, 'kind': 'second_best'},
+      'gap': 0.0, 'effort_reduced': False}),
+    (dict(efforts=(0.0, 1.0, 2.0),
+          density=((0.4, 0.6, 0.0, 0.0), (0.1, 0.2, 0.3, 0.4), (0.0, 0.0, 0.5, 0.5)),
+          effort_costs=(0.0, 0.2, 0.9)),
+     {'first_best': {'rule': [0.2857142857142857, 0.5714285714285714, 0.5714285714285714,
+                              0.5714285714285714],
+                     'effort_index': 1, 'effort': 1.0, 'principal_value': 2.9571428571428573,
+                     'agent_value': 0.5337882997990939, 'kind': 'first_best'},
+      'second_best': {'rule': [0.2857142857142857, 0.2857142857142857, 0.8571428571428571,
+                               0.5714285714285714],
+                      'effort_index': 1, 'effort': 1.0, 'principal_value': 2.928571428571429,
+                      'agent_value': 0.5404743534866019, 'kind': 'second_best'},
+      'gap': 0.02857142857142847, 'effort_reduced': False}),
+]
+
+
+@pytest.mark.parametrize("spec, want", ASCENT_FROZEN,
+                         ids=["2-efforts", "3-efforts", "2-efforts-ties", "3-efforts-ties"])
+def test_over_budget_instances_are_frozen(spec, want):
+    p = lm.ContractProblem(outcomes=ASCENT_OUTCOMES, reservation=0.5,
+                           wage_grid=lm.default_wage_grid(ASCENT_OUTCOMES, 22), **spec)
+    assert len(p.wage_grid) ** len(p.outcomes) > 200_000
+    assert lm.welfare_gap(p).to_dict() == want

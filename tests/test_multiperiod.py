@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import labormkt as lm
+from labormkt import pools
 from labormkt.multiperiod import RESIDUAL_NAMES
 
 
@@ -178,14 +179,76 @@ def test_mass_accounting():
 def test_regime_dispatch():
     dist = lm.uniform(0, 1)
     assert lm.solve_regime(dist, 0.5, 1) == pytest.approx(0.5)
-    two = lm.solve_regime(dist, 0.5, 2)
-    direct = lm.solve_two_period(dist, 0.5)
-    assert two.w0 == pytest.approx(direct.w0, abs=1e-8)
-    assert two.w1 == pytest.approx(direct.w1, abs=1e-8)
+    assert lm.solve_regime(dist, 0.5, 2) == lm.solve_two_period(dist, 0.5)
     three = lm.solve_regime(dist, 0.5, 3)
     assert isinstance(three, lm.ThreePeriodSolution)
     with pytest.raises(NotImplementedError):
         lm.solve_regime(dist, 0.5, 4)
+
+
+def tree_two_period(dist, mu):
+    """Two-period solve re-derived through the market tree.
+
+    Takes the largest admissible fixed point as the review threshold,
+    builds the two-period tree and reads the re-hiring wage off the
+    released cohort's own mean and the entry wage off the retained
+    cohort's books.  It shares the fixed-point scan with the library but
+    none of the zero-profit algebra of ``solve_two_period``.
+    """
+    pool0 = pools.LaborPool.entry(dist)
+    n, m1 = pools._moments(pool0)
+    theta_bar = m1 / n
+    roots = lm.m_fixed_points(pool0, mu)
+    admissible = [r for r in roots if r >= 0.0]
+    if not admissible:
+        return None
+    threshold = admissible[-1]
+    tree = lm.build_market_tree(dist, mu, 2, thresholds={"": threshold})
+    n_rel, m1_rel = pools._moments(tree.node("L").pool)
+    n_stay, m1_stay = pools._moments(tree.node("S").pool)
+    w1 = m1_rel / n_rel if n_rel > 0.0 else threshold  # terminal market mean
+    theta_bar2 = m1_stay / n_stay if n_stay > 0.0 else theta_bar
+    w0 = theta_bar + (m1_stay - n_stay * w1) / n
+    return {"w0": w0, "w1": w1, "theta_bar2": theta_bar2, "mass_retained": n_stay}
+
+
+@pytest.mark.parametrize("dist", [
+    lm.uniform(0.0, 1.0),
+    lm.piecewise_linear([(0.0, 0.2), (0.3, 1.1), (1.0, 0.1)]),
+    lm.discrete([(k / 40, 1.0) for k in range(41)]),
+    lm.discrete([(0.2, 1.0), (0.5, 2.0), (0.9, 1.5)]),
+    lm.uniform(-0.5, 1.0),
+    lm.discrete([(0.1, 3.0)]),
+], ids=["uniform", "piecewise_readme", "discrete_41", "discrete_3", "uniform_neg",
+        "one_atom"])
+@pytest.mark.parametrize("mu", [0.0, 0.1, 0.2, 0.5, 0.8, 0.9, 1.0])
+def test_two_period_solver_matches_tree_oracle(dist, mu):
+    direct = lm.solve_two_period(dist, mu)
+    tree = tree_two_period(dist, mu)
+    assert direct.collapsed == (tree is None)
+    if tree is None:
+        return
+    keys = ["w0", "w1", "mass_retained"]
+    # At mu = 1 nobody is retained and the two conventions for the empty
+    # cohort's mean differ, so theta_bar2 is compared only below 1.
+    if mu < 1.0:
+        keys.append("theta_bar2")
+    for key in keys:
+        assert getattr(direct, key) == pytest.approx(tree[key], abs=1e-8), key
+
+
+def test_two_period_one_atom_whose_mean_rounds_up():
+    # 0.1 * 3 / 3 rounds to 0.10000000000000002, above the only atom.  The
+    # review clamps that threshold to the atom, as firing_split does, so
+    # the atom is still retained with probability 1 - mu.
+    dist = lm.discrete([(0.1, 3.0)])
+    sol = lm.solve_two_period(dist, 0.5)
+    assert not sol.collapsed
+    assert sol.w1 > dist.support_high
+    assert sol.w0 == sol.w1 == sol.theta_bar == sol.theta_bar2
+    assert sol.mass_retained == 1.5
+    assert sol.residual_fixed_point == sol.residual_zero_profit == 0.0
+    assert lm.solve_regime(dist, 0.5, 2) == sol
 
 
 def test_mu_domain():

@@ -209,13 +209,13 @@ def test_atom_at_threshold_follows_at_or_above_rule():
     assert pools.pool_mass(leave) == pytest.approx(1.0 + mu * 3.5, abs=1e-12)
 
 
-def test_m_operator_uniform_closed_form():
+def test_m_extended_uniform_closed_form():
     pool = pools.LaborPool.entry(UNI)
     for mu in (0.1, 0.5, 0.9):
         for w in (0.05, 0.3, 0.6, 0.95):
             n = w + mu * (1 - w)
             m = w * w / 2 + mu * (1 - w * w) / 2
-            assert pools.m_operator(pool, w, mu) == pytest.approx(m / n, abs=1e-12)
+            assert m_extended(pool, w, mu) == pytest.approx(m / n, abs=1e-12)
 
 
 def test_m_extended_edges():
@@ -390,6 +390,14 @@ def test_grid_point_within_tol_is_a_root_and_not_bisected():
         calls.clear()
         assert scan_roots(g, 0.0, 1.0, opts, **kwargs) == [0.5]
         assert len(calls) == 129
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+def test_solver_options_reject_non_finite_or_non_positive_tol(tol):
+    from labormkt.solvers import SolverOptions
+
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        SolverOptions(tol=tol)
 
 
 def test_discrete_split_moments_by_hand():
