@@ -70,6 +70,7 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 SUBCOMMANDS = ("solve", "tree", "sweep", "simulate", "screening",
                "moral-hazard", "welfare")
 REGIMES = ("one_period", "two_period", "three_period")
+_MU_GRID_MAX_POINTS = 10_001
 
 
 # =====================================================================
@@ -223,10 +224,19 @@ def _parse_mu_grid(raw: str, problems: list[str]) -> tuple[float, ...]:
         step = _parse_float(parts[2], "mu_grid", problems)
         if None in (a, b, step):
             return ()
+        if not all(map(math.isfinite, (a, b, step))):
+            problems.append(f"mu_grid: a, b and step must be finite, got {raw!r}")
+            return ()
         if step <= 0 or b < a:
             problems.append("mu_grid: need a <= b and step > 0")
             return ()
-        count = int(round((b - a) / step)) + 1
+        if not (0.0 <= a and b <= 1.0):
+            problems.append(f"mu_grid: mu must lie in [0,1] (got {a if a < 0.0 else b})")
+            return ()
+        count = round(min((b - a) / step, _MU_GRID_MAX_POINTS)) + 1  # the ratio may be inf
+        if count > _MU_GRID_MAX_POINTS:
+            problems.append(f"mu_grid: at most {_MU_GRID_MAX_POINTS} points, got {raw!r}")
+            return ()
         grid = tuple(a + i * step for i in range(count) if a + i * step <= b + 1e-12)
     else:
         grid = _parse_number_list(raw, "mu_grid", problems)
@@ -380,7 +390,10 @@ def _parse_problem(pairs: dict[str, str], problems: list[str]) -> ContractProble
             if n_levels < 2:
                 problems.append(f"wage_levels: must be at least 2 (got {n_levels})")
             elif outcomes:
-                grid = default_wage_grid(outcomes, n_levels)
+                try:
+                    grid = default_wage_grid(outcomes, n_levels)
+                except ValueError as exc:
+                    problems.append(f"wage_levels: {exc}")
     if problems or reservation is None or agent_u is None or princ_u is None:
         return None
     try:
@@ -483,12 +496,7 @@ def _write_m_series(cfg: RunConfig) -> None:
     ws = scan_grid(cfg.dist.support_low, cfg.dist.support_high, 201)
     # tolist() keeps every cell a Python float, formatted as before.
     rows = zip(ws.tolist(), m_extended(pool, ws, cfg.mu).tolist())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["w", "m_of_w"])
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    Path(cfg.series_out).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    _emit_csv(["w", "m_of_w"], rows, cfg.series_out)
 
 
 def _node_dict(node: MarketNode) -> dict:
@@ -521,8 +529,7 @@ def _run_tree(cfg: RunConfig) -> None:
 
 
 def _sweep_cell(args) -> list:
-    regime, dist, mu, tol = args
-    opts = DEFAULT_OPTIONS if tol is None else replace(DEFAULT_OPTIONS, tol=tol)
+    regime, dist, mu, opts = args
     if regime == "two_period":
         return _two_period_row(solve_two_period(dist, mu, opts))
     return _three_period_row(solve_three_period(dist, mu, opts))
@@ -531,7 +538,8 @@ def _sweep_cell(args) -> list:
 def _run_sweep(cfg: RunConfig) -> None:
     if cfg.regime == "one_period":
         raise ConfigError(["sweep: regime must be two_period or three_period"])
-    cells = [(cfg.regime, cfg.dist, mu, cfg.tol) for mu in cfg.mu_grid]
+    opts = cfg.solver_options()
+    cells = [(cfg.regime, cfg.dist, mu, opts) for mu in cfg.mu_grid]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_sweep_cell, cells))  # order-preserving

@@ -70,6 +70,7 @@ __all__ = [
     "WelfareComparison",
     "DecileRow",
     "build_market_tree",
+    "wage_schedule",
     "submarket_count",
     "solve_three_period",
     "solve_three_period_multistart",
@@ -207,6 +208,19 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
     return MarketTree(dist=dist, mu=mu, n_periods=n_periods, root=root)
 
 
+def wage_schedule(n_periods: int, w) -> tuple[dict[str, float], dict[str, float]]:
+    """build_market_tree's (thresholds, wages) maps for the named wages w of
+    a two- or three-period horizon (others are ignored).  The pay map lists
+    every cohort, in the Monte Carlo replay's report order."""
+    if n_periods == 2:
+        return {"": w["w1"]}, {"": w["w0"], "L": w["w1"], "S": w["w1"]}
+    if n_periods == 3:
+        return ({"": w["w_plus"], "S": w["w2"], "L": w["w2p"]},
+                {"": w["w0"], "L": w["w1"], "S": w["w_plus"],
+                 "SL": w["w2"], "SS": w["w2"], "LL": w["w2p"], "LS": w["w2p"]})
+    raise ValueError(f"wage schedules exist for 2 or 3 periods, not {n_periods}")
+
+
 def submarket_count(n_periods: int) -> int:
     """Number of post-release markets over an n-period horizon: 2**(n-1) - 1.
 
@@ -286,11 +300,8 @@ class ThreePeriodSolution:
 
     def tree(self, dist: ProductivityDistribution) -> MarketTree:
         """Rebuild the solved market tree for this solution."""
-        return build_market_tree(
-            dist, self.mu, 3,
-            thresholds={"": self.w_plus, STAYED: self.w2, LEFT: self.w2p},
-            wages={"": self.w0, STAYED: self.w_plus, LEFT: self.w1,
-                   "SS": self.w2, "SL": self.w2, "LS": self.w2p, "LL": self.w2p})
+        thresholds, pay = wage_schedule(3, self.wages())
+        return build_market_tree(dist, self.mu, 3, thresholds=thresholds, wages=pay)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,10 @@ class ProductivityDistribution:
         object.__setattr__(self, "_cum_n", tuple(cum_n))
         object.__setattr__(self, "_cum_m1", tuple(cum_m1))
         object.__setattr__(self, "_total", self._moments_at_or_below(self.support_high))
+        # Partial sums are monotone in mass, so an overflow anywhere in the
+        # tables shows up in the totals.
+        if not all(map(math.isfinite, self._total)):
+            raise ValueError(f"total mass and first moment must be finite (got {self._total})")
         object.__setattr__(self, "_arrays", tuple(
             np.array(v, dtype=np.float64)
             for v in (xs, cum_n, cum_m1, [d for _, d in self.nodes])))

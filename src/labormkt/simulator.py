@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
+from .multiperiod import LEFT, STAYED, wage_schedule
 from .pools import ProductivityDistribution, sample_productivities
 
 __all__ = [
@@ -37,6 +40,7 @@ THREE_PERIOD = "three_period"
 
 _REQUIRED_WAGES = {TWO_PERIOD: ("w0", "w1"),
                    THREE_PERIOD: ("w0", "w1", "w_plus", "w2", "w2p")}
+_PERIODS = {TWO_PERIOD: 2, THREE_PERIOD: 3}
 _CHUNK = 1 << 18
 
 
@@ -137,58 +141,44 @@ def _chunk_draws(cfg: SimulationConfig, start: int, stop: int, cols: int) -> np.
     return np.random.Generator(bg).random((stop - start, cols))
 
 
-def _accumulators(names):
-    return {n: np.zeros(3) for n in names}  # count, sum, sum of squares
+def _add(a: np.ndarray, x: np.ndarray, count: int) -> None:
+    a[0] += count  # count, sum, sum of squares
+    a[1] += x.sum()
+    a[2] += (x * x).sum()
 
 
-def _add(acc, name, theta: np.ndarray) -> None:
-    a = acc[name]
-    a[0] += theta.size
-    a[1] += theta.sum()
-    a[2] += (theta * theta).sum()
+def _kept(h: str, pay: dict) -> list[str]:
+    """The cohorts the employers hiring h go on paying: hS, hSS, ..."""
+    return [h + STAYED * i for i in range(1, max(map(len, pay)) + 1) if h + STAYED * i in pay]
 
 
-def _two_period_chunk(cfg, start, stop, acc, profit_acc):
-    w = cfg.wages
-    draws = _chunk_draws(cfg, start, stop, 2)
+def _replay_chunk(cfg, thresholds, pay, start, stop, acc, books):
+    """Replay workers [start, stop) through every review round.
+
+    A cohort with history h is reviewed at thresholds[h] against coin
+    column len(h) + 1, which all of that round's cohorts share.  acc
+    gathers each cohort's productivities; books each market hirer's
+    profit per worker over its own cohort and the cohorts it keeps.
+    """
+    draws = _chunk_draws(cfg, start, stop, max(map(len, pay)) + 1)
     theta = sample_productivities(cfg.dist, draws[:, 0])
-    leave = (theta < w["w1"]) | (draws[:, 1] < cfg.mu)
-    _add(acc, "", theta)
-    _add(acc, "L", theta[leave])
-    _add(acc, "S", theta[~leave])
-    profit = (theta - w["w0"]) + np.where(leave, 0.0, theta - w["w1"])
-    profit_acc[0] += profit.size
-    profit_acc[1] += profit.sum()
-    profit_acc[2] += (profit * profit).sum()
-
-
-def _three_period_chunk(cfg, start, stop, acc, profit_acc, rehire_acc):
-    w = cfg.wages
-    draws = _chunk_draws(cfg, start, stop, 3)
-    theta = sample_productivities(cfg.dist, draws[:, 0])
-    left1 = (theta < w["w_plus"]) | (draws[:, 1] < cfg.mu)
-    stayed = ~left1
-    left2_s = (theta < w["w2"]) | (draws[:, 2] < cfg.mu)
-    left2_l = (theta < w["w2p"]) | (draws[:, 2] < cfg.mu)
-    _add(acc, "", theta)
-    _add(acc, "L", theta[left1])
-    _add(acc, "S", theta[stayed])
-    _add(acc, "SL", theta[stayed & left2_s])
-    _add(acc, "SS", theta[stayed & ~left2_s])
-    _add(acc, "LL", theta[left1 & left2_l])
-    _add(acc, "LS", theta[left1 & ~left2_l])
-    kept = stayed & ~left2_s
-    profit = ((theta - w["w0"])
-              + np.where(stayed, theta - w["w_plus"], 0.0)
-              + np.where(kept, theta - w["w2"], 0.0))
-    profit_acc[0] += profit.size
-    profit_acc[1] += profit.sum()
-    profit_acc[2] += (profit * profit).sum()
-    rehired = left1 & ~left2_l
-    rehire = (np.where(left1, theta - w["w1"], 0.0)
-              + np.where(rehired, theta - w["w2p"], 0.0))
-    rehire_acc[0] += left1.sum()  # per released worker
-    rehire_acc[1] += rehire.sum()
+    masks = {"": None}  # None: every worker
+    for h, t in thresholds.items():  # parents come before their children
+        leave = (theta < t) | (draws[:, len(h) + 1] < cfg.mu)
+        parent = masks[h]
+        masks[h + LEFT] = leave if parent is None else parent & leave
+        masks[h + STAYED] = ~leave if parent is None else parent & ~leave
+    counts = {}
+    for h, a in acc.items():
+        cohort = theta if masks[h] is None else theta[masks[h]]
+        counts[h] = cohort.size
+        _add(a, cohort, counts[h])
+    for h, a in books.items():
+        profit = (theta - pay[h] if masks[h] is None
+                  else np.where(masks[h], theta - pay[h], 0.0))
+        for k in _kept(h, pay):
+            profit += np.where(masks[k], theta - pay[k], 0.0)
+        _add(a, profit, counts[h])
 
 
 def _mean_stats(a: np.ndarray) -> tuple[float | None, float | None]:
@@ -205,73 +195,49 @@ def _mean_stats(a: np.ndarray) -> tuple[float | None, float | None]:
 def simulate(cfg: SimulationConfig) -> SimulationReport:
     """Run the full replay and aggregate per-cohort statistics.
 
-    Cohort names are history strings ("" entry, then "S"/"L" per review
-    round).  break_even_wage is filled for market-hired cohorts: the
-    terminal markets break even at their own cohort mean, the earlier
-    hirers at the wage that zeroes their multi-period book given the later
-    wages in cfg.wages.
+    Workers are routed and paid by multiperiod.wage_schedule, as in
+    ThreePeriodSolution.tree().  Cohort names are history strings (""
+    entry, then "S"/"L" per review round); the rehire profit is None when
+    the released cohort "L" is not reviewed again.
     """
-    names = (("", "L", "S") if cfg.regime == TWO_PERIOD
-             else ("", "L", "S", "SL", "SS", "LL", "LS"))
-    acc = _accumulators(names)
-    profit_acc = np.zeros(3)
-    rehire_acc = np.zeros(2)
+    thresholds, pay = wage_schedule(_PERIODS[cfg.regime], cfg.wages)
+    acc = {h: np.zeros(3) for h in pay}
+    books = {h: np.zeros(3) for h in thresholds if not h.endswith(STAYED)}
     for start in range(0, cfg.n_agents, _CHUNK):
-        stop = min(start + _CHUNK, cfg.n_agents)
-        if cfg.regime == TWO_PERIOD:
-            _two_period_chunk(cfg, start, stop, acc, profit_acc)
-        else:
-            _three_period_chunk(cfg, start, stop, acc, profit_acc, rehire_acc)
+        _replay_chunk(cfg, thresholds, pay, start, min(start + _CHUNK, cfg.n_agents),
+                      acc, books)
 
     n = cfg.n_agents
-    w = cfg.wages
     markets = []
-    for name in names:
-        mean, half = _mean_stats(acc[name])
-        be = _break_even(cfg, acc, name)
+    for h, a in acc.items():
+        mean, half = _mean_stats(a)
+        be = _break_even(h, mean, acc, pay)
         markets.append(MarketStats(
-            name=name, count=int(acc[name][0]), mass_share=float(acc[name][0]) / n,
+            name=h, count=int(a[0]), mass_share=float(a[0]) / n,
             mean=mean, mean_halfwidth=half,
             break_even_wage=None if be is None else float(be)))
-    p_mean, p_half = _mean_stats(profit_acc)
-    rehire_pc = None
-    if cfg.regime == THREE_PERIOD:
-        rehire_pc = float(rehire_acc[1]) / rehire_acc[0] if rehire_acc[0] > 0 else 0.0
+    p_mean, p_half = _mean_stats(books[""])
+    rehire_pc = (_mean_stats(books[LEFT])[0] or 0.0) if LEFT in books else None
     return SimulationReport(
         config_seed=cfg.seed, regime=cfg.regime, mu=cfg.mu, n_agents=n,
-        wages=dict(w), markets=tuple(markets),
-        profit_per_capita=float(p_mean), profit_halfwidth=p_half,
+        wages=dict(cfg.wages), markets=tuple(markets),
+        profit_per_capita=p_mean, profit_halfwidth=p_half,
         rehire_profit_per_capita=rehire_pc)
 
 
-def _break_even(cfg: SimulationConfig, acc, name: str) -> float | None:
-    """Wage at which the firms hiring this cohort break even empirically."""
-    w = cfg.wages
-    n0 = acc[""][0]
+def _break_even(h: str, mean: float | None, acc, pay) -> float | None:
+    """Wage at which the firms hiring cohort h break even empirically.
 
-    def mean(nm):
-        return float(acc[nm][1]) / acc[nm][0] if acc[nm][0] > 0 else None
-
-    if name == "":
-        if cfg.regime == TWO_PERIOD:
-            stay = acc["S"]
-            if n0 == 0:
-                return None
-            extra = (stay[1] - stay[0] * w["w1"]) / n0
-            return mean("") + extra if mean("") is not None else None
-        stay, kept = acc["S"], acc["SS"]
-        extra = ((stay[1] - stay[0] * w["w_plus"]) + (kept[1] - kept[0] * w["w2"])) / n0
-        return mean("") + extra
-    if name == "L":
-        if cfg.regime == TWO_PERIOD:
-            return mean("L")
-        if acc["L"][0] == 0:
-            return None
-        rehired = acc["LS"]
-        return (acc["L"][1] + rehired[1] - rehired[0] * w["w2p"]) / acc["L"][0]
-    if name in ("SL", "LL"):
-        return mean(name)
-    return None  # retained cohorts are not market-hired
+    The terminal markets break even at their own cohort mean; the earlier
+    hirers at that mean plus what the cohorts they keep earn above their
+    pay, per hire.  None for retained and empty cohorts.
+    """
+    if h.endswith(STAYED) or mean is None:
+        return None
+    terms = [acc[k][1] - acc[k][0] * pay[k] for k in _kept(h, pay)]
+    if not terms:
+        return mean
+    return mean + reduce(add, terms) / acc[h][0]
 
 
 def empirical_zero_profit(cfg: SimulationConfig) -> float:

@@ -26,6 +26,7 @@ from labormkt import cli, simulator
 from labormkt.equilibrium import MarketCollapse
 
 import test_moral_hazard as mh_oracle
+import test_multiperiod as mp_oracle
 
 MU_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -113,9 +114,9 @@ def test_criterion_3_three_period_system(capsys):
             assert lm.check_final_wage_ordering(sol).all_strict
             assert lm.check_stay_wage_discount(sol).all_strict
             two = lm.solve_regime(dist, mu, 2)
-            direct = lm.solve_two_period(dist, mu)
-            assert abs(two.w0 - direct.w0) <= 1e-8
-            assert abs(two.w1 - direct.w1) <= 1e-8
+            tree = mp_oracle.tree_two_period(dist, mu)
+            assert abs(two.w0 - tree["w0"]) <= 1e-8
+            assert abs(two.w1 - tree["w1"]) <= 1e-8
     run_criterion(capsys, 3, "three-period residuals, multi-starts, inequalities",
                   30.0, body)
 

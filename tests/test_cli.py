@@ -345,11 +345,37 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("dist", ["uniform(0, inf)", "discrete((0.2, 1); (nan, 1))",
-                                  "piecewise((0, 1); (1, inf))"])
+                                  "piecewise((0, 1); (1, inf))",
+                                  "discrete((0.1,1e308);(0.2,1e308))"])
 def test_non_finite_dist_exits_1(tmp_path, capsys, dist):
     cfg = write(tmp_path, "nf.cfg", f"dist = {dist}\nmu = 0.5\nregime = two_period\n")
     assert cli.main(["solve", "--config", cfg]) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, problem", [
+    ("0:1:nan", "mu_grid: a, b and step must be finite"),
+    ("0:inf:0.1", "mu_grid: a, b and step must be finite"),
+    ("0:1:1e-300", f"mu_grid: at most {cli._MU_GRID_MAX_POINTS} points"),
+    ("0.5:1.05:0.1", "mu_grid: mu must lie in [0,1] (got 1.05)"),
+])
+def test_bad_mu_grid_range_is_a_config_error(tmp_path, capsys, grid, problem):
+    """A non-finite end or step, too many points or an end outside [0,1]
+    is a config problem, reported before any grid is built."""
+    text = SWEEP_CFG.replace("0.1:0.9:0.1", grid)
+    with pytest.raises(ConfigError) as info:
+        cli.parse_config(text, "sweep")
+    assert any(p.startswith(problem) for p in info.value.problems)
+    assert cli.main(["sweep", "--config", write(tmp_path, "g.cfg", text)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {problem}")
+
+
+def test_mu_grid_cap_admits_exactly_the_cap():
+    rc = cli.parse_config(SWEEP_CFG.replace("0.1:0.9:0.1", "0:1:1e-4"), "sweep")
+    assert len(rc.mu_grid) == cli._MU_GRID_MAX_POINTS
+    assert rc.mu_grid[:3] == (0.0, 1e-4, 2e-4)
+    with pytest.raises(ConfigError, match="at most"):
+        cli.parse_config(SWEEP_CFG.replace("0.1:0.9:0.1", "0:1:0.99e-4"), "sweep")
 
 
 @pytest.mark.parametrize("key, value", [("seed", "-1"), ("jobs", "0"), ("tol", "0"),

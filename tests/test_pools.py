@@ -118,6 +118,16 @@ def test_constructor_validation():
     for build in bad:
         with pytest.raises(ValueError):
             build()
+    # Finite inputs whose total mass or first moment overflows.
+    overflow = [
+        lambda: lm.discrete([(0.1, 1e308), (0.2, 1e308)]),
+        lambda: lm.discrete([(1e300, 1e10)]),
+        lambda: lm.uniform(-1e308, 1e308),
+        lambda: lm.piecewise_linear([(0.0, 1e308), (10.0, 1e308)]),
+    ]
+    for build in overflow:
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
 
 
 def exact_moments_between(nodes, a, b):

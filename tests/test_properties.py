@@ -109,3 +109,51 @@ def test_two_period_wages_average_to_the_uniform_mean(low, width, mu):
     hypothesis.assume(not sol.collapsed)
     scale = max(abs(low), abs(low + width), 1.0)
     assert sol.w0 + sol.w1 == pytest.approx(2.0 * sol.theta_bar, abs=1e-9 * scale)
+
+
+# ---------------------------------------------------------------------
+# Config parsing: every bad input is a ConfigError
+# ---------------------------------------------------------------------
+
+from labormkt import cli  # noqa: E402
+from labormkt.errors import ConfigError  # noqa: E402
+
+# Small integers only: wage_levels builds a grid of that many points.
+NUMBER = st.sampled_from(["0", "1", "2", "3", "-1", "0.5", "0.1", "-0.5", "1.5", "nan",
+                          "inf", "-inf", "1e308", "-1e308", "1e-300", "5e-324", "x", ""])
+NUMBER_LIST = st.lists(NUMBER, min_size=1, max_size=4).map(",".join)
+RANGE = st.lists(NUMBER, min_size=3, max_size=3).map(":".join)
+PAIRS = st.lists(st.tuples(NUMBER, NUMBER).map(lambda p: f"({p[0]},{p[1]})"),
+                 min_size=1, max_size=4).map(";".join)
+DIST = st.tuples(st.sampled_from(["uniform", "discrete", "piecewise"]),
+                 st.one_of(PAIRS, NUMBER_LIST)).map(lambda d: f"{d[0]}({d[1]})")
+WORD = st.sampled_from(["csv", "json", "xml", "one_period", "two_period", "three_period",
+                        "sqrt", "log1p", "linear", "crra(0.5)", "crra(nan)", "crra(inf)"])
+ANY_VALUE = st.one_of(NUMBER, NUMBER_LIST, RANGE, PAIRS, DIST, WORD)
+# Each key mostly gets a value of its own shape, sometimes any other.
+VALUES = {"dist": DIST, "mu_grid": st.one_of(RANGE, NUMBER_LIST), "density": PAIRS,
+          "outcomes": NUMBER_LIST, "efforts": NUMBER_LIST, "costs": NUMBER_LIST,
+          "wage_grid": NUMBER_LIST, "agent_utility": WORD, "principal_utility": WORD,
+          "format": WORD, "regime": WORD}
+KEYS = sorted(set().union(*cli._ALLOWED_KEYS.values()) | cli._COMMON_KEYS) + ["bogus"]
+
+
+@st.composite
+def config_texts(draw):
+    subcommand = draw(st.sampled_from(cli.SUBCOMMANDS))
+    keys = [k for k in KEYS if k in cli._REQUIRED_KEYS[subcommand] or draw(st.booleans())]
+    lines = [f"{k} = {draw(st.one_of(VALUES.get(k, NUMBER), ANY_VALUE))}"
+             for k in draw(st.permutations(keys))]
+    return subcommand, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(config_texts())
+def test_parse_config_returns_a_config_or_raises_config_error(case):
+    """Every config text either parses or raises ConfigError: no other
+    exception, and no hang, whatever numbers the values hold."""
+    subcommand, text = case
+    try:
+        assert isinstance(cli.parse_config(text, subcommand), cli.RunConfig)
+    except ConfigError:
+        pass

@@ -1,7 +1,9 @@
 """Monte Carlo engine: determinism, chunking, and agreement with the
 analytic solutions it is meant to audit."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -45,12 +47,14 @@ def test_seed_actually_matters():
     assert a.profit_per_capita != b.profit_per_capita
 
 
-def test_chunk_size_does_not_move_agents(monkeypatch):
+@pytest.mark.parametrize("make_cfg", [two_period_cfg, three_period_cfg],
+                         ids=["two_period", "three_period"])
+def test_chunk_size_does_not_move_agents(monkeypatch, make_cfg):
     """Worker routing is a pure function of the agent index, so carving
     the population into different chunk sizes must reproduce the same
     per-market head counts exactly (float sums may drift in the last
     ulp, counts may not)."""
-    cfg = two_period_cfg(n=100_000)
+    cfg = make_cfg(n=100_000)
     base = simulator.simulate(cfg)
     monkeypatch.setattr(simulator, "_CHUNK", 1 << 12)
     small = simulator.simulate(cfg)
@@ -59,6 +63,50 @@ def test_chunk_size_does_not_move_agents(monkeypatch):
         assert m_base.count == m_small.count
         assert m_base.mean == pytest.approx(m_small.mean, abs=1e-9)
     assert base.profit_per_capita == pytest.approx(small.profit_per_capita, abs=1e-9)
+
+
+FROZEN = json.loads((Path(__file__).parent / "data" / "simulate_frozen.json").read_text())
+FROZEN_BASES = {
+    "uniform_0_1": lambda: lm.uniform(0, 1),
+    "piecewise_readme": lambda: lm.piecewise_linear([(0.0, 0.2), (0.3, 1.1), (1.0, 0.1)]),
+    "discrete_3": lambda: lm.discrete([(0.2, 1.0), (0.5, 2.0), (0.9, 1.5)]),
+}
+
+
+def frozen_cfg(cell, wages=None):
+    return simulator.SimulationConfig(
+        n_agents=FROZEN["n_agents"], seed=FROZEN["seed"],
+        regime=cell["regime"], dist=FROZEN_BASES[cell["base"]](),
+        mu=cell["mu"], wages=wages or cell["wages"])
+
+
+@pytest.mark.parametrize("cell", FROZEN["cells"],
+                         ids=lambda c: f"{c['base']}-{c['regime']}-mu{c['mu']}")
+def test_replay_matches_frozen_reports(cell):
+    """The full report, frozen from an earlier replay (see
+    data/make_simulate_frozen.py), over two chunks of agents."""
+    got = simulator.simulate(frozen_cfg(cell)).to_dict()
+    want = copy.deepcopy(cell["report"])
+    if cell["regime"] == "three_period":
+        # The three-period L break-even wage is summed as mean + correction
+        # per hire, like every other market-hired cohort; the frozen value
+        # summed (m1_L + m1_LS - n_LS * w2p) / n_L, a different float order.
+        got_l, want_l = got["markets"][1], want["markets"][1]
+        assert got_l["name"] == want_l["name"] == "L"
+        assert got_l.pop("break_even_wage") == pytest.approx(
+            want_l.pop("break_even_wage"), rel=1e-15)
+    assert got == want
+
+
+def test_two_period_replay_ignores_later_wages():
+    """The regime picks the horizon: a two-period run that also carries
+    three-period wages replays the same two rounds."""
+    cell = next(c for c in FROZEN["cells"]
+                if c["regime"] == "two_period" and c["mu"] == 0.5)
+    extra = {"w_plus": 0.1, "w2": 0.9, "w2p": 0.2}
+    got = simulator.simulate(frozen_cfg(cell, wages=cell["wages"] | extra)).to_dict()
+    assert got.pop("wages") == cell["wages"] | extra
+    assert got == {k: v for k, v in cell["report"].items() if k != "wages"}
 
 
 # ---------------------------------------------------------------------
