@@ -63,7 +63,7 @@ from .screening import (
     residual_below_average_probability,
 )
 from .simulator import SimulationConfig, simulate
-from .solvers import DEFAULT_OPTIONS, SolverOptions, m_extended, scan_grid
+from .solvers import DEFAULT_OPTIONS, MAX_TOL, SolverOptions, m_extended, scan_grid
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -264,12 +264,18 @@ def _parse_utility(raw: str, key: str, problems: list[str]) -> UtilitySpec | Non
         return None
 
 
+# The tree holds 2**n - 1 cohorts, each with a pool: n = 16 takes about
+# 150 MB and every two more periods cost 4x that.
+_MAX_TREE_PERIODS = 16
+
 # Range rules of the numeric keys, shared with the flags that override
 # some of them: parser, accept test, rule text.
 _RANGES = {
-    "tol": (_parse_float, lambda v: 0.0 < v < math.inf, "must be finite and positive"),
+    "tol": (_parse_float, lambda v: 0.0 < v <= MAX_TOL,
+            f"must be positive and at most {MAX_TOL!r}"),
     "jobs": (_parse_int, lambda v: v >= 1, "must be at least 1"),
-    "n_periods": (_parse_int, lambda v: v >= 1, "must be at least 1"),
+    "n_periods": (_parse_int, lambda v: 1 <= v <= _MAX_TREE_PERIODS,
+                  f"must lie in [1, {_MAX_TREE_PERIODS}]"),
     "n_agents": (_parse_int, lambda v: v >= 1, "must be at least 1"),
     "seed": (_parse_int, lambda v: 0 <= v < 2 ** 64, "must fit in 64 unsigned bits"),
 }

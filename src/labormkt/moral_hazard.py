@@ -2,8 +2,8 @@
 
 A principal offers a sharing rule (a wage per observable outcome) to an
 agent who privately chooses an effort level.  Outcomes, efforts and wages
-all live on finite grids, so both programs can be solved by exhaustive
-enumeration and checked exactly:
+all live on finite grids, so both programs are solved by exhaustive
+enumeration of every wage rule and are exact:
 
 * first-best: the effort is contractible, so the rule/effort pair only
   has to clear the agent's participation bar;
@@ -15,13 +15,17 @@ Second-best optimizes over a subset of the first-best's feasible set, so
 the value gap is nonnegative; it is zero whenever the outcome
 distribution does not react to effort (paying flat removes the incentive
 problem at no cost) or the action set is a singleton.
+
+An instance with more than ``_ENUMERATION_BUDGET`` wage rules (wage levels
+to the power of outcomes) is refused with a ValueError when it is built.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InfeasibleError
 
@@ -36,7 +40,11 @@ __all__ = [
     "welfare_gap",
 ]
 
-_ENUMERATION_BUDGET = 200_000
+_ENUMERATION_BUDGET = 10_000_000
+# Efforts x rules evaluated per array pass: keeps each per-chunk value
+# table at 256 KB whatever the number of efforts.  Megabyte tables raised
+# the benchmark's peak RSS; smaller ones only add per-pass overhead.
+_CHUNK_VALUES = 1 << 15
 _IR_TOL = 1e-12
 
 
@@ -80,8 +88,23 @@ class UtilitySpec:
         return s ** (1.0 - g) / (1.0 - g)
 
 
+def _check_rule_count(n_levels: int, n_outcomes: int) -> None:
+    """Refuse more than _ENUMERATION_BUDGET wage rules (n_levels ** n_outcomes).
+
+    Multiplies one outcome at a time and stops once over the budget, so a
+    huge level count never builds a huge integer.
+    """
+    rules = 1
+    for _ in range(n_outcomes):
+        rules *= n_levels
+        if rules > _ENUMERATION_BUDGET:
+            raise ValueError(f"{n_levels} wage levels over {n_outcomes} outcomes exceed the "
+                             f"budget of {_ENUMERATION_BUDGET:,} wage rules")
+
+
 def default_wage_grid(outcomes, n_levels: int = 21) -> tuple[float, ...]:
     """Evenly spaced wage levels from 0 to the largest outcome."""
+    _check_rule_count(n_levels, len(outcomes))
     top = max(outcomes)
     if top <= 0.0:
         raise ValueError("outcomes must include a positive value to span a wage grid")
@@ -139,6 +162,7 @@ class ContractProblem:
         if not self.wage_grid:
             object.__setattr__(self, "wage_grid", default_wage_grid(self.outcomes))
         else:
+            _check_rule_count(len(self.wage_grid), len(self.outcomes))
             object.__setattr__(self, "wage_grid", tuple(float(w) for w in self.wage_grid))
         grid = self.wage_grid
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -203,63 +227,15 @@ class GapReport:
 
 
 # =====================================================================
-# Evaluation tables
-# =====================================================================
-
-def _tables(p: ContractProblem):
-    """Per-(outcome, wage-level) utility lookups shared by both solvers."""
-    grid = p.wage_grid
-    agent_u = tuple(p.agent_utility(w) for w in grid)
-    principal_u = tuple(tuple(p.principal_utility(x - w) for w in grid)
-                        for x in p.outcomes)
-    return grid, agent_u, principal_u
-
-
-def _agent_value(p, rule_idx, agent_u, effort: int) -> float:
-    f = p.density[effort]
-    total = 0.0
-    for j in range(len(p.outcomes)):  # fixed outcome order keeps floats reproducible
-        total += f[j] * agent_u[rule_idx[j]]
-    return total - p.effort_costs[effort]
-
-
-def _principal_value(p, rule_idx, principal_u, effort: int) -> float:
-    f = p.density[effort]
-    total = 0.0
-    for j in range(len(p.outcomes)):
-        total += f[j] * principal_u[j][rule_idx[j]]
-    return total
-
-
-def _best_response(p, rule_idx, agent_u, principal_u) -> tuple[int, float]:
-    """Agent's exact argmax effort; ties go to the principal, then low index."""
-    values = [_agent_value(p, rule_idx, agent_u, i) for i in range(len(p.efforts))]
-    top = max(values)
-    tied = [i for i, v in enumerate(values) if v == top]
-    if len(tied) > 1:
-        tied.sort(key=lambda i: (-_principal_value(p, rule_idx, principal_u, i), i))
-    return tied[0], top
-
-
-def _all_rules(p: ContractProblem):
-    return itertools.product(range(len(p.wage_grid)), repeat=len(p.outcomes))
-
-
-def _enumeration_size(p: ContractProblem) -> int:
-    return len(p.wage_grid) ** len(p.outcomes)
-
-
-# =====================================================================
 # Solvers
 # =====================================================================
 
 def solve_first_best(p: ContractProblem) -> ContractSolution:
     """Best rule/effort pair subject only to the agent's participation bar.
 
-    Small instances are enumerated exhaustively (every wage-grid rule
-    crossed with every effort, first strict improvement wins, so the
-    lexicographically earliest optimal rule is returned); larger ones fall
-    back to deterministic coordinate ascent from every flat rule.
+    Every wage-grid rule is crossed with every effort and the first strict
+    improvement wins, so the lexicographically earliest optimal rule is
+    returned.
     """
     return _solve(p, incentive=False)
 
@@ -281,79 +257,50 @@ def welfare_gap(p: ContractProblem) -> GapReport:
                      second_best=solve_second_best(p))
 
 
+
+
 def _solve(p: ContractProblem, incentive: bool) -> ContractSolution:
-    """Search the wage rules for the best admissible (rule, effort) pair.
+    """Enumerate every wage rule for the best admissible (rule, effort) pair.
 
-    `evaluate` gives a rule's best admissible effort as (principal value,
-    effort index, agent value), or None when it has none.  An effort is
-    admissible when the agent accepts it and, with `incentive`, when it is
-    also the agent's best response.  Rules are enumerated when the grid is
-    within budget and searched by :func:`_ascent` otherwise; only strict
-    improvements replace the best so far, so ties go to the earlier effort
-    and the earlier rule.
+    An effort is admissible when the agent accepts it and, with
+    `incentive`, when it is also the agent's best response (ties go to the
+    principal's best, then to the lower effort index).  Rules are evaluated
+    in chunks, in lexicographic order; outcome terms are summed in
+    ascending outcome order from zero and only a strict improvement
+    replaces the best so far, so the values equal those of a scalar loop
+    over the same rules bit for bit, and ties go to the earlier effort and
+    the earlier rule.
     """
-    grid, agent_u, principal_u = _tables(p)
-    efforts = range(len(p.efforts))
+    grid = p.wage_grid
+    agent_u = np.array([p.agent_utility(w) for w in grid])
+    principal_u = np.array([[p.principal_utility(x - w) for w in grid] for x in p.outcomes])
+    density = np.array(p.density)
+    costs = np.array(p.effort_costs)[:, None]
     bar = p.reservation - _IR_TOL
-
-    def evaluate(rule_idx):
-        if incentive:
-            i, av = _best_response(p, rule_idx, agent_u, principal_u)
-            if av < bar:
-                return None
-            return _principal_value(p, rule_idx, principal_u, i), i, av
-        best_i = None
-        for i in efforts:
-            av = _agent_value(p, rule_idx, agent_u, i)
-            if av < bar:
-                continue
-            pv = _principal_value(p, rule_idx, principal_u, i)
-            if best_i is None or pv > best_i[0]:
-                best_i = (pv, i, av)
-        return best_i
-
-    if _enumeration_size(p) <= _ENUMERATION_BUDGET:
-        best = None
-        for rule_idx in _all_rules(p):
-            trial = evaluate(rule_idx)
-            if trial is not None and (best is None or trial[0] > best[0][0]):
-                best = (trial, rule_idx)
-    else:
-        best = _ascent(len(p.outcomes), len(grid), evaluate)
+    shape = (len(grid),) * len(p.outcomes)
+    n_rules = math.prod(shape)
+    chunk = max(1, _CHUNK_VALUES // len(p.efforts))
+    best_pv, best = -math.inf, None
+    for start in range(0, n_rules, chunk):
+        levels = np.unravel_index(np.arange(start, min(start + chunk, n_rules)), shape)
+        agent = np.zeros((len(p.efforts), len(levels[0])))
+        principal = np.zeros_like(agent)
+        for j, k in enumerate(levels):
+            agent += density[:, j, None] * agent_u[k]
+            principal += density[:, j, None] * principal_u[j, k]
+        agent -= costs
+        admissible = agent == agent.max(axis=0) if incentive else agent >= bar
+        pick = np.where(admissible, principal, -math.inf).argmax(axis=0)
+        cols = np.arange(len(pick))
+        pv, av = principal[pick, cols], agent[pick, cols]
+        pv[av < bar] = -math.inf
+        r = int(pv.argmax())
+        if pv[r] > best_pv:
+            best_pv, best = pv[r], (start + r, int(pick[r]), float(av[r]))
     if best is None:
         raise InfeasibleError(
             "no wage rule on the grid meets the agent's participation bar")
-    (pv, i, av), rule_idx = best
-    return ContractSolution(tuple(grid[k] for k in rule_idx), i, p.efforts[i], pv, av,
+    rule, i, av = best
+    return ContractSolution(tuple(grid[int(k)] for k in np.unravel_index(rule, shape)), i,
+                            p.efforts[i], float(best_pv), av,
                             "second_best" if incentive else "first_best")
-
-
-def _ascent(n_out: int, n_grid: int, evaluate):
-    """Coordinate ascent over outcome wages, restarted from every flat rule.
-
-    Deterministic: outcomes are swept in index order, candidate wages in
-    grid order, strict improvements only.  Heuristic — optimality is only
-    guaranteed on the enumeration path.  Returns (evaluation, rule) of the
-    best rule reached, or None when no rule visited was admissible.
-    """
-    best = None
-    for flat in range(n_grid):
-        rule = [flat] * n_out
-        current = evaluate(tuple(rule))
-        improved = True
-        while improved:
-            improved = False
-            for j in range(n_out):
-                for k in range(n_grid):
-                    if k == rule[j]:
-                        continue
-                    cand = rule.copy()
-                    cand[j] = k
-                    trial = evaluate(tuple(cand))
-                    if trial is None:
-                        continue
-                    if current is None or trial[0] > current[0]:
-                        rule, current, improved = cand, trial, True
-        if current is not None and (best is None or current[0] > best[0][0]):
-            best = (current, tuple(rule))
-    return best

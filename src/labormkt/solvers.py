@@ -20,7 +20,6 @@ solver, residual and CLI series evaluates M(w) through it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +31,18 @@ __all__ = ["SolverOptions", "bisect_root", "scan_grid", "scan_roots",
            "m_extended", "m_fixed_points"]
 
 
+# The loosest residual target accepted: above it a solve can exit with a
+# visibly wrong answer (tol = 1e6 returns w1 = 0.5 on uniform(0, 1)).
+MAX_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Tolerances and budgets for the iterative solvers.
 
-    tol is the absolute residual target, max_iter the bisection budget per
-    bracket and scan_points the grid resolution used to hunt for brackets.
+    tol is the absolute residual target, in (0, MAX_TOL]; max_iter the
+    bisection budget per bracket and scan_points the grid resolution used
+    to hunt for brackets.
     """
 
     tol: float = 1e-10
@@ -45,8 +50,8 @@ class SolverOptions:
     scan_points: int = 1024
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
+        if not 0.0 < self.tol <= MAX_TOL:
+            raise ValueError(f"tol must be positive and at most {MAX_TOL!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.scan_points < 2:

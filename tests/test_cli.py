@@ -2,6 +2,7 @@
 exit codes, and byte-level determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -281,6 +282,18 @@ def test_tree_json_counts_submarkets(tmp_path):
     assert data["root"]["history"] == ""
 
 
+@pytest.mark.parametrize("n", ["17", "30"])
+def test_tree_n_periods_is_bounded(tmp_path, capsys, n):
+    """2**n - 1 cohorts: n = 30 would exhaust memory, so it is refused
+    before any tree is built."""
+    cfg = write(tmp_path, "t.cfg", f"dist = uniform(0, 1)\nmu = 0.5\nn_periods = {n}\n")
+    assert cli.main(["tree", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: n_periods: must lie in [1, 16] (got {n})")
+    assert cli.parse_config("dist = uniform(0, 1)\nmu = 0.5\nn_periods = 16\n",
+                            "tree").n_periods == 16
+
+
 def test_tree_csv_has_all_cohorts(tmp_path):
     cfg = write(tmp_path, "t.cfg",
                 "dist = uniform(0, 1)\nmu = 0.5\nn_periods = 3\n")
@@ -314,6 +327,19 @@ def test_moral_hazard_csv(tmp_path):
     assert float(fb[2]) == pytest.approx(2.2)
     assert float(sb[2]) == pytest.approx(1.92)
     assert sb[4] == "0.0;1.6"
+
+
+def test_over_budget_wage_levels_is_a_fast_config_error(tmp_path, capsys):
+    """10**8 levels over two outcomes is 10**16 rules: refused before the
+    grid is built, so the error comes back at once."""
+    cfg = write(tmp_path, "mh.cfg", MH_CFG + "wage_levels = 100000000\n")
+    start = time.perf_counter()
+    assert cli.main(["moral-hazard", "--config", cfg]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.startswith("config error: wage_levels: 100000000 wage levels")
+    grid = ", ".join(str(k) for k in range(3163))
+    with pytest.raises(ConfigError, match="moral-hazard instance: 3163 wage levels"):
+        cli.parse_config(MH_CFG + f"wage_grid = {grid}\n", "moral-hazard")
 
 
 def test_welfare_csv(tmp_path):
@@ -379,10 +405,12 @@ def test_mu_grid_cap_admits_exactly_the_cap():
 
 
 @pytest.mark.parametrize("key, value", [("seed", "-1"), ("jobs", "0"), ("tol", "0"),
-                                        ("tol", "inf"), ("tol", "nan")])
+                                        ("tol", "inf"), ("tol", "nan"),
+                                        ("tol", "1000000.0"), ("tol", "0.01")])
 def test_flag_range_checks_match_config_keys(tmp_path, capsys, key, value):
     """A flag obeys the same range rule, and prints the same problem, as
-    the config key it overrides; a non-finite tol is rejected both ways."""
+    the config key it overrides; a non-finite or loose tol (1e6 would exit 0
+    with a visibly wrong w1) is rejected both ways."""
     base = SIM_CFG.replace("seed = 7\n", "")
     by_flag = write(tmp_path, "flag.cfg", base)
     by_key = write(tmp_path, "key.cfg", base + f"{key} = {value}\n")
@@ -404,12 +432,12 @@ def test_problem_order_is_stable():
         "unknown key 'bogus' for subcommand simulate",
         "unknown key 'n_periods' for subcommand simulate",
         "format: must be csv or json, got 'xml'",
-        "tol: must be finite and positive (got 0.0)",
+        "tol: must be positive and at most 1e-06 (got 0.0)",
         "jobs: must be at least 1 (got 0)",
         "dist: expected uniform(a,b), discrete(...) or piecewise(...), got 'gaussian(0, 1)'",
         "mu must lie in [0,1] (got 1.5)",
         "regime: must be one of one_period, two_period, three_period, got 'four_period'",
-        "n_periods: must be at least 1 (got 0)",
+        "n_periods: must lie in [1, 16] (got 0)",
         "n_agents: must be at least 1 (got 0)",
         "seed: must fit in 64 unsigned bits (got -1)",
         "w0: not a number: 'abc'",

@@ -288,67 +288,104 @@ def test_gap_report_serialization():
 
 
 # ---------------------------------------------------------------------
-# Over-budget instances (coordinate-ascent path)
+# 4 outcomes x 22 wage levels: 234,256 rules
 # ---------------------------------------------------------------------
 
-# 4 outcomes x 22 wage levels is 234,256 rules, over the enumeration
-# budget, so both programs run the coordinate-ascent heuristic.  Its
-# output is not provably optimal, so it is frozen as first computed.
-ASCENT_OUTCOMES = (0.0, 1.0, 3.0, 6.0)
-ASCENT_FROZEN = [
+# The expected values were computed once with oracle_first_best and
+# oracle_second_best (seconds per instance, too slow to rerun here).
+OUTCOMES_4X22 = (0.0, 1.0, 3.0, 6.0)
+FROZEN_4X22 = [
     (dict(efforts=(0.0, 1.0),
           density=((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4)),
           effort_costs=(0.0, 0.3)),
-     {'first_best': {'rule': [1.7142857142857142, 0.5714285714285714, 0.5714285714285714,
-                              0.5714285714285714],
-                     'effort_index': 1, 'effort': 1.0, 'principal_value': 2.8142857142857145,
-                     'agent_value': 0.5112667855582043, 'kind': 'first_best'},
-      'second_best': {'rule': [0.0, 0.2857142857142857, 0.8571428571428571, 1.1428571428571428],
-                      'effort_index': 1, 'effort': 1.0, 'principal_value': 2.7285714285714286,
-                      'agent_value': 0.5122685137566143, 'kind': 'second_best'},
+     {'first_best': {'rule': [0.2857142857142857, 0.5714285714285714, 0.5714285714285714,
+                              0.8571428571428571],
+                     'effort_index': 1, 'effort': 1.0, 'principal_value': 2.8428571428571434,
+                     'agent_value': 0.5017447613007326, 'kind': 'first_best'},
+      'second_best': {'rule': [0.0, 0.5714285714285714, 0.5714285714285714, 1.1428571428571428],
+                      'effort_index': 1, 'effort': 1.0, 'principal_value': 2.7571428571428576,
+                      'agent_value': 0.5055824600691063, 'kind': 'second_best'},
       'gap': 0.08571428571428585, 'effort_reduced': False}),
     (dict(efforts=(0.0, 1.0, 2.0),
           density=((0.4, 0.3, 0.2, 0.1), (0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4)),
           effort_costs=(0.0, 0.2, 0.6)),
-     {'first_best': {'rule': [2.0, 1.1428571428571428, 1.1428571428571428, 1.1428571428571428],
+     {'first_best': {'rule': [0.8571428571428571, 1.7142857142857142, 1.1428571428571428,
+                              1.1428571428571428],
                      'effort_index': 2, 'effort': 2.0, 'principal_value': 2.271428571428572,
-                     'agent_value': 0.5035618271220376, 'kind': 'first_best'},
-      'second_best': {'rule': [0.0, 0.2857142857142857, 1.1428571428571428, 1.7142857142857142],
+                     'agent_value': 0.5027749556152342, 'kind': 'first_best'},
+      'second_best': {'rule': [0.0, 0.2857142857142857, 0.5714285714285714, 2.2857142857142856],
                       'effort_index': 1, 'effort': 1.0, 'principal_value': 1.7142857142857144,
-                      'agent_value': 0.5282186982226251, 'kind': 'second_best'},
+                      'agent_value': 0.5005773304700529, 'kind': 'second_best'},
       'gap': 0.5571428571428574, 'effort_reduced': True}),
     # Zero-probability outcomes leave many rules tied, which pins the
-    # ascent's tie-breaking and the order of its restarts.
+    # tie-break: the lexicographically earliest optimal rule.
     (dict(efforts=(0.0, 1.0),
           density=((0.5, 0.5, 0.0, 0.0), (0.0, 0.25, 0.25, 0.5)),
           effort_costs=(0.0, 0.3)),
-     {'first_best': {'rule': [0.2857142857142857, 1.1428571428571428, 0.5714285714285714,
-                              0.5714285714285714],
+     {'first_best': {'rule': [0.0, 0.2857142857142857, 0.2857142857142857, 1.1428571428571428],
                      'effort_index': 1, 'effort': 1.0, 'principal_value': 3.285714285714286,
-                     'agent_value': 0.5342079514262652, 'kind': 'first_best'},
-      'second_best': {'rule': [0.0, 0.2857142857142857, 0.8571428571428571, 0.8571428571428571],
+                     'agent_value': 0.5017837257372733, 'kind': 'first_best'},
+      'second_best': {'rule': [0.0, 0.2857142857142857, 0.2857142857142857, 1.1428571428571428],
                       'effort_index': 1, 'effort': 1.0, 'principal_value': 3.285714285714286,
-                      'agent_value': 0.5279956957856258, 'kind': 'second_best'},
+                      'agent_value': 0.5017837257372733, 'kind': 'second_best'},
       'gap': 0.0, 'effort_reduced': False}),
     (dict(efforts=(0.0, 1.0, 2.0),
           density=((0.4, 0.6, 0.0, 0.0), (0.1, 0.2, 0.3, 0.4), (0.0, 0.0, 0.5, 0.5)),
           effort_costs=(0.0, 0.2, 0.9)),
-     {'first_best': {'rule': [0.2857142857142857, 0.5714285714285714, 0.5714285714285714,
+     {'first_best': {'rule': [0.5714285714285714, 0.2857142857142857, 0.5714285714285714,
                               0.5714285714285714],
-                     'effort_index': 1, 'effort': 1.0, 'principal_value': 2.9571428571428573,
-                     'agent_value': 0.5337882997990939, 'kind': 'first_best'},
-      'second_best': {'rule': [0.2857142857142857, 0.2857142857142857, 0.8571428571428571,
-                               0.5714285714285714],
+                     'effort_index': 1, 'effort': 1.0, 'principal_value': 2.985714285714286,
+                     'agent_value': 0.5116476535797334, 'kind': 'first_best'},
+      'second_best': {'rule': [0.0, 0.2857142857142857, 0.5714285714285714, 0.8571428571428571],
                       'effort_index': 1, 'effort': 1.0, 'principal_value': 2.928571428571429,
-                      'agent_value': 0.5404743534866019, 'kind': 'second_best'},
-      'gap': 0.02857142857142847, 'effort_reduced': False}),
+                      'agent_value': 0.5040112204795266, 'kind': 'second_best'},
+      'gap': 0.057142857142857384, 'effort_reduced': False}),
 ]
 
 
-@pytest.mark.parametrize("spec, want", ASCENT_FROZEN,
+@pytest.mark.parametrize("spec, want", FROZEN_4X22,
                          ids=["2-efforts", "3-efforts", "2-efforts-ties", "3-efforts-ties"])
-def test_over_budget_instances_are_frozen(spec, want):
-    p = lm.ContractProblem(outcomes=ASCENT_OUTCOMES, reservation=0.5,
-                           wage_grid=lm.default_wage_grid(ASCENT_OUTCOMES, 22), **spec)
-    assert len(p.wage_grid) ** len(p.outcomes) > 200_000
+def test_4x22_instances_match_frozen_oracle_optimum(spec, want):
+    p = lm.ContractProblem(outcomes=OUTCOMES_4X22, reservation=0.5,
+                           wage_grid=lm.default_wage_grid(OUTCOMES_4X22, 22), **spec)
+    assert len(p.wage_grid) ** len(p.outcomes) == 234_256
     assert lm.welfare_gap(p).to_dict() == want
+
+
+def test_gap_is_never_negative_on_4_outcome_instances():
+    """Instances of 234,256 to 390,625 rules, with 2 or 3 efforts.  The
+    first is one a coordinate-ascent search got wrong: its second-best
+    came out 0.0150 above its first-best."""
+    outcomes = (0.505972931668111, 0.6667113377602658, 2.5105281020688825, 7.297014525852901)
+    problems = [lm.ContractProblem(
+        outcomes=outcomes, efforts=(0.4888640762605223, 1.188090469733891),
+        density=((0.24314425348683508, 0.2862399971159916, 0.09658977722036534,
+                  0.37402597217680805),
+                 (0.0746295629916777, 0.4355566802812283, 0.2171036665558795,
+                  0.2727100901712145)),
+        effort_costs=(0.07903808570135196, 0.2512178690328641),
+        reservation=0.22092066294125567, wage_grid=lm.default_wage_grid(outcomes, 22))]
+    rng = random.Random(61)
+    problems += [random_instance(rng, n_out=4, n_eff=rng.randint(2, 3),
+                                 n_levels=rng.randint(22, 25)) for _ in range(5)]
+    assert lm.welfare_gap(problems[0]).gap >= 0.0
+    for p in problems[1:]:
+        try:
+            report = lm.welfare_gap(p)
+        except InfeasibleError:
+            continue
+        assert report.gap >= 0.0
+
+
+def test_rule_budget_is_checked_before_any_grid_is_built():
+    """More than 10**7 wage rules is refused where the instance is stated."""
+    with pytest.raises(ValueError, match="wage rules"):
+        lm.default_wage_grid((0.0, 4.0), 10 ** 12)
+    with pytest.raises(ValueError, match="wage rules"):
+        lm.default_wage_grid(tuple(float(x) for x in range(1, 7)))  # 21 ** 6 rules
+    grid = tuple(k / 1000 for k in range(3163))   # 3163 ** 2 > 10 ** 7
+    with pytest.raises(ValueError, match="wage rules"):
+        lm.ContractProblem(outcomes=(0.0, 4.0), efforts=(0.0,), density=((0.5, 0.5),),
+                           effort_costs=(0.0,), wage_grid=grid)
+    lm.ContractProblem(outcomes=(0.0, 4.0), efforts=(0.0,), density=((0.5, 0.5),),
+                       effort_costs=(0.0,), wage_grid=grid[:3162])  # 3162 ** 2 < 10 ** 7

@@ -402,11 +402,11 @@ def test_grid_point_within_tol_is_a_root_and_not_bisected():
         assert len(calls) == 129
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10, 1e6, 0.01])
 def test_solver_options_reject_non_finite_or_non_positive_tol(tol):
     from labormkt.solvers import SolverOptions
 
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
+    with pytest.raises(ValueError, match="tol must be positive and at most 1e-06"):
         SolverOptions(tol=tol)
 
 
