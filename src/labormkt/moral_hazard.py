@@ -104,6 +104,8 @@ def _check_rule_count(n_levels: int, n_outcomes: int) -> None:
 
 def default_wage_grid(outcomes, n_levels: int = 21) -> tuple[float, ...]:
     """Evenly spaced wage levels from 0 to the largest outcome."""
+    if n_levels < 2:
+        raise ValueError(f"a wage grid needs at least 2 wage levels (got {n_levels})")
     _check_rule_count(n_levels, len(outcomes))
     top = max(outcomes)
     if top <= 0.0:

@@ -27,6 +27,13 @@ triangular in ``w_plus``: given the retention offer, both fixed points,
 the indifference wage and the entry wage follow, leaving one scalar
 zero-profit condition to bisect.  A damped multi-start iteration provides
 an independent route to the same solution for cross-checking.
+
+The outer scan over ``w_plus`` is evaluated as one batch: the two terminal
+pools of every grid point form one :class:`~labormkt.pools.PoolRows`
+stack, whose fixed points :func:`~labormkt.solvers.m_fixed_points_rows`
+finds together, bit for bit what :func:`_stage_from_w_plus` finds point by
+point.  The bisection of the outer brackets, the final stage and the
+multi-start runs use _stage_from_w_plus, the one-point form.
 """
 
 from __future__ import annotations
@@ -51,15 +58,26 @@ from .pools import (
     ProductivityDistribution,
     _moments,
     _restricted_moments,
+    entry_split_rows,
     firing_split,
     leaver_moments,
+    leaver_moments_array,
     pool_inf,
     pool_mass,
     pool_mean,
     quantile,
     stayer_moments,
+    stayer_moments_array,
 )
-from .solvers import DEFAULT_OPTIONS, SolverOptions, m_extended, m_fixed_points, scan_roots
+from .solvers import (
+    DEFAULT_OPTIONS,
+    SolverOptions,
+    m_extended,
+    m_fixed_points,
+    m_fixed_points_rows,
+    scan_grid,
+    scan_roots,
+)
 
 __all__ = [
     "MarketNode",
@@ -374,6 +392,55 @@ def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float,
                   tuple(roots_late), tuple(roots_twice))
 
 
+@dataclass
+class _StageRows:
+    """The _Stage fields of every w_plus of an outer scan grid: float64
+    arrays, and one tuple of fixed points per w_plus."""
+
+    w1: np.ndarray
+    w2: np.ndarray
+    w2p: np.ndarray
+    rehire_profit: np.ndarray
+    roots_late: list[tuple[float, ...]]
+    roots_twice: list[tuple[float, ...]]
+
+
+def _stages_from_w_plus(pool0: LaborPool, mu: float, w_plus: np.ndarray,
+                        opts: SolverOptions) -> _StageRows:
+    """:func:`_stage_from_w_plus` at every w of the float64 array w_plus,
+    bit for bit.
+
+    Raises what a loop of _stage_from_w_plus calls over w_plus would raise
+    first, with the same message and diagnostics.  Both terminal pools of
+    every w go into one PoolRows stack, as the rows [stayed(w_0),
+    released(w_0), stayed(w_1), ...], so that walking the rows meets the
+    failures in the loop's order.
+    """
+    n_rel, m1_rel = leaver_moments_array(pool0, w_plus, mu)
+    n_stay, _ = stayer_moments_array(pool0, w_plus, mu)
+    empty = np.flatnonzero((n_stay <= 0.0) | (n_rel <= 0.0))
+    k = int(empty[0]) if empty.size else len(w_plus)
+    rows = entry_split_rows(pool0.base, np.repeat(w_plus[:k], 2),
+                            np.tile([0.0, 1.0], k), np.tile([1.0 - mu, mu], k))
+    roots = m_fixed_points_rows(rows, mu, _inner_opts(opts))
+    for late, twice in zip(roots[0::2], roots[1::2]):
+        for found in (late, twice):
+            if isinstance(found, NoConvergenceError):
+                raise found
+        if not late or not twice:
+            raise DegenerateSystemError("a terminal market has no clearing wage")
+    if k < len(w_plus):
+        side = "retained" if n_stay[k] <= 0.0 else "released"
+        raise DegenerateSystemError(f"no one is {side} at w_plus={float(w_plus[k])}")
+    w2 = np.array([r[-1] for r in roots[0::2]])
+    w2p = np.array([r[-1] for r in roots[1::2]])
+    w1 = w_plus + w2 - w2p  # stay/quit indifference
+    n_reh, m1_reh = stayer_moments_array(rows.take(slice(1, None, 2)), w2p[:, None], mu)
+    profit = (m1_rel - n_rel * w1) + (m1_reh[:, 0] - n_reh[:, 0] * w2p)
+    return _StageRows(w1, w2, w2p, profit,
+                      list(map(tuple, roots[0::2])), list(map(tuple, roots[1::2])))
+
+
 def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
                      extra_diag: dict | None = None) -> ThreePeriodSolution:
     pool0 = LaborPool.entry(dist)
@@ -443,7 +510,9 @@ def solve_three_period(dist: ProductivityDistribution, mu: float,
     Scans the retention offer w_plus over [pool bottom, entry mean] for
     roots of the period-2 hirers' zero-profit residual (every other wage
     is determined by w_plus), bisects, and returns the largest root.  The
-    scan widens once toward the support top before giving up.  Requires
+    scan widens once toward the support top before giving up.  Each scan
+    grid is evaluated in one batch (:func:`_stages_from_w_plus`) and each
+    bracket is bisected with :func:`_stage_from_w_plus`.  Requires
     0 < mu < 1; a single-productivity population short-circuits to the
     exact degenerate answer.
     """
@@ -459,13 +528,16 @@ def solve_three_period(dist: ProductivityDistribution, mu: float,
     def g(w_plus: float) -> float:
         return _stage_from_w_plus(pool0, mu, w_plus, opts).rehire_profit
 
-    roots = scan_roots(g, lo, theta_bar, scan_opts)
+    def g_grid(w_plus: np.ndarray) -> np.ndarray:
+        return _stages_from_w_plus(pool0, mu, w_plus, opts).rehire_profit
+
+    roots = scan_roots(g, lo, theta_bar, scan_opts, g_grid=g_grid)
     if not roots:
         hi2 = theta_bar + 0.75 * (dist.support_high - theta_bar)
-        roots = scan_roots(g, lo, hi2, scan_opts)
+        roots = scan_roots(g, lo, hi2, scan_opts, g_grid=g_grid)
     if not roots:
-        best_w = min((abs(g(lo + (theta_bar - lo) * i / 32)), lo + (theta_bar - lo) * i / 32)
-                     for i in range(33))
+        probe = scan_grid(lo, theta_bar, 33)
+        best_w = min(zip(np.abs(g_grid(probe)).tolist(), probe.tolist()))
         raise NoConvergenceError(
             "no retention offer balances the period-2 hirers' books",
             best={"w_plus": best_w[1]}, residuals={"rehire_zero_profit": best_w[0]})

@@ -24,11 +24,15 @@ Conventions
   differences of the primitive at its piece boundaries, and the moments of
   a split (:func:`leaver_moments`, :func:`stayer_moments`) are taken the
   same way without building the split pools.
-* :meth:`ProductivityDistribution.moments_below_array` and
-  :func:`leaver_moments_array` are the same kernels over a float64 array
-  of thresholds, for scan grids.  They use the same formulas in the same
-  order of float operations, so each element is bit-for-bit equal to the
-  scalar result.
+* :meth:`ProductivityDistribution.moments_below_array`,
+  :func:`leaver_moments_array` and :func:`stayer_moments_array` are the
+  same kernels over a float64 array of thresholds, for scan grids.  They
+  use the same formulas in the same order of float operations, so each
+  element is bit-for-bit equal to the scalar result.  One piece loop,
+  :func:`_split_moments`, serves every array moment.
+* A :class:`PoolRows` stack holds many pools that differ only in where
+  their pieces end (:func:`entry_split_rows`: the entry pool split at many
+  thresholds), with array piece bounds that the same kernels broadcast.
 * The leaver-mean operator built on these moments is
   :func:`labormkt.solvers.m_extended`, the only one in the package.
 
@@ -58,6 +62,9 @@ __all__ = [
     "leaver_moments",
     "leaver_moments_array",
     "stayer_moments",
+    "stayer_moments_array",
+    "PoolRows",
+    "entry_split_rows",
     "pool_inf",
     "pool_sup",
     "quantile",
@@ -385,7 +392,14 @@ def pool_mass(pool: LaborPool) -> float:
 
 
 def pool_mean(pool: LaborPool) -> float:
-    """Average productivity of the pool; EmptyPoolError on zero mass."""
+    """Average productivity of the pool; EmptyPoolError on zero mass.
+
+    Per row, as an (R, 1) column, for a :class:`PoolRows` stack."""
+    if isinstance(pool, PoolRows):
+        n, m1 = pool.moments
+        if not (n > 0.0).all():
+            raise EmptyPoolError("a pool row has no workers")
+        return m1 / n
     n, m1 = _moments(pool)
     if n <= 0.0:
         raise EmptyPoolError("pool has no workers")
@@ -439,42 +453,134 @@ def leaver_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float,
     return _piece_moments(pool.base, _rescale_pieces(pool.pieces, t, 1.0, mu))
 
 
-def leaver_moments_array(pool: LaborPool, thresholds: np.ndarray,
-                         mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`leaver_moments` at every element of a float64 array of thresholds.
+def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high):
+    """(mass, first moment) of `pieces` weighted `low` strictly below t and
+    `high` at or above it: ``_piece_moments`` of
+    ``_rescale_pieces(pieces, t, low, high)``, without building the pieces.
 
-    Each piece of the pool adds its part in the order :func:`_piece_moments`
-    adds the pieces of the split pool, so every element is bit-for-bit equal
-    to the scalar result.
+    This is the one piece loop behind every array moment.  The piece bounds,
+    weights and `ends` (from :func:`_piece_ends`), the clamped thresholds t
+    and the factors may each be a scalar or an array; they broadcast
+    together.  Each piece adds its part in the order :func:`_piece_moments`
+    adds the rescaled pieces, so every element is bit-for-bit equal to the
+    scalar result.
     """
-    _check_mu(mu)
-    t = np.asarray(thresholds, dtype=np.float64)
-    if not np.isfinite(t).all():
-        raise InvalidThresholdError("thresholds must be finite reals")
-    base = pool.base
-    t = np.minimum(np.maximum(t, base.support_low), base.support_high)
     n_cut, m1_cut = base.moments_below_array(t)
-    n = np.zeros_like(t)
-    m1 = np.zeros_like(t)
-    n_lo = m1_lo = 0.0
-    for (lo, hi, w), (n_hi, m1_hi) in zip(pool.pieces, _piece_ends(base, pool.pieces)):
-        wm = w * mu
+    n = m1 = 0.0
+    n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
+    for (lo, hi, w), (n_hi, m1_hi) in zip(pieces, ends):
+        w_below, w_above = w * low, w * high
         # As in _rescale_pieces, lo >= t is tested first: a zero-width piece
         # at t goes to the at-or-above side.
         above = lo >= t
         split = ~above & (hi > t)
-        # At or above t the piece leaves at weight w * mu, below t in full;
-        # a straddling piece adds [lo, t) and then [t, hi).  Where
-        # _piece_moments skips a zero weight this adds 0.0: the same sum.
-        for total, lo_end, hi_end, cut in ((n, n_lo, n_hi, n_cut),
-                                           (m1, m1_lo, m1_hi, m1_cut)):
-            below = np.where(split, w * (cut - lo_end), w * (hi_end - lo_end))
-            total += np.where(above, wm * (hi_end - lo_end) if wm > 0.0 else 0.0,
-                              below if w > 0.0 else 0.0)
-            if wm > 0.0:
-                total += np.where(split, wm * (hi_end - cut), 0.0)
+        # A straddling piece adds [lo, t) and then [t, hi).  Where
+        # _piece_moments skips a zero weight this adds a zero product, which
+        # leaves the sum as it is: it starts at +0.0, so it is never -0.0.
+        n = n + np.where(above, w_above * (n_hi - n_lo),
+                         w_below * (np.where(split, n_cut, n_hi) - n_lo))
+        n = n + np.where(split, w_above * (n_hi - n_cut), 0.0)
+        m1 = m1 + np.where(above, w_above * (m1_hi - m1_lo),
+                           w_below * (np.where(split, m1_cut, m1_hi) - m1_lo))
+        m1 = m1 + np.where(split, w_above * (m1_hi - m1_cut), 0.0)
         n_lo, m1_lo = n_hi, m1_hi
     return n, m1
+
+
+def _clamped_thresholds(base: ProductivityDistribution, thresholds) -> np.ndarray:
+    """:func:`_split_threshold` on a float64 array (mu is checked apart)."""
+    t = np.asarray(thresholds, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise InvalidThresholdError("thresholds must be finite reals")
+    return np.minimum(np.maximum(t, base.support_low), base.support_high)
+
+
+def _split_side_array(pool, thresholds, mu: float, leavers: bool):
+    _check_mu(mu)
+    t = _clamped_thresholds(pool.base, thresholds)
+    low, high = (1.0, mu) if leavers else (0.0, 1.0 - mu)
+    ends = pool.ends if isinstance(pool, PoolRows) else _piece_ends(pool.base, pool.pieces)
+    return _split_moments(pool.base, pool.pieces, ends, t, low, high)
+
+
+def leaver_moments_array(pool, thresholds: np.ndarray,
+                         mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`leaver_moments` at every element of a float64 array of thresholds.
+
+    `pool` is a :class:`LaborPool` or a :class:`PoolRows` stack, whose (R, 1)
+    columns broadcast against an (R, k) array of thresholds.  Every element
+    is bit-for-bit equal to the scalar result.
+    """
+    return _split_side_array(pool, thresholds, mu, leavers=True)
+
+
+def stayer_moments_array(pool, thresholds: np.ndarray,
+                         mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stayer_moments` at every element of a float64 array of
+    thresholds, as :func:`leaver_moments_array`."""
+    return _split_side_array(pool, thresholds, mu, leavers=False)
+
+
+@dataclass(frozen=True)
+class PoolRows:
+    """A stack of pools over one base, one per row, built by
+    :func:`entry_split_rows`.
+
+    Each piece bound, weight and piece end is a scalar shared by every row
+    or an (R, 1) column, so a row's pool broadcasts against the row of an
+    (R, k) threshold array.  `moments` and `inf` are each row's pool
+    moments and :func:`pool_inf`, as (R, 1) columns.  The array kernels, :func:`pool_mean`, :func:`pool_inf`
+    and :func:`labormkt.solvers.m_extended` on arrays accept a stack
+    wherever they accept a pool.
+    """
+
+    base: ProductivityDistribution
+    pieces: tuple
+    ends: tuple
+    moments: tuple[np.ndarray, np.ndarray]
+    inf: np.ndarray
+
+    def take(self, rows) -> "PoolRows":
+        """The stack of the selected rows (an index array or a slice)."""
+        pick = lambda v: v[rows] if isinstance(v, np.ndarray) else v
+        return PoolRows(self.base,
+                        tuple(tuple(map(pick, piece)) for piece in self.pieces),
+                        tuple(tuple(map(pick, end)) for end in self.ends),
+                        tuple(map(pick, self.moments)), pick(self.inf))
+
+
+def entry_split_rows(dist: ProductivityDistribution, thresholds, low, high) -> PoolRows:
+    """The entry pool of `dist` weighted `low` strictly below each threshold
+    and `high` at or above it, one row per threshold.
+
+    With (low, high) = (1, mu) row i is the leaver side of
+    ``firing_split(LaborPool.entry(dist), thresholds[i], mu)``, with
+    (0, 1 - mu) the stayer side; `low` and `high` may be arrays, so one
+    stack can hold both sides.  Thresholds are clamped to the support, as
+    the split clamps them.  Each row has the pieces ``[(L, t, low),
+    (t, H, high)]``.  Where firing_split makes one piece instead, one of the
+    two is empty and adds only zeros: at t = L the first, and at t = H > L
+    the second, whose start is then read as the whole base so that an atom
+    at H stays in the closed first piece.
+    """
+    t = _clamped_thresholds(dist, thresholds)
+    low, high = np.broadcast_arrays(t, np.asarray(low, dtype=np.float64),
+                                    np.asarray(high, dtype=np.float64))[1:]
+    lo, hi = dist.support_low, dist.support_high
+    n, m1 = _split_moments(dist, ((lo, hi, 1.0),), (dist._total,), t, low, high)
+    n_t, m1_t = dist.moments_below_array(t)
+    at_top = (t >= hi) & (t > lo)
+    n_t, m1_t = np.where(at_top, dist._total[0], n_t), np.where(at_top, dist._total[1], m1_t)
+    # pool_inf: the start of the first piece holding workers, snapped up to
+    # an atom on a discrete base.
+    inf = np.where((low > 0.0) & (n_t > 0.0), lo, t)
+    if dist.kind == "discrete":
+        xs = dist._arrays[0]
+        inf = xs[np.searchsorted(xs, inf, side="left")]
+    col = lambda v: v[:, None]
+    return PoolRows(dist, ((lo, col(t), col(low)), (col(t), hi, col(high))),
+                    ((col(n_t), col(m1_t)), dist._total),
+                    (col(n), col(m1)), col(inf))
 
 
 def stayer_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
@@ -494,7 +600,12 @@ def _occupied_pieces(pool: LaborPool):
 
 
 def pool_inf(pool: LaborPool) -> float:
-    """Lowest productivity carrying positive weight."""
+    """Lowest productivity carrying positive weight (per row, as an (R, 1)
+    column, for a :class:`PoolRows` stack)."""
+    if isinstance(pool, PoolRows):
+        if not (pool.moments[0] > 0.0).all():
+            raise EmptyPoolError("a pool row has no workers")
+        return pool.inf
     first = next(_occupied_pieces(pool), None)
     if first is None:
         raise EmptyPoolError("pool has no workers")

@@ -377,6 +377,14 @@ def test_gap_is_never_negative_on_4_outcome_instances():
         assert report.gap >= 0.0
 
 
+@pytest.mark.parametrize("n_levels", [1, 0, -3])
+def test_wage_grid_needs_two_levels(n_levels):
+    """One level would divide by zero in the spacing, and none would hand
+    ContractProblem an empty grid that it silently replaces by the default."""
+    with pytest.raises(ValueError, match="at least 2 wage levels"):
+        lm.default_wage_grid((0.0, 4.0), n_levels)
+
+
 def test_rule_budget_is_checked_before_any_grid_is_built():
     """More than 10**7 wage rules is refused where the instance is stated."""
     with pytest.raises(ValueError, match="wage rules"):

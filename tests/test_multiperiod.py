@@ -10,15 +10,18 @@ pins down both implementations.
 """
 
 import functools
+import importlib.util
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import labormkt as lm
 from labormkt import pools
-from labormkt.multiperiod import RESIDUAL_NAMES
+from labormkt.multiperiod import RESIDUAL_NAMES, _stage_from_w_plus, _stages_from_w_plus
+from labormkt.solvers import DEFAULT_OPTIONS, SolverOptions, scan_grid
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,6 +301,65 @@ def test_three_period_golden_table(cell):
         assert getattr(sol, name) == pytest.approx(value, abs=1e-8), name
     for key in ("w_plus_candidates", "fixed_point_roots_late", "fixed_point_roots_twice"):
         assert len(sol.diagnostics[key]) == len(cell[key]), key
+
+
+def _load_golden_maker():
+    path = Path(__file__).parent / "data" / "make_three_period_golden.py"
+    spec = importlib.util.spec_from_file_location("make_three_period_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN_MAKER = _load_golden_maker()
+
+
+@pytest.mark.parametrize("cell", GOLDEN, ids=lambda c: f"{c['base']}-mu{c['mu']}")
+def test_three_period_golden_cells_regenerate_exactly(cell):
+    """The table's generator reproduces every stored cell exactly: wages,
+    root lists, and for a typed error its message, best and residuals."""
+    make = GOLDEN_MAKER.BASES[cell["base"]]
+    fresh = {"base": cell["base"], "mu": cell["mu"]} | GOLDEN_MAKER.cell(make(), cell["mu"])
+    assert json.loads(json.dumps(fresh)) == cell
+
+
+def _stage_fields(stage):
+    return (stage.w1, stage.w2, stage.w2p, stage.rehire_profit,
+            stage.roots_late, stage.roots_twice)
+
+
+@pytest.mark.parametrize("base", sorted(GOLDEN_BASES))
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
+def test_batched_outer_scan_equals_stage_loop(base, mu):
+    """At every point of the outer scan grid the batched stages equal
+    _stage_from_w_plus, with ==."""
+    pool0 = pools.LaborPool.entry(GOLDEN_BASES[base])
+    grid = scan_grid(pools.pool_inf(pool0), pools.pool_mean(pool0), 257)
+    rows = _stages_from_w_plus(pool0, mu, grid, DEFAULT_OPTIONS)
+    batched = zip(rows.w1.tolist(), rows.w2.tolist(), rows.w2p.tolist(),
+                  rows.rehire_profit.tolist(), rows.roots_late, rows.roots_twice)
+    assert list(batched) == [_stage_fields(_stage_from_w_plus(pool0, mu, w, DEFAULT_OPTIONS))
+                             for w in grid.tolist()]
+
+
+@pytest.mark.parametrize("dist, mu, opts, w_plus", [
+    (GOLDEN_BASES["piecewise_readme"], 0.5, SolverOptions(max_iter=20), [0.1, 0.3]),
+    (GOLDEN_BASES["discrete_41"], 0.3, SolverOptions(max_iter=20), [0.0, 0.5]),
+    (lm.uniform(0.0, 1.0), 0.5, DEFAULT_OPTIONS, [0.2, 0.5, 1.0, 0.3, 1.5]),
+    (GOLDEN_BASES["discrete_41"], 0.5, DEFAULT_OPTIONS, [0.1, 2.0, 1.0]),
+    (lm.uniform(0.0, 1.0), 0.0, DEFAULT_OPTIONS, [-1.0, 0.5]),
+])
+def test_batched_outer_scan_raises_what_the_stage_loop_raises_first(dist, mu, opts, w_plus):
+    """The first failure in grid order: an inner bisection out of steps, no
+    one retained at the support top, no one released without quits."""
+    pool0 = pools.LaborPool.entry(dist)
+    with pytest.raises(lm.LaborMarketError) as loop:
+        for w in w_plus:
+            _stage_from_w_plus(pool0, mu, w, opts)
+    with pytest.raises(type(loop.value)) as batch:
+        _stages_from_w_plus(pool0, mu, np.array(w_plus), opts)
+    facts = lambda exc: (str(exc), getattr(exc, "best", None), getattr(exc, "residuals", None))
+    assert facts(batch.value) == facts(loop.value)
 
 
 def test_near_coincident_atoms_fail_with_typed_error():

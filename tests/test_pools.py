@@ -346,6 +346,65 @@ def test_array_kernels_reject_what_scalar_kernels_reject():
             pools.leaver_moments_array(pool, np.array([0.5]), bad_mu)
 
 
+def split_rows_and_pools(dist, wps, mu):
+    """entry_split_rows holding both sides of firing_split(entry, wp, mu) at
+    every wp, as the rows [leavers(wp_0), stayers(wp_0), ...], and the
+    scalar split pools in the same order."""
+    k = len(wps)
+    rows = pools.entry_split_rows(dist, np.repeat(wps, 2), np.tile([1.0, 0.0], k),
+                                  np.tile([mu, 1.0 - mu], k))
+    entry = pools.LaborPool.entry(dist)
+    return rows, [side for wp in wps for side in pools.firing_split(entry, wp, mu)]
+
+
+def assert_split_rows_equal_split_pools(dist, wps, ws, mu, mu_inner):
+    """Every moment, leaver mean and limit of the stack equals the scalar
+    one of the split pool in its row, with ==."""
+    rows, split = split_rows_and_pools(dist, wps, mu)
+    grid = np.tile(ws, (len(split), 1))
+    for kernel, scalar in ((pools.leaver_moments_array, pools.leaver_moments),
+                           (pools.stayer_moments_array, pools.stayer_moments)):
+        n, m1 = kernel(rows, grid, mu_inner)
+        assert [list(zip(a, b)) for a, b in zip(n.tolist(), m1.tolist())] == [
+            [scalar(pool, w, mu_inner) for w in ws] for pool in split]
+        n, m1 = kernel(rows, grid[:, :1], mu_inner)  # one threshold per row
+        assert list(zip(n[:, 0].tolist(), m1[:, 0].tolist())) == [
+            scalar(pool, ws[0], mu_inner) for pool in split]
+    n, m1 = rows.moments
+    assert list(zip(n[:, 0].tolist(), m1[:, 0].tolist())) == [
+        pools._moments(pool) for pool in split]
+    full = [i for i, pool in enumerate(split) if pools.pool_mass(pool) > 0.0]
+    if len(full) < len(split):
+        for limit in (pools.pool_inf, pools.pool_mean):
+            with pytest.raises(EmptyPoolError):
+                limit(rows)
+    if not full:
+        return
+    sub = rows.take(np.array(full))
+    assert pools.pool_inf(sub)[:, 0].tolist() == [pools.pool_inf(split[i]) for i in full]
+    assert pools.pool_mean(sub)[:, 0].tolist() == [pools.pool_mean(split[i]) for i in full]
+    ws_top = ws + [math.inf]
+    assert m_extended(sub, np.tile(ws_top, (len(full), 1)), mu_inner).tolist() == [
+        [m_extended(split[i], w, mu_inner) for w in ws_top] for i in full]
+
+
+@pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, PW_NODES_ROUND, DISC, POINT])
+@pytest.mark.parametrize("mu", [0.0, 1e-6, 0.3, 1.0])
+def test_split_rows_equal_scalar_split_pools(dist, mu):
+    """The broadcast kernel on the entry split at every wp equals the scalar
+    kernels on firing_split's pools: wp and w on nodes, on atoms, at both
+    support ends and outside the support."""
+    ts = _thresholds(dist)
+    assert_split_rows_equal_split_pools(dist, ts, ts, mu, mu)
+    assert_split_rows_equal_split_pools(dist, ts, ts, mu, 0.45)
+
+
+def test_split_rows_reject_non_finite_thresholds():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidThresholdError):
+            pools.entry_split_rows(PW, np.array([0.2, bad]), 1.0, 0.5)
+
+
 def scan_roots_by_loop(g, lo, hi, opts):
     """Reference scan: scalar g at each grid point, brackets found one by one."""
     from labormkt.solvers import bisect_root
@@ -400,6 +459,67 @@ def test_grid_point_within_tol_is_a_root_and_not_bisected():
         calls.clear()
         assert scan_roots(g, 0.0, 1.0, opts, **kwargs) == [0.5]
         assert len(calls) == 129
+
+
+# (g, a, b): smooth roots, roots on either end, a jump that bisects down to
+# floating-point resolution, and a root 1e-13 from the left end.
+BRACKETS = [
+    (lambda x: x - 0.3, 0.0, 1.0),
+    (lambda x: x ** 3 - 0.2, 0.0, 1.0),
+    (lambda x: 0.7 - x, 0.0, 0.7),
+    (lambda x: x - 0.5, 0.5, 1.0),
+    (lambda x: 1.0 if x >= 0.4 else -1.0, 0.0, 1.0),
+    (lambda x: math.sin(x), 3.0, 3.5),
+    (lambda x: x - 1e-13, 0.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("opts_kw", [{}, {"tol": 1e-6}, {"max_iter": 8}, {"max_iter": 1}])
+def test_bisect_roots_equals_bisect_root(opts_kw):
+    """The lockstep bisection gives bisect_root's result on every bracket,
+    and where bisect_root raises, its best x and residual."""
+    from labormkt.solvers import SolverOptions, bisect_root, bisect_roots
+
+    opts = SolverOptions(**opts_kw)
+    fs, a, b = (list(v) for v in zip(*BRACKETS))
+    ga, gb = [f(x) for f, x in zip(fs, a)], [f(x) for f, x in zip(fs, b)]
+    g = lambda x, idx: np.array([fs[i](v) for i, v in zip(idx.tolist(), x.tolist())])
+    x, best_g, failed = bisect_roots(g, a, b, ga, gb, opts)
+    n_failed = 0
+    for i, f in enumerate(fs):
+        try:
+            expected = bisect_root(f, a[i], b[i], ga[i], gb[i], opts)
+        except lm.NoConvergenceError as exc:
+            n_failed += 1
+            assert failed[i]
+            assert (exc.best, exc.residuals) == ({"x": x[i]}, {"g": best_g[i]})
+        else:
+            assert not failed[i] and x[i] == expected
+    assert (n_failed > 0) == (opts.max_iter < 10)
+    with pytest.raises(ValueError, match="sign change"):
+        bisect_roots(g, [0.0], [1.0], [1.0], [2.0], opts)
+
+
+@pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, DISC, POINT])
+@pytest.mark.parametrize("opts_kw", [{}, {"scan_points": 129, "tol": 1e-12}, {"max_iter": 20}])
+def test_m_fixed_points_rows_equal_per_pool_scans(dist, opts_kw):
+    """Each row's roots, or the NoConvergenceError, equal m_fixed_points on
+    that row's pool."""
+    from labormkt.solvers import SolverOptions, m_fixed_points, m_fixed_points_rows
+
+    opts = SolverOptions(**opts_kw)
+    for mu in (0.3, 0.8):
+        rows, split = split_rows_and_pools(dist, _thresholds(dist), mu)
+        full = [i for i, pool in enumerate(split) if pools.pool_mass(pool) > 0.0]
+        batched = m_fixed_points_rows(rows.take(np.array(full)), mu, opts)
+        for i, got in zip(full, batched):
+            try:
+                expected = m_fixed_points(split[i], mu, opts)
+            except lm.NoConvergenceError as exc:
+                assert isinstance(got, lm.NoConvergenceError)
+                assert (str(got), got.best, got.residuals) == (str(exc), exc.best, exc.residuals)
+            else:
+                assert got == expected
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10, 1e6, 0.01])

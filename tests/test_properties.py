@@ -6,6 +6,9 @@ quit probabilities.  Examples are derandomized so every run of the suite
 checks the same cases; raise max_examples locally to search further.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 import labormkt as lm  # noqa: E402
 from labormkt import pools  # noqa: E402
 from labormkt.solvers import m_extended  # noqa: E402
+from test_pools import assert_split_rows_equal_split_pools  # noqa: E402
 
 THETA = st.floats(-2.0, 3.0, allow_nan=False)
 # Positive quit probabilities start at 1e-6: with a subnormal mu the
@@ -100,6 +104,29 @@ def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
     assert list(zip(n.tolist(), m1.tolist())) == [base.moments_below(x) for x in ts]
 
 
+UNIFORM_BASES = st.tuples(THETA, st.floats(0.01, 3.0), st.floats(0.1, 3.0)).map(
+    lambda v: lm.uniform(v[0], v[0] + v[1], v[2]))
+
+
+@st.composite
+def entry_splits(draw):
+    """A base of any kind, split points wp and evaluation points w (atoms,
+    nodes, support ends or anywhere around the support), and two quit
+    probabilities: one for the split at wp, one for the split at w."""
+    dist = draw(st.one_of(BASES, UNIFORM_BASES))
+    lo, hi = dist.support_low, dist.support_high
+    marks = [t for t, _ in dist.atoms] + [t for t, _ in dist.nodes] + [lo, hi]
+    points = st.one_of(st.sampled_from(marks), st.floats(lo - 1.0, hi + 1.0))
+    return (dist, draw(st.lists(points, min_size=1, max_size=4)),
+            draw(st.lists(points, min_size=1, max_size=6)), draw(MU), draw(MU))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(entry_splits())
+def test_split_rows_kernel_equals_scalar_kernel(case):
+    assert_split_rows_equal_split_pools(*case)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.floats(-1.0, 5.0), st.floats(0.05, 5.0), st.floats(0.01, 0.99))
 def test_two_period_wages_average_to_the_uniform_mean(low, width, mu):
@@ -157,3 +184,55 @@ def test_parse_config_returns_a_config_or_raises_config_error(case):
         assert isinstance(cli.parse_config(text, subcommand), cli.RunConfig)
     except ConfigError:
         pass
+
+
+# Problem-size caps for running generated configs: the range checks admit
+# far larger problems than a property test can afford to solve.
+MAX_WAGE_LEVELS = 6
+MAX_AGENTS = 10_000
+MAX_TREE_PERIODS = 8
+
+
+# Generated configs are nearly all refused at parsing; these run every
+# subcommand to the end, and the 3-atom three-period solve exits 2.
+RUNNABLE = [
+    ("solve", "dist = uniform(0, 1)\nmu = 0.5\nregime = three_period\n"),
+    ("solve", "dist = discrete((0.2,1);(0.5,2);(0.9,1.5))\nmu = 0.01\nregime = three_period\n"),
+    ("sweep", "dist = uniform(0, 1)\nmu_grid = 0.1, 0.5\nregime = three_period\njobs = 2\n"),
+    ("simulate", "dist = uniform(0, 1)\nmu = 0.5\nregime = two_period\nn_agents = 1000\n"),
+    ("tree", "dist = uniform(0, 1)\nmu = 0.5\nn_periods = 4\n"),
+    ("screening", "n_total = 10\nm_allowed = 3\n"),
+    ("moral-hazard", "outcomes = 0, 4\nefforts = 0, 1\ndensity = 0.8, 0.2; 0.2, 0.8\n"
+                     "costs = 0, 0.5\nreservation = 0.5\nwage_levels = 5\n"),
+    ("welfare", "dist = piecewise((0,0.2);(0.3,1.1);(1,0.1))\nmu = 0.5\n"),
+]
+
+
+def _with_runnable_examples(test):
+    for case in RUNNABLE:
+        test = hypothesis.example(case)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@_with_runnable_examples
+@given(config_texts())
+def test_cli_main_exit_code_is_0_1_or_2(case):
+    """cli.main on any config text returns 0 (ran), 1 (bad input) or 2 (no
+    convergence), and raises nothing.  Outputs go to a scratch directory and
+    sweeps run in-process."""
+    subcommand, text = case
+    try:
+        cfg = cli.parse_config(text, subcommand)
+    except ConfigError:
+        pass
+    else:
+        hypothesis.assume(cfg.n_agents <= MAX_AGENTS)
+        hypothesis.assume(subcommand != "tree" or cfg.n_periods <= MAX_TREE_PERIODS)
+        hypothesis.assume(cfg.problem is None or len(cfg.problem.wage_grid) <= MAX_WAGE_LEVELS)
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "run.cfg"
+        config.write_text(text, encoding="utf-8")
+        argv = [subcommand, "--config", str(config), "--out", str(Path(scratch) / "out"),
+                "--jobs", "1"]
+        assert cli.main(argv) in (0, 1, 2)
