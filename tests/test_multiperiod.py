@@ -303,15 +303,15 @@ def test_three_period_golden_table(cell):
         assert len(sol.diagnostics[key]) == len(cell[key]), key
 
 
-def _load_golden_maker():
-    path = Path(__file__).parent / "data" / "make_three_period_golden.py"
-    spec = importlib.util.spec_from_file_location("make_three_period_golden", path)
+def _load_data_maker(name):
+    path = Path(__file__).parent / "data" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-GOLDEN_MAKER = _load_golden_maker()
+GOLDEN_MAKER = _load_data_maker("make_three_period_golden")
 
 
 @pytest.mark.parametrize("cell", GOLDEN, ids=lambda c: f"{c['base']}-mu{c['mu']}")
@@ -360,6 +360,45 @@ def test_batched_outer_scan_raises_what_the_stage_loop_raises_first(dist, mu, op
         _stages_from_w_plus(pool0, mu, np.array(w_plus), opts)
     facts = lambda exc: (str(exc), getattr(exc, "best", None), getattr(exc, "residuals", None))
     assert facts(batch.value) == facts(loop.value)
+
+
+MULTISTART_FROZEN = json.loads((Path(__file__).parent / "data" / "multistart_frozen.json")
+                               .read_text(encoding="utf-8"))
+
+MULTISTART_MAKER = _load_data_maker("make_multistart_frozen")
+
+
+@pytest.mark.parametrize("cell", MULTISTART_FROZEN["cells"],
+                         ids=lambda c: f"{c['base']}-mu{c['mu']}")
+def test_multistart_matches_frozen_reports(cell):
+    """The whole multi-start report, every start's solution included,
+    equals the frozen one (see data/make_multistart_frozen.py) with ==."""
+    fresh = {"base": cell["base"], "mu": cell["mu"]} | MULTISTART_MAKER.cell(
+        MULTISTART_MAKER.BASES[cell["base"]](), cell["mu"])
+    assert json.loads(json.dumps(fresh)) == cell
+
+
+@pytest.mark.parametrize("dist", [*GOLDEN_BASES.values(),
+                                  lm.discrete([(0.2, 1.0), (0.5, 2.0), (0.9, 1.5)])],
+                         ids=[*GOLDEN_BASES, "discrete_3"])
+@pytest.mark.parametrize("mu", [0.25, 0.5])
+def test_solution_masses_and_means_are_its_tree_nodes(dist, mu):
+    """Every cohort mass and mean of a solution is the mass and mean of the
+    matching node of sol.tree(dist), with ==."""
+    try:
+        sol = lm.solve_three_period(dist, mu)
+    except lm.NoConvergenceError:
+        pytest.skip("no three-period equilibrium on this base at this mu")
+    tree = sol.tree(dist)
+    mass = lambda h: tree.node(h).mass()
+    mean = lambda h: tree.node(h).mean()
+    assert (sol.mass_entry, sol.mass_released, sol.mass_stayed, sol.mass_late,
+            sol.mass_kept, sol.mass_twice, sol.mass_rehired) == tuple(
+        map(mass, ("", "L", "S", "SL", "SS", "LL", "LS")))
+    assert (sol.theta_bar, sol.theta_bar_stayed, sol.theta_bar_kept) == tuple(
+        map(mean, ("", "S", "SS")))
+    assert sol.diagnostics["market_means"] == {
+        "released": mean("L"), "late": mean("SL"), "twice": mean("LL"), "rehired": mean("LS")}
 
 
 def test_near_coincident_atoms_fail_with_typed_error():
