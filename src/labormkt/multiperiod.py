@@ -23,22 +23,32 @@ means (fixed points of the leaver-mean operator on the ``S`` and ``L``
 pools), retained workers must be indifferent between staying and walking
 (``w_plus + w2 = w1 + w2p``), and both the entry firms and the period-2
 hirers break even over their hiring horizon.  The wage structure is
-triangular in ``w_plus``: given the retention offer, both fixed points,
-the indifference wage and the entry wage follow, leaving one scalar
-zero-profit condition to bisect.  A damped multi-start iteration provides
-an independent route to the same solution for cross-checking.
+triangular in ``w_plus``: given the retention offer, both fixed points and
+the indifference wage follow, leaving one scalar zero-profit condition to
+bisect.  A damped multi-start iteration provides an independent route to
+the same solution for cross-checking.
 
 The outer scan over ``w_plus`` is evaluated as one batch: the two terminal
 pools of every grid point form one :class:`~labormkt.pools.PoolRows`
 stack, whose fixed points :func:`~labormkt.solvers.m_fixed_points_rows`
 finds together, bit for bit what :func:`_stage_from_w_plus` finds point by
-point.  The bisection of the outer brackets, the final stage and the
-multi-start runs use _stage_from_w_plus, the one-point form.
+point.  The multi-start runs finish all their converged starts in one such
+batch; the bisection of the outer brackets and the final stage use
+_stage_from_w_plus, the one-point form.
+
+The solution is read off its market tree, the one
+:meth:`ThreePeriodSolution.tree` rebuilds: every cohort mass and mean, the
+terminal residuals, and the entry wage ``w0`` from :func:`_break_even`, the
+rule by which each market-hired cohort breaks even over the cohorts it
+keeps.  The Monte Carlo replay applies the same rule to its sampled cohorts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -60,7 +70,6 @@ from .pools import (
     _restricted_moments,
     entry_split_rows,
     firing_split,
-    leaver_moments,
     leaver_moments_array,
     pool_inf,
     pool_mass,
@@ -186,10 +195,9 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
     """Construct the history tree by replaying splits round after round.
 
     thresholds maps a history string to the review wage applied at the end
-    of that cohort's period, or is a callable (history, pool) -> wage; the
-    default uses each cohort's own pool mean, enough for structural work
-    like counting markets.  wages, if given, maps histories to the wage
-    label attached to each node.
+    of that cohort's period; the default uses each cohort's own pool mean,
+    enough for structural work like counting markets.  wages, if given,
+    maps histories to the wage label attached to each node.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be at least 1")
@@ -201,8 +209,6 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
     def lookup_threshold(history: str, pool: LaborPool) -> float:
         if thresholds is None:
             return pool_mean(pool)
-        if callable(thresholds):
-            return float(thresholds(history, pool))
         try:
             return float(thresholds[history])
         except KeyError:
@@ -237,6 +243,29 @@ def wage_schedule(n_periods: int, w) -> tuple[dict[str, float], dict[str, float]
                 {"": w["w0"], "L": w["w1"], "S": w["w_plus"],
                  "SL": w["w2"], "SS": w["w2"], "LL": w["w2p"], "LS": w["w2p"]})
     raise ValueError(f"wage schedules exist for 2 or 3 periods, not {n_periods}")
+
+
+def _kept(h: str, pay: dict) -> list[str]:
+    """The cohorts the employers hiring h go on paying: hS, hSS, ..."""
+    return [h + STAYED * i for i in range(1, max(map(len, pay)) + 1) if h + STAYED * i in pay]
+
+
+def _break_even(h: str, mean: float | None, moments, pay: dict) -> float | None:
+    """Wage at which the firms hiring cohort h break even.
+
+    moments[k][0] and moments[k][1] are cohort k's mass and first moment
+    (or head count and productivity sum), mean is cohort h's mean and pay a
+    wage_schedule pay map.  The terminal markets break even at their own
+    cohort mean; the earlier hirers at that mean plus what the cohorts they
+    keep earn above their pay, per hire.  None for retained and empty
+    cohorts.
+    """
+    if h.endswith(STAYED) or mean is None:
+        return None
+    terms = [moments[k][1] - moments[k][0] * pay[k] for k in _kept(h, pay)]
+    if not terms:
+        return mean
+    return mean + reduce(add, terms) / moments[h][0]
 
 
 def submarket_count(n_periods: int) -> int:
@@ -357,14 +386,13 @@ def _inner_opts(opts: SolverOptions) -> SolverOptions:
 
 @dataclass
 class _Stage:
-    """Everything implied by a candidate retention offer w_plus."""
+    """The wages, the period-2 hirers' profit and the terminal fixed points
+    implied by a candidate retention offer w_plus."""
 
     w_plus: float
     w1: float
     w2: float
     w2p: float
-    released: LaborPool
-    stayed: LaborPool
     rehire_profit: float
     roots_late: tuple[float, ...]
     roots_twice: tuple[float, ...]
@@ -388,27 +416,13 @@ def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float,
     n_rel, m1_rel = _moments(released)
     n_reh, m1_reh = stayer_moments(released, w2p, mu)
     profit = (m1_rel - n_rel * w1) + (m1_reh - n_reh * w2p)
-    return _Stage(w_plus, w1, w2, w2p, released, stayed, profit,
-                  tuple(roots_late), tuple(roots_twice))
-
-
-@dataclass
-class _StageRows:
-    """The _Stage fields of every w_plus of an outer scan grid: float64
-    arrays, and one tuple of fixed points per w_plus."""
-
-    w1: np.ndarray
-    w2: np.ndarray
-    w2p: np.ndarray
-    rehire_profit: np.ndarray
-    roots_late: list[tuple[float, ...]]
-    roots_twice: list[tuple[float, ...]]
+    return _Stage(w_plus, w1, w2, w2p, profit, tuple(roots_late), tuple(roots_twice))
 
 
 def _stages_from_w_plus(pool0: LaborPool, mu: float, w_plus: np.ndarray,
-                        opts: SolverOptions) -> _StageRows:
+                        opts: SolverOptions) -> list[_Stage]:
     """:func:`_stage_from_w_plus` at every w of the float64 array w_plus,
-    bit for bit.
+    bit for bit, one _Stage per w.
 
     Raises what a loop of _stage_from_w_plus calls over w_plus would raise
     first, with the same message and diagnostics.  Both terminal pools of
@@ -437,47 +451,49 @@ def _stages_from_w_plus(pool0: LaborPool, mu: float, w_plus: np.ndarray,
     w1 = w_plus + w2 - w2p  # stay/quit indifference
     n_reh, m1_reh = stayer_moments_array(rows.take(slice(1, None, 2)), w2p[:, None], mu)
     profit = (m1_rel - n_rel * w1) + (m1_reh[:, 0] - n_reh[:, 0] * w2p)
-    return _StageRows(w1, w2, w2p, profit,
-                      list(map(tuple, roots[0::2])), list(map(tuple, roots[1::2])))
+    return [_Stage(*fields) for fields in zip(
+        w_plus.tolist(), w1.tolist(), w2.tolist(), w2p.tolist(), profit.tolist(),
+        map(tuple, roots[0::2]), map(tuple, roots[1::2]))]
 
 
 def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
                      extra_diag: dict | None = None) -> ThreePeriodSolution:
-    pool0 = LaborPool.entry(dist)
-    n, m1 = _moments(pool0)
-    theta_bar = m1 / n
-    n_late, m1_late = leaver_moments(stage.stayed, stage.w2, mu)
-    n_kept, m1_kept = stayer_moments(stage.stayed, stage.w2, mu)
-    n_twice, m1_twice = leaver_moments(stage.released, stage.w2p, mu)
-    n_reh, m1_reh = stayer_moments(stage.released, stage.w2p, mu)
-    n_stay, m1_stay = _moments(stage.stayed)
-    mean_stayed = m1_stay / n_stay if n_stay > 0.0 else float("nan")
-    mean_kept = m1_kept / n_kept if n_kept > 0.0 else float("nan")
-    w0 = theta_bar + ((m1_stay - n_stay * stage.w_plus)
-                      + (m1_kept - n_kept * stage.w2)) / n
-    r_late = stage.w2 - m_extended(stage.stayed, stage.w2, mu)
-    r_twice = stage.w2p - m_extended(stage.released, stage.w2p, mu)
+    """The solution at a stage, read off its market tree: every cohort's
+    mass and mean, both terminal residuals, and the entry wage w0 at which
+    the entry hirers break even over the cohorts they keep."""
+    # w0 is the unknown here: the entry hirers' pay is not read by the rule.
+    thresholds, pay = wage_schedule(3, vars(stage) | {"w0": math.nan})
+    tree = build_market_tree(dist, mu, 3, thresholds=thresholds)
+    moments = {node.history: _moments(node.pool) for node in tree.nodes()}
+
+    def mean(h: str, empty):
+        n_h, m1_h = moments[h]
+        return m1_h / n_h if n_h > 0.0 else empty
+
+    mass = {h: n_h for h, (n_h, _) in moments.items()}
+    n = mass[""]
+    theta_bar = mean("", None)
+    w0 = _break_even("", theta_bar, moments, pay)
+    (n_stay, m1_stay), (n_kept, m1_kept) = moments["S"], moments["SS"]
+    r_late = stage.w2 - m_extended(tree.node("S").pool, stage.w2, mu)
+    r_twice = stage.w2p - m_extended(tree.node("L").pool, stage.w2p, mu)
     r_indiff = (stage.w1 + stage.w2p) - (stage.w_plus + stage.w2)
     r_entry = (n * (theta_bar - w0) + (m1_stay - n_stay * stage.w_plus)
                + (m1_kept - n_kept * stage.w2))
     diag = {
         "fixed_point_roots_late": list(stage.roots_late),
         "fixed_point_roots_twice": list(stage.roots_twice),
-        "market_means": {
-            "released": pool_mean(stage.released),
-            "late": m1_late / n_late if n_late > 0.0 else None,
-            "twice": m1_twice / n_twice if n_twice > 0.0 else None,
-            "rehired": m1_reh / n_reh if n_reh > 0.0 else None,
-        },
+        "market_means": {"released": mean("L", None), "late": mean("SL", None),
+                         "twice": mean("LL", None), "rehired": mean("LS", None)},
     }
     if extra_diag:
         diag.update(extra_diag)
     return ThreePeriodSolution(
         mu=mu, w0=w0, w1=stage.w1, w_plus=stage.w_plus, w2=stage.w2, w2p=stage.w2p,
-        theta_bar=theta_bar, theta_bar_stayed=mean_stayed, theta_bar_kept=mean_kept,
-        mass_entry=n, mass_released=pool_mass(stage.released),
-        mass_stayed=n_stay, mass_late=n_late, mass_kept=n_kept,
-        mass_twice=n_twice, mass_rehired=n_reh,
+        theta_bar=theta_bar, theta_bar_stayed=mean("S", math.nan),
+        theta_bar_kept=mean("SS", math.nan),
+        mass_entry=n, mass_released=mass["L"], mass_stayed=mass["S"], mass_late=mass["SL"],
+        mass_kept=mass["SS"], mass_twice=mass["LL"], mass_rehired=mass["LS"],
         residuals=(r_late, r_twice, r_indiff, r_entry, stage.rehire_profit),
         diagnostics=diag)
 
@@ -529,7 +545,7 @@ def solve_three_period(dist: ProductivityDistribution, mu: float,
         return _stage_from_w_plus(pool0, mu, w_plus, opts).rehire_profit
 
     def g_grid(w_plus: np.ndarray) -> np.ndarray:
-        return _stages_from_w_plus(pool0, mu, w_plus, opts).rehire_profit
+        return np.array([s.rehire_profit for s in _stages_from_w_plus(pool0, mu, w_plus, opts)])
 
     roots = scan_roots(g, lo, theta_bar, scan_opts, g_grid=g_grid)
     if not roots:
@@ -574,14 +590,13 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     rng = np.random.default_rng(seed)
     d = _DAMPING
     budget = max(opts.max_iter * 20, 2000)
-    sols: list[ThreePeriodSolution] = []
+    converged: list[float] = []  # the final offer of every converged start
     n_failed = 0
     for _ in range(n_starts):
         w_plus = float(rng.uniform(lo, theta_bar))
         released, stayed = firing_split(pool0, w_plus, mu)
         w2 = pool_mean(stayed)
         w2p = pool_mean(released)
-        converged = False
         for _ in range(budget):
             released, stayed = firing_split(pool0, w_plus, mu)
             n_rel, m1_rel = _moments(released)
@@ -596,15 +611,14 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
             step = max(abs(w2_new - w2), abs(w2p_new - w2p), abs(w_plus_new - w_plus))
             w2, w2p, w_plus = w2_new, w2p_new, w_plus_new
             if step <= 1e-13 and abs(profit) <= opts.tol:
-                converged = True
+                converged.append(w_plus)
                 break
-        if not converged:
+        else:
             n_failed += 1
-            continue
-        stage = _stage_from_w_plus(pool0, mu, w_plus, opts)
-        sols.append(_finish_solution(dist, mu, stage))
-    if not sols:
+    if not converged:
         raise NoConvergenceError("no multi-start run converged")
+    sols = [_finish_solution(dist, mu, stage)
+            for stage in _stages_from_w_plus(pool0, mu, np.array(converged), opts)]
     keys = ("w0", "w1", "w_plus", "w2", "w2p")
     spread = max(max(getattr(s, k) for s in sols) - min(getattr(s, k) for s in sols)
                  for k in keys)

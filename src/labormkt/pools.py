@@ -99,7 +99,7 @@ class ProductivityDistribution:
     _cum_m1: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _total: tuple[float, float] = field(init=False, repr=False, compare=False)
     # The same tables as float64 arrays, plus the node densities, for
-    # moments_below_array.
+    # moments_below_array and sample_productivities.
     _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -648,15 +648,15 @@ def sample_productivities(dist: ProductivityDistribution, u: np.ndarray) -> np.n
     u = np.asarray(u, dtype=np.float64)
     if dist.kind == "uniform":
         return dist.support_low + u * (dist.support_high - dist.support_low)
-    thetas = np.array(dist._xs)
-    cum = np.array(dist._cum_n)  # mass strictly below each atom or breakpoint
+    # The atoms or breakpoints, the mass strictly below each, and the
+    # breakpoint densities.
+    thetas, cum, _, ds = dist._arrays
     total = cum[-1]
     if dist.kind == "discrete":
         idx = np.searchsorted(cum[1:] / total, u, side="right")
         idx = np.minimum(idx, len(thetas) - 1)
         return thetas[idx]
     # piecewise: invert the per-segment quadratic CDF
-    ds = np.array([d for _, d in dist.nodes])
     target = u * total
     idx = np.searchsorted(cum, target, side="right") - 1
     idx = np.clip(idx, 0, len(thetas) - 2)

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 import numpy as np
 
-from .multiperiod import LEFT, STAYED, wage_schedule
+from .multiperiod import LEFT, STAYED, _break_even, _kept, wage_schedule
 from .pools import ProductivityDistribution, sample_productivities
 
 __all__ = [
@@ -147,11 +145,6 @@ def _add(a: np.ndarray, x: np.ndarray, count: int) -> None:
     a[2] += (x * x).sum()
 
 
-def _kept(h: str, pay: dict) -> list[str]:
-    """The cohorts the employers hiring h go on paying: hS, hSS, ..."""
-    return [h + STAYED * i for i in range(1, max(map(len, pay)) + 1) if h + STAYED * i in pay]
-
-
 def _replay_chunk(cfg, thresholds, pay, start, stop, acc, books):
     """Replay workers [start, stop) through every review round.
 
@@ -223,21 +216,6 @@ def simulate(cfg: SimulationConfig) -> SimulationReport:
         wages=dict(cfg.wages), markets=tuple(markets),
         profit_per_capita=p_mean, profit_halfwidth=p_half,
         rehire_profit_per_capita=rehire_pc)
-
-
-def _break_even(h: str, mean: float | None, acc, pay) -> float | None:
-    """Wage at which the firms hiring cohort h break even empirically.
-
-    The terminal markets break even at their own cohort mean; the earlier
-    hirers at that mean plus what the cohorts they keep earn above their
-    pay, per hire.  None for retained and empty cohorts.
-    """
-    if h.endswith(STAYED) or mean is None:
-        return None
-    terms = [acc[k][1] - acc[k][0] * pay[k] for k in _kept(h, pay)]
-    if not terms:
-        return mean
-    return mean + reduce(add, terms) / acc[h][0]
 
 
 def empirical_zero_profit(cfg: SimulationConfig) -> float:

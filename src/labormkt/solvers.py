@@ -7,8 +7,9 @@ always: evaluate on a grid, collect every sign change plus every grid
 point that is already a root, bisect each bracket, and let the caller pick
 from the sorted root list.
 
-The grid is fixed before any value is known, so a caller that can evaluate
-its function on a whole array passes that form to :func:`scan_roots`:
+The grid is fixed before any value is known, so every caller of
+:func:`scan_roots` passes both forms of its function, one that evaluates the
+whole grid array in one call and the scalar one:
 :func:`m_fixed_points` fills its grid with one call of the leaver-mean
 operator :func:`m_extended` on an array, which is bit-for-bit equal to the
 scalar operator element by element.  Brackets are detected on the array and
@@ -194,21 +195,20 @@ def _distinct(roots: list[float], lo: float, hi: float) -> list[float]:
     return out
 
 
-def scan_roots(g, lo: float, hi: float, opts: SolverOptions = DEFAULT_OPTIONS,
-               g_grid=None) -> list[float]:
+def scan_roots(g, lo: float, hi: float, opts: SolverOptions = DEFAULT_OPTIONS, *,
+               g_grid) -> list[float]:
     """All roots of g on [lo, hi] found by grid scan plus bracket bisection.
 
-    g_grid, if given, evaluates g on the whole float64 scan grid in one
-    call; it must equal g element by element.
+    g_grid evaluates g on the whole float64 scan grid in one call and must
+    equal g element by element; the scalar g bisects the brackets and
+    serves a one-point interval.
     """
     if hi < lo:
         raise ValueError("empty scan interval")
     if hi == lo:
         return [lo] if abs(g(lo)) <= opts.tol else []
     grid = scan_grid(lo, hi, opts.scan_points)
-    xs = grid.tolist()
-    gs = g_grid(grid) if g_grid is not None else [g(x) for x in xs]
-    return _distinct(_grid_roots(g, xs, gs, opts), lo, hi)
+    return _distinct(_grid_roots(g, grid.tolist(), g_grid(grid), opts), lo, hi)
 
 
 def m_extended(pool: LaborPool, w: float, mu: float) -> float:

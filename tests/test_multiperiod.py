@@ -323,11 +323,6 @@ def test_three_period_golden_cells_regenerate_exactly(cell):
     assert json.loads(json.dumps(fresh)) == cell
 
 
-def _stage_fields(stage):
-    return (stage.w1, stage.w2, stage.w2p, stage.rehire_profit,
-            stage.roots_late, stage.roots_twice)
-
-
 @pytest.mark.parametrize("base", sorted(GOLDEN_BASES))
 @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
 def test_batched_outer_scan_equals_stage_loop(base, mu):
@@ -335,11 +330,8 @@ def test_batched_outer_scan_equals_stage_loop(base, mu):
     _stage_from_w_plus, with ==."""
     pool0 = pools.LaborPool.entry(GOLDEN_BASES[base])
     grid = scan_grid(pools.pool_inf(pool0), pools.pool_mean(pool0), 257)
-    rows = _stages_from_w_plus(pool0, mu, grid, DEFAULT_OPTIONS)
-    batched = zip(rows.w1.tolist(), rows.w2.tolist(), rows.w2p.tolist(),
-                  rows.rehire_profit.tolist(), rows.roots_late, rows.roots_twice)
-    assert list(batched) == [_stage_fields(_stage_from_w_plus(pool0, mu, w, DEFAULT_OPTIONS))
-                             for w in grid.tolist()]
+    assert _stages_from_w_plus(pool0, mu, grid, DEFAULT_OPTIONS) == [
+        _stage_from_w_plus(pool0, mu, w, DEFAULT_OPTIONS) for w in grid.tolist()]
 
 
 @pytest.mark.parametrize("dist, mu, opts, w_plus", [

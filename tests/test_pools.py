@@ -438,7 +438,7 @@ def test_m_fixed_points_matches_scalar_scan(dist, mu):
             g = lambda w: w - m_extended(pool, w, mu)
             lo, mean = min(pools.pool_inf(pool), 0.0), pools.pool_mean(pool)
             roots = m_fixed_points(pool, mu, opts)
-            assert roots == scan_roots(g, lo, mean, opts)
+            assert roots == scan_roots(g, lo, mean, opts, g_grid=g)
             assert roots == scan_roots_by_loop(g, lo, mean, opts)
 
 
@@ -455,10 +455,8 @@ def test_grid_point_within_tol_is_a_root_and_not_bisected():
 
     opts = SolverOptions(scan_points=129)
     g_grid = lambda xs: np.array([g(x) for x in xs.tolist()])
-    for kwargs in ({}, {"g_grid": g_grid}):
-        calls.clear()
-        assert scan_roots(g, 0.0, 1.0, opts, **kwargs) == [0.5]
-        assert len(calls) == 129
+    assert scan_roots(g, 0.0, 1.0, opts, g_grid=g_grid) == [0.5]
+    assert len(calls) == 129
 
 
 # (g, a, b): smooth roots, roots on either end, a jump that bisects down to

@@ -193,6 +193,54 @@ MAX_AGENTS = 10_000
 MAX_TREE_PERIODS = 8
 
 
+# Valid values only, so that generated configs reach the solvers: a config
+# is refused only where two valid choices clash (the one-period regime in a
+# sweep or simulation, mu at 0 or 1 with three periods, m_allowed above
+# n_total).
+OK_DIST = st.sampled_from(["uniform(0, 1)", "uniform(-0.5, 1)", "discrete((0.4,2))",
+                           "discrete((0.2,1);(0.5,2);(0.9,1.5))",
+                           "piecewise((0,0.2);(0.3,1.1);(1,0.1))"])
+OK_WAGE = st.sampled_from(["0.2", "0.4", "0.5", "0.7"])
+OK_VALUES = {
+    "dist": OK_DIST, "mu": st.sampled_from(["0", "0.01", "0.25", "0.5", "0.9", "1"]),
+    "regime": st.sampled_from(cli.REGIMES), "format": st.sampled_from(["csv", "json"]),
+    "tol": st.sampled_from(["1e-10", "1e-8", "1e-6"]), "jobs": st.just("1"),
+    "mu_grid": st.sampled_from(["0.5", "0.1, 0.9", "0.2:0.8:0.3"]),
+    "n_periods": st.integers(1, MAX_TREE_PERIODS).map(str),
+    "n_agents": st.integers(1, MAX_AGENTS).map(str), "seed": st.integers(0, 99).map(str),
+    "n_total": st.integers(1, 12).map(str), "m_allowed": st.integers(0, 12).map(str),
+    "theta_low": st.sampled_from(["0", "0.2"]), "theta_high": st.sampled_from(["1", "2"]),
+    "agent_utility": st.sampled_from(["sqrt", "log1p", "crra(0.5)"]),
+    "principal_utility": st.sampled_from(["linear", "sqrt"]),
+    "reservation": st.sampled_from(["0", "0.5", "1"]),
+    "wage_levels": st.integers(2, MAX_WAGE_LEVELS).map(str),
+}
+WAGE_KEYS = ("w0", "w1", "w_plus", "w2", "w2p")
+# Moral-hazard instances: outcomes, efforts, density rows and costs must agree.
+OK_CONTRACTS = st.sampled_from([
+    {"outcomes": "0, 4", "efforts": "0, 1", "density": "0.8, 0.2; 0.2, 0.8",
+     "costs": "0, 0.5"},
+    {"outcomes": "0, 1, 3", "efforts": "0, 1, 2",
+     "density": "0.6, 0.3, 0.1; 0.3, 0.4, 0.3; 0.1, 0.3, 0.6", "costs": "0, 0.2, 0.5"},
+])
+
+
+@st.composite
+def runnable_config_texts(draw):
+    subcommand = draw(st.sampled_from(cli.SUBCOMMANDS))
+    values = {k: draw(v) for k, v in OK_VALUES.items()} | draw(OK_CONTRACTS)
+    # Simulation wages come all or none; the default 21-level contract wage
+    # grid is too large to enumerate here, so wage_levels is always set.
+    required = set(cli._REQUIRED_KEYS[subcommand]) | {"wage_levels"}
+    if draw(st.booleans()):
+        values |= {k: draw(OK_WAGE) for k in WAGE_KEYS}
+        required |= set(WAGE_KEYS)
+    allowed = sorted(cli._ALLOWED_KEYS[subcommand] & set(values)
+                     | cli._COMMON_KEYS - {"out"})
+    keys = [k for k in allowed if k in required or draw(st.booleans())]
+    return subcommand, "".join(f"{k} = {values[k]}\n" for k in draw(st.permutations(keys)))
+
+
 # Generated configs are nearly all refused at parsing; these run every
 # subcommand to the end, and the 3-atom three-period solve exits 2.
 RUNNABLE = [
@@ -214,9 +262,9 @@ def _with_runnable_examples(test):
     return test
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @_with_runnable_examples
-@given(config_texts())
+@given(st.one_of(config_texts(), runnable_config_texts()))
 def test_cli_main_exit_code_is_0_1_or_2(case):
     """cli.main on any config text returns 0 (ran), 1 (bad input) or 2 (no
     convergence), and raises nothing.  Outputs go to a scratch directory and
