@@ -241,7 +241,7 @@ def runnable_config_texts(draw):
     return subcommand, "".join(f"{k} = {values[k]}\n" for k in draw(st.permutations(keys)))
 
 
-# Generated configs are nearly all refused at parsing; these run every
+# config_texts() configs are nearly all refused at parsing; these run every
 # subcommand to the end, and the 3-atom three-period solve exits 2.
 RUNNABLE = [
     ("solve", "dist = uniform(0, 1)\nmu = 0.5\nregime = three_period\n"),
