@@ -46,6 +46,7 @@ keeps.  The Monte Carlo replay applies the same rule to its sampled cohorts.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
@@ -201,6 +202,9 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
     """
     if n_periods < 1:
         raise ValueError("n_periods must be at least 1")
+    if thresholds is not None and not isinstance(thresholds, Mapping):
+        raise InvalidThresholdError(
+            f"thresholds must map histories to review wages, not {type(thresholds).__name__}")
     from .pools import _check_mu
 
     _check_mu(mu)

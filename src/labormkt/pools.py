@@ -101,6 +101,8 @@ class ProductivityDistribution:
     # The same tables as float64 arrays, plus the node densities, for
     # moments_below_array and sample_productivities.
     _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # sample_productivities' inverse-CDF tables (see _inverse_cdf_tables).
+    _inverse: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("uniform", "discrete", "piecewise"):
@@ -131,6 +133,7 @@ class ProductivityDistribution:
         object.__setattr__(self, "_arrays", tuple(
             np.array(v, dtype=np.float64)
             for v in (xs, cum_n, cum_m1, [d for _, d in self.nodes])))
+        object.__setattr__(self, "_inverse", _inverse_cdf_tables(self))
 
     # -- the moment primitive -------------------------------------------
 
@@ -643,32 +646,70 @@ def quantile(dist: ProductivityDistribution, q: float) -> float:
     return float(sample_productivities(dist, np.asarray([q]))[0])
 
 
+def _inverse_cdf_tables(dist: ProductivityDistribution) -> tuple[np.ndarray, ...]:
+    """The constants sample_productivities reads per draw, built once.
+
+    Discrete: the CDF at each atom.  Piecewise: the mass below each
+    breakpoint, then per segment its left end x0, width h, 4a, d0, d0*d0,
+    2a (1.0 where a is 0) and whether it is flat (|a| < 1e-14), for the
+    density d0 + 2a*s at offset s, whose mass up to s is a*s*s + d0*s.
+    """
+    thetas, cum, _, ds = dist._arrays
+    if dist.kind == "discrete":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (cum[1:] / cum[-1],)
+    if dist.kind != "piecewise":
+        return ()
+    x0, d0 = thetas[:-1], ds[:-1]
+    h = thetas[1:] - x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (ds[1:] - d0) / (2.0 * h)
+        return (cum, x0, h, 4.0 * a, d0, d0 * d0,
+                np.where(a != 0.0, 2.0 * a, 1.0), np.abs(a) < 1e-14)
+
+
 def sample_productivities(dist: ProductivityDistribution, u: np.ndarray) -> np.ndarray:
-    """Map uniform draws u in [0, 1) to productivities by inverse CDF."""
+    """Map uniform draws u in [0, 1) to productivities by inverse CDF.
+
+    Each draw is mapped on its own, so the result for one draw does not
+    depend on the others in u.
+    """
     u = np.asarray(u, dtype=np.float64)
     if dist.kind == "uniform":
         return dist.support_low + u * (dist.support_high - dist.support_low)
-    # The atoms or breakpoints, the mass strictly below each, and the
-    # breakpoint densities.
-    thetas, cum, _, ds = dist._arrays
-    total = cum[-1]
     if dist.kind == "discrete":
-        idx = np.searchsorted(cum[1:] / total, u, side="right")
+        thetas = dist._arrays[0]
+        idx = np.searchsorted(dist._inverse[0], u, side="right")
         idx = np.minimum(idx, len(thetas) - 1)
         return thetas[idx]
-    # piecewise: invert the per-segment quadratic CDF
-    target = u * total
-    idx = np.searchsorted(cum, target, side="right") - 1
-    idx = np.clip(idx, 0, len(thetas) - 2)
-    x0, x1 = thetas[idx], thetas[idx + 1]
-    d0, d1 = ds[idx], ds[idx + 1]
-    h = x1 - x0
-    rem = target - cum[idx]
-    a = (d1 - d0) / (2.0 * h)
-    # Solve a s^2 + d0 s = rem for the offset s in [0, h].
+    # piecewise: invert the per-segment quadratic CDF, a s^2 + d0 s = rem,
+    # for the offset s in [0, h] of each draw into its segment.
+    cum, x0, h, a4, d0, d0sq, a2, flat = dist._inverse
+    rem = np.ravel(u) * cum[-1]
+    seg = np.searchsorted(cum, rem, side="right") - 1
+    np.clip(seg, 0, len(x0) - 1, out=seg)
+    rem -= cum[seg]
     with np.errstate(divide="ignore", invalid="ignore"):
-        disc = np.sqrt(np.maximum(d0 * d0 + 4.0 * a * rem, 0.0))
-        s_quad = np.where(a != 0.0, (disc - d0) / np.where(a != 0.0, 2.0 * a, 1.0), 0.0)
-        s_lin = np.where(d0 > 0.0, rem / np.where(d0 > 0.0, d0, 1.0), 0.0)
-    s = np.where(np.abs(a) < 1e-14, s_lin, s_quad)
-    return x0 + np.clip(s, 0.0, h)
+        if flat.any():
+            lin = flat[seg]
+            quad = ~lin
+            s = np.empty_like(rem)
+            s[quad] = _quadratic_offset(rem[quad], seg[quad], a4, d0, d0sq, a2)
+            rl, dl = rem[lin], d0[seg[lin]]
+            s[lin] = np.divide(rl, dl, out=np.zeros_like(rl), where=dl > 0.0)
+        else:
+            s = _quadratic_offset(rem, seg, a4, d0, d0sq, a2)
+    np.clip(s, 0.0, h[seg], out=s)
+    s += x0[seg]
+    return s.reshape(u.shape)[()]  # a NumPy scalar for a 0-d u, as the other kinds give
+
+
+def _quadratic_offset(rem, seg, a4, d0, d0sq, a2) -> np.ndarray:
+    """(sqrt(max(d0*d0 + 4a*rem, 0)) - d0) / 2a per draw, in place of rem."""
+    rem *= a4[seg]
+    rem += d0sq[seg]
+    np.maximum(rem, 0.0, out=rem)
+    np.sqrt(rem, out=rem)
+    rem -= d0[seg]
+    rem /= a2[seg]
+    return rem

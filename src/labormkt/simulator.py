@@ -7,15 +7,19 @@ worker to a sub-market by their employment history and compares the
 empirical cohort statistics against the analytic ones.
 
 Randomness is counter-based (Philox keyed by the seed): worker i always
-consumes the same fixed slice of the stream, so the report is identical
-no matter how the population is chunked or how many processes share the
-work.  Chunks are combined in index order, making float accumulation
-reproducible too.
+consumes the same fixed slice of the stream, so every worker's draws,
+productivity and route, and so every cohort's head count, do not depend on
+how the population is chunked.  Float sums do: each 2**18-worker chunk is
+reduced on its own and the chunk sums are added in chunk index order.
+Chunks are replayed on a thread pool, one thread per CPU this process may
+run on, and the fold keeps that order, so reports are byte-identical for
+any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +43,14 @@ THREE_PERIOD = "three_period"
 _REQUIRED_WAGES = {TWO_PERIOD: ("w0", "w1"),
                    THREE_PERIOD: ("w0", "w1", "w_plus", "w2", "w2p")}
 _PERIODS = {TWO_PERIOD: 2, THREE_PERIOD: 3}
+# The chunk size fixes the float summation order; see the module docstring.
 _CHUNK = 1 << 18
+# A chunk's draws are filled this many workers at a time, so that a chunk in
+# flight holds its productivities and coin flips, not its raw draws.
+_BLOCK = 1 << 15
+# Threads that replay chunks: the CPUs this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -128,8 +139,8 @@ def _chunk_draws(cfg: SimulationConfig, start: int, stop: int, cols: int) -> np.
     """Uniform draws for workers [start, stop): row i is worker start+i.
 
     Worker i owns doubles [i*cols, (i+1)*cols) of the keyed Philox stream.
-    Philox.advance counts 4-draw counter blocks, so chunk starts must sit
-    on a block boundary — guaranteed because _CHUNK is a multiple of 4.
+    Philox.advance counts 4-draw counter blocks, so starts must sit on a
+    block boundary: guaranteed because _CHUNK and _BLOCK are multiples of 4.
     """
     offset = start * cols
     if offset % 4:
@@ -139,39 +150,46 @@ def _chunk_draws(cfg: SimulationConfig, start: int, stop: int, cols: int) -> np.
     return np.random.Generator(bg).random((stop - start, cols))
 
 
-def _add(a: np.ndarray, x: np.ndarray, count: int) -> None:
-    a[0] += count  # count, sum, sum of squares
-    a[1] += x.sum()
-    a[2] += (x * x).sum()
+def _stats(x: np.ndarray, count: int) -> tuple[int, float, float]:
+    return count, x.sum(), (x * x).sum()  # count, sum, sum of squares
 
 
-def _replay_chunk(cfg, thresholds, pay, start, stop, acc, books):
+def _replay_chunk(cfg, thresholds, pay, start, stop):
     """Replay workers [start, stop) through every review round.
 
     A cohort with history h is reviewed at thresholds[h] against coin
-    column len(h) + 1, which all of that round's cohorts share.  acc
-    gathers each cohort's productivities; books each market hirer's
-    profit per worker over its own cohort and the cohorts it keeps.
+    column len(h) + 1, which all of that round's cohorts share.  Returns
+    the (count, sum, sum of squares) of each cohort's productivities, and
+    of each market hirer's profit per worker over its own cohort and the
+    cohorts it keeps.
     """
-    draws = _chunk_draws(cfg, start, stop, max(map(len, pay)) + 1)
-    theta = sample_productivities(cfg.dist, draws[:, 0])
+    cols = max(map(len, pay)) + 1
+    theta = np.empty(stop - start)
+    quits = np.empty((cols - 1, stop - start), dtype=bool)  # quits[c]: column c + 1
+    for lo in range(0, stop - start, _BLOCK):
+        hi = min(lo + _BLOCK, stop - start)
+        draws = _chunk_draws(cfg, start + lo, start + hi, cols)
+        theta[lo:hi] = sample_productivities(cfg.dist, draws[:, 0])
+        np.less(draws[:, 1:].T, cfg.mu, out=quits[:, lo:hi])
     masks = {"": None}  # None: every worker
     for h, t in thresholds.items():  # parents come before their children
-        leave = (theta < t) | (draws[:, len(h) + 1] < cfg.mu)
+        leave = (theta < t) | quits[len(h)]
         parent = masks[h]
         masks[h + LEFT] = leave if parent is None else parent & leave
         masks[h + STAYED] = ~leave if parent is None else parent & ~leave
-    counts = {}
-    for h, a in acc.items():
+    cohorts, books = {}, {}
+    for h in pay:
         cohort = theta if masks[h] is None else theta[masks[h]]
-        counts[h] = cohort.size
-        _add(a, cohort, counts[h])
-    for h, a in books.items():
+        cohorts[h] = _stats(cohort, cohort.size)
+    for h in thresholds:
+        if h.endswith(STAYED):
+            continue
         profit = (theta - pay[h] if masks[h] is None
                   else np.where(masks[h], theta - pay[h], 0.0))
         for k in _kept(h, pay):
             profit += np.where(masks[k], theta - pay[k], 0.0)
-        _add(a, profit, counts[h])
+        books[h] = _stats(profit, cohorts[h][0])
+    return cohorts, books
 
 
 def _mean_stats(a: np.ndarray) -> tuple[float | None, float | None]:
@@ -196,9 +214,27 @@ def simulate(cfg: SimulationConfig) -> SimulationReport:
     thresholds, pay = wage_schedule(_PERIODS[cfg.regime], cfg.wages)
     acc = {h: np.zeros(3) for h in pay}
     books = {h: np.zeros(3) for h in thresholds if not h.endswith(STAYED)}
-    for start in range(0, cfg.n_agents, _CHUNK):
-        _replay_chunk(cfg, thresholds, pay, start, min(start + _CHUNK, cfg.n_agents),
-                      acc, books)
+    starts = range(0, cfg.n_agents, _CHUNK)
+
+    def replay(start):
+        return _replay_chunk(cfg, thresholds, pay, start, min(start + _CHUNK, cfg.n_agents))
+
+    def fold(results):  # in chunk index order, whatever order chunks finish in
+        for cohorts, profits in results:
+            for totals, chunk in ((acc, cohorts), (books, profits)):
+                for h, a in totals.items():
+                    a += chunk[h]
+
+    workers = min(_WORKERS, len(starts))
+    if workers > 1:
+        # Imported here, so that importing the package does not load the
+        # thread-pool module (about 0.3 MB) for runs that never simulate.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            fold(pool.map(replay, starts))
+    else:
+        fold(map(replay, starts))
 
     n = cfg.n_agents
     markets = []

@@ -492,6 +492,13 @@ def test_tree_rejects_threshold_outside_support():
         lm.build_market_tree(lm.uniform(0, 1), 0.5, 2, thresholds={(): 5.0})
 
 
+@pytest.mark.parametrize("thresholds", [lambda h: 0.5, [0.5, 0.4], 3],
+                         ids=["lambda", "list", "int"])
+def test_tree_rejects_thresholds_that_are_not_a_mapping(thresholds):
+    with pytest.raises(lm.InvalidThresholdError, match=type(thresholds).__name__):
+        lm.build_market_tree(lm.uniform(0, 1), 0.5, 2, thresholds=thresholds)
+
+
 def test_solution_tree_attaches_wages():
     sol = solved(0.5)
     tree = sol.tree(lm.uniform(0, 1))

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import labormkt as lm
 from labormkt import pools
@@ -640,3 +642,80 @@ def test_sampling_matches_quantile_map():
     # spot-check against the scalar quantile
     for i in (0, 500, 1000, 2000):
         assert draws[i] == pytest.approx(pools.quantile(PW, u[i]), abs=1e-9)
+
+
+def piecewise_sampler_oracle(dist, u):
+    """The per-draw piecewise inverse CDF as one whole-array formula: find
+    each draw's segment, then evaluate both the quadratic and the linear
+    solution everywhere and pick one."""
+    thetas, cum, _, ds = dist._arrays
+    total = cum[-1]
+    target = u * total
+    idx = np.searchsorted(cum, target, side="right") - 1
+    idx = np.clip(idx, 0, len(thetas) - 2)
+    x0, x1 = thetas[idx], thetas[idx + 1]
+    d0, d1 = ds[idx], ds[idx + 1]
+    h = x1 - x0
+    rem = target - cum[idx]
+    a = (d1 - d0) / (2.0 * h)
+    # The unused branch may overflow (rem / d0 at a subnormal d0).
+    with np.errstate(all="ignore"):
+        disc = np.sqrt(np.maximum(d0 * d0 + 4.0 * a * rem, 0.0))
+        s_quad = np.where(a != 0.0, (disc - d0) / np.where(a != 0.0, 2.0 * a, 1.0), 0.0)
+        s_lin = np.where(d0 > 0.0, rem / np.where(d0 > 0.0, d0, 1.0), 0.0)
+    s = np.where(np.abs(a) < 1e-14, s_lin, s_quad)
+    return x0 + np.clip(s, 0.0, h)
+
+
+@st.composite
+def sampler_piecewise_bases(draw):
+    """Piecewise bases with negative supports, zero-density nodes and flat
+    segments: equal neighbouring densities (a = 0) or densities one ulp
+    apart (|a| below the 1e-14 flatness cut on wide segments)."""
+    n = draw(st.integers(2, 7))
+    xs = [draw(st.floats(-5.0, 1.0))]
+    for _ in range(n - 1):
+        xs.append(xs[-1] + draw(st.floats(1e-3, 2.0)))
+    ds = [draw(st.floats(0.0, 5.0))]
+    for _ in range(n - 1):
+        step = draw(st.sampled_from(["new", "same", "ulp", "zero"]))
+        ds.append({"new": lambda: draw(st.floats(0.0, 5.0)), "same": lambda: ds[-1],
+                   "ulp": lambda: float(np.nextafter(ds[-1], np.inf)),
+                   "zero": lambda: 0.0}[step]())
+    ds[draw(st.integers(0, n - 1))] = draw(st.floats(0.5, 5.0))  # positive mass
+    return lm.piecewise_linear(list(zip(xs, ds)))
+
+
+def sampler_draws(draw, dist):
+    """Drawn u in [0, 1) plus 0, 1 - 2**-53, a grid, and the CDF at every
+    breakpoint or atom with its float neighbours."""
+    cdf = dist._arrays[1] / dist._arrays[1][-1]
+    edges = np.concatenate([cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0)])
+    edges = edges[(edges >= 0.0) & (edges < 1.0)]
+    drawn = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
+    return np.concatenate([[0.0, 1.0 - 2.0 ** -53], np.linspace(0.0, 1.0, 101)[:-1],
+                           edges, drawn])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_piecewise_sampler_is_bit_equal_to_whole_array_formula(data):
+    dist = data.draw(sampler_piecewise_bases())
+    u = sampler_draws(data.draw, dist)
+    got = pools.sample_productivities(dist, u)
+    assert got.tobytes() == piecewise_sampler_oracle(dist, u).tobytes()
+    # One scalar draw at a time gives the same bytes as the whole array.
+    assert got.tobytes() == np.array([pools.sample_productivities(dist, x) for x in u]).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_discrete_sampler_is_cdf_search(data):
+    atoms = data.draw(st.lists(st.tuples(st.floats(-5.0, 3.0), st.floats(0.01, 5.0)),
+                               min_size=1, max_size=8))
+    dist = lm.discrete(atoms)
+    u = sampler_draws(data.draw, dist)
+    thetas, cum = dist._arrays[0], dist._arrays[1]
+    expected = thetas[np.minimum(np.searchsorted(cum[1:] / cum[-1], u, side="right"),
+                                 len(thetas) - 1)]
+    assert pools.sample_productivities(dist, u).tobytes() == expected.tobytes()

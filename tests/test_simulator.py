@@ -87,6 +87,61 @@ def test_replay_matches_frozen_reports(cell):
     assert simulator.simulate(frozen_cfg(cell)).to_dict() == cell["report"]
 
 
+def solved_cfg(base, regime, n_agents, seed=3, mu=0.5):
+    """A config at the frozen table's solved wages for base and regime."""
+    cell = next(c for c in FROZEN["cells"] if (c["base"], c["regime"]) == (base, regime))
+    return simulator.SimulationConfig(
+        n_agents=n_agents, seed=seed, regime=regime, dist=FROZEN_BASES[base](),
+        mu=mu, wages=cell["wages"])
+
+
+@pytest.mark.parametrize("regime", ["two_period", "three_period"])
+@pytest.mark.parametrize("base", sorted(FROZEN_BASES))
+def test_worker_count_changes_nothing(monkeypatch, base, regime):
+    """Chunks finish in any order on a pool, but their sums are folded in
+    chunk order: one worker and three give the same report."""
+    cfg = solved_cfg(base, regime, n_agents=50_001)  # 13 chunks, the last partial
+    monkeypatch.setattr(simulator, "_CHUNK", 1 << 12)
+    reports = []
+    for workers in (1, 3):
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        reports.append(simulator.simulate(cfg).to_dict())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("base", sorted(FROZEN_BASES))
+def test_sub_block_size_changes_nothing(monkeypatch, base):
+    """Draws are filled in sub-blocks but reduced per chunk, so sub-blocks
+    that do not divide the chunk leave the frozen report as it is."""
+    cell = next(c for c in FROZEN["cells"]
+                if (c["base"], c["regime"], c["mu"]) == (base, "three_period", 0.5))
+    monkeypatch.setattr(simulator, "_BLOCK", 1000)
+    assert simulator.simulate(frozen_cfg(cell)).to_dict() == cell["report"]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_error_in_a_chunk_propagates(monkeypatch, workers):
+    """The first failing chunk in chunk order raises its own exception."""
+    class ChunkError(Exception):
+        pass
+
+    raised = {}
+    real_draws = simulator._chunk_draws
+
+    def failing_draws(cfg, start, stop, cols):
+        if start >= 5 * 4096:
+            raised[start] = ChunkError(start)
+            raise raised[start]
+        return real_draws(cfg, start, stop, cols)
+
+    monkeypatch.setattr(simulator, "_chunk_draws", failing_draws)
+    monkeypatch.setattr(simulator, "_CHUNK", 1 << 12)
+    monkeypatch.setattr(simulator, "_WORKERS", workers)
+    with pytest.raises(ChunkError) as err:
+        simulator.simulate(solved_cfg("uniform_0_1", "two_period", n_agents=50_001))
+    assert err.value is raised[5 * 4096]
+
+
 def test_two_period_replay_ignores_later_wages():
     """The regime picks the horizon: a two-period run that also carries
     three-period wages replays the same two rounds."""
