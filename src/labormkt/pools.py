@@ -689,16 +689,13 @@ def sample_productivities(dist: ProductivityDistribution, u: np.ndarray) -> np.n
     seg = np.searchsorted(cum, rem, side="right") - 1
     np.clip(seg, 0, len(x0) - 1, out=seg)
     rem -= cum[seg]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if flat.any():
-            lin = flat[seg]
-            quad = ~lin
-            s = np.empty_like(rem)
-            s[quad] = _quadratic_offset(rem[quad], seg[quad], a4, d0, d0sq, a2)
-            rl, dl = rem[lin], d0[seg[lin]]
-            s[lin] = np.divide(rl, dl, out=np.zeros_like(rl), where=dl > 0.0)
-        else:
-            s = _quadratic_offset(rem, seg, a4, d0, d0sq, a2)
+    # Flat segments take rem / d0 instead; their quadratic values, which may
+    # overflow or be nan, are overwritten.
+    lin = flat[seg]
+    rl, dl = rem[lin], d0[seg[lin]]
+    with np.errstate(all="ignore"):
+        s = _quadratic_offset(rem, seg, a4, d0, d0sq, a2)
+        s[lin] = np.divide(rl, dl, out=np.zeros_like(rl), where=dl > 0.0)
     np.clip(s, 0.0, h[seg], out=s)
     s += x0[seg]
     return s.reshape(u.shape)[()]  # a NumPy scalar for a 0-d u, as the other kinds give

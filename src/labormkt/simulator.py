@@ -12,8 +12,8 @@ productivity and route, and so every cohort's head count, do not depend on
 how the population is chunked.  Float sums do: each 2**18-worker chunk is
 reduced on its own and the chunk sums are added in chunk index order.
 Chunks are replayed on a thread pool, one thread per CPU this process may
-run on, and the fold keeps that order, so reports are byte-identical for
-any number of CPUs.
+run on (at most two, which bounds memory), and the fold keeps that order,
+so reports are byte-identical for any number of threads.
 """
 
 from __future__ import annotations
@@ -48,9 +48,12 @@ _CHUNK = 1 << 18
 # A chunk's draws are filled this many workers at a time, so that a chunk in
 # flight holds its productivities and coin flips, not its raw draws.
 _BLOCK = 1 << 15
-# Threads that replay chunks: the CPUs this process may run on.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+# Threads that replay chunks: the CPUs this process may run on, at most two.
+# Each chunk in flight holds about 11 MB, so memory sets the cap: perfbench
+# crosscheck (seed 1) peaks at 56 MB with one thread, 68 MB with two, 93 MB
+# with four and 134 MB with eight.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -154,14 +157,14 @@ def _stats(x: np.ndarray, count: int) -> tuple[int, float, float]:
     return count, x.sum(), (x * x).sum()  # count, sum, sum of squares
 
 
-def _replay_chunk(cfg, thresholds, pay, start, stop):
+def _replay_chunk(cfg, thresholds, pay, hirers, start, stop):
     """Replay workers [start, stop) through every review round.
 
     A cohort with history h is reviewed at thresholds[h] against coin
     column len(h) + 1, which all of that round's cohorts share.  Returns
     the (count, sum, sum of squares) of each cohort's productivities, and
-    of each market hirer's profit per worker over its own cohort and the
-    cohorts it keeps.
+    of each market hirer's (each history in hirers) profit per worker over
+    its own cohort and the cohorts it keeps.
     """
     cols = max(map(len, pay)) + 1
     theta = np.empty(stop - start)
@@ -181,9 +184,7 @@ def _replay_chunk(cfg, thresholds, pay, start, stop):
     for h in pay:
         cohort = theta if masks[h] is None else theta[masks[h]]
         cohorts[h] = _stats(cohort, cohort.size)
-    for h in thresholds:
-        if h.endswith(STAYED):
-            continue
+    for h in hirers:
         profit = (theta - pay[h] if masks[h] is None
                   else np.where(masks[h], theta - pay[h], 0.0))
         for k in _kept(h, pay):
@@ -211,30 +212,27 @@ def simulate(cfg: SimulationConfig) -> SimulationReport:
     entry, then "S"/"L" per review round); the rehire profit is None when
     the released cohort "L" is not reviewed again.
     """
+    # Imported here, so that importing the package does not load the
+    # thread-pool module (about 0.3 MB) for runs that never simulate.
+    from concurrent.futures import ThreadPoolExecutor
+
     thresholds, pay = wage_schedule(_PERIODS[cfg.regime], cfg.wages)
+    # Market hirers: the entry cohort and every released one that is reviewed.
+    hirers = [h for h in thresholds if not h.endswith(STAYED)]
     acc = {h: np.zeros(3) for h in pay}
-    books = {h: np.zeros(3) for h in thresholds if not h.endswith(STAYED)}
-    starts = range(0, cfg.n_agents, _CHUNK)
+    books = {h: np.zeros(3) for h in hirers}
+    starts = range(0, cfg.n_agents, _CHUNK)  # never empty: n_agents >= 1
 
     def replay(start):
-        return _replay_chunk(cfg, thresholds, pay, start, min(start + _CHUNK, cfg.n_agents))
+        return _replay_chunk(cfg, thresholds, pay, hirers, start,
+                             min(start + _CHUNK, cfg.n_agents))
 
-    def fold(results):  # in chunk index order, whatever order chunks finish in
-        for cohorts, profits in results:
+    with ThreadPoolExecutor(min(_WORKERS, len(starts))) as pool:
+        # map yields in chunk index order, whatever order chunks finish in.
+        for cohorts, profits in pool.map(replay, starts):
             for totals, chunk in ((acc, cohorts), (books, profits)):
                 for h, a in totals.items():
                     a += chunk[h]
-
-    workers = min(_WORKERS, len(starts))
-    if workers > 1:
-        # Imported here, so that importing the package does not load the
-        # thread-pool module (about 0.3 MB) for runs that never simulate.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            fold(pool.map(replay, starts))
-    else:
-        fold(map(replay, starts))
 
     n = cfg.n_agents
     markets = []
