@@ -19,6 +19,7 @@ so reports are byte-identical for any number of threads.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -45,13 +46,14 @@ _REQUIRED_WAGES = {TWO_PERIOD: ("w0", "w1"),
 _PERIODS = {TWO_PERIOD: 2, THREE_PERIOD: 3}
 # The chunk size fixes the float summation order; see the module docstring.
 _CHUNK = 1 << 18
-# A chunk's draws are filled this many workers at a time, so that a chunk in
-# flight holds its productivities and coin flips, not its raw draws.
+# A chunk's draws are read this many workers at a time, so that a chunk in
+# flight holds its productivities and coin flips, not its raw draws.  Any
+# size gives the same draws: the chunk reads one Philox stream in order.
 _BLOCK = 1 << 15
 # Threads that replay chunks: the CPUs this process may run on, at most two.
 # Each chunk in flight holds about 11 MB, so memory sets the cap: perfbench
-# crosscheck (seed 1) peaks at 56 MB with one thread, 68 MB with two, 93 MB
-# with four and 134 MB with eight.
+# crosscheck (seed 1) peaks at 55 MB with one thread, 68 MB with two, 89 MB
+# with four and 111 MB with eight.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -68,6 +70,12 @@ class SimulationConfig:
     wages: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # A float seed would key Philox with its integer part, and a bool
+        # would run as 0 or 1, so both must be integers proper.
+        for name in ("n_agents", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {v!r}")
         if self.n_agents < 1:
             raise ValueError("n_agents must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -138,19 +146,31 @@ class SimulationReport:
 # Core replay
 # =====================================================================
 
-def _chunk_draws(cfg: SimulationConfig, start: int, stop: int, cols: int) -> np.ndarray:
-    """Uniform draws for workers [start, stop): row i is worker start+i.
+def _chunk_draws(cfg: SimulationConfig, start: int, stop: int, cols: int):
+    """Uniform draws for workers [start, stop), _BLOCK workers at a time.
 
-    Worker i owns doubles [i*cols, (i+1)*cols) of the keyed Philox stream.
-    Philox.advance counts 4-draw counter blocks, so starts must sit on a
-    block boundary: guaranteed because _CHUNK and _BLOCK are multiples of 4.
+    Yields (rows, draws) pairs in order, where draws[i] holds the cols draws
+    of worker start + rows.start + i.  Worker i owns doubles
+    [i*cols, (i+1)*cols) of the keyed Philox stream.  One generator is keyed
+    and advanced to the chunk start, then read block after block; each read
+    continues the stream where the last one stopped, so a block may end
+    inside one of Philox's 4-draw counter blocks.  Philox.advance counts
+    those counter blocks, so only the chunk start must sit on a boundary:
+    guaranteed because _CHUNK is a multiple of 4.  The draws array is
+    overwritten by the next block.
     """
     offset = start * cols
     if offset % 4:
         raise ValueError("chunk start must align to the 4-draw Philox block")
     bg = np.random.Philox(key=cfg.seed)
     bg.advance(offset // 4)
-    return np.random.Generator(bg).random((stop - start, cols))
+    gen = np.random.Generator(bg)
+    buf = np.empty((min(_BLOCK, stop - start), cols))
+    for lo in range(0, stop - start, _BLOCK):
+        rows = slice(lo, min(lo + _BLOCK, stop - start))
+        draws = buf[:rows.stop - lo]
+        gen.random(out=draws)
+        yield rows, draws
 
 
 def _stats(x: np.ndarray, count: int) -> tuple[int, float, float]:
@@ -165,15 +185,20 @@ def _replay_chunk(cfg, thresholds, pay, hirers, start, stop):
     the (count, sum, sum of squares) of each cohort's productivities, and
     of each market hirer's (each history in hirers) profit per worker over
     its own cohort and the cohorts it keeps.
+
+    A hirer's profit book is theta - pay times each cohort's 0/1 mask,
+    summed over the cohorts.  A worker outside a cohort adds
+    (theta - pay) * 0, which is -0.0 where theta < pay: a nonzero partial
+    sum is unchanged by it, and NumPy's sum of zeros is +0.0, so the sums
+    are those of books that store +0.0 outside the cohorts.
     """
     cols = max(map(len, pay)) + 1
-    theta = np.empty(stop - start)
-    quits = np.empty((cols - 1, stop - start), dtype=bool)  # quits[c]: column c + 1
-    for lo in range(0, stop - start, _BLOCK):
-        hi = min(lo + _BLOCK, stop - start)
-        draws = _chunk_draws(cfg, start + lo, start + hi, cols)
-        theta[lo:hi] = sample_productivities(cfg.dist, draws[:, 0])
-        np.less(draws[:, 1:].T, cfg.mu, out=quits[:, lo:hi])
+    n = stop - start
+    theta = np.empty(n)
+    quits = np.empty((cols - 1, n), dtype=bool)  # quits[c]: column c + 1
+    for rows, draws in _chunk_draws(cfg, start, stop, cols):
+        theta[rows] = sample_productivities(cfg.dist, draws[:, 0])
+        np.less(draws[:, 1:].T, cfg.mu, out=quits[:, rows])
     masks = {"": None}  # None: every worker
     for h, t in thresholds.items():  # parents come before their children
         leave = (theta < t) | quits[len(h)]
@@ -182,13 +207,17 @@ def _replay_chunk(cfg, thresholds, pay, hirers, start, stop):
         masks[h + STAYED] = ~leave if parent is None else parent & ~leave
     cohorts, books = {}, {}
     for h in pay:
-        cohort = theta if masks[h] is None else theta[masks[h]]
+        cohort = theta if masks[h] is None else np.compress(masks[h], theta)
         cohorts[h] = _stats(cohort, cohort.size)
+    d = np.empty(n)
     for h in hirers:
-        profit = (theta - pay[h] if masks[h] is None
-                  else np.where(masks[h], theta - pay[h], 0.0))
+        profit = theta - pay[h]
+        if masks[h] is not None:
+            profit *= masks[h]
         for k in _kept(h, pay):
-            profit += np.where(masks[k], theta - pay[k], 0.0)
+            np.subtract(theta, pay[k], out=d)
+            d *= masks[k]
+            profit += d
         books[h] = _stats(profit, cohorts[h][0])
     return cohorts, books
 

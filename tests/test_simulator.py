@@ -109,13 +109,17 @@ def test_worker_count_changes_nothing(monkeypatch, base, regime):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("base", sorted(FROZEN_BASES))
-def test_sub_block_size_changes_nothing(monkeypatch, base):
-    """Draws are filled in sub-blocks but reduced per chunk, so sub-blocks
-    that do not divide the chunk leave the frozen report as it is."""
+@pytest.mark.parametrize("base, block", [
+    pytest.param(base, block, id=base if block == 1000 else f"{base}-{block}")
+    for block in (1000, 999) for base in sorted(FROZEN_BASES)])
+def test_sub_block_size_changes_nothing(monkeypatch, base, block):
+    """Draws are read in sub-blocks but reduced per chunk, so sub-blocks
+    that do not divide the chunk leave the frozen report as it is.  With
+    three columns per worker, 999-worker sub-blocks end inside Philox's
+    4-draw counter blocks: the chunk's one stream carries on across them."""
     cell = next(c for c in FROZEN["cells"]
                 if (c["base"], c["regime"], c["mu"]) == (base, "three_period", 0.5))
-    monkeypatch.setattr(simulator, "_BLOCK", 1000)
+    monkeypatch.setattr(simulator, "_BLOCK", block)
     assert simulator.simulate(frozen_cfg(cell)).to_dict() == cell["report"]
 
 
@@ -258,6 +262,20 @@ def test_config_validation():
         simulator.SimulationConfig(**{**good, "wages": {"w0": 0.5}})
     with pytest.raises(ValueError):
         simulator.SimulationConfig(**{**good, "mu": 1.5})
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("seed", 1.5),          # would replay the stream of seed 1
+    ("seed", 1.9),
+    ("seed", True),         # would replay the stream of seed 1
+    ("n_agents", 1000.0),   # would fail later, inside simulate
+    ("n_agents", True),     # would run one agent and report n_agents True
+])
+def test_config_requires_integer_counts_and_seed(field, bad):
+    good = dict(n_agents=10, seed=0, regime="two_period", dist=lm.uniform(0, 1),
+                mu=0.5, wages={"w0": 0.6, "w1": 0.4})
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        simulator.SimulationConfig(**{**good, field: bad})
 
 
 @pytest.mark.parametrize("wage", ["w0", "w1"])
