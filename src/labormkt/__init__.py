@@ -10,8 +10,8 @@ agent-based Monte Carlo replay.
 
 from .equilibrium import (
     InequalityCheck,
+    InequalitySuite,
     MarketCollapse,
-    OrderingReport,
     TwoPeriodSolution,
     check_two_period_ordering,
     entry_wage_two_period,
@@ -42,7 +42,6 @@ from .moral_hazard import (
 )
 from .multiperiod import (
     DecileRow,
-    InequalitySuite,
     MarketNode,
     MarketTree,
     MultiStartReport,
@@ -110,12 +109,12 @@ __all__ = [
     "ScreeningConfig", "distinguishable_interval",
     "residual_below_average_probability", "critical_assessment_periods",
     # equilibrium
-    "MarketCollapse", "TwoPeriodSolution", "InequalityCheck", "OrderingReport",
+    "MarketCollapse", "TwoPeriodSolution", "InequalityCheck", "InequalitySuite",
     "one_period_wage", "secondhand_fixed_point", "secondhand_fixed_points",
     "entry_wage_two_period", "solve_two_period", "check_two_period_ordering",
     # multiperiod
     "MarketNode", "MarketTree", "ThreePeriodSolution", "MultiStartReport",
-    "InequalitySuite", "WelfareComparison", "DecileRow", "build_market_tree",
+    "WelfareComparison", "DecileRow", "build_market_tree",
     "submarket_count", "solve_three_period", "solve_three_period_multistart",
     "solve_regime", "check_final_wage_ordering", "check_stay_wage_discount",
     "welfare_comparison",

@@ -31,7 +31,7 @@ import math
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .equilibrium import (
@@ -99,9 +99,7 @@ class RunConfig:
     jobs: int = 1
 
     def solver_options(self) -> SolverOptions:
-        if self.tol is None:
-            return DEFAULT_OPTIONS
-        return replace(DEFAULT_OPTIONS, tol=self.tol)
+        return DEFAULT_OPTIONS if self.tol is None else SolverOptions(self.tol)
 
 
 _DIST_RE = re.compile(r"^(uniform|discrete|piecewise)\s*\((.*)\)$")

@@ -37,7 +37,7 @@ __all__ = [
     "MarketCollapse",
     "TwoPeriodSolution",
     "InequalityCheck",
-    "OrderingReport",
+    "InequalitySuite",
     "one_period_wage",
     "secondhand_fixed_point",
     "secondhand_fixed_points",
@@ -85,21 +85,30 @@ class InequalityCheck:
 
 
 @dataclass(frozen=True)
-class OrderingReport:
-    """Pairwise wage-ordering checks for a solved equilibrium."""
+class InequalitySuite:
+    """A named bundle of inequality checks.
 
-    checks: tuple[InequalityCheck, ...]
+    asserted rows are the claims expected to hold in equilibrium;
+    informational rows are evaluated and reported but excluded from the
+    pass/fail aggregate (they flip sign across configurations).
+    """
+
+    name: str
+    asserted: tuple[InequalityCheck, ...]
+    informational: tuple[InequalityCheck, ...] = ()
 
     @property
     def all_strict(self) -> bool:
-        return all(c.strict for c in self.checks)
+        return all(c.strict for c in self.asserted)
 
     @property
     def all_weak(self) -> bool:
-        return all(c.holds_weakly for c in self.checks)
+        return all(c.holds_weakly for c in self.asserted)
 
     def to_dict(self) -> dict:
-        return {"checks": [c.to_dict() for c in self.checks],
+        return {"name": self.name,
+                "asserted": [c.to_dict() for c in self.asserted],
+                "informational": [c.to_dict() for c in self.informational],
                 "all_strict": self.all_strict, "all_weak": self.all_weak}
 
 
@@ -160,8 +169,8 @@ def secondhand_fixed_points(dist: ProductivityDistribution, mu: float,
     Diagnostic companion to :func:`secondhand_fixed_point`; includes roots
     that are inadmissible as market wages (negative ones).
     """
-    pool = LaborPool.entry(dist)
-    return tuple(m_fixed_points(pool, mu, opts))
+    _check_mu(mu)
+    return tuple(m_fixed_points(LaborPool.entry(dist), mu, opts))
 
 
 def secondhand_fixed_point(dist: ProductivityDistribution, mu: float,
@@ -251,7 +260,7 @@ def solve_two_period(dist: ProductivityDistribution, mu: float,
         collapsed=False, fixed_point_roots=roots)
 
 
-def check_two_period_ordering(sol: TwoPeriodSolution) -> OrderingReport:
+def check_two_period_ordering(sol: TwoPeriodSolution) -> InequalitySuite:
     """Evaluate the equilibrium wage ordering w1 < theta_bar < w0 < theta_bar2.
 
     Each adjacent inequality is reported separately; degenerate pools make
@@ -260,7 +269,7 @@ def check_two_period_ordering(sol: TwoPeriodSolution) -> OrderingReport:
     """
     if sol.collapsed:
         raise ValueError("ordering is undefined for a collapsed market")
-    return OrderingReport(checks=(
+    return InequalitySuite("two_period_ordering", asserted=(
         InequalityCheck("w1 < theta_bar", sol.w1, sol.theta_bar),
         InequalityCheck("theta_bar < w0", sol.theta_bar, sol.w0),
         InequalityCheck("w0 < theta_bar2", sol.w0, sol.theta_bar2),

@@ -179,12 +179,6 @@ class ContractProblem:
         if any(s > 1e-9 for s in seconds):
             raise ValueError("agent utility must be concave on the wage grid")
 
-    def effort_independent(self) -> bool:
-        """True when every effort induces the same outcome distribution."""
-        first = self.density[0]
-        return all(all(abs(f - g) <= 0.0 for f, g in zip(row, first))
-                   for row in self.density[1:])
-
 
 @dataclass(frozen=True)
 class ContractSolution:

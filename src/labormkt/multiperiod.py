@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
@@ -55,6 +55,7 @@ import numpy as np
 
 from .equilibrium import (
     InequalityCheck,
+    InequalitySuite,
     TwoPeriodSolution,
     one_period_wage,
     solve_two_period,
@@ -67,6 +68,7 @@ from .errors import (
 from .pools import (
     LaborPool,
     ProductivityDistribution,
+    _check_mu,
     _moments,
     _restricted_moments,
     entry_split_rows,
@@ -94,7 +96,6 @@ __all__ = [
     "MarketTree",
     "ThreePeriodSolution",
     "MultiStartReport",
-    "InequalitySuite",
     "WelfareComparison",
     "DecileRow",
     "build_market_tree",
@@ -205,8 +206,6 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
     if thresholds is not None and not isinstance(thresholds, Mapping):
         raise InvalidThresholdError(
             f"thresholds must map histories to review wages, not {type(thresholds).__name__}")
-    from .pools import _check_mu
-
     _check_mu(mu)
     wages = wages or {}
 
@@ -374,8 +373,9 @@ class MultiStartReport:
 # Three-period solver
 # =====================================================================
 
-_INNER_SCAN = 129
-_OUTER_SCAN = 257
+_INNER_SCAN = 129  # grid points of a terminal market's fixed-point scan
+_OUTER_SCAN = 257  # grid points of the scan over w_plus
+_MULTISTART_STEPS = 4000  # damped steps per multi-start run
 _DAMPING = 0.5  # step factor of the multi-start iteration
 
 
@@ -384,8 +384,7 @@ def _is_point_mass(dist: ProductivityDistribution) -> bool:
 
 
 def _inner_opts(opts: SolverOptions) -> SolverOptions:
-    return replace(opts, scan_points=min(opts.scan_points, _INNER_SCAN),
-                   tol=min(opts.tol, 1e-12))
+    return SolverOptions(min(opts.tol, 1e-12))
 
 
 @dataclass
@@ -410,8 +409,8 @@ def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float,
     if pool_mass(released) <= 0.0:
         raise DegenerateSystemError(f"no one is released at w_plus={w_plus}")
     inner = _inner_opts(opts)
-    roots_late = m_fixed_points(stayed, mu, inner)
-    roots_twice = m_fixed_points(released, mu, inner)
+    roots_late = m_fixed_points(stayed, mu, inner, points=_INNER_SCAN)
+    roots_twice = m_fixed_points(released, mu, inner, points=_INNER_SCAN)
     if not roots_late or not roots_twice:
         raise DegenerateSystemError("a terminal market has no clearing wage")
     w2 = roots_late[-1]
@@ -440,7 +439,7 @@ def _stages_from_w_plus(pool0: LaborPool, mu: float, w_plus: np.ndarray,
     k = int(empty[0]) if empty.size else len(w_plus)
     rows = entry_split_rows(pool0.base, np.repeat(w_plus[:k], 2),
                             np.tile([0.0, 1.0], k), np.tile([1.0 - mu, mu], k))
-    roots = m_fixed_points_rows(rows, mu, _inner_opts(opts))
+    roots = m_fixed_points_rows(rows, mu, _inner_opts(opts), points=_INNER_SCAN)
     for late, twice in zip(roots[0::2], roots[1::2]):
         for found in (late, twice):
             if isinstance(found, NoConvergenceError):
@@ -536,6 +535,7 @@ def solve_three_period(dist: ProductivityDistribution, mu: float,
     0 < mu < 1; a single-productivity population short-circuits to the
     exact degenerate answer.
     """
+    _check_mu(mu)
     if not 0.0 < mu < 1.0:
         raise ValueError("three-period system needs 0 < mu < 1")
     if _is_point_mass(dist):
@@ -543,7 +543,6 @@ def solve_three_period(dist: ProductivityDistribution, mu: float,
     pool0 = LaborPool.entry(dist)
     theta_bar = pool_mean(pool0)
     lo = pool_inf(pool0)
-    scan_opts = replace(opts, scan_points=min(opts.scan_points, _OUTER_SCAN))
 
     def g(w_plus: float) -> float:
         return _stage_from_w_plus(pool0, mu, w_plus, opts).rehire_profit
@@ -551,10 +550,10 @@ def solve_three_period(dist: ProductivityDistribution, mu: float,
     def g_grid(w_plus: np.ndarray) -> np.ndarray:
         return np.array([s.rehire_profit for s in _stages_from_w_plus(pool0, mu, w_plus, opts)])
 
-    roots = scan_roots(g, lo, theta_bar, scan_opts, g_grid=g_grid)
+    roots = scan_roots(g, lo, theta_bar, opts, points=_OUTER_SCAN, g_grid=g_grid)
     if not roots:
         hi2 = theta_bar + 0.75 * (dist.support_high - theta_bar)
-        roots = scan_roots(g, lo, hi2, scan_opts, g_grid=g_grid)
+        roots = scan_roots(g, lo, hi2, opts, points=_OUTER_SCAN, g_grid=g_grid)
     if not roots:
         probe = scan_grid(lo, theta_bar, 33)
         best_w = min(zip(np.abs(g_grid(probe)).tolist(), probe.tolist()))
@@ -583,6 +582,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     largest across-start wage spread; disagreement beyond 1e-6 flags a
     multi-equilibrium configuration and all solutions are returned.
     """
+    _check_mu(mu)
     if not 0.0 < mu < 1.0:
         raise ValueError("three-period system needs 0 < mu < 1")
     if _is_point_mass(dist):
@@ -593,7 +593,6 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     lo = pool_inf(pool0)
     rng = np.random.default_rng(seed)
     d = _DAMPING
-    budget = max(opts.max_iter * 20, 2000)
     converged: list[float] = []  # the final offer of every converged start
     n_failed = 0
     for _ in range(n_starts):
@@ -601,7 +600,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
         released, stayed = firing_split(pool0, w_plus, mu)
         w2 = pool_mean(stayed)
         w2p = pool_mean(released)
-        for _ in range(budget):
+        for _ in range(_MULTISTART_STEPS):
             released, stayed = firing_split(pool0, w_plus, mu)
             n_rel, m1_rel = _moments(released)
             w2_new = w2 + d * (m_extended(stayed, w2, mu) - w2)
@@ -652,34 +651,6 @@ def solve_regime(dist: ProductivityDistribution, mu: float, n_periods: int,
 # =====================================================================
 # Wage-structure checks
 # =====================================================================
-
-@dataclass(frozen=True)
-class InequalitySuite:
-    """A named bundle of inequality checks.
-
-    asserted rows are the claims expected to hold in equilibrium;
-    informational rows are evaluated and reported but excluded from the
-    pass/fail aggregate (they flip sign across configurations).
-    """
-
-    name: str
-    asserted: tuple[InequalityCheck, ...]
-    informational: tuple[InequalityCheck, ...] = ()
-
-    @property
-    def all_strict(self) -> bool:
-        return all(c.strict for c in self.asserted)
-
-    @property
-    def all_weak(self) -> bool:
-        return all(c.holds_weakly for c in self.asserted)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name,
-                "asserted": [c.to_dict() for c in self.asserted],
-                "informational": [c.to_dict() for c in self.informational],
-                "all_strict": self.all_strict, "all_weak": self.all_weak}
-
 
 def check_final_wage_ordering(sol: ThreePeriodSolution) -> InequalitySuite:
     """Period-3 wage ladder: twice-released < late-released < kept mean.

@@ -42,6 +42,7 @@ All values are immutable; operations return new pools.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -630,7 +631,20 @@ def pool_sup(pool: LaborPool) -> float:
     return base._xs[k - 1]
 
 
+def _is_real(v) -> bool:
+    """A real number that is not a bool (bools pass numbers.Real)."""
+    return not isinstance(v, bool) and isinstance(v, numbers.Real)
+
+
+def _is_integer(v) -> bool:
+    """An integer that is not a bool."""
+    return not isinstance(v, bool) and isinstance(v, numbers.Integral)
+
+
 def _check_mu(mu: float) -> None:
+    # The kernels check mu on every call: a plain float skips the ABC test.
+    if type(mu) is not float and not _is_real(mu):
+        raise ValueError(f"quit probability mu must be a real number, not {mu!r}")
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"quit probability mu={mu} must lie in [0, 1]")
 

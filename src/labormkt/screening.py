@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OutOfRangeError
+from .pools import _is_integer, _is_real
 
 __all__ = [
     "ScreeningConfig",
@@ -32,6 +33,12 @@ class ScreeningConfig:
     theta_high: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_total", "m_allowed"):
+            v = getattr(self, name)
+            if not _is_integer(v):
+                raise ValueError(f"{name} must be an integer, not {v!r}")
+        if not (_is_real(self.theta_low) and _is_real(self.theta_high)):
+            raise ValueError("theta_low and theta_high must be real numbers")
         if self.n_total < 1:
             raise ValueError("n_total must be a positive integer")
         if self.m_allowed < 0:

@@ -19,14 +19,14 @@ so reports are byte-identical for any number of threads.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .multiperiod import LEFT, STAYED, _break_even, _kept, wage_schedule
-from .pools import ProductivityDistribution, sample_productivities
+from .pools import (ProductivityDistribution, _check_mu, _is_integer, _is_real,
+                    sample_productivities)
 
 __all__ = [
     "TWO_PERIOD",
@@ -74,7 +74,7 @@ class SimulationConfig:
         # would run as 0 or 1, so both must be integers proper.
         for name in ("n_agents", "seed"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            if not _is_integer(v):
                 raise ValueError(f"{name} must be an integer, not {v!r}")
         if self.n_agents < 1:
             raise ValueError("n_agents must be at least 1")
@@ -82,12 +82,11 @@ class SimulationConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.regime not in _REQUIRED_WAGES:
             raise ValueError(f"regime must be one of {sorted(_REQUIRED_WAGES)}")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError("mu must lie in [0, 1]")
+        _check_mu(self.mu)
         missing = [k for k in _REQUIRED_WAGES[self.regime] if k not in self.wages]
         if missing:
             raise ValueError(f"wages missing for this regime: {missing}")
-        bad = [k for k, v in self.wages.items() if not math.isfinite(v)]
+        bad = [k for k, v in self.wages.items() if not (_is_real(v) and math.isfinite(v))]
         if bad:
             raise ValueError(f"wages must be finite real numbers: {bad}")
 

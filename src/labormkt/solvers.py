@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError
-from .pools import (LaborPool, PoolRows, leaver_moments, leaver_moments_array, pool_inf,
-                    pool_mean)
+from .pools import (LaborPool, PoolRows, _is_real, leaver_moments, leaver_moments_array,
+                    pool_inf, pool_mean)
 
 __all__ = ["SolverOptions", "bisect_root", "bisect_roots", "scan_grid", "scan_roots",
            "m_extended", "m_fixed_points", "m_fixed_points_rows"]
@@ -44,28 +44,23 @@ __all__ = ["SolverOptions", "bisect_root", "bisect_roots", "scan_grid", "scan_ro
 # The loosest residual target accepted: above it a solve can exit with a
 # visibly wrong answer (tol = 1e6 returns w1 = 0.5 on uniform(0, 1)).
 MAX_TOL = 1e-6
+# Halvings per bracket before a bisection gives up; read at call time.
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and budgets for the iterative solvers.
+    """The residual target of the iterative solvers: a real tol in (0, MAX_TOL].
 
-    tol is the absolute residual target, in (0, MAX_TOL]; max_iter the
-    bisection budget per bracket and scan_points the grid resolution used
-    to hunt for brackets.
+    Scan sizes are arguments of the scans and the bisection budget is
+    _MAX_ITER; neither is a setting.
     """
 
     tol: float = 1e-10
-    max_iter: int = 200
-    scan_points: int = 1024
 
     def __post_init__(self):
-        if not 0.0 < self.tol <= MAX_TOL:
-            raise ValueError(f"tol must be positive and at most {MAX_TOL!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.scan_points < 2:
-            raise ValueError("scan_points must be at least 2")
+        if not _is_real(self.tol) or not 0.0 < self.tol <= MAX_TOL:
+            raise ValueError(f"tol must be positive and at most {MAX_TOL!r}, not {self.tol!r}")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -76,7 +71,7 @@ def bisect_root(g, a: float, b: float, ga: float, gb: float,
     """Bisect a sign-change bracket [a, b] down to a root of g.
 
     Stops when the residual is within opts.tol or the interval has shrunk
-    to floating-point resolution; raises NoConvergenceError if opts.max_iter
+    to floating-point resolution; raises NoConvergenceError if _MAX_ITER
     halvings were not enough for either.
     """
     if ga == 0.0:
@@ -87,7 +82,7 @@ def bisect_root(g, a: float, b: float, ga: float, gb: float,
         raise ValueError("bisect_root needs a sign change")
     lo, hi, glo = a, b, ga
     best_x, best_g = (a, ga) if abs(ga) < abs(gb) else (b, gb)
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at floating-point resolution
             return best_x
@@ -105,7 +100,7 @@ def bisect_root(g, a: float, b: float, ga: float, gb: float,
 
 def _bisection_error(best_x: float, best_g: float, opts: SolverOptions) -> NoConvergenceError:
     return NoConvergenceError(
-        f"bisection did not reach tol={opts.tol} in {opts.max_iter} steps",
+        f"bisection did not reach tol={opts.tol} in {_MAX_ITER} steps",
         best={"x": best_x}, residuals={"g": best_g})
 
 
@@ -129,7 +124,7 @@ def bisect_roots(g, a, b, ga, gb, opts: SolverOptions = DEFAULT_OPTIONS):
     take_a = np.abs(ga) < np.abs(gb)
     best_x, best_g = np.where(take_a, a, b), np.where(take_a, ga, gb)
     active = np.flatnonzero(todo)
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo[active] + hi[active])
         at_resolution = (mid <= lo[active]) | (mid >= hi[active])
         done = active[at_resolution]
@@ -196,8 +191,9 @@ def _distinct(roots: list[float], lo: float, hi: float) -> list[float]:
 
 
 def scan_roots(g, lo: float, hi: float, opts: SolverOptions = DEFAULT_OPTIONS, *,
-               g_grid) -> list[float]:
-    """All roots of g on [lo, hi] found by grid scan plus bracket bisection.
+               points: int, g_grid) -> list[float]:
+    """All roots of g on [lo, hi] found by a scan of `points` grid points
+    plus bracket bisection.
 
     g_grid evaluates g on the whole float64 scan grid in one call and must
     equal g element by element; the scalar g bisects the brackets and
@@ -207,7 +203,7 @@ def scan_roots(g, lo: float, hi: float, opts: SolverOptions = DEFAULT_OPTIONS, *
         raise ValueError("empty scan interval")
     if hi == lo:
         return [lo] if abs(g(lo)) <= opts.tol else []
-    grid = scan_grid(lo, hi, opts.scan_points)
+    grid = scan_grid(lo, hi, points)
     return _distinct(_grid_roots(g, grid.tolist(), g_grid(grid), opts), lo, hi)
 
 
@@ -246,9 +242,10 @@ def _m_extended_array(pool: LaborPool, w: np.ndarray, mu: float) -> np.ndarray:
     return out
 
 
-def m_fixed_points(pool: LaborPool, mu: float,
-                   opts: SolverOptions = DEFAULT_OPTIONS) -> list[float]:
-    """Sorted fixed points of w = m_extended(pool, w, mu).
+def m_fixed_points(pool: LaborPool, mu: float, opts: SolverOptions = DEFAULT_OPTIONS, *,
+                   points: int = 1024) -> list[float]:
+    """Sorted fixed points of w = m_extended(pool, w, mu), scanned on
+    `points` grid points.
 
     The scan window is [min(pool_inf, 0), pool_mean]: the leaver mean never
     exceeds the pool mean (leavers over-weight the bottom of the pool), and
@@ -260,7 +257,7 @@ def m_fixed_points(pool: LaborPool, mu: float,
     if mean <= lo:
         return [mean]  # degenerate pool concentrated at a single point
     g = lambda w: w - m_extended(pool, w, mu)
-    return scan_roots(g, lo, mean, opts, g_grid=g)
+    return scan_roots(g, lo, mean, opts, points=points, g_grid=g)
 
 
 # Scan-grid elements filled per array call of m_fixed_points_rows: enough to
@@ -268,13 +265,13 @@ def m_fixed_points(pool: LaborPool, mu: float,
 _BLOCK_ELEMENTS = 4096
 
 
-def m_fixed_points_rows(rows: PoolRows, mu: float,
-                        opts: SolverOptions = DEFAULT_OPTIONS) -> list:
+def m_fixed_points_rows(rows: PoolRows, mu: float, opts: SolverOptions = DEFAULT_OPTIONS, *,
+                        points: int) -> list:
     """:func:`m_fixed_points` on every pool of a :class:`PoolRows` stack.
 
-    Entry i is m_fixed_points(pool_i, mu, opts), or the NoConvergenceError
-    that call raises, so a caller that walks the rows in order can raise
-    what a loop of m_fixed_points calls would raise first.  The scan grids
+    Entry i is m_fixed_points(pool_i, mu, opts, points=points), or the
+    NoConvergenceError that call raises, so a caller that walks the rows in
+    order can raise what a loop of m_fixed_points calls would raise first.  The scan grids
     are filled by :func:`m_extended` in blocks of about _BLOCK_ELEMENTS
     elements, the brackets of every row are refined together by one
     :func:`bisect_roots`, and each row's roots are sorted and deduplicated
@@ -285,8 +282,7 @@ def m_fixed_points_rows(rows: PoolRows, mu: float,
     inf = pool_inf(rows)[:, 0]
     lo = np.where(0.0 < inf, 0.0, inf)  # min(pool_inf, 0.0), as the scalar form
     scanned = np.flatnonzero(~(mean <= lo))
-    k = opts.scan_points
-    block = max(1, _BLOCK_ELEMENTS // k)
+    block = max(1, _BLOCK_ELEMENTS // points)
     # Per block, every candidate in row-major (row, then grid) order: its
     # row, its grid point, whether it is a bracket (ending at that point),
     # and the bracket's left end and both residuals.
@@ -294,7 +290,7 @@ def m_fixed_points_rows(rows: PoolRows, mu: float,
               np.zeros(0), np.zeros(0), np.zeros(0))]
     for start in range(0, len(scanned), block):
         idx = scanned[start:start + block]
-        xs = scan_grid(lo[idx, None], mean[idx, None], k)
+        xs = scan_grid(lo[idx, None], mean[idx, None], points)
         gs = xs - m_extended(rows.take(idx), xs, mu)
         small, bracket = _grid_candidates(gs, opts.tol)
         r, c = np.nonzero(small | bracket)

@@ -120,7 +120,7 @@ def test_ordering_links(mu):
     else:
         assert sol.w0 > sol.theta_bar2
     report = lm.check_two_period_ordering(sol)
-    assert len(report.checks) == 3
+    assert len(report.asserted) == 3
     assert report.all_strict == (mu > 0.25)
 
 

@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 import labormkt as lm
-from labormkt import pools
+from labormkt import pools, solvers
 from labormkt.multiperiod import RESIDUAL_NAMES, _stage_from_w_plus, _stages_from_w_plus
-from labormkt.solvers import DEFAULT_OPTIONS, SolverOptions, scan_grid
+from labormkt.solvers import DEFAULT_OPTIONS, scan_grid
 
 
 @functools.lru_cache(maxsize=None)
@@ -334,22 +334,26 @@ def test_batched_outer_scan_equals_stage_loop(base, mu):
         _stage_from_w_plus(pool0, mu, w, DEFAULT_OPTIONS) for w in grid.tolist()]
 
 
+# opts maps solvers module constants to the values patched in for the case.
 @pytest.mark.parametrize("dist, mu, opts, w_plus", [
-    (GOLDEN_BASES["piecewise_readme"], 0.5, SolverOptions(max_iter=20), [0.1, 0.3]),
-    (GOLDEN_BASES["discrete_41"], 0.3, SolverOptions(max_iter=20), [0.0, 0.5]),
-    (lm.uniform(0.0, 1.0), 0.5, DEFAULT_OPTIONS, [0.2, 0.5, 1.0, 0.3, 1.5]),
-    (GOLDEN_BASES["discrete_41"], 0.5, DEFAULT_OPTIONS, [0.1, 2.0, 1.0]),
-    (lm.uniform(0.0, 1.0), 0.0, DEFAULT_OPTIONS, [-1.0, 0.5]),
+    (GOLDEN_BASES["piecewise_readme"], 0.5, {"_MAX_ITER": 20}, [0.1, 0.3]),
+    (GOLDEN_BASES["discrete_41"], 0.3, {"_MAX_ITER": 20}, [0.0, 0.5]),
+    (lm.uniform(0.0, 1.0), 0.5, {}, [0.2, 0.5, 1.0, 0.3, 1.5]),
+    (GOLDEN_BASES["discrete_41"], 0.5, {}, [0.1, 2.0, 1.0]),
+    (lm.uniform(0.0, 1.0), 0.0, {}, [-1.0, 0.5]),
 ])
-def test_batched_outer_scan_raises_what_the_stage_loop_raises_first(dist, mu, opts, w_plus):
+def test_batched_outer_scan_raises_what_the_stage_loop_raises_first(dist, mu, opts, w_plus,
+                                                                    monkeypatch):
     """The first failure in grid order: an inner bisection out of steps, no
     one retained at the support top, no one released without quits."""
+    for name, value in opts.items():
+        monkeypatch.setattr(solvers, name, value)
     pool0 = pools.LaborPool.entry(dist)
     with pytest.raises(lm.LaborMarketError) as loop:
         for w in w_plus:
-            _stage_from_w_plus(pool0, mu, w, opts)
+            _stage_from_w_plus(pool0, mu, w, DEFAULT_OPTIONS)
     with pytest.raises(type(loop.value)) as batch:
-        _stages_from_w_plus(pool0, mu, np.array(w_plus), opts)
+        _stages_from_w_plus(pool0, mu, np.array(w_plus), DEFAULT_OPTIONS)
     facts = lambda exc: (str(exc), getattr(exc, "best", None), getattr(exc, "residuals", None))
     assert facts(batch.value) == facts(loop.value)
 

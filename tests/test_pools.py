@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import labormkt as lm
-from labormkt import pools
+from labormkt import pools, solvers
 from labormkt.errors import EmptyPoolError, InvalidThresholdError
 from labormkt.solvers import m_extended
 
@@ -407,11 +407,10 @@ def test_split_rows_reject_non_finite_thresholds():
             pools.entry_split_rows(PW, np.array([0.2, bad]), 1.0, 0.5)
 
 
-def scan_roots_by_loop(g, lo, hi, opts):
-    """Reference scan: scalar g at each grid point, brackets found one by one."""
+def scan_roots_by_loop(g, lo, hi, opts, n):
+    """Reference scan: scalar g at n grid points, brackets found one by one."""
     from labormkt.solvers import bisect_root
 
-    n = opts.scan_points
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     gs = [g(x) for x in xs]
     roots = []
@@ -435,19 +434,19 @@ def test_m_fixed_points_matches_scalar_scan(dist, mu):
     evaluates the scalar operator point by point."""
     from labormkt.solvers import SolverOptions, m_fixed_points, scan_roots
 
-    for opts in (SolverOptions(), SolverOptions(scan_points=129, tol=1e-12)):
+    for opts, n in ((SolverOptions(), 1024), (SolverOptions(tol=1e-12), 129)):
         for pool in (pools.LaborPool.entry(dist), _twice_split(dist)):
             g = lambda w: w - m_extended(pool, w, mu)
             lo, mean = min(pools.pool_inf(pool), 0.0), pools.pool_mean(pool)
-            roots = m_fixed_points(pool, mu, opts)
-            assert roots == scan_roots(g, lo, mean, opts, g_grid=g)
-            assert roots == scan_roots_by_loop(g, lo, mean, opts)
+            roots = m_fixed_points(pool, mu, opts, points=n)
+            assert roots == scan_roots(g, lo, mean, opts, points=n, g_grid=g)
+            assert roots == scan_roots_by_loop(g, lo, mean, opts, n)
 
 
 def test_grid_point_within_tol_is_a_root_and_not_bisected():
     """A grid value with |g| <= tol is taken as a root; the sign change
     from it to the next grid point is not a second bracket."""
-    from labormkt.solvers import SolverOptions, scan_roots
+    from labormkt.solvers import scan_roots
 
     calls = []
 
@@ -455,10 +454,18 @@ def test_grid_point_within_tol_is_a_root_and_not_bisected():
         calls.append(x)
         return x - 0.5 - 1e-12  # -1e-12 at the grid point 0.5
 
-    opts = SolverOptions(scan_points=129)
     g_grid = lambda xs: np.array([g(x) for x in xs.tolist()])
-    assert scan_roots(g, 0.0, 1.0, opts, g_grid=g_grid) == [0.5]
+    assert scan_roots(g, 0.0, 1.0, points=129, g_grid=g_grid) == [0.5]
     assert len(calls) == 129
+
+
+def _patched_options(opts_kw, monkeypatch):
+    """SolverOptions(tol=...) from opts_kw, with its "max_iter", if any,
+    patched into solvers._MAX_ITER."""
+    kw = dict(opts_kw)
+    if "max_iter" in kw:
+        monkeypatch.setattr(solvers, "_MAX_ITER", kw.pop("max_iter"))
+    return solvers.SolverOptions(**kw)
 
 
 # (g, a, b): smooth roots, roots on either end, a jump that bisects down to
@@ -475,12 +482,12 @@ BRACKETS = [
 
 
 @pytest.mark.parametrize("opts_kw", [{}, {"tol": 1e-6}, {"max_iter": 8}, {"max_iter": 1}])
-def test_bisect_roots_equals_bisect_root(opts_kw):
+def test_bisect_roots_equals_bisect_root(opts_kw, monkeypatch):
     """The lockstep bisection gives bisect_root's result on every bracket,
     and where bisect_root raises, its best x and residual."""
-    from labormkt.solvers import SolverOptions, bisect_root, bisect_roots
+    from labormkt.solvers import bisect_root, bisect_roots
 
-    opts = SolverOptions(**opts_kw)
+    opts = _patched_options(opts_kw, monkeypatch)
     fs, a, b = (list(v) for v in zip(*BRACKETS))
     ga, gb = [f(x) for f, x in zip(fs, a)], [f(x) for f, x in zip(fs, b)]
     g = lambda x, idx: np.array([fs[i](v) for i, v in zip(idx.tolist(), x.tolist())])
@@ -495,26 +502,28 @@ def test_bisect_roots_equals_bisect_root(opts_kw):
             assert (exc.best, exc.residuals) == ({"x": x[i]}, {"g": best_g[i]})
         else:
             assert not failed[i] and x[i] == expected
-    assert (n_failed > 0) == (opts.max_iter < 10)
+    assert (n_failed > 0) == (solvers._MAX_ITER < 10)
     with pytest.raises(ValueError, match="sign change"):
         bisect_roots(g, [0.0], [1.0], [1.0], [2.0], opts)
 
 
 @pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, DISC, POINT])
-@pytest.mark.parametrize("opts_kw", [{}, {"scan_points": 129, "tol": 1e-12}, {"max_iter": 20}])
-def test_m_fixed_points_rows_equal_per_pool_scans(dist, opts_kw):
+@pytest.mark.parametrize("opts_kw", [{}, {"points": 129, "tol": 1e-12}, {"max_iter": 20}])
+def test_m_fixed_points_rows_equal_per_pool_scans(dist, opts_kw, monkeypatch):
     """Each row's roots, or the NoConvergenceError, equal m_fixed_points on
     that row's pool."""
-    from labormkt.solvers import SolverOptions, m_fixed_points, m_fixed_points_rows
+    from labormkt.solvers import m_fixed_points, m_fixed_points_rows
 
-    opts = SolverOptions(**opts_kw)
+    kw = dict(opts_kw)
+    n = kw.pop("points", 1024)
+    opts = _patched_options(kw, monkeypatch)
     for mu in (0.3, 0.8):
         rows, split = split_rows_and_pools(dist, _thresholds(dist), mu)
         full = [i for i, pool in enumerate(split) if pools.pool_mass(pool) > 0.0]
-        batched = m_fixed_points_rows(rows.take(np.array(full)), mu, opts)
+        batched = m_fixed_points_rows(rows.take(np.array(full)), mu, opts, points=n)
         for i, got in zip(full, batched):
             try:
-                expected = m_fixed_points(split[i], mu, opts)
+                expected = m_fixed_points(split[i], mu, opts, points=n)
             except lm.NoConvergenceError as exc:
                 assert isinstance(got, lm.NoConvergenceError)
                 assert (str(got), got.best, got.residuals) == (str(exc), exc.best, exc.residuals)

@@ -139,6 +139,75 @@ def test_two_period_wages_average_to_the_uniform_mean(low, width, mu):
 
 
 # ---------------------------------------------------------------------
+# Malformed scalars fail at the boundary with a ValueError
+# ---------------------------------------------------------------------
+
+_WAGES = {"w0": 0.6, "w1": 0.4}
+
+
+def _sim(**fields):
+    return lm.SimulationConfig(**{"n_agents": 10, "seed": 0, "regime": lm.TWO_PERIOD,
+                                  "dist": lm.uniform(0, 1), "mu": 0.5, "wages": _WAGES,
+                                  **fields})
+
+
+def _screening(**fields):
+    return lm.ScreeningConfig(**{"n_total": 10, "m_allowed": 1, **fields})
+
+
+# One builder per field: a valid object with that field replaced by v.
+BUILDERS = {
+    "SolverOptions.tol": lambda v: lm.SolverOptions(tol=v),
+    "SimulationConfig.n_agents": lambda v: _sim(n_agents=v),
+    "SimulationConfig.seed": lambda v: _sim(seed=v),
+    "SimulationConfig.regime": lambda v: _sim(regime=v),
+    "SimulationConfig.mu": lambda v: _sim(mu=v),
+    "SimulationConfig.wages.w0": lambda v: _sim(wages={**_WAGES, "w0": v}),
+    "SimulationConfig.wages.w1": lambda v: _sim(wages={**_WAGES, "w1": v}),
+    "ScreeningConfig.n_total": lambda v: _screening(n_total=v),
+    "ScreeningConfig.m_allowed": lambda v: _screening(m_allowed=v),
+    "ScreeningConfig.theta_low": lambda v: _screening(theta_low=v),
+    "ScreeningConfig.theta_high": lambda v: _screening(theta_high=v),
+    "solve_two_period.mu": lambda v: lm.solve_two_period(lm.uniform(0, 1), v),
+}
+MALFORMED = st.one_of(st.booleans(), st.text(max_size=4),
+                      st.sampled_from(["0.5", "1e-8", "3", "nan"]), st.just(float("nan")),
+                      st.floats(0.01, 50.0).filter(lambda v: not v.is_integer()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(BUILDERS)), MALFORMED)
+def test_malformed_field_builds_or_raises_value_error(field, value):
+    """A bool, a string, a non-integral float or NaN in any one field either
+    builds (a float may be a valid real) or raises ValueError or a
+    LaborMarketError; never a bare TypeError."""
+    try:
+        BUILDERS[field](value)
+    except (ValueError, lm.LaborMarketError):
+        pass
+
+
+@pytest.mark.parametrize("field, value", [
+    ("SolverOptions.tol", "1e-8"), ("SolverOptions.tol", True),
+    ("SimulationConfig.mu", True), ("SimulationConfig.mu", "0.5"),
+    ("SimulationConfig.wages.w1", True), ("SimulationConfig.wages.w1", "0.4"),
+    ("ScreeningConfig.n_total", 2.5), ("ScreeningConfig.n_total", True),
+    ("ScreeningConfig.m_allowed", False), ("ScreeningConfig.theta_low", "0"),
+    ("solve_two_period.mu", True), ("solve_two_period.mu", "0.5"),
+])
+def test_malformed_field_raises_value_error(field, value):
+    with pytest.raises(ValueError):
+        BUILDERS[field](value)
+
+
+@pytest.mark.parametrize("solve", [lm.solve_three_period, lm.solve_three_period_multistart])
+@pytest.mark.parametrize("mu", [True, "0.5"])
+def test_three_period_solvers_reject_malformed_mu(solve, mu):
+    with pytest.raises(ValueError, match="real number"):
+        solve(lm.uniform(0, 1), mu)
+
+
+# ---------------------------------------------------------------------
 # Config parsing: every bad input is a ConfigError
 # ---------------------------------------------------------------------
 
