@@ -14,7 +14,6 @@ from .equilibrium import (
     MarketCollapse,
     TwoPeriodSolution,
     check_two_period_ordering,
-    entry_wage_two_period,
     one_period_wage,
     secondhand_fixed_point,
     secondhand_fixed_points,
@@ -66,11 +65,9 @@ from .pools import (
     pool_inf,
     pool_mass,
     pool_mean,
-    pool_sup,
     quantile,
     sample_productivities,
     stayer_moments,
-    truncated_mean,
     uniform,
 )
 from .screening import (
@@ -85,7 +82,6 @@ from .simulator import (
     MarketStats,
     SimulationConfig,
     SimulationReport,
-    empirical_zero_profit,
     simulate,
 )
 from .solvers import DEFAULT_OPTIONS, SolverOptions, m_extended, m_fixed_points
@@ -100,9 +96,9 @@ __all__ = [
     "InfeasibleError", "ConfigError",
     # pools
     "ProductivityDistribution", "LaborPool", "uniform", "discrete",
-    "piecewise_linear", "pool_mass", "pool_mean", "truncated_mean",
-    "firing_split", "leaver_moments", "stayer_moments", "pool_inf",
-    "pool_sup", "quantile", "sample_productivities",
+    "piecewise_linear", "pool_mass", "pool_mean", "firing_split",
+    "leaver_moments", "stayer_moments", "pool_inf", "quantile",
+    "sample_productivities",
     # solvers
     "SolverOptions", "DEFAULT_OPTIONS", "m_extended", "m_fixed_points",
     # screening
@@ -111,7 +107,7 @@ __all__ = [
     # equilibrium
     "MarketCollapse", "TwoPeriodSolution", "InequalityCheck", "InequalitySuite",
     "one_period_wage", "secondhand_fixed_point", "secondhand_fixed_points",
-    "entry_wage_two_period", "solve_two_period", "check_two_period_ordering",
+    "solve_two_period", "check_two_period_ordering",
     # multiperiod
     "MarketNode", "MarketTree", "ThreePeriodSolution", "MultiStartReport",
     "WelfareComparison", "DecileRow", "build_market_tree",
@@ -123,5 +119,5 @@ __all__ = [
     "default_wage_grid", "solve_first_best", "solve_second_best", "welfare_gap",
     # simulator
     "TWO_PERIOD", "THREE_PERIOD", "SimulationConfig", "MarketStats",
-    "SimulationReport", "simulate", "empirical_zero_profit",
+    "SimulationReport", "simulate",
 ]

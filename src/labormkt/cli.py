@@ -34,18 +34,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .equilibrium import (
-    MarketCollapse,
-    TwoPeriodSolution,
-    one_period_wage,
-    solve_two_period,
-)
+from .equilibrium import MarketCollapse, TwoPeriodSolution, solve_two_period
 from .errors import ConfigError, LaborMarketError, NoConvergenceError
 from .moral_hazard import ContractProblem, UtilitySpec, default_wage_grid, welfare_gap
 from .multiperiod import (
+    MAX_TREE_PERIODS,
     RESIDUAL_NAMES,
     MarketNode,
+    ThreePeriodSolution,
     build_market_tree,
+    solve_regime,
     solve_three_period,
     welfare_comparison,
 )
@@ -69,7 +67,6 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 SUBCOMMANDS = ("solve", "tree", "sweep", "simulate", "screening",
                "moral-hazard", "welfare")
-REGIMES = ("one_period", "two_period", "three_period")
 _MU_GRID_MAX_POINTS = 10_001
 
 
@@ -262,18 +259,14 @@ def _parse_utility(raw: str, key: str, problems: list[str]) -> UtilitySpec | Non
         return None
 
 
-# The tree holds 2**n - 1 cohorts, each with a pool: n = 16 takes about
-# 150 MB and every two more periods cost 4x that.
-_MAX_TREE_PERIODS = 16
-
 # Range rules of the numeric keys, shared with the flags that override
 # some of them: parser, accept test, rule text.
 _RANGES = {
     "tol": (_parse_float, lambda v: 0.0 < v <= MAX_TOL,
             f"must be positive and at most {MAX_TOL!r}"),
     "jobs": (_parse_int, lambda v: v >= 1, "must be at least 1"),
-    "n_periods": (_parse_int, lambda v: 1 <= v <= _MAX_TREE_PERIODS,
-                  f"must lie in [1, {_MAX_TREE_PERIODS}]"),
+    "n_periods": (_parse_int, lambda v: 1 <= v <= MAX_TREE_PERIODS,
+                  f"must lie in [1, {MAX_TREE_PERIODS}]"),
     "n_agents": (_parse_int, lambda v: v >= 1, "must be at least 1"),
     "seed": (_parse_int, lambda v: 0 <= v < 2 ** 64, "must fit in 64 unsigned bits"),
 }
@@ -448,49 +441,48 @@ def _write_text(text: str, out: str | None) -> None:
 # Subcommand handlers
 # =====================================================================
 
+def _one_period_dict(w: float | MarketCollapse) -> dict:
+    collapsed = isinstance(w, MarketCollapse)
+    return {"wage": None if collapsed else w, "collapsed": collapsed,
+            "reason": w.reason if collapsed else ""}
+
+
+def _one_period_row(w: float | MarketCollapse) -> list:
+    d = _one_period_dict(w)
+    return ["one_period", d["wage"], d["collapsed"]]
+
+
 def _two_period_row(sol: TwoPeriodSolution) -> list:
     return [sol.mu, sol.w1, sol.theta_bar, sol.w0, sol.theta_bar2,
             sol.residual_fixed_point, sol.residual_zero_profit]
 
 
-_TWO_PERIOD_HEADER = ["mu", "w1", "theta_bar", "w0", "theta_bar2",
-                      "residual_fixed_point", "residual_zero_profit"]
-_THREE_PERIOD_HEADER = (["mu", "w0", "w1", "w_plus", "w2", "w2p"]
-                        + [f"residual_{n}" for n in RESIDUAL_NAMES])
+def _three_period_row(sol: ThreePeriodSolution) -> list:
+    return [sol.mu, sol.w0, sol.w1, sol.w_plus, sol.w2, sol.w2p, *sol.residuals]
 
 
-def _three_period_row(sol) -> list:
-    return ([sol.mu, sol.w0, sol.w1, sol.w_plus, sol.w2, sol.w2p]
-            + list(sol.residuals))
+# Per regime: the horizon solve_regime takes, the CSV header, and a
+# solution's CSV row and JSON object.
+_REGIMES = {
+    "one_period": (1, ["regime", "wage", "collapsed"], _one_period_row, _one_period_dict),
+    "two_period": (2, ["mu", "w1", "theta_bar", "w0", "theta_bar2",
+                       "residual_fixed_point", "residual_zero_profit"],
+                   _two_period_row, TwoPeriodSolution.to_dict),
+    "three_period": (3, ["mu", "w0", "w1", "w_plus", "w2", "w2p"]
+                     + [f"residual_{n}" for n in RESIDUAL_NAMES],
+                     _three_period_row, ThreePeriodSolution.to_dict),
+}
+REGIMES = tuple(_REGIMES)
 
 
 def _run_solve(cfg: RunConfig) -> None:
-    opts = cfg.solver_options()
-    if cfg.regime == "one_period":
-        w = one_period_wage(cfg.dist)
-        collapsed = isinstance(w, MarketCollapse)
-        if cfg.fmt == "csv":
-            _emit_csv(["regime", "wage", "collapsed"],
-                      [["one_period", None if collapsed else w, collapsed]], cfg.out)
-        else:
-            _emit_json({"regime": "one_period",
-                        "wage": None if collapsed else w,
-                        "collapsed": collapsed,
-                        "reason": w.reason if collapsed else ""}, cfg.out)
-        return
-    if cfg.regime == "two_period":
-        sol = solve_two_period(cfg.dist, cfg.mu, opts)
-        if cfg.fmt == "csv":
-            _emit_csv(_TWO_PERIOD_HEADER, [_two_period_row(sol)], cfg.out)
-        else:
-            _emit_json(sol.to_dict() | {"regime": "two_period"}, cfg.out)
+    n_periods, header, row, to_dict = _REGIMES[cfg.regime]
+    sol = solve_regime(cfg.dist, cfg.mu, n_periods, cfg.solver_options())
+    if cfg.fmt == "csv":
+        _emit_csv(header, [row(sol)], cfg.out)
     else:
-        sol = solve_three_period(cfg.dist, cfg.mu, opts)
-        if cfg.fmt == "csv":
-            _emit_csv(_THREE_PERIOD_HEADER, [_three_period_row(sol)], cfg.out)
-        else:
-            _emit_json(sol.to_dict() | {"regime": "three_period"}, cfg.out)
-    if cfg.series_out:
+        _emit_json(to_dict(sol) | {"regime": cfg.regime}, cfg.out)
+    if cfg.series_out and n_periods > 1:
         _write_m_series(cfg)
 
 
@@ -534,9 +526,8 @@ def _run_tree(cfg: RunConfig) -> None:
 
 def _sweep_cell(args) -> list:
     regime, dist, mu, opts = args
-    if regime == "two_period":
-        return _two_period_row(solve_two_period(dist, mu, opts))
-    return _three_period_row(solve_three_period(dist, mu, opts))
+    n_periods, _, row, _ = _REGIMES[regime]
+    return row(solve_regime(dist, mu, n_periods, opts))
 
 
 def _run_sweep(cfg: RunConfig) -> None:
@@ -549,7 +540,7 @@ def _run_sweep(cfg: RunConfig) -> None:
             rows = list(pool.map(_sweep_cell, cells))  # order-preserving
     else:
         rows = [_sweep_cell(c) for c in cells]
-    header = _TWO_PERIOD_HEADER if cfg.regime == "two_period" else _THREE_PERIOD_HEADER
+    header = _REGIMES[cfg.regime][1]
     if cfg.fmt == "csv":
         _emit_csv(header, rows, cfg.out)
     else:

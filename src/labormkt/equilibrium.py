@@ -22,15 +22,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .errors import EmptyPoolError
-from .pools import (
-    LaborPool,
-    ProductivityDistribution,
-    _check_mu,
-    _restricted_moments,
-    pool_mass,
-    pool_mean,
-)
+from .pools import LaborPool, ProductivityDistribution, _check_mu, pool_mass, pool_mean
 from .solvers import DEFAULT_OPTIONS, SolverOptions, m_extended, m_fixed_points
 
 __all__ = [
@@ -41,7 +33,6 @@ __all__ = [
     "one_period_wage",
     "secondhand_fixed_point",
     "secondhand_fixed_points",
-    "entry_wage_two_period",
     "solve_two_period",
     "check_two_period_ordering",
 ]
@@ -195,33 +186,6 @@ def _largest_admissible_root(roots: tuple[float, ...]) -> float | MarketCollapse
     return admissible[-1]
 
 
-def _retained(pool: LaborPool, mu: float, w1: float) -> tuple[float, float]:
-    """(theta_bar2, Q): mean of the workers at or above w1 and the mass of
-    them that is retained, (1 - mu) times theirs.  Raises EmptyPoolError
-    when no worker sits at or above w1."""
-    n_above, m1_above = _restricted_moments(pool, w1, pool.base.support_high)
-    if n_above <= 0.0:
-        raise EmptyPoolError(f"no worker at or above w1={w1}")
-    return m1_above / n_above, (1.0 - mu) * n_above
-
-
-def entry_wage_two_period(dist: ProductivityDistribution, mu: float, w1: float) -> float:
-    """Entry wage w0 implied by zero profit at a given re-hiring wage w1.
-
-    w0 = theta_bar + (Q / N) * (theta_bar2 - w1), with Q = (1 - mu) times
-    the mass at or above w1 and theta_bar2 that mass's mean.  Raises
-    EmptyPoolError when no worker sits at or above w1.
-    """
-    _check_mu(mu)
-    pool = LaborPool.entry(dist)
-    n = pool_mass(pool)
-    if n <= 0.0:
-        raise EmptyPoolError("entry pool has no workers")
-    theta_bar = pool_mean(pool)
-    theta_bar2, q = _retained(pool, mu, w1)
-    return theta_bar + (q / n) * (theta_bar2 - w1)
-
-
 def solve_two_period(dist: ProductivityDistribution, mu: float,
                      opts: SolverOptions = DEFAULT_OPTIONS) -> TwoPeriodSolution:
     """Full two-period solve: fixed point, then zero-profit entry wage.
@@ -241,12 +205,15 @@ def solve_two_period(dist: ProductivityDistribution, mu: float,
             mass_total=n, mass_retained=nan,
             residual_fixed_point=nan, residual_zero_profit=nan,
             collapsed=True, collapse_reason=w1.reason, fixed_point_roots=roots)
-    # The review clamps its threshold to the support, as firing_split does:
-    # a one-atom base whose mean rounds above its atom, such as
-    # discrete([(0.1, 3.0)]), has w1 above the atom and still retains it.
-    try:
-        theta_bar2, q = _retained(pool, mu, min(w1, dist.support_high))
-    except EmptyPoolError:
+    # Q is the retained mass, (1 - mu) of the workers at or above w1, and
+    # theta_bar2 their mean.  The review clamps its threshold to the
+    # support, as firing_split does: a one-atom base whose mean rounds above
+    # its atom, such as discrete([(0.1, 3.0)]), has w1 above the atom and
+    # still retains it.
+    n_above, m1_above = dist._moments_at_or_above(min(w1, dist.support_high))
+    if n_above > 0.0:
+        theta_bar2, q = m1_above / n_above, (1.0 - mu) * n_above
+    else:
         # Keeps the solver total if w1 ever reaches the top of a base with
         # no mass there; nobody is then retained.
         theta_bar2, q = theta_bar, 0.0

@@ -213,9 +213,6 @@ class GapReport:
         """True when hiding the effort lowers the implemented effort."""
         return self.second_best.effort < self.first_best.effort
 
-    def __float__(self) -> float:
-        return self.gap
-
     def to_dict(self) -> dict:
         return {"first_best": self.first_best.to_dict(),
                 "second_best": self.second_best.to_dict(),

@@ -68,9 +68,9 @@ from .errors import (
 from .pools import (
     LaborPool,
     ProductivityDistribution,
+    _check_count,
     _check_mu,
     _moments,
-    _restricted_moments,
     entry_split_rows,
     firing_split,
     leaver_moments_array,
@@ -136,11 +136,6 @@ class MarketNode:
     leave_child: "MarketNode | None" = None
 
     @property
-    def is_market(self) -> bool:
-        """True for cohorts hired on an open market (entry or post-release)."""
-        return self.history == "" or self.history.endswith(LEFT)
-
-    @property
     def off_market(self) -> bool:
         """True for the hired-after-release markets (excludes the entry pool)."""
         return self.history.endswith(LEFT)
@@ -192,17 +187,22 @@ class MarketTree:
         return [n for n in self.nodes() if n.off_market]
 
 
+# The tree holds 2**n - 1 cohorts, each with a pool: n = 16 takes about
+# 150 MB and every two more periods cost 4x that.
+MAX_TREE_PERIODS = 16
+
+
 def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
                       thresholds=None, wages=None) -> MarketTree:
     """Construct the history tree by replaying splits round after round.
 
-    thresholds maps a history string to the review wage applied at the end
-    of that cohort's period; the default uses each cohort's own pool mean,
-    enough for structural work like counting markets.  wages, if given,
-    maps histories to the wage label attached to each node.
+    n_periods is an integer in [1, MAX_TREE_PERIODS].  thresholds maps a
+    history string to the review wage applied at the end of that cohort's
+    period; the default uses each cohort's own pool mean, enough for
+    structural work like counting markets.  wages, if given, maps histories
+    to the wage label attached to each node.
     """
-    if n_periods < 1:
-        raise ValueError("n_periods must be at least 1")
+    _check_count("n_periods", n_periods, 1, MAX_TREE_PERIODS)
     if thresholds is not None and not isinstance(thresholds, Mapping):
         raise InvalidThresholdError(
             f"thresholds must map histories to review wages, not {type(thresholds).__name__}")
@@ -277,8 +277,7 @@ def submarket_count(n_periods: int) -> int:
     These are the histories ending in a leave step; build_market_tree
     enumerates the same nodes.
     """
-    if n_periods < 1:
-        raise ValueError("n_periods must be at least 1")
+    _check_count("n_periods", n_periods, 1)
     return 2 ** (n_periods - 1) - 1
 
 
@@ -581,7 +580,10 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     hirers' profit), from n_starts random initial offers.  Reports the
     largest across-start wage spread; disagreement beyond 1e-6 flags a
     multi-equilibrium configuration and all solutions are returned.
+    n_starts must be a positive integer and seed a nonnegative one.
     """
+    _check_count("n_starts", n_starts, 1)
+    _check_count("seed", seed, 0)
     _check_mu(mu)
     if not 0.0 < mu < 1.0:
         raise ValueError("three-period system needs 0 < mu < 1")
@@ -637,6 +639,7 @@ def solve_regime(dist: ProductivityDistribution, mu: float, n_periods: int,
     the :func:`solve_two_period` solution and n = 3 the full system.
     Larger horizons build trees but have no wage solver yet.
     """
+    _check_count("n_periods", n_periods, 1)
     if n_periods == 1:
         return one_period_wage(dist)
     if n_periods == 2:
@@ -799,9 +802,8 @@ def welfare_comparison(dist: ProductivityDistribution, mu: float,
     if sol2.collapsed:
         raise ValueError("two-period market collapsed; no comparison to make")
     sol3 = solve_three_period(dist, mu, opts)
-    pool0 = LaborPool.entry(dist)
-    n = pool_mass(pool0)
-    n_above, _ = _restricted_moments(pool0, sol3.w_plus, dist.support_high)
+    n = dist.total_mass()
+    n_above, _ = dist._moments_at_or_above(sol3.w_plus)
 
     pay2 = sol2.w0 + sol2.w1
     path_released = sol3.w1 + sol3.w2p

@@ -17,13 +17,15 @@ Conventions
 * Thresholds outside the support are clamped to the nearest endpoint.
 * Every moment comes from one primitive,
   :meth:`ProductivityDistribution.moments_below`: the (mass, first moment)
-  strictly below x.  Uniform bases use the closed form.  Piecewise-linear
-  and discrete bases read cumulative tables built once per distribution:
-  prefix sums of the exact per-segment integrals plus one partial segment,
-  or prefix sums over the sorted atoms.  A pool's moments are weighted
-  differences of the primitive at its piece boundaries, and the moments of
-  a split (:func:`leaver_moments`, :func:`stayer_moments`) are taken the
-  same way without building the split pools.
+  strictly below x.  The moments at or below x (which differ only by a
+  discrete atom at x) and at or above x (the whole measure less those
+  below x) are taken from it.  Uniform bases use the closed form.
+  Piecewise-linear and discrete bases read cumulative tables built once per
+  distribution: prefix sums of the exact per-segment integrals plus one
+  partial segment, or prefix sums over the sorted atoms.  A pool's moments
+  are weighted differences of the primitive at its piece boundaries, and
+  the moments of a split (:func:`leaver_moments`, :func:`stayer_moments`)
+  are taken the same way without building the split pools.
 * :meth:`ProductivityDistribution.moments_below_array`,
   :func:`leaver_moments_array` and :func:`stayer_moments_array` are the
   same kernels over a float64 array of thresholds, for scan grids.  They
@@ -58,7 +60,6 @@ __all__ = [
     "piecewise_linear",
     "pool_mass",
     "pool_mean",
-    "truncated_mean",
     "firing_split",
     "leaver_moments",
     "leaver_moments_array",
@@ -67,7 +68,6 @@ __all__ = [
     "PoolRows",
     "entry_split_rows",
     "pool_inf",
-    "pool_sup",
     "quantile",
     "sample_productivities",
 ]
@@ -198,23 +198,10 @@ class ProductivityDistribution:
             x = math.nextafter(x, math.inf)
         return self.moments_below(x)
 
-    # -- density integrals over [a, b] for the continuous kinds ---------
-
-    def mass_between(self, a: float, b: float) -> float:
-        """Integral of N(theta) over [a, b] (continuous kinds only)."""
-        a = max(a, self.support_low)
-        b = min(b, self.support_high)
-        if b <= a:
-            return 0.0
-        return self.moments_below(b)[0] - self.moments_below(a)[0]
-
-    def first_moment_between(self, a: float, b: float) -> float:
-        """Integral of theta * N(theta) over [a, b] (continuous kinds only)."""
-        a = max(a, self.support_low)
-        b = min(b, self.support_high)
-        if b <= a:
-            return 0.0
-        return self.moments_below(b)[1] - self.moments_below(a)[1]
+    def _moments_at_or_above(self, x: float) -> tuple[float, float]:
+        # The whole measure less what lies strictly below x.
+        n, m1 = self.moments_below(x)
+        return self._total[0] - n, self._total[1] - m1
 
     # -- whole-measure summaries ----------------------------------------
 
@@ -226,10 +213,6 @@ class ProductivityDistribution:
         if n <= 0.0:
             raise EmptyPoolError("distribution carries no mass")
         return m1 / n
-
-    def cdf(self, x: float) -> float:
-        """Mass at or below x."""
-        return self._moments_at_or_below(x)[0]
 
 
 def _require_finite(values, what: str) -> None:
@@ -363,33 +346,6 @@ def _moments(pool: LaborPool) -> tuple[float, float]:
     return _piece_moments(pool.base, pool.pieces)
 
 
-def _restricted_moments(pool: LaborPool, a: float, b: float) -> tuple[float, float]:
-    """(mass, first moment) over the window [a, b].
-
-    Discrete atoms at either endpoint are included (closed interval); for
-    continuous bases the endpoints carry no mass either way.
-    """
-    base = pool.base
-    a = max(a, base.support_low)
-    b = min(b, base.support_high)
-    n = m1 = 0.0
-    last = len(pool.pieces) - 1
-    for i, (lo, hi, w) in enumerate(pool.pieces):
-        clo, chi = max(lo, a), min(hi, b)
-        if w <= 0.0 or chi < clo:
-            continue
-        # The clipped piece is closed on the right unless it ends where its
-        # half-open piece does; an atom there belongs to the next piece.
-        if chi == hi and i != last:
-            n_hi, m1_hi = base.moments_below(chi)
-        else:
-            n_hi, m1_hi = base._moments_at_or_below(chi)
-        n_lo, m1_lo = base.moments_below(clo)
-        n += w * (n_hi - n_lo)
-        m1 += w * (m1_hi - m1_lo)
-    return n, m1
-
-
 def pool_mass(pool: LaborPool) -> float:
     """Total worker mass in the pool."""
     return _moments(pool)[0]
@@ -407,22 +363,6 @@ def pool_mean(pool: LaborPool) -> float:
     n, m1 = _moments(pool)
     if n <= 0.0:
         raise EmptyPoolError("pool has no workers")
-    return m1 / n
-
-
-def truncated_mean(pool: LaborPool, a: float, b: float) -> float:
-    """Mean productivity over the window [a, b].
-
-    The window must sit inside the support.  Discrete atoms exactly at a
-    or b are included.
-    """
-    lo_s, hi_s = pool.base.support_low, pool.base.support_high
-    window_ok = lo_s <= a < b <= hi_s or (pool.base.kind == "discrete" and lo_s <= a <= b <= hi_s)
-    if not window_ok:
-        raise ValueError(f"truncation window [{a}, {b}] must sit inside [{lo_s}, {hi_s}]")
-    n, m1 = _restricted_moments(pool, a, b)
-    if n <= 0.0:
-        raise EmptyPoolError(f"no worker mass on [{a}, {b}]")
     return m1 / n
 
 
@@ -593,16 +533,6 @@ def stayer_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float,
     return _piece_moments(pool.base, _rescale_pieces(pool.pieces, t, 0.0, 1.0 - mu))
 
 
-def _occupied_pieces(pool: LaborPool):
-    """(index, lo, hi) of the pieces with positive weight and base mass."""
-    n_lo = 0.0
-    for i, ((lo, hi, w), (n_hi, _)) in enumerate(
-            zip(pool.pieces, _piece_ends(pool.base, pool.pieces))):
-        if w > 0.0 and n_hi > n_lo:
-            yield i, lo, hi
-        n_lo = n_hi
-
-
 def pool_inf(pool: LaborPool) -> float:
     """Lowest productivity carrying positive weight (per row, as an (R, 1)
     column, for a :class:`PoolRows` stack)."""
@@ -610,25 +540,13 @@ def pool_inf(pool: LaborPool) -> float:
         if not (pool.moments[0] > 0.0).all():
             raise EmptyPoolError("a pool row has no workers")
         return pool.inf
-    first = next(_occupied_pieces(pool), None)
-    if first is None:
-        raise EmptyPoolError("pool has no workers")
-    lo, base = first[1], pool.base
-    return base._xs[bisect_left(base._xs, lo)] if base.kind == "discrete" else lo
-
-
-def pool_sup(pool: LaborPool) -> float:
-    """Highest productivity carrying positive weight."""
-    occupied = list(_occupied_pieces(pool))
-    if not occupied:
-        raise EmptyPoolError("pool has no workers")
-    i, _, hi = occupied[-1]
-    base = pool.base
-    if base.kind != "discrete":
-        return hi
-    # The last piece is closed on the right; the others are half-open.
-    k = bisect_right(base._xs, hi) if i == len(pool.pieces) - 1 else bisect_left(base._xs, hi)
-    return base._xs[k - 1]
+    base, n_lo = pool.base, 0.0
+    # The start of the first piece with positive weight and base mass.
+    for (lo, _, w), (n_hi, _) in zip(pool.pieces, _piece_ends(base, pool.pieces)):
+        if w > 0.0 and n_hi > n_lo:
+            return base._xs[bisect_left(base._xs, lo)] if base.kind == "discrete" else lo
+        n_lo = n_hi
+    raise EmptyPoolError("pool has no workers")
 
 
 def _is_real(v) -> bool:
@@ -639,6 +557,15 @@ def _is_real(v) -> bool:
 def _is_integer(v) -> bool:
     """An integer that is not a bool."""
     return not isinstance(v, bool) and isinstance(v, numbers.Integral)
+
+
+def _check_count(name: str, v, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless v is an integer, not a bool, in [low, high]."""
+    if not _is_integer(v):
+        raise ValueError(f"{name} must be an integer, not {v!r}")
+    if v < low or (high is not None and v > high):
+        bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bounds} (got {v})")
 
 
 def _check_mu(mu: float) -> None:

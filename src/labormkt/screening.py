@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OutOfRangeError
-from .pools import _is_integer, _is_real
+from .pools import _check_count, _is_real
 
 __all__ = [
     "ScreeningConfig",
@@ -33,18 +33,10 @@ class ScreeningConfig:
     theta_high: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_total", "m_allowed"):
-            v = getattr(self, name)
-            if not _is_integer(v):
-                raise ValueError(f"{name} must be an integer, not {v!r}")
+        _check_count("n_total", self.n_total, 1)
+        _check_count("m_allowed", self.m_allowed, 0, self.n_total)
         if not (_is_real(self.theta_low) and _is_real(self.theta_high)):
             raise ValueError("theta_low and theta_high must be real numbers")
-        if self.n_total < 1:
-            raise ValueError("n_total must be a positive integer")
-        if self.m_allowed < 0:
-            raise ValueError("m_allowed must be nonnegative")
-        if self.m_allowed > self.n_total:
-            raise ValueError("m_allowed cannot exceed n_total")
         if not self.theta_low < self.theta_high:
             raise ValueError("support must have positive width")
 

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .multiperiod import LEFT, STAYED, _break_even, _kept, wage_schedule
-from .pools import (ProductivityDistribution, _check_mu, _is_integer, _is_real,
+from .pools import (ProductivityDistribution, _check_count, _check_mu, _is_real,
                     sample_productivities)
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "MarketStats",
     "SimulationReport",
     "simulate",
-    "empirical_zero_profit",
 ]
 
 TWO_PERIOD = "two_period"
@@ -72,17 +72,15 @@ class SimulationConfig:
     def __post_init__(self):
         # A float seed would key Philox with its integer part, and a bool
         # would run as 0 or 1, so both must be integers proper.
-        for name in ("n_agents", "seed"):
-            v = getattr(self, name)
-            if not _is_integer(v):
-                raise ValueError(f"{name} must be an integer, not {v!r}")
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be at least 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.regime not in _REQUIRED_WAGES:
+        _check_count("n_agents", self.n_agents, 1)
+        _check_count("seed", self.seed, 0, 2 ** 64 - 1)  # Philox takes 64 bits
+        if not isinstance(self.regime, str) or self.regime not in _REQUIRED_WAGES:
             raise ValueError(f"regime must be one of {sorted(_REQUIRED_WAGES)}")
+        if not isinstance(self.dist, ProductivityDistribution):
+            raise ValueError(f"dist must be a ProductivityDistribution, not {self.dist!r}")
         _check_mu(self.mu)
+        if not isinstance(self.wages, Mapping):
+            raise ValueError(f"wages must map wage names to values, not {self.wages!r}")
         missing = [k for k in _REQUIRED_WAGES[self.regime] if k not in self.wages]
         if missing:
             raise ValueError(f"wages missing for this regime: {missing}")
@@ -278,13 +276,3 @@ def simulate(cfg: SimulationConfig) -> SimulationReport:
         wages=dict(cfg.wages), markets=tuple(markets),
         profit_per_capita=p_mean, profit_halfwidth=p_half,
         rehire_profit_per_capita=rehire_pc)
-
-
-def empirical_zero_profit(cfg: SimulationConfig) -> float:
-    """Per-capita profit of the entry employers at the configured wages.
-
-    The analytic zero-profit condition says this vanishes at the solved
-    wages; feeding perturbed wages moves it linearly (an entry-wage bump
-    of d shifts the result by exactly -d).
-    """
-    return simulate(cfg).profit_per_capita

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import labormkt as lm
-from labormkt import cli
+from labormkt import cli, multiperiod
 from labormkt.errors import ConfigError, NoConvergenceError
 from labormkt.solvers import m_extended
 
@@ -461,7 +461,8 @@ def test_nonconvergence_exits_2_with_diagnostics(tmp_path, monkeypatch, capsys):
         raise NoConvergenceError("stalled on purpose",
                                  best={"w_plus": 0.27},
                                  residuals={"rehire_zero_profit": 1e-3})
-    monkeypatch.setattr(cli, "solve_three_period", explode)
+    # The CLI solves through solve_regime, which calls multiperiod's binding.
+    monkeypatch.setattr(multiperiod, "solve_three_period", explode)
     assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
     data = json.loads(out.read_text())
     assert data["error"] == "stalled on purpose"

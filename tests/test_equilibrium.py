@@ -130,13 +130,6 @@ def test_ordering_tail_flips_exactly_at_quarter_mu():
     assert sol.w0 == pytest.approx(sol.theta_bar2, abs=1e-9)
 
 
-def test_entry_wage_helper_agrees_with_solver():
-    dist = lm.uniform(0, 1)
-    sol = lm.solve_two_period(dist, 0.4)
-    assert lm.entry_wage_two_period(dist, 0.4, sol.w1) == pytest.approx(
-        sol.w0, abs=1e-12)
-
-
 # ---------------------------------------------------------------------
 # Degenerate and collapsed markets
 # ---------------------------------------------------------------------

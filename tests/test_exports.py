@@ -1,0 +1,40 @@
+"""The package's names: every module's ``__all__`` resolves, and the helpers
+that computed a quantity a second time stay removed."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import labormkt as lm
+
+MODULES = ["labormkt", *(f"labormkt.{m.name}" for m in pkgutil.iter_modules(lm.__path__))]
+
+# Each of these re-derived what another function returns.
+REMOVED = ("_restricted_moments", "truncated_mean", "pool_sup", "_occupied_pieces",
+           "entry_wage_two_period", "empirical_zero_profit", "_MAX_TREE_PERIODS")
+REMOVED_MEMBERS = (
+    (lm.ProductivityDistribution, ("mass_between", "first_moment_between", "cdf")),
+    (lm.GapReport, ("__float__",)),
+    (lm.MarketNode, ("is_market",)),
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_star_import_binds_every_all_entry(module):
+    """A stale __all__ entry makes the star import raise AttributeError.
+    A module without __all__ (errors) binds its public names."""
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(getattr(importlib.import_module(module), "__all__", ())) <= set(namespace)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_removed_names_are_gone(module):
+    mod = importlib.import_module(module)
+    assert [name for name in REMOVED if hasattr(mod, name)] == []
+
+
+def test_removed_members_are_gone():
+    assert [(cls.__name__, name) for cls, names in REMOVED_MEMBERS
+            for name in names if hasattr(cls, name)] == []

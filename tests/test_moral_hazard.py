@@ -284,7 +284,6 @@ def test_gap_report_serialization():
     d = report.to_dict()
     assert d["gap"] == report.gap
     assert d["first_best"]["rule"] == list(report.first_best.rule)
-    assert float(report) == report.gap
 
 
 # ---------------------------------------------------------------------

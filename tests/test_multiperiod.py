@@ -323,6 +323,24 @@ def test_three_period_golden_cells_regenerate_exactly(cell):
     assert json.loads(json.dumps(fresh)) == cell
 
 
+TWO_PERIOD_MAKER = _load_data_maker("make_two_period_golden")
+TWO_PERIOD_GOLDEN = [(table, cell) for table, cells in json.loads(
+    (Path(__file__).parent / "data" / "two_period_golden.json").read_text(encoding="utf-8")
+).items() for cell in cells]
+
+
+@pytest.mark.parametrize("table, cell", TWO_PERIOD_GOLDEN,
+                         ids=lambda v: v if isinstance(v, str) else f"{v['base']}-mu{v['mu']}")
+def test_two_period_and_welfare_golden_cells_regenerate_exactly(table, cell):
+    """solve_two_period and welfare_comparison reproduce every stored cell
+    (see data/make_two_period_golden.py).  The cells are compared as JSON
+    text with ==, so NaN fields and the sign of zero are compared too."""
+    make_cell = TWO_PERIOD_MAKER.TABLES[table][0]
+    fresh = {"base": cell["base"], "mu": cell["mu"]} | make_cell(
+        TWO_PERIOD_MAKER.BASES[cell["base"]](), cell["mu"])
+    assert json.dumps(fresh) == json.dumps(cell)
+
+
 @pytest.mark.parametrize("base", sorted(GOLDEN_BASES))
 @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
 def test_batched_outer_scan_equals_stage_loop(base, mu):
@@ -481,10 +499,10 @@ def test_tree_masses_conserve_at_every_split():
 
 def test_tree_lookup_and_flags():
     tree = lm.build_market_tree(lm.uniform(0, 1), 0.5, 3)
-    assert tree.node("").is_market and not tree.node("").off_market
-    assert tree.node("L").is_market and tree.node("L").off_market
+    assert not tree.node("").off_market
+    assert tree.node("L").off_market
     assert tree.node("SS").period == 3
-    assert not tree.node("S").is_market
+    assert not tree.node("S").off_market
     with pytest.raises(KeyError):
         tree.node("SSS")
     with pytest.raises(KeyError):

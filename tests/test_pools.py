@@ -71,9 +71,9 @@ POINT = lm.discrete([(0.7, 2.0)])
 @pytest.mark.parametrize("window", [(-1.0, 10.0), (0.1, 0.65), (0.3, 0.3), (0.55, 0.7)])
 def test_continuous_moments_match_riemann(dist, window):
     a, b = window
-    assert dist.mass_between(a, b) == pytest.approx(riemann_mass(dist, a, b), abs=1e-7)
-    assert dist.first_moment_between(a, b) == pytest.approx(
-        riemann_first_moment(dist, a, b), abs=1e-7)
+    (n_a, m1_a), (n_b, m1_b) = dist.moments_below(a), dist.moments_below(b)
+    assert n_b - n_a == pytest.approx(riemann_mass(dist, a, b), abs=1e-7)
+    assert m1_b - m1_a == pytest.approx(riemann_first_moment(dist, a, b), abs=1e-7)
 
 
 def test_totals_and_means():
@@ -87,11 +87,12 @@ def test_totals_and_means():
 
 
 def test_discrete_cdf_steps():
-    assert DISC.cdf(0.1) == 0.0
-    assert DISC.cdf(0.2) == 1.0          # closed at the atom
-    assert DISC.cdf(0.49999) == 1.0
-    assert DISC.cdf(0.5) == 3.0
-    assert DISC.cdf(2.0) == 4.5
+    cdf = lambda x: DISC._moments_at_or_below(x)[0]
+    assert cdf(0.1) == 0.0
+    assert cdf(0.2) == 1.0          # closed at the atom
+    assert cdf(0.49999) == 1.0
+    assert cdf(0.5) == 3.0
+    assert cdf(2.0) == 4.5
 
 
 def test_constructor_validation():
@@ -171,9 +172,9 @@ def test_piecewise_moments_match_rational_oracle(dist):
     for a, b in zip(probes, probes[3:]):
         a, b = min(a, b), max(a, b)
         want_n, want_m1 = exact_moments_between(nodes, Fraction(a), Fraction(b))
-        assert dist.mass_between(a, b) == pytest.approx(float(want_n), abs=1e-15 * scale_n)
-        assert dist.first_moment_between(a, b) == pytest.approx(
-            float(want_m1), abs=1e-15 * scale_m1)
+        (n_a, m1_a), (n_b, m1_b) = dist.moments_below(a), dist.moments_below(b)
+        assert n_b - n_a == pytest.approx(float(want_n), abs=1e-15 * scale_n)
+        assert m1_b - m1_a == pytest.approx(float(want_m1), abs=1e-15 * scale_m1)
 
 
 # ---------------------------------------------------------------------
@@ -184,7 +185,7 @@ def test_piecewise_moments_match_rational_oracle(dist):
 @pytest.mark.parametrize("mu", [0.0, 0.3, 0.5, 1.0])
 def test_firing_split_conserves_mass_and_moment(dist, mu):
     pool = pools.LaborPool.entry(dist)
-    lo, hi = pools.pool_inf(pool), pools.pool_sup(pool)
+    lo, hi = pools.pool_inf(pool), dist.support_high
     for frac in (0.0, 0.25, 0.5, 0.9, 1.0):
         t = lo + frac * (hi - lo)
         leave, stay = pools.firing_split(pool, t, mu)
@@ -552,40 +553,45 @@ def test_discrete_split_moments_by_hand():
         (mu * 4.5, mu * 2.55), abs=1e-15)
 
 
-def test_pool_inf_sup_on_split_discrete_pools():
+def test_pool_inf_on_split_discrete_pools():
     pool = pools.LaborPool.entry(DISC)
     _, stayed = pools.firing_split(pool, 0.5, 0.3)
-    assert (pools.pool_inf(stayed), pools.pool_sup(stayed)) == (0.5, 0.9)
+    assert pools.pool_inf(stayed) == 0.5
     leavers, _ = pools.firing_split(pool, 0.5, 0.0)
-    assert (pools.pool_inf(leavers), pools.pool_sup(leavers)) == (0.2, 0.2)
+    assert pools.pool_inf(leavers) == 0.2
     leavers, _ = pools.firing_split(pool, 0.6, 0.0)
-    assert (pools.pool_inf(leavers), pools.pool_sup(leavers)) == (0.2, 0.5)
-    point = pools.LaborPool.entry(POINT)
-    assert (pools.pool_inf(point), pools.pool_sup(point)) == (0.7, 0.7)
+    assert pools.pool_inf(leavers) == 0.2
+    assert pools.pool_inf(pools.LaborPool.entry(POINT)) == 0.7
 
 
 def test_discrete_window_moments_match_atom_sums():
-    """Windows are closed at both ends, on the entry pool and on a split
-    pool whose piece boundary sits on an atom."""
-    entry = pools.LaborPool.entry(DISC)
-    _, stayed = pools.firing_split(entry, 0.5, 0.3)
-    cases = ((entry, lambda t: 1.0), (stayed, lambda t: 0.7 if t >= 0.5 else 0.0))
+    """Windows taken from the moment primitive are closed at both ends: the
+    moments at or above a less those at or above the float after b."""
     windows = [(0.2, 0.9), (0.2, 0.5), (0.5, 0.5), (0.5, 0.9), (0.9, 0.9), (0.3, 0.6), (-1.0, 2.0)]
-    for pool, weight in cases:
-        for a, b in windows:
-            inside = [(t, c * weight(t)) for t, c in DISC.atoms if a <= t <= b]
-            want = (sum(w for _, w in inside), sum(t * w for t, w in inside))
-            assert pools._restricted_moments(pool, a, b) == pytest.approx(want, abs=1e-15)
+    for a, b in windows:
+        n_a, m1_a = DISC._moments_at_or_above(a)
+        n_b, m1_b = DISC._moments_at_or_above(math.nextafter(b, math.inf))
+        inside = [(t, c) for t, c in DISC.atoms if a <= t <= b]
+        want = (sum(c for _, c in inside), sum(t * c for t, c in inside))
+        assert (n_a - n_b, m1_a - m1_b) == pytest.approx(want, abs=1e-15)
 
 
-def test_truncated_mean_windows():
-    pool = pools.LaborPool.entry(UNI)
-    assert pools.truncated_mean(pool, 0.2, 0.6) == pytest.approx(0.4, abs=1e-12)
-    assert pools.truncated_mean(pool, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-    pw_pool = pools.LaborPool.entry(PW)
-    a, b = 0.25, 0.8
-    want = riemann_first_moment(PW, a, b) / riemann_mass(PW, a, b)
-    assert pools.truncated_mean(pw_pool, a, b) == pytest.approx(want, abs=1e-6)
+@pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, DISC, POINT])
+def test_moments_at_or_above_match_oracles(dist):
+    """At every atom or breakpoint, its float neighbours, both support ends
+    and points outside the support: the atom sums at or above x for a
+    discrete base, the midpoint rule over [x, top] for the others."""
+    lo, hi = dist.support_low, dist.support_high
+    probes = [lo - 1.0, lo, (lo + hi) / 2.0, hi, hi + 1.0, *dist._xs]
+    probes += [math.nextafter(x, d) for x in probes for d in (-math.inf, math.inf)]
+    for x in probes:
+        if dist.kind == "discrete":
+            kept = [(t, c) for t, c in dist.atoms if t >= x]
+            want = (sum(c for _, c in kept), sum(t * c for t, c in kept))
+            assert dist._moments_at_or_above(x) == pytest.approx(want, abs=1e-15)
+        else:
+            want = (riemann_mass(dist, x, hi), riemann_first_moment(dist, x, hi))
+            assert dist._moments_at_or_above(x) == pytest.approx(want, abs=1e-7)
 
 
 def test_empty_pool_errors():
@@ -628,7 +634,7 @@ def test_quantile_inverts_cdf_piecewise():
     total = PW.total_mass()
     for q in (0.05, 0.3, 0.5, 0.77, 0.95):
         x = pools.quantile(PW, q)
-        assert PW.mass_between(PW.support_low, x) / total == pytest.approx(q, abs=1e-9)
+        assert PW.moments_below(x)[0] / total == pytest.approx(q, abs=1e-9)
 
 
 def test_quantile_discrete_lands_on_atoms():

@@ -161,6 +161,8 @@ BUILDERS = {
     "SimulationConfig.n_agents": lambda v: _sim(n_agents=v),
     "SimulationConfig.seed": lambda v: _sim(seed=v),
     "SimulationConfig.regime": lambda v: _sim(regime=v),
+    "SimulationConfig.dist": lambda v: _sim(dist=v),
+    "SimulationConfig.wages": lambda v: _sim(wages=v),
     "SimulationConfig.mu": lambda v: _sim(mu=v),
     "SimulationConfig.wages.w0": lambda v: _sim(wages={**_WAGES, "w0": v}),
     "SimulationConfig.wages.w1": lambda v: _sim(wages={**_WAGES, "w1": v}),
@@ -169,6 +171,13 @@ BUILDERS = {
     "ScreeningConfig.theta_low": lambda v: _screening(theta_low=v),
     "ScreeningConfig.theta_high": lambda v: _screening(theta_high=v),
     "solve_two_period.mu": lambda v: lm.solve_two_period(lm.uniform(0, 1), v),
+    "build_market_tree.n_periods": lambda v: lm.build_market_tree(lm.uniform(0, 1), 0.5, v),
+    "submarket_count.n_periods": lm.submarket_count,
+    "solve_regime.n_periods": lambda v: lm.solve_regime(lm.uniform(0, 1), 0.5, v),
+    "solve_three_period_multistart.n_starts":
+        lambda v: lm.solve_three_period_multistart(lm.uniform(0, 1), 0.5, n_starts=v),
+    "solve_three_period_multistart.seed":
+        lambda v: lm.solve_three_period_multistart(lm.uniform(0, 1), 0.5, seed=v),
 }
 MALFORMED = st.one_of(st.booleans(), st.text(max_size=4),
                       st.sampled_from(["0.5", "1e-8", "3", "nan"]), st.just(float("nan")),
@@ -194,6 +203,15 @@ def test_malformed_field_builds_or_raises_value_error(field, value):
     ("ScreeningConfig.n_total", 2.5), ("ScreeningConfig.n_total", True),
     ("ScreeningConfig.m_allowed", False), ("ScreeningConfig.theta_low", "0"),
     ("solve_two_period.mu", True), ("solve_two_period.mu", "0.5"),
+    ("SimulationConfig.wages", True), ("SimulationConfig.regime", ["two_period"]),
+    ("SimulationConfig.dist", "uniform"),
+    ("build_market_tree.n_periods", 2.5), ("build_market_tree.n_periods", True),
+    ("build_market_tree.n_periods", 17), ("submarket_count.n_periods", 2.5),
+    ("solve_regime.n_periods", True), ("solve_regime.n_periods", 0),
+    ("solve_three_period_multistart.n_starts", 2.5),
+    ("solve_three_period_multistart.n_starts", True),
+    ("solve_three_period_multistart.n_starts", 0),
+    ("solve_three_period_multistart.seed", 2.5), ("solve_three_period_multistart.seed", -1),
 ])
 def test_malformed_field_raises_value_error(field, value):
     with pytest.raises(ValueError):

@@ -227,12 +227,6 @@ def test_break_even_wage_of_leaver_market_is_its_mean():
     assert smkt.break_even_wage is None
 
 
-def test_empirical_zero_profit_helper():
-    cfg = two_period_cfg(n=30_000)
-    assert simulator.empirical_zero_profit(cfg) == \
-        simulator.simulate(cfg).profit_per_capita
-
-
 # ---------------------------------------------------------------------
 # Edge cases and validation
 # ---------------------------------------------------------------------
