@@ -84,7 +84,7 @@ from .simulator import (
     SimulationReport,
     simulate,
 )
-from .solvers import DEFAULT_OPTIONS, SolverOptions, m_extended, m_fixed_points
+from .solvers import m_extended, m_fixed_points
 
 __version__ = "0.1.0"
 
@@ -100,7 +100,7 @@ __all__ = [
     "leaver_moments", "stayer_moments", "pool_inf", "quantile",
     "sample_productivities",
     # solvers
-    "SolverOptions", "DEFAULT_OPTIONS", "m_extended", "m_fixed_points",
+    "m_extended", "m_fixed_points",
     # screening
     "ScreeningConfig", "distinguishable_interval",
     "residual_below_average_probability", "critical_assessment_periods",

@@ -2,8 +2,9 @@
 
 Subcommands: solve, tree, sweep, simulate, screening, moral-hazard,
 welfare.  Every run is driven by a flat ``key = value`` config file
-(``#`` starts a comment); flags can override the output path/format, the
-seed, the solver tolerance and the worker count.  Outputs are CSV
+(``#`` starts a comment).  ``--out`` and ``--format`` override the output
+path and format everywhere; ``--seed`` (simulate) and ``--jobs`` (sweep)
+override the config key of their name.  Outputs are CSV
 (RFC-4180-style, header row, LF line endings) or JSON (sorted keys,
 indent 2); all floats are printed by ``repr``, i.e. shortest round-trip
 form, so repeated runs are byte-identical.
@@ -60,8 +61,8 @@ from .screening import (
     critical_assessment_periods,
     residual_below_average_probability,
 )
-from .simulator import SimulationConfig, simulate
-from .solvers import DEFAULT_OPTIONS, MAX_TOL, SolverOptions, m_extended, scan_grid
+from .simulator import SimulationConfig, _usable_cpus, simulate
+from .solvers import m_extended, scan_grid
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -92,22 +93,18 @@ class RunConfig:
     fmt: str = "csv"
     out: str | None = None
     series_out: str | None = None
-    tol: float | None = None
     jobs: int = 1
-
-    def solver_options(self) -> SolverOptions:
-        return DEFAULT_OPTIONS if self.tol is None else SolverOptions(self.tol)
 
 
 _DIST_RE = re.compile(r"^(uniform|discrete|piecewise)\s*\((.*)\)$")
 _PAIR_RE = re.compile(r"^\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$")
 _UTIL_RE = re.compile(r"^(sqrt|log1p|linear)$|^crra\(\s*([^()\s]+)\s*\)$")
 
-_COMMON_KEYS = {"out", "format", "tol", "jobs"}
+_COMMON_KEYS = {"out", "format"}
 _ALLOWED_KEYS = {
     "solve": {"dist", "mu", "regime", "series_out"},
     "tree": {"dist", "mu", "n_periods"},
-    "sweep": {"dist", "mu_grid", "regime"},
+    "sweep": {"dist", "mu_grid", "regime", "jobs"},
     "simulate": {"dist", "mu", "regime", "n_agents", "seed",
                  "w0", "w1", "w_plus", "w2", "w2p"},
     "screening": {"n_total", "m_allowed", "theta_low", "theta_high"},
@@ -262,8 +259,6 @@ def _parse_utility(raw: str, key: str, problems: list[str]) -> UtilitySpec | Non
 # Range rules of the numeric keys, shared with the flags that override
 # some of them: parser, accept test, rule text.
 _RANGES = {
-    "tol": (_parse_float, lambda v: 0.0 < v <= MAX_TOL,
-            f"must be positive and at most {MAX_TOL!r}"),
     "jobs": (_parse_int, lambda v: v >= 1, "must be at least 1"),
     "n_periods": (_parse_int, lambda v: 1 <= v <= MAX_TREE_PERIODS,
                   f"must lie in [1, {MAX_TREE_PERIODS}]"),
@@ -315,9 +310,6 @@ def parse_config(text: str, subcommand: str = "solve") -> RunConfig:
             problems.append(f"format: must be csv or json, got {pairs['format']!r}")
         else:
             cfg.fmt = pairs["format"]
-    for key in ("tol", "jobs"):
-        if key in pairs:
-            _set_in_range(cfg, key, _RANGES[key][0](pairs[key], key, problems), problems)
     if "dist" in pairs:
         cfg.dist = _parse_dist(pairs["dist"], problems)
     if "mu" in pairs:
@@ -335,7 +327,7 @@ def parse_config(text: str, subcommand: str = "solve") -> RunConfig:
                             f"got {pairs['regime']!r}")
         else:
             cfg.regime = pairs["regime"]
-    for key in ("n_periods", "n_agents", "seed"):
+    for key in _RANGES:
         if key in pairs:
             _set_in_range(cfg, key, _RANGES[key][0](pairs[key], key, problems), problems)
     for wage_key in ("w0", "w1", "w_plus", "w2", "w2p"):
@@ -477,7 +469,7 @@ REGIMES = tuple(_REGIMES)
 
 def _run_solve(cfg: RunConfig) -> None:
     n_periods, header, row, to_dict = _REGIMES[cfg.regime]
-    sol = solve_regime(cfg.dist, cfg.mu, n_periods, cfg.solver_options())
+    sol = solve_regime(cfg.dist, cfg.mu, n_periods)
     if cfg.fmt == "csv":
         _emit_csv(header, [row(sol)], cfg.out)
     else:
@@ -525,18 +517,20 @@ def _run_tree(cfg: RunConfig) -> None:
 
 
 def _sweep_cell(args) -> list:
-    regime, dist, mu, opts = args
+    regime, dist, mu = args
     n_periods, _, row, _ = _REGIMES[regime]
-    return row(solve_regime(dist, mu, n_periods, opts))
+    return row(solve_regime(dist, mu, n_periods))
 
 
 def _run_sweep(cfg: RunConfig) -> None:
     if cfg.regime == "one_period":
         raise ConfigError(["sweep: regime must be two_period or three_period"])
-    opts = cfg.solver_options()
-    cells = [(cfg.regime, cfg.dist, mu, opts) for mu in cfg.mu_grid]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    cells = [(cfg.regime, cfg.dist, mu) for mu in cfg.mu_grid]
+    # Under the fork start method the pool starts all its workers at once,
+    # so it gets no more than there are cells or usable CPUs.
+    workers = min(cfg.jobs, len(cells), _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))  # order-preserving
     else:
         rows = [_sweep_cell(c) for c in cells]
@@ -553,14 +547,13 @@ def _run_simulate(cfg: RunConfig) -> None:
         raise ConfigError(["simulate: regime must be two_period or three_period"])
     wages = dict(cfg.wages)
     if not wages:
-        opts = cfg.solver_options()
         if cfg.regime == "two_period":
-            sol = solve_two_period(cfg.dist, cfg.mu, opts)
+            sol = solve_two_period(cfg.dist, cfg.mu)
             if sol.collapsed:
                 raise ConfigError([f"cannot simulate a collapsed market: {sol.collapse_reason}"])
             wages = {"w0": sol.w0, "w1": sol.w1}
         else:
-            wages = solve_three_period(cfg.dist, cfg.mu, opts).wages()
+            wages = solve_three_period(cfg.dist, cfg.mu).wages()
     try:
         sim_cfg = SimulationConfig(n_agents=cfg.n_agents, seed=cfg.seed,
                                    regime=cfg.regime, dist=cfg.dist, mu=cfg.mu,
@@ -604,7 +597,7 @@ def _run_moral_hazard(cfg: RunConfig) -> None:
 
 
 def _run_welfare(cfg: RunConfig) -> None:
-    comp = welfare_comparison(cfg.dist, cfg.mu, cfg.solver_options())
+    comp = welfare_comparison(cfg.dist, cfg.mu)
     if cfg.fmt == "json":
         _emit_json(comp.to_dict(), cfg.out)
         return
@@ -642,6 +635,11 @@ class _UsageError(Exception):
     pass
 
 
+# The integer flags, each the override of the config key of its name; a
+# subcommand takes one only if its config takes that key.
+_FLAGS = {"seed": "simulation seed override", "jobs": "worker processes for the sweep"}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise _UsageError(message)
@@ -656,9 +654,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--seed", type=int, help="simulation seed override")
-        p.add_argument("--tol", type=float, help="solver tolerance override")
-        p.add_argument("--jobs", type=int, help="parallel workers for sweeps")
+        for key, text in _FLAGS.items():
+            if key in _ALLOWED_KEYS[name]:
+                p.add_argument(f"--{key}", type=int, help=text)
     return parser
 
 
@@ -668,8 +666,8 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
         cfg.out = args.out
     if args.format is not None:
         cfg.fmt = args.format
-    for key in ("seed", "tol", "jobs"):
-        _set_in_range(cfg, key, getattr(args, key), problems)
+    for key in _FLAGS:
+        _set_in_range(cfg, key, getattr(args, key, None), problems)
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from .pools import LaborPool, ProductivityDistribution, _check_mu, pool_mass, pool_mean
-from .solvers import DEFAULT_OPTIONS, SolverOptions, m_extended, m_fixed_points
+from .solvers import m_extended, m_fixed_points
 
 __all__ = [
     "MarketCollapse",
@@ -45,6 +45,10 @@ class MarketCollapse:
     reason: str = ""
 
 
+# Gaps within this of zero count as equalities.
+_GAP_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class InequalityCheck:
     """One evaluated claim of the form lhs < rhs."""
@@ -52,7 +56,6 @@ class InequalityCheck:
     label: str
     lhs: float
     rhs: float
-    tol: float = 1e-10
 
     @property
     def gap(self) -> float:
@@ -60,15 +63,15 @@ class InequalityCheck:
 
     @property
     def strict(self) -> bool:
-        return self.gap > self.tol
+        return self.gap > _GAP_TOL
 
     @property
     def equal(self) -> bool:
-        return abs(self.gap) <= self.tol
+        return abs(self.gap) <= _GAP_TOL
 
     @property
     def holds_weakly(self) -> bool:
-        return self.gap >= -self.tol
+        return self.gap >= -_GAP_TOL
 
     def to_dict(self) -> dict:
         return {"label": self.label, "lhs": self.lhs, "rhs": self.rhs,
@@ -153,19 +156,17 @@ def one_period_wage(dist: ProductivityDistribution) -> float | MarketCollapse:
     return theta_bar
 
 
-def secondhand_fixed_points(dist: ProductivityDistribution, mu: float,
-                            opts: SolverOptions = DEFAULT_OPTIONS) -> tuple[float, ...]:
+def secondhand_fixed_points(dist: ProductivityDistribution, mu: float) -> tuple[float, ...]:
     """All fixed points of the leaver-mean operator, sorted ascending.
 
     Diagnostic companion to :func:`secondhand_fixed_point`; includes roots
     that are inadmissible as market wages (negative ones).
     """
     _check_mu(mu)
-    return tuple(m_fixed_points(LaborPool.entry(dist), mu, opts))
+    return tuple(m_fixed_points(LaborPool.entry(dist), mu))
 
 
-def secondhand_fixed_point(dist: ProductivityDistribution, mu: float,
-                           opts: SolverOptions = DEFAULT_OPTIONS) -> float | MarketCollapse:
+def secondhand_fixed_point(dist: ProductivityDistribution, mu: float) -> float | MarketCollapse:
     """Equilibrium wage of the released-worker market.
 
     Solves w = M(w) where M is the leaver-pool mean and returns the largest
@@ -174,7 +175,7 @@ def secondhand_fixed_point(dist: ProductivityDistribution, mu: float,
     there); it is returned when it is a nonnegative wage and reported as a
     collapse otherwise, matching the mu = 0 shutdown of the market.
     """
-    return _largest_admissible_root(secondhand_fixed_points(dist, mu, opts))
+    return _largest_admissible_root(secondhand_fixed_points(dist, mu))
 
 
 def _largest_admissible_root(roots: tuple[float, ...]) -> float | MarketCollapse:
@@ -186,8 +187,7 @@ def _largest_admissible_root(roots: tuple[float, ...]) -> float | MarketCollapse
     return admissible[-1]
 
 
-def solve_two_period(dist: ProductivityDistribution, mu: float,
-                     opts: SolverOptions = DEFAULT_OPTIONS) -> TwoPeriodSolution:
+def solve_two_period(dist: ProductivityDistribution, mu: float) -> TwoPeriodSolution:
     """Full two-period solve: fixed point, then zero-profit entry wage.
 
     A collapsed second-hand market yields a solution flagged collapsed with
@@ -196,7 +196,7 @@ def solve_two_period(dist: ProductivityDistribution, mu: float,
     pool = LaborPool.entry(dist)
     n = pool_mass(pool)
     theta_bar = pool_mean(pool)
-    roots = secondhand_fixed_points(dist, mu, opts)
+    roots = secondhand_fixed_points(dist, mu)
     w1 = _largest_admissible_root(roots)
     if isinstance(w1, MarketCollapse):
         nan = float("nan")

@@ -82,8 +82,7 @@ from .pools import (
     stayer_moments_array,
 )
 from .solvers import (
-    DEFAULT_OPTIONS,
-    SolverOptions,
+    _TOL,
     m_extended,
     m_fixed_points,
     m_fixed_points_rows,
@@ -373,6 +372,7 @@ class MultiStartReport:
 # =====================================================================
 
 _INNER_SCAN = 129  # grid points of a terminal market's fixed-point scan
+_INNER_TOL = 1e-12  # residual target of those scans
 _OUTER_SCAN = 257  # grid points of the scan over w_plus
 _MULTISTART_STEPS = 4000  # damped steps per multi-start run
 _DAMPING = 0.5  # step factor of the multi-start iteration
@@ -380,10 +380,6 @@ _DAMPING = 0.5  # step factor of the multi-start iteration
 
 def _is_point_mass(dist: ProductivityDistribution) -> bool:
     return dist.kind == "discrete" and len(dist.atoms) == 1
-
-
-def _inner_opts(opts: SolverOptions) -> SolverOptions:
-    return SolverOptions(min(opts.tol, 1e-12))
 
 
 @dataclass
@@ -400,16 +396,14 @@ class _Stage:
     roots_twice: tuple[float, ...]
 
 
-def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float,
-                       opts: SolverOptions) -> _Stage:
+def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float) -> _Stage:
     released, stayed = firing_split(pool0, w_plus, mu)
     if pool_mass(stayed) <= 0.0:
         raise DegenerateSystemError(f"no one is retained at w_plus={w_plus}")
     if pool_mass(released) <= 0.0:
         raise DegenerateSystemError(f"no one is released at w_plus={w_plus}")
-    inner = _inner_opts(opts)
-    roots_late = m_fixed_points(stayed, mu, inner, points=_INNER_SCAN)
-    roots_twice = m_fixed_points(released, mu, inner, points=_INNER_SCAN)
+    roots_late = m_fixed_points(stayed, mu, points=_INNER_SCAN, tol=_INNER_TOL)
+    roots_twice = m_fixed_points(released, mu, points=_INNER_SCAN, tol=_INNER_TOL)
     if not roots_late or not roots_twice:
         raise DegenerateSystemError("a terminal market has no clearing wage")
     w2 = roots_late[-1]
@@ -421,8 +415,7 @@ def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float,
     return _Stage(w_plus, w1, w2, w2p, profit, tuple(roots_late), tuple(roots_twice))
 
 
-def _stages_from_w_plus(pool0: LaborPool, mu: float, w_plus: np.ndarray,
-                        opts: SolverOptions) -> list[_Stage]:
+def _stages_from_w_plus(pool0: LaborPool, mu: float, w_plus: np.ndarray) -> list[_Stage]:
     """:func:`_stage_from_w_plus` at every w of the float64 array w_plus,
     bit for bit, one _Stage per w.
 
@@ -438,7 +431,7 @@ def _stages_from_w_plus(pool0: LaborPool, mu: float, w_plus: np.ndarray,
     k = int(empty[0]) if empty.size else len(w_plus)
     rows = entry_split_rows(pool0.base, np.repeat(w_plus[:k], 2),
                             np.tile([0.0, 1.0], k), np.tile([1.0 - mu, mu], k))
-    roots = m_fixed_points_rows(rows, mu, _inner_opts(opts), points=_INNER_SCAN)
+    roots = m_fixed_points_rows(rows, mu, points=_INNER_SCAN, tol=_INNER_TOL)
     for late, twice in zip(roots[0::2], roots[1::2]):
         for found in (late, twice):
             if isinstance(found, NoConvergenceError):
@@ -521,8 +514,7 @@ def _point_mass_solution(dist: ProductivityDistribution, mu: float) -> ThreePeri
         })
 
 
-def solve_three_period(dist: ProductivityDistribution, mu: float,
-                       opts: SolverOptions = DEFAULT_OPTIONS) -> ThreePeriodSolution:
+def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriodSolution:
     """Solve the five-wage three-period system.
 
     Scans the retention offer w_plus over [pool bottom, entry mean] for
@@ -544,25 +536,25 @@ def solve_three_period(dist: ProductivityDistribution, mu: float,
     lo = pool_inf(pool0)
 
     def g(w_plus: float) -> float:
-        return _stage_from_w_plus(pool0, mu, w_plus, opts).rehire_profit
+        return _stage_from_w_plus(pool0, mu, w_plus).rehire_profit
 
     def g_grid(w_plus: np.ndarray) -> np.ndarray:
-        return np.array([s.rehire_profit for s in _stages_from_w_plus(pool0, mu, w_plus, opts)])
+        return np.array([s.rehire_profit for s in _stages_from_w_plus(pool0, mu, w_plus)])
 
-    roots = scan_roots(g, lo, theta_bar, opts, points=_OUTER_SCAN, g_grid=g_grid)
+    roots = scan_roots(g, lo, theta_bar, points=_OUTER_SCAN, g_grid=g_grid)
     if not roots:
         hi2 = theta_bar + 0.75 * (dist.support_high - theta_bar)
-        roots = scan_roots(g, lo, hi2, opts, points=_OUTER_SCAN, g_grid=g_grid)
+        roots = scan_roots(g, lo, hi2, points=_OUTER_SCAN, g_grid=g_grid)
     if not roots:
         probe = scan_grid(lo, theta_bar, 33)
         best_w = min(zip(np.abs(g_grid(probe)).tolist(), probe.tolist()))
         raise NoConvergenceError(
             "no retention offer balances the period-2 hirers' books",
             best={"w_plus": best_w[1]}, residuals={"rehire_zero_profit": best_w[0]})
-    stage = _stage_from_w_plus(pool0, mu, roots[-1], opts)
+    stage = _stage_from_w_plus(pool0, mu, roots[-1])
     sol = _finish_solution(dist, mu, stage,
                            extra_diag={"w_plus_candidates": list(roots)})
-    if sol.max_residual > max(opts.tol, 1e-8):
+    if sol.max_residual > 1e-8:
         raise NoConvergenceError(
             f"three-period residuals stalled at {sol.max_residual:.3e}",
             best=sol.wages(), residuals=dict(zip(RESIDUAL_NAMES, sol.residuals)))
@@ -570,8 +562,7 @@ def solve_three_period(dist: ProductivityDistribution, mu: float,
 
 
 def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
-                                  n_starts: int = 64, seed: int = 20240601,
-                                  opts: SolverOptions = DEFAULT_OPTIONS) -> MultiStartReport:
+                                  n_starts: int = 64, seed: int = 20240601) -> MultiStartReport:
     """Damped fixed-point iteration from random starts.
 
     An independent route to the three-period solution: all five wages are
@@ -615,7 +606,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
             w_plus_new = min(max(w_plus_new, lo - abs(lo)), theta_bar)
             step = max(abs(w2_new - w2), abs(w2p_new - w2p), abs(w_plus_new - w_plus))
             w2, w2p, w_plus = w2_new, w2p_new, w_plus_new
-            if step <= 1e-13 and abs(profit) <= opts.tol:
+            if step <= 1e-13 and abs(profit) <= _TOL:
                 converged.append(w_plus)
                 break
         else:
@@ -623,7 +614,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     if not converged:
         raise NoConvergenceError("no multi-start run converged")
     sols = [_finish_solution(dist, mu, stage)
-            for stage in _stages_from_w_plus(pool0, mu, np.array(converged), opts)]
+            for stage in _stages_from_w_plus(pool0, mu, np.array(converged))]
     keys = ("w0", "w1", "w_plus", "w2", "w2p")
     spread = max(max(getattr(s, k) for s in sols) - min(getattr(s, k) for s in sols)
                  for k in keys)
@@ -631,8 +622,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
                             agree=spread <= 1e-6, n_failed=n_failed)
 
 
-def solve_regime(dist: ProductivityDistribution, mu: float, n_periods: int,
-                 opts: SolverOptions = DEFAULT_OPTIONS):
+def solve_regime(dist: ProductivityDistribution, mu: float, n_periods: int):
     """Solve the model under an n-period horizon (n = 1, 2 or 3).
 
     n = 1 returns the pooled one-period wage (or MarketCollapse), n = 2
@@ -643,9 +633,9 @@ def solve_regime(dist: ProductivityDistribution, mu: float, n_periods: int,
     if n_periods == 1:
         return one_period_wage(dist)
     if n_periods == 2:
-        return solve_two_period(dist, mu, opts)
+        return solve_two_period(dist, mu)
     if n_periods == 3:
-        return solve_three_period(dist, mu, opts)
+        return solve_three_period(dist, mu)
     raise NotImplementedError(
         f"wage solving is implemented for horizons 1..3, not {n_periods} "
         "(build_market_tree still works for any horizon)")
@@ -788,8 +778,7 @@ class WelfareComparison:
             aggregate_three_period_total=d["aggregate_three_period_total"])
 
 
-def welfare_comparison(dist: ProductivityDistribution, mu: float,
-                       opts: SolverOptions = DEFAULT_OPTIONS) -> WelfareComparison:
+def welfare_comparison(dist: ProductivityDistribution, mu: float) -> WelfareComparison:
     """Expected lifetime pay by productivity decile under both horizons.
 
     Two-period pay is w0 + w1 for every worker (retained workers are paid
@@ -798,10 +787,10 @@ def welfare_comparison(dist: ProductivityDistribution, mu: float,
     the (1 - mu)/mu mixture of staying (w_plus + w2) and quitting
     (w1 + w2p) — which the indifference condition makes equal.
     """
-    sol2 = solve_two_period(dist, mu, opts)
+    sol2 = solve_two_period(dist, mu)
     if sol2.collapsed:
         raise ValueError("two-period market collapsed; no comparison to make")
-    sol3 = solve_three_period(dist, mu, opts)
+    sol3 = solve_three_period(dist, mu)
     n = dist.total_mass()
     n_above, _ = dist._moments_at_or_above(sol3.w_plus)
 

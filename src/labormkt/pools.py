@@ -304,12 +304,14 @@ class LaborPool:
 
 def _rescale_pieces(pieces, cut: float, low_factor: float, high_factor: float) -> list:
     """`pieces` with weights scaled by `low_factor` strictly below `cut`,
-    `high_factor` at or above; a piece straddling `cut` is cut in two."""
+    `high_factor` at or above; a piece straddling `cut` is cut in two.  The
+    last piece is closed, so a cut at the support top H splits it into
+    [lo, H) and [H, H], and an atom at H stays at or above the cut."""
     out = []
-    for lo, hi, w in pieces:
+    for i, (lo, hi, w) in enumerate(pieces):
         if lo >= cut:
             out.append((lo, hi, w * high_factor))
-        elif hi <= cut:
+        elif hi <= cut and i < len(pieces) - 1:
             out.append((lo, hi, w * low_factor))
         else:
             out.append((lo, cut, w * low_factor))
@@ -412,12 +414,12 @@ def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high):
     n_cut, m1_cut = base.moments_below_array(t)
     n = m1 = 0.0
     n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
-    for (lo, hi, w), (n_hi, m1_hi) in zip(pieces, ends):
+    for i, ((lo, hi, w), (n_hi, m1_hi)) in enumerate(zip(pieces, ends)):
         w_below, w_above = w * low, w * high
         # As in _rescale_pieces, lo >= t is tested first: a zero-width piece
-        # at t goes to the at-or-above side.
+        # at t goes to the at-or-above side, and the closed last piece holds t.
         above = lo >= t
-        split = ~above & (hi > t)
+        split = ~above & ((hi > t) | (i == len(pieces) - 1))
         # A straddling piece adds [lo, t) and then [t, hi).  Where
         # _piece_moments skips a zero weight this adds a zero product, which
         # leaves the sum as it is: it starts at +0.0, so it is never -0.0.
@@ -502,10 +504,8 @@ def entry_split_rows(dist: ProductivityDistribution, thresholds, low, high) -> P
     (0, 1 - mu) the stayer side; `low` and `high` may be arrays, so one
     stack can hold both sides.  Thresholds are clamped to the support, as
     the split clamps them.  Each row has the pieces ``[(L, t, low),
-    (t, H, high)]``.  Where firing_split makes one piece instead, one of the
-    two is empty and adds only zeros: at t = L the first, and at t = H > L
-    the second, whose start is then read as the whole base so that an atom
-    at H stays in the closed first piece.
+    (t, H, high)]``, as firing_split makes them; at t = L it makes only the
+    second, and the empty first piece adds only zeros.
     """
     t = _clamped_thresholds(dist, thresholds)
     low, high = np.broadcast_arrays(t, np.asarray(low, dtype=np.float64),
@@ -513,8 +513,6 @@ def entry_split_rows(dist: ProductivityDistribution, thresholds, low, high) -> P
     lo, hi = dist.support_low, dist.support_high
     n, m1 = _split_moments(dist, ((lo, hi, 1.0),), (dist._total,), t, low, high)
     n_t, m1_t = dist.moments_below_array(t)
-    at_top = (t >= hi) & (t > lo)
-    n_t, m1_t = np.where(at_top, dist._total[0], n_t), np.where(at_top, dist._total[1], m1_t)
     # pool_inf: the start of the first piece holding workers, snapped up to
     # an atom on a discrete base.
     inf = np.where((low > 0.0) & (n_t > 0.0), lo, t)

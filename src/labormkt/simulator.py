@@ -50,12 +50,19 @@ _CHUNK = 1 << 18
 # flight holds its productivities and coin flips, not its raw draws.  Any
 # size gives the same draws: the chunk reads one Philox stream in order.
 _BLOCK = 1 << 15
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 # Threads that replay chunks: the CPUs this process may run on, at most two.
 # Each chunk in flight holds about 11 MB, so memory sets the cap: perfbench
 # crosscheck (seed 1) peaks at 55 MB with one thread, 68 MB with two, 89 MB
 # with four and 111 MB with eight.
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
+_WORKERS = min(2, _usable_cpus())
 
 
 @dataclass(frozen=True)

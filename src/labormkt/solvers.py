@@ -29,48 +29,27 @@ solver, residual and CLI series evaluates M(w) through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoConvergenceError
-from .pools import (LaborPool, PoolRows, _is_real, leaver_moments, leaver_moments_array,
-                    pool_inf, pool_mean)
+from .pools import (LaborPool, PoolRows, leaver_moments, leaver_moments_array, pool_inf,
+                    pool_mean)
 
-__all__ = ["SolverOptions", "bisect_root", "bisect_roots", "scan_grid", "scan_roots",
+__all__ = ["bisect_root", "bisect_roots", "scan_grid", "scan_roots",
            "m_extended", "m_fixed_points", "m_fixed_points_rows"]
 
 
-# The loosest residual target accepted: above it a solve can exit with a
-# visibly wrong answer (tol = 1e6 returns w1 = 0.5 on uniform(0, 1)).
-MAX_TOL = 1e-6
+# The residual target of the scans and bisections, unless a caller passes
+# its own tol (the three-period terminal markets use 1e-12).
+_TOL = 1e-10
 # Halvings per bracket before a bisection gives up; read at call time.
 _MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """The residual target of the iterative solvers: a real tol in (0, MAX_TOL].
-
-    Scan sizes are arguments of the scans and the bisection budget is
-    _MAX_ITER; neither is a setting.
-    """
-
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not _is_real(self.tol) or not 0.0 < self.tol <= MAX_TOL:
-            raise ValueError(f"tol must be positive and at most {MAX_TOL!r}, not {self.tol!r}")
-
-
-DEFAULT_OPTIONS = SolverOptions()
-
-
-def bisect_root(g, a: float, b: float, ga: float, gb: float,
-                opts: SolverOptions = DEFAULT_OPTIONS) -> float:
+def bisect_root(g, a: float, b: float, ga: float, gb: float, tol: float = _TOL) -> float:
     """Bisect a sign-change bracket [a, b] down to a root of g.
 
-    Stops when the residual is within opts.tol or the interval has shrunk
+    Stops when the residual is within tol or the interval has shrunk
     to floating-point resolution; raises NoConvergenceError if _MAX_ITER
     halvings were not enough for either.
     """
@@ -89,22 +68,22 @@ def bisect_root(g, a: float, b: float, ga: float, gb: float,
         gmid = g(mid)
         if abs(gmid) < abs(best_g):
             best_x, best_g = mid, gmid
-        if gmid == 0.0 or abs(gmid) <= opts.tol:
+        if gmid == 0.0 or abs(gmid) <= tol:
             return mid
         if (gmid > 0.0) == (glo > 0.0):
             lo, glo = mid, gmid
         else:
             hi = mid
-    raise _bisection_error(best_x, best_g, opts)
+    raise _bisection_error(best_x, best_g, tol)
 
 
-def _bisection_error(best_x: float, best_g: float, opts: SolverOptions) -> NoConvergenceError:
+def _bisection_error(best_x: float, best_g: float, tol: float) -> NoConvergenceError:
     return NoConvergenceError(
-        f"bisection did not reach tol={opts.tol} in {_MAX_ITER} steps",
+        f"bisection did not reach tol={tol} in {_MAX_ITER} steps",
         best={"x": best_x}, residuals={"g": best_g})
 
 
-def bisect_roots(g, a, b, ga, gb, opts: SolverOptions = DEFAULT_OPTIONS):
+def bisect_roots(g, a, b, ga, gb, tol: float = _TOL):
     """:func:`bisect_root` on every bracket [a[i], b[i]] at once, in lockstep.
 
     g(x, idx) evaluates the functions of the brackets `idx` (an index
@@ -136,7 +115,7 @@ def bisect_roots(g, a, b, ga, gb, opts: SolverOptions = DEFAULT_OPTIONS):
         better = np.abs(gmid) < np.abs(best_g[active])
         best_x[active[better]] = mid[better]
         best_g[active[better]] = gmid[better]
-        hit = (gmid == 0.0) | (np.abs(gmid) <= opts.tol)
+        hit = (gmid == 0.0) | (np.abs(gmid) <= tol)
         out[active[hit]] = mid[hit]
         active, mid, gmid = active[~hit], mid[~hit], gmid[~hit]
         same = (gmid > 0.0) == (glo[active] > 0.0)
@@ -169,13 +148,13 @@ def _grid_candidates(gs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     return small, bracket
 
 
-def _grid_roots(g, xs: list[float], gs, opts: SolverOptions = DEFAULT_OPTIONS) -> list[float]:
+def _grid_roots(g, xs: list[float], gs, tol: float) -> list[float]:
     """Roots of g from its values gs on the grid xs, in grid order; each
     bracket is bisected with the scalar g."""
     gs = np.asarray(gs, dtype=np.float64)
-    small, bracket = _grid_candidates(gs, opts.tol)
+    small, bracket = _grid_candidates(gs, tol)
     g_at = gs.tolist()
-    return [xs[i] if small[i] else bisect_root(g, xs[i - 1], xs[i], g_at[i - 1], g_at[i], opts)
+    return [xs[i] if small[i] else bisect_root(g, xs[i - 1], xs[i], g_at[i - 1], g_at[i], tol)
             for i in np.flatnonzero(small | bracket).tolist()]
 
 
@@ -190,8 +169,7 @@ def _distinct(roots: list[float], lo: float, hi: float) -> list[float]:
     return out
 
 
-def scan_roots(g, lo: float, hi: float, opts: SolverOptions = DEFAULT_OPTIONS, *,
-               points: int, g_grid) -> list[float]:
+def scan_roots(g, lo: float, hi: float, *, points: int, g_grid, tol: float = _TOL) -> list[float]:
     """All roots of g on [lo, hi] found by a scan of `points` grid points
     plus bracket bisection.
 
@@ -202,9 +180,9 @@ def scan_roots(g, lo: float, hi: float, opts: SolverOptions = DEFAULT_OPTIONS, *
     if hi < lo:
         raise ValueError("empty scan interval")
     if hi == lo:
-        return [lo] if abs(g(lo)) <= opts.tol else []
+        return [lo] if abs(g(lo)) <= tol else []
     grid = scan_grid(lo, hi, points)
-    return _distinct(_grid_roots(g, grid.tolist(), g_grid(grid), opts), lo, hi)
+    return _distinct(_grid_roots(g, grid.tolist(), g_grid(grid), tol), lo, hi)
 
 
 def m_extended(pool: LaborPool, w: float, mu: float) -> float:
@@ -242,8 +220,8 @@ def _m_extended_array(pool: LaborPool, w: np.ndarray, mu: float) -> np.ndarray:
     return out
 
 
-def m_fixed_points(pool: LaborPool, mu: float, opts: SolverOptions = DEFAULT_OPTIONS, *,
-                   points: int = 1024) -> list[float]:
+def m_fixed_points(pool: LaborPool, mu: float, *, points: int = 1024,
+                   tol: float = _TOL) -> list[float]:
     """Sorted fixed points of w = m_extended(pool, w, mu), scanned on
     `points` grid points.
 
@@ -257,7 +235,7 @@ def m_fixed_points(pool: LaborPool, mu: float, opts: SolverOptions = DEFAULT_OPT
     if mean <= lo:
         return [mean]  # degenerate pool concentrated at a single point
     g = lambda w: w - m_extended(pool, w, mu)
-    return scan_roots(g, lo, mean, opts, points=points, g_grid=g)
+    return scan_roots(g, lo, mean, points=points, g_grid=g, tol=tol)
 
 
 # Scan-grid elements filled per array call of m_fixed_points_rows: enough to
@@ -265,11 +243,10 @@ def m_fixed_points(pool: LaborPool, mu: float, opts: SolverOptions = DEFAULT_OPT
 _BLOCK_ELEMENTS = 4096
 
 
-def m_fixed_points_rows(rows: PoolRows, mu: float, opts: SolverOptions = DEFAULT_OPTIONS, *,
-                        points: int) -> list:
+def m_fixed_points_rows(rows: PoolRows, mu: float, *, points: int, tol: float = _TOL) -> list:
     """:func:`m_fixed_points` on every pool of a :class:`PoolRows` stack.
 
-    Entry i is m_fixed_points(pool_i, mu, opts, points=points), or the
+    Entry i is m_fixed_points(pool_i, mu, points=points, tol=tol), or the
     NoConvergenceError that call raises, so a caller that walks the rows in
     order can raise what a loop of m_fixed_points calls would raise first.  The scan grids
     are filled by :func:`m_extended` in blocks of about _BLOCK_ELEMENTS
@@ -292,7 +269,7 @@ def m_fixed_points_rows(rows: PoolRows, mu: float, opts: SolverOptions = DEFAULT
         idx = scanned[start:start + block]
         xs = scan_grid(lo[idx, None], mean[idx, None], points)
         gs = xs - m_extended(rows.take(idx), xs, mu)
-        small, bracket = _grid_candidates(gs, opts.tol)
+        small, bracket = _grid_candidates(gs, tol)
         r, c = np.nonzero(small | bracket)
         left = np.maximum(c - 1, 0)
         found.append((idx[r], xs[r, c], bracket[r, c], xs[r, left], gs[r, left], gs[r, c]))
@@ -301,7 +278,7 @@ def m_fixed_points_rows(rows: PoolRows, mu: float, opts: SolverOptions = DEFAULT
     brows = row[br]
     g = lambda w, i: w - m_extended(rows.take(brows[i]), w[:, None], mu)[:, 0]
     best_g, failed = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
-    x[br], best_g[br], failed[br] = bisect_roots(g, a[br], x[br], ga[br], gb[br], opts)
+    x[br], best_g[br], failed[br] = bisect_roots(g, a[br], x[br], ga[br], gb[br], tol)
 
     out: list = [[m] for m in mean.tolist()]  # a pool at a single point
     for i in scanned.tolist():
@@ -309,7 +286,7 @@ def m_fixed_points_rows(rows: PoolRows, mu: float, opts: SolverOptions = DEFAULT
     for i, root, resid, fail in zip(row.tolist(), x.tolist(), best_g.tolist(),
                                     failed.tolist()):
         if isinstance(out[i], list):  # the scalar scan stops at a failed bracket
-            out[i] = _bisection_error(root, resid, opts) if fail else out[i] + [root]
+            out[i] = _bisection_error(root, resid, tol) if fail else out[i] + [root]
     lo_l, mean_l = lo.tolist(), mean.tolist()
     for i in scanned.tolist():
         if isinstance(out[i], list):

@@ -404,19 +404,17 @@ def test_mu_grid_cap_admits_exactly_the_cap():
         cli.parse_config(SWEEP_CFG.replace("0.1:0.9:0.1", "0:1:0.99e-4"), "sweep")
 
 
-@pytest.mark.parametrize("key, value", [("seed", "-1"), ("jobs", "0"), ("tol", "0"),
-                                        ("tol", "inf"), ("tol", "nan"),
-                                        ("tol", "1000000.0"), ("tol", "0.01")])
+@pytest.mark.parametrize("key, value", [("seed", "-1"), ("jobs", "0")])
 def test_flag_range_checks_match_config_keys(tmp_path, capsys, key, value):
     """A flag obeys the same range rule, and prints the same problem, as
-    the config key it overrides; a non-finite or loose tol (1e6 would exit 0
-    with a visibly wrong w1) is rejected both ways."""
-    base = SIM_CFG.replace("seed = 7\n", "")
+    the config key it overrides."""
+    subcommand, base = {"seed": ("simulate", SIM_CFG.replace("seed = 7\n", "")),
+                        "jobs": ("sweep", SWEEP_CFG)}[key]
     by_flag = write(tmp_path, "flag.cfg", base)
     by_key = write(tmp_path, "key.cfg", base + f"{key} = {value}\n")
-    assert cli.main(["simulate", "--config", by_flag, f"--{key}", value]) == 1
+    assert cli.main([subcommand, "--config", by_flag, f"--{key}", value]) == 1
     flag_err = capsys.readouterr().err
-    assert cli.main(["simulate", "--config", by_key]) == 1
+    assert cli.main([subcommand, "--config", by_key]) == 1
     assert capsys.readouterr().err == flag_err
     assert flag_err.startswith(f"config error: {key}: ") and f"(got {value}" in flag_err
 
@@ -430,13 +428,14 @@ def test_problem_order_is_stable():
     assert exc.value.problems == [
         "line 1: expected `key = value`, got 'nonsense'",
         "unknown key 'bogus' for subcommand simulate",
+        "unknown key 'tol' for subcommand simulate",
+        "unknown key 'jobs' for subcommand simulate",
         "unknown key 'n_periods' for subcommand simulate",
         "format: must be csv or json, got 'xml'",
-        "tol: must be positive and at most 1e-06 (got 0.0)",
-        "jobs: must be at least 1 (got 0)",
         "dist: expected uniform(a,b), discrete(...) or piecewise(...), got 'gaussian(0, 1)'",
         "mu must lie in [0,1] (got 1.5)",
         "regime: must be one of one_period, two_period, three_period, got 'four_period'",
+        "jobs: must be at least 1 (got 0)",
         "n_periods: must lie in [1, 16] (got 0)",
         "n_agents: must be at least 1 (got 0)",
         "seed: must fit in 64 unsigned bits (got -1)",
@@ -449,8 +448,86 @@ def test_unknown_subcommand(capsys):
 
 
 def test_invalid_flag_value(tmp_path, capsys):
-    cfg = write(tmp_path, "a.cfg", TWO_PERIOD_CFG)
-    assert cli.main(["solve", "--config", cfg, "--tol", "banana"]) == 1
+    cfg = write(tmp_path, "a.cfg", SWEEP_CFG)
+    assert cli.main(["sweep", "--config", cfg, "--jobs", "banana"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+# A small runnable config per subcommand.
+MINIMAL_CFG = {
+    "solve": TWO_PERIOD_CFG,
+    "tree": "dist = uniform(0, 1)\nmu = 0.5\nn_periods = 2\n",
+    "sweep": "dist = uniform(0, 1)\nmu_grid = 0.5\nregime = two_period\n",
+    "simulate": "dist = uniform(0, 1)\nmu = 0.5\nregime = two_period\nn_agents = 1000\n",
+    "screening": "n_total = 10\nm_allowed = 3\n",
+    "moral-hazard": MH_CFG + "wage_levels = 5\n",
+    "welfare": "dist = uniform(0, 1)\nmu = 0.5\n",
+}
+# The subcommand whose config reads each overridable key; tol is read by none.
+READERS = {"seed": {"simulate"}, "jobs": {"sweep"}, "tol": set()}
+
+
+@pytest.mark.parametrize("key", sorted(READERS))
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_flag_is_accepted_only_where_its_key_is_read(tmp_path, capsys, subcommand, key):
+    """--seed runs only on simulate and --jobs only on sweep; any other
+    subcommand, and every subcommand for --tol, refuses the flag as a usage
+    error before it reads the config."""
+    cfg = write(tmp_path, "a.cfg", MINIMAL_CFG[subcommand])
+    argv = [subcommand, "--config", cfg, "--out", str(tmp_path / "out"), f"--{key}", "1"]
+    if subcommand in READERS[key]:
+        assert cli.main(argv) == 0
+    else:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("key", sorted(READERS))
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_config_key_is_accepted_only_where_it_is_read(subcommand, key):
+    text = MINIMAL_CFG[subcommand] + f"{key} = 1\n"
+    if subcommand in READERS[key]:
+        assert getattr(cli.parse_config(text, subcommand), key) == 1
+    else:
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config(text, subcommand)
+        assert exc.value.problems == [f"unknown key {key!r} for subcommand {subcommand}"]
+
+
+class _SerialPool:
+    """A ProcessPoolExecutor stand-in that records max_workers and maps in
+    this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells):
+        return map(fn, cells)
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (100_000, 4, 4), (100_000, 64, 9), (3, 64, 3), (100_000, 1, None), (1, 64, None)])
+def test_sweep_workers_are_capped_by_cells_and_cpus(tmp_path, monkeypatch, jobs, cpus, workers):
+    """The sweep asks for at most one worker per grid cell and per usable
+    CPU, and runs in this process when that is one; the rows stay the same."""
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    cfg = write(tmp_path, "s.cfg", SWEEP_CFG)
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--config", cfg, "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert _SerialPool.sizes == ([] if workers is None else [workers])
+    serial = tmp_path / "serial.csv"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
+    assert out.read_bytes() == serial.read_bytes()
 
 
 def test_nonconvergence_exits_2_with_diagnostics(tmp_path, monkeypatch, capsys):

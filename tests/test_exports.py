@@ -1,5 +1,6 @@
 """The package's names: every module's ``__all__`` resolves, and the helpers
-that computed a quantity a second time stay removed."""
+that computed a quantity a second time, and the solver settings that became
+constants, stay removed."""
 
 import importlib
 import pkgutil
@@ -10,9 +11,11 @@ import labormkt as lm
 
 MODULES = ["labormkt", *(f"labormkt.{m.name}" for m in pkgutil.iter_modules(lm.__path__))]
 
-# Each of these re-derived what another function returns.
+# Each of these re-derived what another function returns, or (the last four)
+# carried a residual target that is now a solver constant.
 REMOVED = ("_restricted_moments", "truncated_mean", "pool_sup", "_occupied_pieces",
-           "entry_wage_two_period", "empirical_zero_profit", "_MAX_TREE_PERIODS")
+           "entry_wage_two_period", "empirical_zero_profit", "_MAX_TREE_PERIODS",
+           "SolverOptions", "DEFAULT_OPTIONS", "MAX_TOL", "_inner_opts")
 REMOVED_MEMBERS = (
     (lm.ProductivityDistribution, ("mass_between", "first_moment_between", "cdf")),
     (lm.GapReport, ("__float__",)),

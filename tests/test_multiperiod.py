@@ -21,7 +21,7 @@ import pytest
 import labormkt as lm
 from labormkt import pools, solvers
 from labormkt.multiperiod import RESIDUAL_NAMES, _stage_from_w_plus, _stages_from_w_plus
-from labormkt.solvers import DEFAULT_OPTIONS, scan_grid
+from labormkt.solvers import scan_grid
 
 
 @functools.lru_cache(maxsize=None)
@@ -348,8 +348,8 @@ def test_batched_outer_scan_equals_stage_loop(base, mu):
     _stage_from_w_plus, with ==."""
     pool0 = pools.LaborPool.entry(GOLDEN_BASES[base])
     grid = scan_grid(pools.pool_inf(pool0), pools.pool_mean(pool0), 257)
-    assert _stages_from_w_plus(pool0, mu, grid, DEFAULT_OPTIONS) == [
-        _stage_from_w_plus(pool0, mu, w, DEFAULT_OPTIONS) for w in grid.tolist()]
+    assert _stages_from_w_plus(pool0, mu, grid) == [
+        _stage_from_w_plus(pool0, mu, w) for w in grid.tolist()]
 
 
 # opts maps solvers module constants to the values patched in for the case.
@@ -357,7 +357,7 @@ def test_batched_outer_scan_equals_stage_loop(base, mu):
     (GOLDEN_BASES["piecewise_readme"], 0.5, {"_MAX_ITER": 20}, [0.1, 0.3]),
     (GOLDEN_BASES["discrete_41"], 0.3, {"_MAX_ITER": 20}, [0.0, 0.5]),
     (lm.uniform(0.0, 1.0), 0.5, {}, [0.2, 0.5, 1.0, 0.3, 1.5]),
-    (GOLDEN_BASES["discrete_41"], 0.5, {}, [0.1, 2.0, 1.0]),
+    (GOLDEN_BASES["piecewise_readme"], 0.5, {}, [0.1, 2.0, 1.0]),
     (lm.uniform(0.0, 1.0), 0.0, {}, [-1.0, 0.5]),
 ])
 def test_batched_outer_scan_raises_what_the_stage_loop_raises_first(dist, mu, opts, w_plus,
@@ -369,9 +369,9 @@ def test_batched_outer_scan_raises_what_the_stage_loop_raises_first(dist, mu, op
     pool0 = pools.LaborPool.entry(dist)
     with pytest.raises(lm.LaborMarketError) as loop:
         for w in w_plus:
-            _stage_from_w_plus(pool0, mu, w, DEFAULT_OPTIONS)
+            _stage_from_w_plus(pool0, mu, w)
     with pytest.raises(type(loop.value)) as batch:
-        _stages_from_w_plus(pool0, mu, np.array(w_plus), DEFAULT_OPTIONS)
+        _stages_from_w_plus(pool0, mu, np.array(w_plus))
     facts = lambda exc: (str(exc), getattr(exc, "best", None), getattr(exc, "residuals", None))
     assert facts(batch.value) == facts(loop.value)
 

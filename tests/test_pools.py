@@ -408,7 +408,7 @@ def test_split_rows_reject_non_finite_thresholds():
             pools.entry_split_rows(PW, np.array([0.2, bad]), 1.0, 0.5)
 
 
-def scan_roots_by_loop(g, lo, hi, opts, n):
+def scan_roots_by_loop(g, lo, hi, tol, n):
     """Reference scan: scalar g at n grid points, brackets found one by one."""
     from labormkt.solvers import bisect_root
 
@@ -416,10 +416,10 @@ def scan_roots_by_loop(g, lo, hi, opts, n):
     gs = [g(x) for x in xs]
     roots = []
     for i, (x, gx) in enumerate(zip(xs, gs)):
-        if gx == 0.0 or abs(gx) <= opts.tol:
+        if gx == 0.0 or abs(gx) <= tol:
             roots.append(x)
-        elif i > 0 and (gs[i - 1] > 0.0) != (gx > 0.0) and abs(gs[i - 1]) > opts.tol:
-            roots.append(bisect_root(g, xs[i - 1], x, gs[i - 1], gx, opts))
+        elif i > 0 and (gs[i - 1] > 0.0) != (gx > 0.0) and abs(gs[i - 1]) > tol:
+            roots.append(bisect_root(g, xs[i - 1], x, gs[i - 1], gx, tol))
     scale = max(abs(lo), abs(hi), 1.0)
     out = []
     for r in sorted(roots):
@@ -433,15 +433,15 @@ def scan_roots_by_loop(g, lo, hi, opts, n):
 def test_m_fixed_points_matches_scalar_scan(dist, mu):
     """Oracle: the array-filled scan finds exactly the roots of a scan that
     evaluates the scalar operator point by point."""
-    from labormkt.solvers import SolverOptions, m_fixed_points, scan_roots
+    from labormkt.solvers import m_fixed_points, scan_roots
 
-    for opts, n in ((SolverOptions(), 1024), (SolverOptions(tol=1e-12), 129)):
+    for tol, n in ((solvers._TOL, 1024), (1e-12, 129)):
         for pool in (pools.LaborPool.entry(dist), _twice_split(dist)):
             g = lambda w: w - m_extended(pool, w, mu)
             lo, mean = min(pools.pool_inf(pool), 0.0), pools.pool_mean(pool)
-            roots = m_fixed_points(pool, mu, opts, points=n)
-            assert roots == scan_roots(g, lo, mean, opts, points=n, g_grid=g)
-            assert roots == scan_roots_by_loop(g, lo, mean, opts, n)
+            roots = m_fixed_points(pool, mu, points=n, tol=tol)
+            assert roots == scan_roots(g, lo, mean, points=n, g_grid=g, tol=tol)
+            assert roots == scan_roots_by_loop(g, lo, mean, tol, n)
 
 
 def test_grid_point_within_tol_is_a_root_and_not_bisected():
@@ -460,13 +460,12 @@ def test_grid_point_within_tol_is_a_root_and_not_bisected():
     assert len(calls) == 129
 
 
-def _patched_options(opts_kw, monkeypatch):
-    """SolverOptions(tol=...) from opts_kw, with its "max_iter", if any,
-    patched into solvers._MAX_ITER."""
-    kw = dict(opts_kw)
-    if "max_iter" in kw:
-        monkeypatch.setattr(solvers, "_MAX_ITER", kw.pop("max_iter"))
-    return solvers.SolverOptions(**kw)
+def _patched_tol(opts_kw, monkeypatch):
+    """The "tol" of opts_kw (default solvers._TOL), with its "max_iter", if
+    any, patched into solvers._MAX_ITER."""
+    if "max_iter" in opts_kw:
+        monkeypatch.setattr(solvers, "_MAX_ITER", opts_kw["max_iter"])
+    return opts_kw.get("tol", solvers._TOL)
 
 
 # (g, a, b): smooth roots, roots on either end, a jump that bisects down to
@@ -488,15 +487,15 @@ def test_bisect_roots_equals_bisect_root(opts_kw, monkeypatch):
     and where bisect_root raises, its best x and residual."""
     from labormkt.solvers import bisect_root, bisect_roots
 
-    opts = _patched_options(opts_kw, monkeypatch)
+    tol = _patched_tol(opts_kw, monkeypatch)
     fs, a, b = (list(v) for v in zip(*BRACKETS))
     ga, gb = [f(x) for f, x in zip(fs, a)], [f(x) for f, x in zip(fs, b)]
     g = lambda x, idx: np.array([fs[i](v) for i, v in zip(idx.tolist(), x.tolist())])
-    x, best_g, failed = bisect_roots(g, a, b, ga, gb, opts)
+    x, best_g, failed = bisect_roots(g, a, b, ga, gb, tol)
     n_failed = 0
     for i, f in enumerate(fs):
         try:
-            expected = bisect_root(f, a[i], b[i], ga[i], gb[i], opts)
+            expected = bisect_root(f, a[i], b[i], ga[i], gb[i], tol)
         except lm.NoConvergenceError as exc:
             n_failed += 1
             assert failed[i]
@@ -505,7 +504,7 @@ def test_bisect_roots_equals_bisect_root(opts_kw, monkeypatch):
             assert not failed[i] and x[i] == expected
     assert (n_failed > 0) == (solvers._MAX_ITER < 10)
     with pytest.raises(ValueError, match="sign change"):
-        bisect_roots(g, [0.0], [1.0], [1.0], [2.0], opts)
+        bisect_roots(g, [0.0], [1.0], [1.0], [2.0], tol)
 
 
 @pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, DISC, POINT])
@@ -515,29 +514,20 @@ def test_m_fixed_points_rows_equal_per_pool_scans(dist, opts_kw, monkeypatch):
     that row's pool."""
     from labormkt.solvers import m_fixed_points, m_fixed_points_rows
 
-    kw = dict(opts_kw)
-    n = kw.pop("points", 1024)
-    opts = _patched_options(kw, monkeypatch)
+    n = opts_kw.get("points", 1024)
+    tol = _patched_tol(opts_kw, monkeypatch)
     for mu in (0.3, 0.8):
         rows, split = split_rows_and_pools(dist, _thresholds(dist), mu)
         full = [i for i, pool in enumerate(split) if pools.pool_mass(pool) > 0.0]
-        batched = m_fixed_points_rows(rows.take(np.array(full)), mu, opts, points=n)
+        batched = m_fixed_points_rows(rows.take(np.array(full)), mu, points=n, tol=tol)
         for i, got in zip(full, batched):
             try:
-                expected = m_fixed_points(split[i], mu, opts, points=n)
+                expected = m_fixed_points(split[i], mu, points=n, tol=tol)
             except lm.NoConvergenceError as exc:
                 assert isinstance(got, lm.NoConvergenceError)
                 assert (str(got), got.best, got.residuals) == (str(exc), exc.best, exc.residuals)
             else:
                 assert got == expected
-
-
-@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10, 1e6, 0.01])
-def test_solver_options_reject_non_finite_or_non_positive_tol(tol):
-    from labormkt.solvers import SolverOptions
-
-    with pytest.raises(ValueError, match="tol must be positive and at most 1e-06"):
-        SolverOptions(tol=tol)
 
 
 def test_discrete_split_moments_by_hand():
@@ -551,6 +541,35 @@ def test_discrete_split_moments_by_hand():
         ((1 - mu) * 3.5, (1 - mu) * (1.0 + 1.35)), abs=1e-15)
     assert pools.leaver_moments(pool, -5.0, mu) == pytest.approx(
         (mu * 4.5, mu * 2.55), abs=1e-15)
+
+
+@pytest.mark.parametrize("dist", [DISC, lm.discrete([(k / 40, 1.0) for k in range(41)])],
+                         ids=["disc3", "disc41"])
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.5, 1.0])
+def test_split_at_the_top_atom_keeps_it(dist, mu):
+    """A review at the top atom H keeps that atom, as the two-period
+    retention and the Monte Carlo replay do: the tree's S mass is (1 - mu)
+    times the mass at or above H, and the scalar, array and row forms of
+    both sides agree bit for bit."""
+    top = dist.support_high
+    n_top, m1_top = dist._moments_at_or_above(top)
+    tree = lm.build_market_tree(dist, mu, 2, thresholds={"": top})
+    assert pools._moments(tree.node("S").pool) == ((1.0 - mu) * n_top, (1.0 - mu) * m1_top)
+    pool = pools.LaborPool.entry(dist)
+    for scalar, kernel, low, high in (
+            (pools.leaver_moments, pools.leaver_moments_array, 1.0, mu),
+            (pools.stayer_moments, pools.stayer_moments_array, 0.0, 1.0 - mu)):
+        expected = scalar(pool, top, mu)
+        n, m1 = kernel(pool, np.array([top]), mu)
+        assert (n.tolist(), m1.tolist()) == ([expected[0]], [expected[1]])
+        n, m1 = pools.entry_split_rows(dist, np.array([top]), low, high).moments
+        assert (n[0, 0], m1[0, 0]) == expected
+    assert_split_rows_equal_split_pools(dist, [top], _thresholds(dist), mu, mu)
+    replay = lm.simulate(lm.SimulationConfig(n_agents=10_000, seed=0, regime=lm.TWO_PERIOD,
+                                             dist=dist, mu=mu, wages={"w0": 0.5, "w1": top}))
+    share = (1.0 - mu) * n_top / dist.total_mass()
+    stayed = next(m for m in replay.markets if m.name == "S").mass_share
+    assert abs(stayed - share) <= 4.0 * math.sqrt(share * (1.0 - share) / 10_000) + 1e-12
 
 
 def test_pool_inf_on_split_discrete_pools():
