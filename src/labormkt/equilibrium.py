@@ -162,7 +162,7 @@ def secondhand_fixed_points(dist: ProductivityDistribution, mu: float) -> tuple[
     Diagnostic companion to :func:`secondhand_fixed_point`; includes roots
     that are inadmissible as market wages (negative ones).
     """
-    _check_mu(mu)
+    mu = _check_mu(mu)
     return tuple(m_fixed_points(LaborPool.entry(dist), mu))
 
 
@@ -193,6 +193,7 @@ def solve_two_period(dist: ProductivityDistribution, mu: float) -> TwoPeriodSolu
     A collapsed second-hand market yields a solution flagged collapsed with
     NaN wages; the population statistics are still filled in.
     """
+    mu = _check_mu(mu)
     pool = LaborPool.entry(dist)
     n = pool_mass(pool)
     theta_bar = pool_mean(pool)

@@ -205,7 +205,7 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
     if thresholds is not None and not isinstance(thresholds, Mapping):
         raise InvalidThresholdError(
             f"thresholds must map histories to review wages, not {type(thresholds).__name__}")
-    _check_mu(mu)
+    mu = _check_mu(mu)
     wages = wages or {}
 
     def lookup_threshold(history: str, pool: LaborPool) -> float:
@@ -526,7 +526,7 @@ def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriod
     0 < mu < 1; a single-productivity population short-circuits to the
     exact degenerate answer.
     """
-    _check_mu(mu)
+    mu = _check_mu(mu)
     if not 0.0 < mu < 1.0:
         raise ValueError("three-period system needs 0 < mu < 1")
     if _is_point_mass(dist):
@@ -535,8 +535,11 @@ def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriod
     theta_bar = pool_mean(pool0)
     lo = pool_inf(pool0)
 
+    stages: dict[float, _Stage] = {}  # every stage g solved, for the finish
+
     def g(w_plus: float) -> float:
-        return _stage_from_w_plus(pool0, mu, w_plus).rehire_profit
+        stages[w_plus] = _stage_from_w_plus(pool0, mu, w_plus)
+        return stages[w_plus].rehire_profit
 
     def g_grid(w_plus: np.ndarray) -> np.ndarray:
         return np.array([s.rehire_profit for s in _stages_from_w_plus(pool0, mu, w_plus)])
@@ -551,7 +554,7 @@ def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriod
         raise NoConvergenceError(
             "no retention offer balances the period-2 hirers' books",
             best={"w_plus": best_w[1]}, residuals={"rehire_zero_profit": best_w[0]})
-    stage = _stage_from_w_plus(pool0, mu, roots[-1])
+    stage = stages.get(roots[-1]) or _stage_from_w_plus(pool0, mu, roots[-1])
     sol = _finish_solution(dist, mu, stage,
                            extra_diag={"w_plus_candidates": list(roots)})
     if sol.max_residual > 1e-8:
@@ -575,7 +578,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     """
     _check_count("n_starts", n_starts, 1)
     _check_count("seed", seed, 0)
-    _check_mu(mu)
+    mu = _check_mu(mu)
     if not 0.0 < mu < 1.0:
         raise ValueError("three-period system needs 0 < mu < 1")
     if _is_point_mass(dist):
@@ -787,6 +790,7 @@ def welfare_comparison(dist: ProductivityDistribution, mu: float) -> WelfareComp
     the (1 - mu)/mu mixture of staying (w_plus + w2) and quitting
     (w1 + w2p) — which the indifference condition makes equal.
     """
+    mu = _check_mu(mu)
     sol2 = solve_two_period(dist, mu)
     if sol2.collapsed:
         raise ValueError("two-period market collapsed; no comparison to make")

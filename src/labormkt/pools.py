@@ -19,24 +19,26 @@ Conventions
   :meth:`ProductivityDistribution.moments_below`: the (mass, first moment)
   strictly below x.  The moments at or below x (which differ only by a
   discrete atom at x) and at or above x (the whole measure less those
-  below x) are taken from it.  Uniform bases use the closed form.
-  Piecewise-linear and discrete bases read cumulative tables built once per
-  distribution: prefix sums of the exact per-segment integrals plus one
-  partial segment, or prefix sums over the sorted atoms.  A pool's moments
-  are weighted differences of the primitive at its piece boundaries, and
-  the moments of a split (:func:`leaver_moments`, :func:`stayer_moments`)
-  are taken the same way without building the split pools.
+  below x) are taken from it.  Uniform bases use the closed form;
+  piecewise-linear and discrete bases read cumulative tables built once per
+  distribution.
+* A pool's moments and those of either side of its split
+  (:func:`leaver_moments`, :func:`stayer_moments`) come from one scalar
+  loop over its pieces, :func:`_split_moments_scalar`, which adds the parts
+  of the split pool's pieces in their order without building them, so it
+  is bit for bit the split pool's.  A caller that splits one pool many
+  times passes the pool's piece ends (:func:`_piece_ends`) once.
 * :meth:`ProductivityDistribution.moments_below_array`,
   :func:`leaver_moments_array` and :func:`stayer_moments_array` are the
-  same kernels over a float64 array of thresholds, for scan grids.  They
-  use the same formulas in the same order of float operations, so each
-  element is bit-for-bit equal to the scalar result.  One piece loop,
-  :func:`_split_moments`, serves every array moment.
+  same kernels over a float64 array of thresholds, with the same float
+  operations in the same order, so each element is bit-for-bit equal to
+  the scalar result.  The primitive gathers its per-segment constants in
+  one call; one piece loop, :func:`_split_moments`, serves every array
+  moment.
 * A :class:`PoolRows` stack holds many pools that differ only in where
-  their pieces end (:func:`entry_split_rows`: the entry pool split at many
-  thresholds), with array piece bounds that the same kernels broadcast.
-* The leaver-mean operator built on these moments is
-  :func:`labormkt.solvers.m_extended`, the only one in the package.
+  their pieces end (:func:`entry_split_rows`), with array piece bounds that
+  the same kernels broadcast.  The leaver-mean operator built on these
+  moments is :func:`labormkt.solvers.m_extended`, the only one.
 
 All values are immutable; operations return new pools.
 """
@@ -93,15 +95,13 @@ class ProductivityDistribution:
     level: float = 1.0
     atoms: tuple[tuple[float, float], ...] = ()
     nodes: tuple[tuple[float, float], ...] = ()
-    # Cumulative tables for the discrete and piecewise kinds: the sorted
-    # atoms or breakpoints, and the (mass, first moment) strictly below each.
+    # The sorted atoms or breakpoints, and as float64 arrays those, the (mass,
+    # first moment) strictly below each and the node densities.
     _xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _cum_n: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _cum_m1: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _total: tuple[float, float] = field(init=False, repr=False, compare=False)
-    # The same tables as float64 arrays, plus the node densities, for
-    # moments_below_array and sample_productivities.
     _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # The moment primitive's search keys and table (see _segment_tables).
+    _segments: tuple = field(init=False, repr=False, compare=False)
+    _total: tuple[float, float] = field(init=False, repr=False, compare=False)
     # sample_productivities' inverse-CDF tables (see _inverse_cdf_tables).
     _inverse: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
@@ -124,41 +124,36 @@ class ProductivityDistribution:
                 cum_m1.append(cum_m1[-1] + h / 6.0 * (x0 * (2.0 * d0 + d1)
                                                       + x1 * (d0 + 2.0 * d1)))
         object.__setattr__(self, "_xs", tuple(xs))
-        object.__setattr__(self, "_cum_n", tuple(cum_n))
-        object.__setattr__(self, "_cum_m1", tuple(cum_m1))
+        object.__setattr__(self, "_arrays", tuple(
+            np.array(v, dtype=np.float64)
+            for v in (xs, cum_n, cum_m1, [d for _, d in self.nodes])))
+        object.__setattr__(self, "_segments", _segment_tables(self))
         object.__setattr__(self, "_total", self._moments_at_or_below(self.support_high))
         # Partial sums are monotone in mass, so an overflow anywhere in the
         # tables shows up in the totals.
         if not all(map(math.isfinite, self._total)):
             raise ValueError(f"total mass and first moment must be finite (got {self._total})")
-        object.__setattr__(self, "_arrays", tuple(
-            np.array(v, dtype=np.float64)
-            for v in (xs, cum_n, cum_m1, [d for _, d in self.nodes])))
         object.__setattr__(self, "_inverse", _inverse_cdf_tables(self))
 
     # -- the moment primitive -------------------------------------------
 
     def moments_below(self, x: float) -> tuple[float, float]:
         """(mass, first moment) of N(theta) strictly below x."""
+        _, _, keys, columns = self._segments
         if self.kind == "discrete":
-            k = bisect_left(self._xs, x)
-            return self._cum_n[k], self._cum_m1[k]
+            return columns[bisect_left(keys, x)]
         lo = self.support_low
         if x <= lo:
             return 0.0, 0.0
+        x = min(x, self.support_high)
         if self.kind == "uniform":
-            x = min(x, self.support_high)
             h = x - lo
             return self.level * h, self.level * h * (x + lo) / 2.0
-        xs = self._xs
-        if x >= xs[-1]:
-            return self._cum_n[-1], self._cum_m1[-1]
-        k = bisect_right(xs, x) - 1  # xs[k] <= x < xs[k + 1]
-        (x0, d0), (x1, d1) = self.nodes[k], self.nodes[k + 1]
-        dx = d0 + (d1 - d0) * (x - x0) / (x1 - x0)
+        x0, d0, dd, width, cum_n, cum_m1 = columns[bisect_right(keys, x)]
         h = x - x0
-        return (self._cum_n[k] + h * (d0 + dx) / 2.0,
-                self._cum_m1[k] + h / 6.0 * (x0 * (2.0 * d0 + dx) + x * (d0 + 2.0 * dx)))
+        dx = d0 + dd * h / width
+        return (cum_n + h * (d0 + dx) / 2.0,
+                cum_m1 + h / 6.0 * (x0 * (2.0 * d0 + dx) + x * (d0 + 2.0 * dx)))
 
     def moments_below_array(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`moments_below` at every element of a float64 array.
@@ -167,30 +162,26 @@ class ProductivityDistribution:
         element is bit-for-bit equal to the scalar result.
         """
         x = np.asarray(x, dtype=np.float64)
-        xs, cum_n, cum_m1, ds = self._arrays
+        if self.kind != "discrete":
+            x = np.minimum(np.maximum(x, self.support_low), self.support_high)
+        return self._moments_below_clamped(x)
+
+    def _moments_below_clamped(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """moments_below_array of a float64 array already clamped to the support."""
+        keys, table, _, _ = self._segments
         if self.kind == "discrete":
-            k = np.searchsorted(xs, x, side="left")  # bisect_left
-            return cum_n[k], cum_m1[k]
-        lo, hi = self.support_low, self.support_high
-        # Inside (lo, hi) the clipped value is x itself; outside, the
-        # partial-segment result is replaced below.
-        xc = np.clip(x, lo, hi)
+            n, m1 = table.take(np.searchsorted(keys, x, side="left"), axis=1)  # bisect_left
+            return n, m1
+        lo = self.support_low
         if self.kind == "uniform":
-            h = xc - lo
-            n = self.level * h
-            m1 = n * (xc + lo) / 2.0
-        else:
-            k = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, len(xs) - 2)
-            x0, x1, d0, d1 = xs[k], xs[k + 1], ds[k], ds[k + 1]
-            dx = d0 + (d1 - d0) * (xc - x0) / (x1 - x0)
-            h = xc - x0
-            n = cum_n[k] + h * (d0 + dx) / 2.0
-            m1 = cum_m1[k] + h / 6.0 * (x0 * (2.0 * d0 + dx) + xc * (d0 + 2.0 * dx))
-            top = x >= hi
-            n = np.where(top, cum_n[-1], n)
-            m1 = np.where(top, cum_m1[-1], m1)
-        bottom = x <= lo
-        return np.where(bottom, 0.0, n), np.where(bottom, 0.0, m1)
+            n = self.level * (x - lo)  # +0.0 at lo
+            return n, np.where(x <= lo, 0.0, n * (x + lo) / 2.0)
+        k = np.searchsorted(keys, x, side="right")
+        x0, d0, dd, width, cum_n, cum_m1 = table.take(k, axis=1)
+        h = x - x0
+        dx = d0 + dd * h / width
+        return (cum_n + h * (d0 + dx) / 2.0,
+                cum_m1 + h / 6.0 * (x0 * (2.0 * d0 + dx) + x * (d0 + 2.0 * dx)))
 
     def _moments_at_or_below(self, x: float) -> tuple[float, float]:
         # Only a discrete atom sitting at x tells this apart from moments_below.
@@ -309,43 +300,24 @@ def _rescale_pieces(pieces, cut: float, low_factor: float, high_factor: float) -
     [lo, H) and [H, H], and an atom at H stays at or above the cut."""
     out = []
     for i, (lo, hi, w) in enumerate(pieces):
-        if lo >= cut:
-            out.append((lo, hi, w * high_factor))
-        elif hi <= cut and i < len(pieces) - 1:
-            out.append((lo, hi, w * low_factor))
+        if lo < cut and (hi > cut or i == len(pieces) - 1):  # straddles the cut
+            out += [(lo, cut, w * low_factor), (cut, hi, w * high_factor)]
         else:
-            out.append((lo, cut, w * low_factor))
-            out.append((cut, hi, w * high_factor))
+            out.append((lo, hi, w * (high_factor if lo >= cut else low_factor)))
     return out
 
 
 def _piece_ends(base: ProductivityDistribution, pieces) -> list[tuple[float, float]]:
-    """Base (mass, first moment) up to the right end of each piece.
-
-    Pieces are [lo, hi) except the last, which is closed on the right and
-    ends at the support top, so it ends with the whole base (a discrete atom
-    at the top of the support included).
-    """
-    below = base.moments_below
-    ends = [below(hi) for _, hi, _ in pieces[:-1]]
-    ends.append(base._total)
-    return ends
-
-
-def _piece_moments(base: ProductivityDistribution, pieces) -> tuple[float, float]:
-    """(mass, first moment) of `base` weighted by contiguous `pieces`."""
-    n = m1 = n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
-    for (_, _, w), (n_hi, m1_hi) in zip(pieces, _piece_ends(base, pieces)):
-        if w > 0.0:
-            n += w * (n_hi - n_lo)
-            m1 += w * (m1_hi - m1_lo)
-        n_lo, m1_lo = n_hi, m1_hi
-    return n, m1
+    """Base (mass, first moment) up to the right end of each piece.  Pieces
+    are [lo, hi) except the last, which is closed, so it ends with the whole
+    base (a discrete atom at the top of the support included)."""
+    return [base.moments_below(hi) for _, hi, _ in pieces[:-1]] + [base._total]
 
 
 def _moments(pool: LaborPool) -> tuple[float, float]:
-    """(mass, first moment) of the whole pool."""
-    return _piece_moments(pool.base, pool.pieces)
+    """(mass, first moment) of the whole pool: every piece is at or above
+    the support bottom, so a split there weights each by w * 1.0 = w."""
+    return _split_moments_scalar(pool, None, pool.base.support_low, 1.0, 1.0)
 
 
 def pool_mass(pool: LaborPool) -> float:
@@ -368,12 +340,12 @@ def pool_mean(pool: LaborPool) -> float:
     return m1 / n
 
 
-def _split_threshold(pool: LaborPool, threshold: float, mu: float) -> float:
-    """Validate a split and clamp its threshold to the support."""
-    _check_mu(mu)
+def _split_threshold(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
+    """Validate a split: its threshold clamped to the support, and mu as a float."""
+    mu = _check_mu(mu)
     if not math.isfinite(threshold):
         raise InvalidThresholdError(f"threshold {threshold!r} is not a finite real")
-    return min(max(threshold, pool.base.support_low), pool.base.support_high)
+    return min(max(threshold, pool.base.support_low), pool.base.support_high), mu
 
 
 def firing_split(pool: LaborPool, threshold: float, mu: float) -> tuple[LaborPool, LaborPool]:
@@ -384,51 +356,85 @@ def firing_split(pool: LaborPool, threshold: float, mu: float) -> tuple[LaborPoo
     Returns ``(leavers, stayers)``; their masses sum to the original.
     Thresholds outside the support are clamped to its endpoints.
     """
-    t = _split_threshold(pool, threshold, mu)
+    t, mu = _split_threshold(pool, threshold, mu)
     return (LaborPool(pool.base, tuple(_rescale_pieces(pool.pieces, t, 1.0, mu))),
             LaborPool(pool.base, tuple(_rescale_pieces(pool.pieces, t, 0.0, 1.0 - mu))))
 
 
-def leaver_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
-    """(mass, first moment) of ``firing_split(pool, threshold, mu)[0]``.
+def leaver_moments(pool: LaborPool, threshold: float, mu: float, *,
+                   ends=None) -> tuple[float, float]:
+    """(mass, first moment) of ``firing_split(pool, threshold, mu)[0]``,
+    bit for bit, without building the split pool.  `ends` are the pool's
+    :func:`_piece_ends`, for a caller that splits one pool many times."""
+    t, mu = _split_threshold(pool, threshold, mu)
+    return _split_moments_scalar(pool, ends, t, 1.0, mu)
 
-    Same rules and the same arithmetic as moments of the split pool, but
-    no pool is built.
-    """
-    t = _split_threshold(pool, threshold, mu)
-    return _piece_moments(pool.base, _rescale_pieces(pool.pieces, t, 1.0, mu))
+
+def stayer_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
+    """(mass, first moment) of ``firing_split(pool, threshold, mu)[1]``,
+    as :func:`leaver_moments`."""
+    t, mu = _split_threshold(pool, threshold, mu)
+    return _split_moments_scalar(pool, None, t, 0.0, 1.0 - mu)
+
+
+def _split_moments_scalar(pool: LaborPool, ends, t: float, low: float,
+                          high: float) -> tuple[float, float]:
+    """(mass, first moment) of the pool weighted `low` strictly below the
+    clamped threshold t and `high` at or above it: the one scalar piece
+    loop (:func:`_moments` splits at the support bottom), twin of
+    :func:`_split_moments`.  A piece straddling t adds [lo, t), then
+    [t, hi): the parts of ``_rescale_pieces(pool.pieces, t, low, high)`` in
+    their order, zero weights skipped, so the result is bit for bit the
+    split pool's moments."""
+    base, pieces = pool.base, pool.pieces
+    ends = ends or _piece_ends(base, pieces)
+    n = m1 = n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
+    for i, ((lo, hi, w), (n_hi, m1_hi)) in enumerate(zip(pieces, ends)):
+        # As in _rescale_pieces, lo >= t is tested first: a zero-width piece
+        # at t goes to the at-or-above side, and the closed last piece holds t.
+        if lo >= t:
+            w_part = w * high
+        else:
+            w_part = w * low
+            if hi > t or i == len(pieces) - 1:  # [lo, t), then [t, hi) below
+                n_cut, m1_cut = base.moments_below(t)
+                if w_part > 0.0:
+                    n += w_part * (n_cut - n_lo)
+                    m1 += w_part * (m1_cut - m1_lo)
+                n_lo, m1_lo, w_part = n_cut, m1_cut, w * high
+        if w_part > 0.0:
+            n += w_part * (n_hi - n_lo)
+            m1 += w_part * (m1_hi - m1_lo)
+        n_lo, m1_lo = n_hi, m1_hi
+    return n, m1
 
 
 def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high):
-    """(mass, first moment) of `pieces` weighted `low` strictly below t and
-    `high` at or above it: ``_piece_moments`` of
-    ``_rescale_pieces(pieces, t, low, high)``, without building the pieces.
-
-    This is the one piece loop behind every array moment.  The piece bounds,
-    weights and `ends` (from :func:`_piece_ends`), the clamped thresholds t
-    and the factors may each be a scalar or an array; they broadcast
-    together.  Each piece adds its part in the order :func:`_piece_moments`
-    adds the rescaled pieces, so every element is bit-for-bit equal to the
-    scalar result.
-    """
-    n_cut, m1_cut = base.moments_below_array(t)
+    """:func:`_split_moments_scalar` of `pieces` at every clamped threshold
+    of the array t: the one piece loop behind every array moment.  The piece
+    bounds, weights and `ends` (from :func:`_piece_ends`), t and the factors
+    may each be a scalar or an array; they broadcast together.  Each piece
+    adds its parts in the scalar loop's order, so every element is bit for
+    bit the scalar result."""
+    n_cut, m1_cut = base._moments_below_clamped(t)
     n = m1 = 0.0
     n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
     for i, ((lo, hi, w), (n_hi, m1_hi)) in enumerate(zip(pieces, ends)):
-        w_below, w_above = w * low, w * high
+        w_above = w * high
         # As in _rescale_pieces, lo >= t is tested first: a zero-width piece
         # at t goes to the at-or-above side, and the closed last piece holds t.
         above = lo >= t
-        split = ~above & ((hi > t) | (i == len(pieces) - 1))
-        # A straddling piece adds [lo, t) and then [t, hi).  Where
-        # _piece_moments skips a zero weight this adds a zero product, which
-        # leaves the sum as it is: it starts at +0.0, so it is never -0.0.
-        n = n + np.where(above, w_above * (n_hi - n_lo),
-                         w_below * (np.where(split, n_cut, n_hi) - n_lo))
-        n = n + np.where(split, w_above * (n_hi - n_cut), 0.0)
-        m1 = m1 + np.where(above, w_above * (m1_hi - m1_lo),
-                           w_below * (np.where(split, m1_cut, m1_hi) - m1_lo))
-        m1 = m1 + np.where(split, w_above * (m1_hi - m1_cut), 0.0)
+        split = ~above if i == len(pieces) - 1 else ~above & (hi > t)
+        # Each piece adds [lo, hi), or [lo, t) then [t, hi) if it straddles
+        # t.  Where the scalar loop skips a zero weight this adds a zero
+        # product, which leaves the sum (never -0.0) as it is.  A product
+        # commutes exactly, so each part is (end - start) * w.
+        w_part = np.where(above, w_above, w * low)
+        n = n + (np.where(split, n_cut, n_hi) - n_lo) * w_part
+        m1 = m1 + (np.where(split, m1_cut, m1_hi) - m1_lo) * w_part
+        w_part = np.where(split, w_above, 0.0)
+        n += (n_hi - n_cut) * w_part
+        m1 += (m1_hi - m1_cut) * w_part
         n_lo, m1_lo = n_hi, m1_hi
     return n, m1
 
@@ -442,7 +448,7 @@ def _clamped_thresholds(base: ProductivityDistribution, thresholds) -> np.ndarra
 
 
 def _split_side_array(pool, thresholds, mu: float, leavers: bool):
-    _check_mu(mu)
+    mu = _check_mu(mu)
     t = _clamped_thresholds(pool.base, thresholds)
     low, high = (1.0, mu) if leavers else (0.0, 1.0 - mu)
     ends = pool.ends if isinstance(pool, PoolRows) else _piece_ends(pool.base, pool.pieces)
@@ -475,9 +481,9 @@ class PoolRows:
     Each piece bound, weight and piece end is a scalar shared by every row
     or an (R, 1) column, so a row's pool broadcasts against the row of an
     (R, k) threshold array.  `moments` and `inf` are each row's pool
-    moments and :func:`pool_inf`, as (R, 1) columns.  The array kernels, :func:`pool_mean`, :func:`pool_inf`
-    and :func:`labormkt.solvers.m_extended` on arrays accept a stack
-    wherever they accept a pool.
+    moments and :func:`pool_inf`, as (R, 1) columns.  The array kernels,
+    :func:`pool_mean`, :func:`pool_inf` and :func:`labormkt.solvers.m_extended`
+    on arrays accept a stack wherever they accept a pool.
     """
 
     base: ProductivityDistribution
@@ -525,12 +531,6 @@ def entry_split_rows(dist: ProductivityDistribution, thresholds, low, high) -> P
                     (col(n), col(m1)), col(inf))
 
 
-def stayer_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
-    """(mass, first moment) of ``firing_split(pool, threshold, mu)[1]``."""
-    t = _split_threshold(pool, threshold, mu)
-    return _piece_moments(pool.base, _rescale_pieces(pool.pieces, t, 0.0, 1.0 - mu))
-
-
 def pool_inf(pool: LaborPool) -> float:
     """Lowest productivity carrying positive weight (per row, as an (R, 1)
     column, for a :class:`PoolRows` stack)."""
@@ -552,26 +552,24 @@ def _is_real(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, numbers.Real)
 
 
-def _is_integer(v) -> bool:
-    """An integer that is not a bool."""
-    return not isinstance(v, bool) and isinstance(v, numbers.Integral)
-
-
 def _check_count(name: str, v, low: int, high: int | None = None) -> None:
     """Raise ValueError unless v is an integer, not a bool, in [low, high]."""
-    if not _is_integer(v):
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise ValueError(f"{name} must be an integer, not {v!r}")
     if v < low or (high is not None and v > high):
         bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be {bounds} (got {v})")
 
 
-def _check_mu(mu: float) -> None:
+def _check_mu(mu: float) -> float:
+    """mu as a float (NumPy keeps float * np.float32 in float32), or
+    ValueError unless it is a real number in [0, 1]."""
     # The kernels check mu on every call: a plain float skips the ABC test.
     if type(mu) is not float and not _is_real(mu):
         raise ValueError(f"quit probability mu must be a real number, not {mu!r}")
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"quit probability mu={mu} must lie in [0, 1]")
+    return mu if type(mu) is float else float(mu)
 
 
 # =====================================================================
@@ -583,6 +581,27 @@ def quantile(dist: ProductivityDistribution, q: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     return float(sample_productivities(dist, np.asarray([q]))[0])
+
+
+def _segment_tables(dist: ProductivityDistribution) -> tuple:
+    """The moment primitive's search keys and table, as float64 arrays and
+    tuples.  Discrete: per atom, the (mass, first moment) below it.
+    Piecewise: per segment, x0, d0, d1 - d0, x1 - x0 and the (mass, first
+    moment) below x0; keys [nextafter(L, inf), x_1, ..., H] send x <= L and
+    x >= H to zero-width, zero-density segments: (0, 0) and the totals."""
+    xs, cum_n, cum_m1, ds = dist._arrays
+    if dist.kind == "discrete":
+        keys, table = xs, np.array([cum_n, cum_m1])
+    elif dist.kind == "piecewise":
+        lo, hi = dist.support_low, dist.support_high
+        pad = lambda first, body, last: np.concatenate(([first], body, [last]))
+        keys = pad(math.nextafter(lo, math.inf), xs[1:-1], hi)
+        table = np.array([pad(lo, xs[:-1], hi), pad(0.0, ds[:-1], 0.0),
+                          pad(0.0, np.diff(ds), 0.0), pad(1.0, np.diff(xs), 1.0),
+                          np.append(0.0, cum_n), np.append(0.0, cum_m1)])
+    else:
+        keys, table = np.zeros(0), np.zeros((0, 0))
+    return keys, table, tuple(keys.tolist()), tuple(map(tuple, table.T.tolist()))
 
 
 def _inverse_cdf_tables(dist: ProductivityDistribution) -> tuple[np.ndarray, ...]:

@@ -85,7 +85,7 @@ class SimulationConfig:
             raise ValueError(f"regime must be one of {sorted(_REQUIRED_WAGES)}")
         if not isinstance(self.dist, ProductivityDistribution):
             raise ValueError(f"dist must be a ProductivityDistribution, not {self.dist!r}")
-        _check_mu(self.mu)
+        object.__setattr__(self, "mu", _check_mu(self.mu))
         if not isinstance(self.wages, Mapping):
             raise ValueError(f"wages must map wage names to values, not {self.wages!r}")
         missing = [k for k in _REQUIRED_WAGES[self.regime] if k not in self.wages]

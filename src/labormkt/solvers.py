@@ -7,24 +7,18 @@ always: evaluate on a grid, collect every sign change plus every grid
 point that is already a root, bisect each bracket, and let the caller pick
 from the sorted root list.
 
-The grid is fixed before any value is known, so every caller of
-:func:`scan_roots` passes both forms of its function, one that evaluates the
-whole grid array in one call and the scalar one:
-:func:`m_fixed_points` fills its grid with one call of the leaver-mean
-operator :func:`m_extended` on an array, which is bit-for-bit equal to the
-scalar operator element by element.  Brackets are detected on the array and
-bisected one by one by :func:`bisect_root` with the scalar operator.
-
-Many scans at once: :func:`m_fixed_points_rows` runs m_fixed_points on
-every pool of a :class:`~labormkt.pools.PoolRows` stack.  It fills all the
-grids in blocks of array calls, detects every row's brackets together and
-refines them all in one :func:`bisect_roots`, the lockstep form of
-bisect_root with the same midpoints, stopping tests and fallback.  The roots
-are bit-for-bit those of the one-pool scans; the three-period outer scan
-uses it for all its grid points at once.
-
-:func:`m_extended` is the package's only leaver-mean operator: every
-solver, residual and CLI series evaluates M(w) through it.
+:func:`m_extended`, the package's only leaver-mean operator, is on a
+float64 array the scalar operator element by element, bit for bit.  So
+:func:`m_fixed_points` fills its grid in one array call and bisects each
+bracket with :func:`bisect_root` and the scalar operator, which reads the
+pool's piece ends computed once per scan.  :func:`m_fixed_points_rows`
+scans every pool of a :class:`~labormkt.pools.PoolRows` stack (the
+three-period outer scan): it fills the grids in blocks of array calls and
+refines every bracket in one :func:`bisect_roots`, the lockstep form of
+bisect_root with its midpoints, stopping tests and fallback.  The lockstep
+keeps the state of the live brackets only and evaluates one stack of
+bracket rows in place, taken again only once half its lanes have ended.
+The roots are bit-for-bit those of the one-pool scans.
 """
 
 from __future__ import annotations
@@ -32,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergenceError
-from .pools import (LaborPool, PoolRows, leaver_moments, leaver_moments_array, pool_inf,
-                    pool_mean)
+from .pools import (LaborPool, PoolRows, _piece_ends, leaver_moments, leaver_moments_array,
+                    pool_inf, pool_mean)
 
 __all__ = ["bisect_root", "bisect_roots", "scan_grid", "scan_roots",
            "m_extended", "m_fixed_points", "m_fixed_points_rows"]
@@ -99,32 +93,34 @@ def bisect_roots(g, a, b, ga, gb, tol: float = _TOL):
     todo = (ga != 0.0) & (gb != 0.0)
     if ((ga > 0.0) == (gb > 0.0))[todo].any():
         raise ValueError("bisect_root needs a sign change")
-    lo, hi, glo = a, b, ga
     take_a = np.abs(ga) < np.abs(gb)
-    best_x, best_g = np.where(take_a, a, b), np.where(take_a, ga, gb)
+    best_g = np.where(take_a, ga, gb)
     active = np.flatnonzero(todo)
+    # lo, hi, g(lo), best x and best g of the live brackets, in bracket order;
+    # a bracket that ends leaves its result in out and best_g.
+    lo, hi, glo, bx, bg = (v[active] for v in (a, b, ga, np.where(take_a, a, b), best_g))
     for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo[active] + hi[active])
-        at_resolution = (mid <= lo[active]) | (mid >= hi[active])
-        done = active[at_resolution]
-        out[done] = best_x[done]
-        active, mid = active[~at_resolution], mid[~at_resolution]
+        mid = 0.5 * (lo + hi)
+        ended = (mid <= lo) | (mid >= hi)  # interval at floating-point resolution
+        if ended.any():
+            out[active[ended]], best_g[active[ended]] = bx[ended], bg[ended]
+            active, lo, hi, glo, bx, bg, mid = (
+                v[~ended] for v in (active, lo, hi, glo, bx, bg, mid))
         if not active.size:
             break
         gmid = g(mid, active)
-        better = np.abs(gmid) < np.abs(best_g[active])
-        best_x[active[better]] = mid[better]
-        best_g[active[better]] = gmid[better]
-        hit = (gmid == 0.0) | (np.abs(gmid) <= tol)
-        out[active[hit]] = mid[hit]
-        active, mid, gmid = active[~hit], mid[~hit], gmid[~hit]
-        same = (gmid > 0.0) == (glo[active] > 0.0)
-        lo[active[same]] = mid[same]
-        glo[active[same]] = gmid[same]
-        hi[active[~same]] = mid[~same]
+        size = np.abs(gmid)
+        better = size < np.abs(bg)
+        bx, bg = np.where(better, mid, bx), np.where(better, gmid, bg)
+        same = (gmid > 0.0) == (glo > 0.0)
+        lo, glo, hi = np.where(same, mid, lo), np.where(same, gmid, glo), np.where(same, hi, mid)
+        hit = (gmid == 0.0) | (size <= tol)
+        if hit.any():
+            out[active[hit]], best_g[active[hit]] = mid[hit], bg[hit]
+            active, lo, hi, glo, bx, bg = (v[~hit] for v in (active, lo, hi, glo, bx, bg))
     failed = np.zeros(out.shape, dtype=bool)
     failed[active] = True
-    out[active] = best_x[active]
+    out[active], best_g[active] = bx, bg
     return out, best_g, failed
 
 
@@ -161,6 +157,8 @@ def _grid_roots(g, xs: list[float], gs, tol: float) -> list[float]:
 def _distinct(roots: list[float], lo: float, hi: float) -> list[float]:
     """Sorted roots with near-identical ones dropped: each cluster within
     1e-9 of the interval scale keeps its first (smallest) root."""
+    if len(roots) < 2:
+        return list(roots)
     scale = max(abs(lo), abs(hi), 1.0)
     out: list[float] = []
     for r in sorted(roots):
@@ -185,7 +183,7 @@ def scan_roots(g, lo: float, hi: float, *, points: int, g_grid, tol: float = _TO
     return _distinct(_grid_roots(g, grid.tolist(), g_grid(grid), tol), lo, hi)
 
 
-def m_extended(pool: LaborPool, w: float, mu: float) -> float:
+def m_extended(pool: LaborPool, w: float, mu: float, *, ends=None) -> float:
     """Leaver-pool mean extended by its limits where the pool empties.
 
     Inside the support this is the plain leaver mean.  When nobody leaves
@@ -194,13 +192,14 @@ def m_extended(pool: LaborPool, w: float, mu: float) -> float:
     top of the support everyone leaves and the value is the pool mean.
 
     `w` may be a float64 array; the result is then the array of the scalar
-    values, bit for bit.
+    values, bit for bit.  A scalar w reads the pool's piece `ends`, if given
+    (see :func:`~labormkt.pools.leaver_moments`).
     """
     if isinstance(w, np.ndarray):
         return _m_extended_array(pool, w, mu)
     if w >= pool.base.support_high:
         return pool_mean(pool)
-    n, m1 = leaver_moments(pool, w, mu)
+    n, m1 = leaver_moments(pool, w, mu, ends=ends)
     if n <= 0.0:
         return pool_inf(pool)
     return m1 / n
@@ -210,11 +209,8 @@ def _m_extended_array(pool: LaborPool, w: np.ndarray, mu: float) -> np.ndarray:
     top = w >= pool.base.support_high
     # +inf is clamped with the rest of the top; NaN and -inf still raise.
     n, m1 = leaver_moments_array(pool, np.minimum(w, pool.base.support_high), mu)
-    empty = n <= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = m1 / n
-    if empty.any():
-        out = np.where(empty, pool_inf(pool), out)
+    empty = n <= 0.0  # an empty leaver pool divides by 1 and takes pool_inf
+    out = np.where(empty, pool_inf(pool), m1 / np.where(empty, 1.0, n)) if empty.any() else m1 / n
     if top.any():
         out = np.where(top, pool_mean(pool), out)
     return out
@@ -234,7 +230,8 @@ def m_fixed_points(pool: LaborPool, mu: float, *, points: int = 1024,
     lo = min(pool_inf(pool), 0.0)
     if mean <= lo:
         return [mean]  # degenerate pool concentrated at a single point
-    g = lambda w: w - m_extended(pool, w, mu)
+    ends = _piece_ends(pool.base, pool.pieces)
+    g = lambda w: w - m_extended(pool, w, mu, ends=ends)
     return scan_roots(g, lo, mean, points=points, g_grid=g, tol=tol)
 
 
@@ -248,12 +245,10 @@ def m_fixed_points_rows(rows: PoolRows, mu: float, *, points: int, tol: float = 
 
     Entry i is m_fixed_points(pool_i, mu, points=points, tol=tol), or the
     NoConvergenceError that call raises, so a caller that walks the rows in
-    order can raise what a loop of m_fixed_points calls would raise first.  The scan grids
-    are filled by :func:`m_extended` in blocks of about _BLOCK_ELEMENTS
-    elements, the brackets of every row are refined together by one
-    :func:`bisect_roots`, and each row's roots are sorted and deduplicated
-    as :func:`scan_roots` does.  The roots equal the per-pool ones bit for
-    bit.
+    order can raise what a loop of m_fixed_points calls would raise first.
+    The grids are filled in blocks of about _BLOCK_ELEMENTS elements, every
+    bracket is refined in one :func:`bisect_roots` and each row's roots are
+    sorted and deduplicated as :func:`scan_roots` does, bit for bit.
     """
     mean = pool_mean(rows)[:, 0]
     inf = pool_inf(rows)[:, 0]
@@ -275,20 +270,37 @@ def m_fixed_points_rows(rows: PoolRows, mu: float, *, points: int, tol: float = 
         found.append((idx[r], xs[r, c], bracket[r, c], xs[r, left], gs[r, left], gs[r, c]))
     row, x, is_bracket, a, ga, gb = (np.concatenate(v) for v in zip(*found))
     br = np.flatnonzero(is_bracket)
-    brows = row[br]
-    g = lambda w, i: w - m_extended(rows.take(brows[i]), w[:, None], mu)[:, 0]
     best_g, failed = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
-    x[br], best_g[br], failed[br] = bisect_roots(g, a[br], x[br], ga[br], gb[br], tol)
+    x[br], best_g[br], failed[br] = bisect_roots(_lockstep(rows.take(row[br]), mu),
+                                                  a[br], x[br], ga[br], gb[br], tol)
 
     out: list = [[m] for m in mean.tolist()]  # a pool at a single point
     for i in scanned.tolist():
         out[i] = []
-    for i, root, resid, fail in zip(row.tolist(), x.tolist(), best_g.tolist(),
-                                    failed.tolist()):
+    for i, root, resid, fail in zip(row.tolist(), x.tolist(), best_g.tolist(), failed.tolist()):
         if isinstance(out[i], list):  # the scalar scan stops at a failed bracket
             out[i] = _bisection_error(root, resid, tol) if fail else out[i] + [root]
     lo_l, mean_l = lo.tolist(), mean.tolist()
-    for i in scanned.tolist():
-        if isinstance(out[i], list):
-            out[i] = _distinct(out[i], lo_l[i], mean_l[i])
-    return out
+    return [_distinct(r, lo_l[i], mean_l[i]) if isinstance(r, list) else r
+            for i, r in enumerate(out)]
+
+
+def _lockstep(rows: PoolRows, mu: float):
+    """g(x, idx) of :func:`bisect_roots` for a stack with one row per
+    bracket: x - m_extended(row, x, mu) on the rows idx.  Every lane of the
+    kept stack is evaluated in place, an ended bracket's lane at a point it
+    was evaluated at before (so it raises no warning), and the stack is
+    taken again, down to the live brackets, once half its lanes have ended.
+    m_extended is elementwise, so a live lane's value is its row's, bit for bit."""
+    kept = [rows, np.zeros(0, dtype=np.intp), None]  # the stack, its lanes, their points
+
+    def g(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        stack, lanes, points = kept
+        if 2 * len(idx) <= len(lanes) or not len(lanes):
+            kept[:] = stack, lanes, points = rows.take(idx), idx, x.copy()
+            at = slice(None)
+        else:  # idx is ascending and within lanes, as bisect_roots keeps it
+            at = np.searchsorted(lanes, idx)
+            points[at] = x
+        return (points - m_extended(stack, points[:, None], mu)[:, 0])[at]
+    return g

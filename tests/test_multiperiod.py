@@ -575,3 +575,34 @@ def test_welfare_handles_atoms():
 def test_welfare_round_trip():
     cmp = lm.welfare_comparison(lm.uniform(0, 1), 0.5)
     assert lm.WelfareComparison.from_dict(cmp.to_dict()) == cmp
+
+
+# Each public solver, as a function of (dist, mu) whose result compares with ==.
+PUBLIC_SOLVERS = {
+    "secondhand_fixed_points": lm.secondhand_fixed_points,
+    "solve_two_period": lambda d, mu: lm.solve_two_period(d, mu).to_dict(),
+    "solve_three_period": lambda d, mu: lm.solve_three_period(d, mu).to_dict(),
+    "solve_three_period_multistart":
+        lambda d, mu: lm.solve_three_period_multistart(d, mu, n_starts=2).to_dict(),
+    "solve_regime": lambda d, mu: lm.solve_regime(d, mu, 3).to_dict(),
+    "welfare_comparison": lambda d, mu: lm.welfare_comparison(d, mu).to_dict(),
+    "build_market_tree": lambda d, mu: [
+        (node.history, node.threshold, pools._moments(node.pool))
+        for node in lm.build_market_tree(d, mu, 3).nodes()] + [
+        lm.build_market_tree(d, mu, 3).mu],
+    "simulate": lambda d, mu: lm.simulate(lm.SimulationConfig(
+        n_agents=1000, seed=0, regime=lm.TWO_PERIOD, dist=d, mu=mu,
+        wages={"w0": 0.5, "w1": 0.4})).to_dict(),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(PUBLIC_SOLVERS))
+@pytest.mark.parametrize("scalar_type", [np.float32, np.longdouble])
+def test_numpy_scalar_mu_solves_as_its_float(solver, scalar_type):
+    """A NumPy scalar mu gives the result of float(mu), bit for bit: the
+    kernels compute in float64 whatever scalar type mu arrives as (NumPy
+    would otherwise keep float * np.float32 in float32)."""
+    run = PUBLIC_SOLVERS[solver]
+    dist = lm.uniform(0, 1)
+    mu = scalar_type(0.3)
+    assert run(dist, mu) == run(dist, float(mu))

@@ -6,6 +6,7 @@ quit probabilities.  Examples are derandomized so every run of the suite
 checks the same cases; raise max_examples locally to search further.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -47,10 +48,10 @@ BASES = st.one_of(piecewise_bases(), discrete_bases())
 
 
 @st.composite
-def pools_and_splits(draw):
+def pools_and_splits(draw, bases=BASES):
     """A pool (the entry pool, or one side of a first split) plus a
     threshold and quit probability for the split under test."""
-    dist = draw(BASES)
+    dist = draw(bases)
     lo, hi = dist.support_low, dist.support_high
     atoms = [t for t, _ in dist.atoms] or [t for t, _ in dist.nodes]
     thresholds = st.one_of(st.sampled_from(atoms), st.floats(lo - 1.0, hi + 1.0))
@@ -91,17 +92,62 @@ def test_leaver_mean_lies_between_pool_inf_and_pool_mean(case):
     assert pools.pool_inf(pool) - tol <= value <= pools.pool_mean(pool) + tol
 
 
+@st.composite
+def flat_zero_bases(draw):
+    """A piecewise base with a zero-density segment between two positive
+    parts, anywhere on the line (on negative thetas too)."""
+    x0 = draw(st.floats(-5.0, 2.0))
+    widths = draw(st.lists(st.floats(0.01, 2.0), min_size=4, max_size=4))
+    xs = [x0 + sum(widths[:i]) for i in range(5)]
+    ds = [draw(st.floats(0.0, 5.0)), draw(st.floats(0.5, 5.0)), 0.0, 0.0,
+          draw(st.floats(0.0, 5.0))]
+    return lm.piecewise_linear(list(zip(xs, ds)))
+
+
+@st.composite
+def kernel_cases(draw):
+    """pools_and_splits() over the usual bases, a base with a zero-density
+    segment, or a base whose support is all negative."""
+    negative = piecewise_bases().map(
+        lambda d: lm.piecewise_linear([(t - 6.0, v) for t, v in d.nodes]))
+    return draw(pools_and_splits(st.one_of(BASES, flat_zero_bases(), negative)))
+
+
+def _split_leaver_mean(pool, w, mu):
+    """m_extended's value read off firing_split's leaver pool."""
+    if w >= pool.base.support_high:
+        return pools.pool_mean(pool)
+    n, m1 = pools._moments(pools.firing_split(pool, w, mu)[0])
+    return m1 / n if n > 0.0 else pools.pool_inf(pool)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(pools_and_splits(), st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=20))
+@given(kernel_cases(), st.lists(st.floats(-8.0, 4.0), min_size=1, max_size=20))
 def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
+    """Both array split kernels, the moment primitive and the scalar
+    leaver mean, with and without a scan's piece ends, are the scalar
+    results bit for bit."""
     pool, t, mu = case
     base = pool.base
     ts = [t, base.support_low, base.support_high] + extra
     ts += [x for lo, hi, _ in pool.pieces for x in (lo, hi)]
-    n, m1 = pools.leaver_moments_array(pool, np.array(ts), mu)
-    assert list(zip(n.tolist(), m1.tolist())) == [pools.leaver_moments(pool, x, mu) for x in ts]
-    n, m1 = base.moments_below_array(np.array(ts))
-    assert list(zip(n.tolist(), m1.tolist())) == [base.moments_below(x) for x in ts]
+    for kernel, scalar in ((pools.leaver_moments_array, pools.leaver_moments),
+                           (pools.stayer_moments_array, pools.stayer_moments)):
+        n, m1 = kernel(pool, np.array(ts), mu)
+        assert list(zip(n.tolist(), m1.tolist())) == [scalar(pool, x, mu) for x in ts]
+    ends = pools._piece_ends(base, pool.pieces)
+    if pools.pool_mass(pool) > 0.0:
+        for w in ts:
+            want = _split_leaver_mean(pool, w, mu)
+            assert m_extended(pool, w, mu) == want
+            assert m_extended(pool, w, mu, ends=ends) == want
+    # Every breakpoint or atom, its float neighbours, and points outside the support.
+    marks = [x for x, _ in base.nodes] + [x for x, _ in base.atoms]
+    xs = ts + [y for x in marks for y in (math.nextafter(x, -math.inf), x,
+                                          math.nextafter(x, math.inf))]
+    xs += [base.support_low - 1.0, base.support_high + 1.0, -math.inf, math.inf]
+    n, m1 = base.moments_below_array(np.array(xs))
+    assert list(zip(n.tolist(), m1.tolist())) == [base.moments_below(x) for x in xs]
 
 
 UNIFORM_BASES = st.tuples(THETA, st.floats(0.01, 3.0), st.floats(0.1, 3.0)).map(
