@@ -34,7 +34,9 @@ stack, whose fixed points :func:`~labormkt.solvers.m_fixed_points_rows`
 finds together, bit for bit what :func:`_stage_from_w_plus` finds point by
 point.  The multi-start runs finish all their converged starts in one such
 batch; the bisection of the outer brackets and the final stage use
-_stage_from_w_plus, the one-point form.
+_stage_from_w_plus, the one-point form.  The multi-start's damped steps
+run every start in lockstep on one stack of the same kind, and the last
+few stragglers alone with the scalar step (:func:`_damped_runs`).
 
 The solution is read off its market tree, the one
 :meth:`ThreePeriodSolution.tree` rebuilds: every cohort mass and mean, the
@@ -376,6 +378,9 @@ _INNER_TOL = 1e-12  # residual target of those scans
 _OUTER_SCAN = 257  # grid points of the scan over w_plus
 _MULTISTART_STEPS = 4000  # damped steps per multi-start run
 _DAMPING = 0.5  # step factor of the multi-start iteration
+# Live multi-start runs at or below which each goes on alone with the
+# scalar step: a lockstep step costs about as much as 8 to 13 scalar ones.
+_MULTISTART_TAIL = 10
 
 
 def _is_point_mass(dist: ProductivityDistribution) -> bool:
@@ -564,6 +569,77 @@ def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriod
     return sol
 
 
+def _damped_steps(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
+                  w_plus: float, w2: float, w2p: float, steps: int) -> float | None:
+    """At most `steps` damped steps of one multi-start run from the state
+    (w_plus, w2, w2p): its final offer if it converged, else None."""
+    d = _DAMPING
+    for _ in range(steps):
+        released, stayed = firing_split(pool0, w_plus, mu)
+        n_rel, m1_rel = _moments(released)
+        w2_new = w2 + d * (m_extended(stayed, w2, mu) - w2)
+        w2p_new = w2p + d * (m_extended(released, w2p, mu) - w2p)
+        w1 = w_plus + w2_new - w2p_new
+        n_reh, m1_reh = stayer_moments(released, w2p_new, mu)
+        profit = (m1_rel - n_rel * w1) + (m1_reh - n_reh * w2p_new)
+        w_plus_new = w_plus + d * profit / n_rel
+        # Keep the retention offer where someone is retained.
+        w_plus_new = min(max(w_plus_new, lo - abs(lo)), theta_bar)
+        step = max(abs(w2_new - w2), abs(w2p_new - w2p), abs(w_plus_new - w_plus))
+        w2, w2p, w_plus = w2_new, w2p_new, w_plus_new
+        if step <= 1e-13 and abs(profit) <= _TOL:
+            return w_plus
+    return None
+
+
+def _damped_runs(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
+                 w_plus: np.ndarray) -> list[float | None]:
+    """:func:`_damped_steps` from every start offer of the float64 array
+    w_plus, each from the stayer and leaver means at its offer, for
+    _MULTISTART_STEPS steps, bit for bit.
+
+    The live starts ("lanes") step in lockstep: their [stayed, released]
+    pools form one :class:`~labormkt.pools.PoolRows` stack, and each
+    update is the scalar step's float operations on arrays.  A converged
+    lane leaves; once at most _MULTISTART_TAIL are live, each goes on
+    alone with the scalar step and the steps it has left.
+    """
+    dist, n = pool0.base, len(w_plus)
+    low, high = np.tile([0.0, 1.0], n), np.tile([1.0 - mu, mu], n)  # [stayed, released]
+    split = lambda offers: entry_split_rows(dist, np.repeat(offers, 2), low[:2 * len(offers)],
+                                            high[:2 * len(offers)])
+    rows = split(w_plus)
+    w = pool_mean(rows).reshape(-1, 2)  # per lane [w2, w2p], the rows' order
+    lane = np.arange(n)
+    final: list[float | None] = [None] * n
+    d, floor = _DAMPING, lo - abs(lo)
+    done = 0
+    while done < _MULTISTART_STEPS and len(lane) > _MULTISTART_TAIL:
+        if done:
+            rows = split(w_plus)
+        n_rel, m1_rel = (v[1::2, 0] for v in rows.moments)
+        w_new = w + d * (m_extended(rows, w.reshape(-1, 1), mu).reshape(-1, 2) - w)
+        w2_new, w2p_new = w_new[:, 0], w_new[:, 1]
+        w1 = w_plus + w2_new - w2p_new
+        # Every row's stayers at its lane's new [w2, w2p]; the released
+        # rows' are the rehired.
+        n_reh, m1_reh = (v[1::2, 0] for v in stayer_moments_array(rows, w_new.reshape(-1, 1), mu))
+        profit = (m1_rel - n_rel * w1) + (m1_reh - n_reh * w2p_new)
+        w_plus_new = w_plus + d * profit / n_rel
+        w_plus_new = np.minimum(np.maximum(w_plus_new, floor), theta_bar)
+        step = np.maximum(np.abs(w_new - w).max(axis=1), np.abs(w_plus_new - w_plus))
+        w, w_plus = w_new, w_plus_new
+        done += 1
+        ended = (step <= 1e-13) & (np.abs(profit) <= _TOL)
+        if ended.any():
+            for i, wp in zip(lane[ended].tolist(), w_plus[ended].tolist()):
+                final[i] = wp
+            lane, w, w_plus = lane[~ended], w[~ended], w_plus[~ended]
+    for i, wp, (w2, w2p) in zip(lane.tolist(), w_plus.tolist(), w.tolist()):
+        final[i] = _damped_steps(pool0, mu, lo, theta_bar, wp, w2, w2p, _MULTISTART_STEPS - done)
+    return final
+
+
 def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
                                   n_starts: int = 64, seed: int = 20240601) -> MultiStartReport:
     """Damped fixed-point iteration from random starts.
@@ -575,6 +651,11 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     largest across-start wage spread; disagreement beyond 1e-6 flags a
     multi-equilibrium configuration and all solutions are returned.
     n_starts must be a positive integer and seed a nonnegative one.
+
+    The starts run in lockstep, as arrays, and the last few stragglers run
+    on one at a time with the scalar step (:func:`_damped_runs`); every
+    start ends bit for bit where a run of its own would.  The converged
+    starts are finished in start order, in one batch.
     """
     _check_count("n_starts", n_starts, 1)
     _check_count("seed", seed, 0)
@@ -588,32 +669,9 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     theta_bar = pool_mean(pool0)
     lo = pool_inf(pool0)
     rng = np.random.default_rng(seed)
-    d = _DAMPING
-    converged: list[float] = []  # the final offer of every converged start
-    n_failed = 0
-    for _ in range(n_starts):
-        w_plus = float(rng.uniform(lo, theta_bar))
-        released, stayed = firing_split(pool0, w_plus, mu)
-        w2 = pool_mean(stayed)
-        w2p = pool_mean(released)
-        for _ in range(_MULTISTART_STEPS):
-            released, stayed = firing_split(pool0, w_plus, mu)
-            n_rel, m1_rel = _moments(released)
-            w2_new = w2 + d * (m_extended(stayed, w2, mu) - w2)
-            w2p_new = w2p + d * (m_extended(released, w2p, mu) - w2p)
-            w1 = w_plus + w2_new - w2p_new
-            n_reh, m1_reh = stayer_moments(released, w2p_new, mu)
-            profit = (m1_rel - n_rel * w1) + (m1_reh - n_reh * w2p_new)
-            w_plus_new = w_plus + d * profit / n_rel
-            # Keep the retention offer where someone is retained.
-            w_plus_new = min(max(w_plus_new, lo - abs(lo)), theta_bar)
-            step = max(abs(w2_new - w2), abs(w2p_new - w2p), abs(w_plus_new - w_plus))
-            w2, w2p, w_plus = w2_new, w2p_new, w_plus_new
-            if step <= 1e-13 and abs(profit) <= _TOL:
-                converged.append(w_plus)
-                break
-        else:
-            n_failed += 1
+    starts = np.array([float(rng.uniform(lo, theta_bar)) for _ in range(n_starts)])
+    final = _damped_runs(pool0, mu, lo, theta_bar, starts)
+    converged = [w for w in final if w is not None]  # in start order
     if not converged:
         raise NoConvergenceError("no multi-start run converged")
     sols = [_finish_solution(dist, mu, stage)
@@ -622,7 +680,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     spread = max(max(getattr(s, k) for s in sols) - min(getattr(s, k) for s in sols)
                  for k in keys)
     return MultiStartReport(solutions=tuple(sols), wage_spread=spread,
-                            agree=spread <= 1e-6, n_failed=n_failed)
+                            agree=spread <= 1e-6, n_failed=len(final) - len(converged))
 
 
 def solve_regime(dist: ProductivityDistribution, mu: float, n_periods: int):

@@ -409,14 +409,15 @@ def _split_moments_scalar(pool: LaborPool, ends, t: float, low: float,
     return n, m1
 
 
-def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high):
+def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high, cut=None):
     """:func:`_split_moments_scalar` of `pieces` at every clamped threshold
     of the array t: the one piece loop behind every array moment.  The piece
     bounds, weights and `ends` (from :func:`_piece_ends`), t and the factors
-    may each be a scalar or an array; they broadcast together.  Each piece
+    may each be a scalar or an array; they broadcast together.  `cut` is
+    the base (mass, first moment) below t, if the caller has it.  Each piece
     adds its parts in the scalar loop's order, so every element is bit for
     bit the scalar result."""
-    n_cut, m1_cut = base._moments_below_clamped(t)
+    n_cut, m1_cut = base._moments_below_clamped(t) if cut is None else cut
     n = m1 = 0.0
     n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
     for i, ((lo, hi, w), (n_hi, m1_hi)) in enumerate(zip(pieces, ends)):
@@ -517,8 +518,8 @@ def entry_split_rows(dist: ProductivityDistribution, thresholds, low, high) -> P
     low, high = np.broadcast_arrays(t, np.asarray(low, dtype=np.float64),
                                     np.asarray(high, dtype=np.float64))[1:]
     lo, hi = dist.support_low, dist.support_high
-    n, m1 = _split_moments(dist, ((lo, hi, 1.0),), (dist._total,), t, low, high)
-    n_t, m1_t = dist.moments_below_array(t)
+    n_t, m1_t = dist._moments_below_clamped(t)
+    n, m1 = _split_moments(dist, ((lo, hi, 1.0),), (dist._total,), t, low, high, (n_t, m1_t))
     # pool_inf: the start of the first piece holding workers, snapped up to
     # an atom on a discrete base.
     inf = np.where((low > 0.0) & (n_t > 0.0), lo, t)

@@ -26,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergenceError
-from .pools import (LaborPool, PoolRows, _piece_ends, leaver_moments, leaver_moments_array,
-                    pool_inf, pool_mean)
+from .pools import (LaborPool, PoolRows, _check_mu, _piece_ends, leaver_moments,
+                    leaver_moments_array, pool_inf, pool_mean)
 
 __all__ = ["bisect_root", "bisect_roots", "scan_grid", "scan_roots",
            "m_extended", "m_fixed_points", "m_fixed_points_rows"]
@@ -198,6 +198,7 @@ def m_extended(pool: LaborPool, w: float, mu: float, *, ends=None) -> float:
     if isinstance(w, np.ndarray):
         return _m_extended_array(pool, w, mu)
     if w >= pool.base.support_high:
+        _check_mu(mu)  # inside the support the split checks it
         return pool_mean(pool)
     n, m1 = leaver_moments(pool, w, mu, ends=ends)
     if n <= 0.0:

@@ -21,7 +21,7 @@ BASES = {
     "piecewise_readme": lambda: lm.piecewise_linear([(0.0, 0.2), (0.3, 1.1), (1.0, 0.1)]),
     "discrete_3": lambda: lm.discrete([(0.2, 1.0), (0.5, 2.0), (0.9, 1.5)]),
 }
-MUS = (0.25, 0.5, 0.75)
+MUS = (0.01, 0.25, 0.5, 0.75)
 N_STARTS = 16
 SEED = 20240601
 OUT = Path(__file__).with_name("multistart_frozen.json")

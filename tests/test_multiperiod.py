@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import labormkt as lm
-from labormkt import pools, solvers
+from labormkt import multiperiod, pools, solvers
 from labormkt.multiperiod import RESIDUAL_NAMES, _stage_from_w_plus, _stages_from_w_plus
 from labormkt.solvers import scan_grid
 
@@ -392,8 +392,32 @@ def test_multistart_matches_frozen_reports(cell):
     assert json.loads(json.dumps(fresh)) == cell
 
 
-@pytest.mark.parametrize("dist", [*GOLDEN_BASES.values(),
-                                  lm.discrete([(0.2, 1.0), (0.5, 2.0), (0.9, 1.5)])],
+NINE_NODES = lm.piecewise_linear([(k / 8, 0.3 + (k % 3) * 0.5) for k in range(9)])
+THREE_ATOMS = lm.discrete([(0.2, 1.0), (0.5, 2.0), (0.9, 1.5)])
+
+
+@pytest.mark.parametrize("dist, mu, n_starts", [
+    (lm.uniform(0.0, 1.0), 0.5, 64),
+    (NINE_NODES, 0.01, 16),  # two starts fail
+    (THREE_ATOMS, 0.5, 16),
+    (THREE_ATOMS, 0.1, 2),  # every start fails: NoConvergenceError
+], ids=["uniform-64", "nine_nodes-mu0.01", "three_atoms", "three_atoms-all_fail"])
+def test_multistart_report_is_the_same_in_lockstep_and_scalar(dist, mu, n_starts,
+                                                               monkeypatch):
+    """Every start stepped in lockstep to the end (tail 0), every start
+    stepped alone (tail n_starts) and the default mix give one report."""
+    def report():
+        try:
+            return lm.solve_three_period_multistart(dist, mu, n_starts=n_starts).to_dict()
+        except lm.NoConvergenceError as exc:
+            return type(exc), str(exc), exc.best, exc.residuals
+    default = report()
+    for tail in (0, n_starts):
+        monkeypatch.setattr(multiperiod, "_MULTISTART_TAIL", tail)
+        assert report() == default
+
+
+@pytest.mark.parametrize("dist", [*GOLDEN_BASES.values(), THREE_ATOMS],
                          ids=[*GOLDEN_BASES, "discrete_3"])
 @pytest.mark.parametrize("mu", [0.25, 0.5])
 def test_solution_masses_and_means_are_its_tree_nodes(dist, mu):

@@ -348,6 +348,20 @@ def test_array_kernels_reject_what_scalar_kernels_reject():
             pools.leaver_moments_array(pool, np.array([0.5]), bad_mu)
 
 
+@pytest.mark.parametrize("bad_mu", [5.0, -0.1, math.nan, "0.5"])
+@pytest.mark.parametrize("where", ["inside", "top", "above_top"])
+def test_m_extended_rejects_bad_mu_in_scalar_and_array_form_alike(where, bad_mu):
+    """The scalar operator checks mu at and above the support top, where it
+    returns the pool mean without a split, as the array form does."""
+    pool = pools.LaborPool.entry(UNI)
+    w = {"inside": 0.5, "top": 1.0, "above_top": 2.0}[where]
+    with pytest.raises(ValueError) as scalar:
+        m_extended(pool, w, bad_mu)
+    with pytest.raises(ValueError) as array:
+        m_extended(pool, np.array([w]), bad_mu)
+    assert str(scalar.value) == str(array.value)
+
+
 def split_rows_and_pools(dist, wps, mu):
     """entry_split_rows holding both sides of firing_split(entry, wp, mu) at
     every wp, as the rows [leavers(wp_0), stayers(wp_0), ...], and the
