@@ -2,16 +2,24 @@
 
 Subcommands: solve, tree, sweep, simulate, screening, moral-hazard,
 welfare.  Every run is driven by a flat ``key = value`` config file
-(``#`` starts a comment).  ``--out`` and ``--format`` override the output
-path and format everywhere; ``--seed`` (simulate) and ``--jobs`` (sweep)
-override the config key of their name.  Outputs are CSV
+(``#`` starts a comment).  ``_SUBCOMMANDS`` lists, per subcommand, its
+handler, the keys it requires, the other keys it reads and the regimes it
+runs; ``multiperiod.REGIMES`` gives each regime's horizon and wages.  A
+key the run would not read is a config error: a key of another
+subcommand, ``series_out`` under ``one_period``, a wage the regime is not
+priced by, or ``wage_levels`` beside ``wage_grid``.  ``--out`` and
+``--format`` override the output path and format everywhere; ``--seed``
+(simulate) and ``--jobs`` (sweep) override the config key of their name,
+and only those subcommands take them.  Outputs are CSV
 (RFC-4180-style, header row, LF line endings) or JSON (sorted keys,
 indent 2); all floats are printed by ``repr``, i.e. shortest round-trip
 form, so repeated runs are byte-identical.
 
 Exit codes: 0 success, 1 usage or config errors (every config problem is
-reported, not just the first), 2 solver non-convergence — in which case
-the output path still receives a JSON diagnostics object.
+reported, not just the first, a regime the subcommand does not run among
+them), 2 solver non-convergence — in which case the output path still
+receives a JSON diagnostics object.  A three-period ``mu`` of 0 or 1 is
+refused only when the solve starts (exit 1).
 
 Config value grammar::
 
@@ -35,17 +43,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .equilibrium import MarketCollapse, TwoPeriodSolution, solve_two_period
+from .equilibrium import MarketCollapse, TwoPeriodSolution
 from .errors import ConfigError, LaborMarketError, NoConvergenceError
 from .moral_hazard import ContractProblem, UtilitySpec, default_wage_grid, welfare_gap
 from .multiperiod import (
     MAX_TREE_PERIODS,
+    REGIMES,
     RESIDUAL_NAMES,
     MarketNode,
     ThreePeriodSolution,
     build_market_tree,
     solve_regime,
-    solve_three_period,
     welfare_comparison,
 )
 from .pools import (
@@ -53,7 +61,6 @@ from .pools import (
     ProductivityDistribution,
     discrete,
     piecewise_linear,
-    pool_mass,
     uniform,
 )
 from .screening import (
@@ -66,9 +73,11 @@ from .solvers import m_extended, scan_grid
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
-SUBCOMMANDS = ("solve", "tree", "sweep", "simulate", "screening",
-               "moral-hazard", "welfare")
 _MU_GRID_MAX_POINTS = 10_001
+# Every wage a regime is priced by, each once.
+_WAGES = tuple(dict.fromkeys(w for _, wages in REGIMES.values() for w in wages))
+# The regimes with a review round, the only ones in which mu acts.
+_REVIEWED = tuple(r for r, (n_periods, _) in REGIMES.items() if n_periods > 1)
 
 
 # =====================================================================
@@ -99,28 +108,6 @@ class RunConfig:
 _DIST_RE = re.compile(r"^(uniform|discrete|piecewise)\s*\((.*)\)$")
 _PAIR_RE = re.compile(r"^\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$")
 _UTIL_RE = re.compile(r"^(sqrt|log1p|linear)$|^crra\(\s*([^()\s]+)\s*\)$")
-
-_COMMON_KEYS = {"out", "format"}
-_ALLOWED_KEYS = {
-    "solve": {"dist", "mu", "regime", "series_out"},
-    "tree": {"dist", "mu", "n_periods"},
-    "sweep": {"dist", "mu_grid", "regime", "jobs"},
-    "simulate": {"dist", "mu", "regime", "n_agents", "seed",
-                 "w0", "w1", "w_plus", "w2", "w2p"},
-    "screening": {"n_total", "m_allowed", "theta_low", "theta_high"},
-    "moral-hazard": {"outcomes", "efforts", "density", "costs", "agent_utility",
-                     "principal_utility", "reservation", "wage_levels", "wage_grid"},
-    "welfare": {"dist", "mu"},
-}
-_REQUIRED_KEYS = {
-    "solve": ("dist", "mu", "regime"),
-    "tree": ("dist", "mu", "n_periods"),
-    "sweep": ("dist", "mu_grid", "regime"),
-    "simulate": ("dist", "mu", "regime", "n_agents"),
-    "screening": ("n_total", "m_allowed"),
-    "moral-hazard": ("outcomes", "efforts", "density", "costs", "reservation"),
-    "welfare": ("dist", "mu"),
-}
 
 
 def _parse_lines(text: str, problems: list[str]) -> dict[str, str]:
@@ -283,28 +270,26 @@ def parse_config(text: str, subcommand: str = "solve") -> RunConfig:
     """Parse and validate a config document for the given subcommand.
 
     Raises ConfigError carrying *all* problems found: parse errors with
-    line numbers, unknown and duplicate keys, missing required keys, and
+    line numbers, unknown and duplicate keys, missing required keys, keys
+    the run would not read, a regime the subcommand does not run, and
     range violations.
     """
-    if subcommand not in SUBCOMMANDS:
+    if subcommand not in _SUBCOMMANDS:
         raise ConfigError([f"unknown subcommand {subcommand!r}"])
+    _, required, other, regimes = _SUBCOMMANDS[subcommand]
     problems: list[str] = []
     pairs = _parse_lines(text, problems)
 
-    allowed = _ALLOWED_KEYS[subcommand] | _COMMON_KEYS
+    allowed = {*required, *other, "out", "format"}
     for key in pairs:
         if key not in allowed:
             problems.append(f"unknown key {key!r} for subcommand {subcommand}")
-    for key in _REQUIRED_KEYS[subcommand]:
+    for key in required:
         if key not in pairs:
             problems.append(f"missing required key {key!r}")
 
-    cfg = RunConfig(subcommand=subcommand)
-
-    if "out" in pairs:
-        cfg.out = pairs["out"]
-    if "series_out" in pairs:
-        cfg.series_out = pairs["series_out"]
+    cfg = RunConfig(subcommand=subcommand, out=pairs.get("out"),
+                    series_out=pairs.get("series_out"))
     if "format" in pairs:
         if pairs["format"] not in ("csv", "json"):
             problems.append(f"format: must be csv or json, got {pairs['format']!r}")
@@ -322,15 +307,23 @@ def parse_config(text: str, subcommand: str = "solve") -> RunConfig:
     if "mu_grid" in pairs:
         cfg.mu_grid = _parse_mu_grid(pairs["mu_grid"], problems)
     if "regime" in pairs:
-        if pairs["regime"] not in REGIMES:
-            problems.append(f"regime: must be one of {', '.join(REGIMES)}, "
-                            f"got {pairs['regime']!r}")
+        regime = pairs["regime"]
+        if regime not in REGIMES:
+            problems.append(f"regime: must be one of {', '.join(REGIMES)}, got {regime!r}")
+        elif regimes and regime not in regimes:
+            problems.append(f"{subcommand}: regime must be {' or '.join(regimes)}")
         else:
-            cfg.regime = pairs["regime"]
+            cfg.regime = regime
+            # Keys only other regimes read: the wages this one is not priced
+            # by, and the leaver-mean series where mu does not act.
+            unread = ({*_WAGES} - {*REGIMES[regime][1]}
+                      | ({"series_out"} if regime not in _REVIEWED else set()))
+            problems += [f"{key}: not read under regime {regime}"
+                         for key in pairs if key in unread & allowed]
     for key in _RANGES:
         if key in pairs:
             _set_in_range(cfg, key, _RANGES[key][0](pairs[key], key, problems), problems)
-    for wage_key in ("w0", "w1", "w_plus", "w2", "w2p"):
+    for wage_key in _WAGES:
         if wage_key in pairs:
             v = _parse_float(pairs[wage_key], wage_key, problems)
             if v is not None:
@@ -347,8 +340,11 @@ def parse_config(text: str, subcommand: str = "solve") -> RunConfig:
             except ValueError as exc:
                 problems.append(f"screening: {exc}")
 
-    if subcommand == "moral-hazard" and all(k in pairs for k in _REQUIRED_KEYS["moral-hazard"]):
-        cfg.problem = _parse_problem(pairs, problems)
+    if subcommand == "moral-hazard":
+        if "wage_grid" in pairs and "wage_levels" in pairs:
+            problems.append("wage_levels: not read when wage_grid is set")
+        if all(k in pairs for k in required):
+            cfg.problem = _parse_problem(pairs, problems)
 
     if problems:
         raise ConfigError(problems)
@@ -444,37 +440,35 @@ def _one_period_row(w: float | MarketCollapse) -> list:
     return ["one_period", d["wage"], d["collapsed"]]
 
 
-def _two_period_row(sol: TwoPeriodSolution) -> list:
-    return [sol.mu, sol.w1, sol.theta_bar, sol.w0, sol.theta_bar2,
-            sol.residual_fixed_point, sol.residual_zero_profit]
+def _attrs(obj, names) -> list:
+    return [getattr(obj, name) for name in names]
 
 
-def _three_period_row(sol: ThreePeriodSolution) -> list:
-    return [sol.mu, sol.w0, sol.w1, sol.w_plus, sol.w2, sol.w2p, *sol.residuals]
+_TWO_PERIOD_HEADER = ["mu", "w1", "theta_bar", "w0", "theta_bar2",
+                      "residual_fixed_point", "residual_zero_profit"]
+_THREE_PERIOD_ATTRS = ["mu", *REGIMES["three_period"][1]]
 
-
-# Per regime: the horizon solve_regime takes, the CSV header, and a
-# solution's CSV row and JSON object.
-_REGIMES = {
-    "one_period": (1, ["regime", "wage", "collapsed"], _one_period_row, _one_period_dict),
-    "two_period": (2, ["mu", "w1", "theta_bar", "w0", "theta_bar2",
-                       "residual_fixed_point", "residual_zero_profit"],
-                   _two_period_row, TwoPeriodSolution.to_dict),
-    "three_period": (3, ["mu", "w0", "w1", "w_plus", "w2", "w2p"]
-                     + [f"residual_{n}" for n in RESIDUAL_NAMES],
-                     _three_period_row, ThreePeriodSolution.to_dict),
+# Per regime: the CSV header, and a solution's CSV row and JSON object.
+# A row reads the attributes its header names; the three-period residual
+# columns follow RESIDUAL_NAMES.
+_OUTPUTS = {
+    "one_period": (["regime", "wage", "collapsed"], _one_period_row, _one_period_dict),
+    "two_period": (_TWO_PERIOD_HEADER, lambda sol: _attrs(sol, _TWO_PERIOD_HEADER),
+                   TwoPeriodSolution.to_dict),
+    "three_period": (_THREE_PERIOD_ATTRS + [f"residual_{n}" for n in RESIDUAL_NAMES],
+                     lambda sol: _attrs(sol, _THREE_PERIOD_ATTRS) + list(sol.residuals),
+                     ThreePeriodSolution.to_dict),
 }
-REGIMES = tuple(_REGIMES)
 
 
 def _run_solve(cfg: RunConfig) -> None:
-    n_periods, header, row, to_dict = _REGIMES[cfg.regime]
-    sol = solve_regime(cfg.dist, cfg.mu, n_periods)
+    header, row, to_dict = _OUTPUTS[cfg.regime]
+    sol = solve_regime(cfg.dist, cfg.mu, REGIMES[cfg.regime][0])
     if cfg.fmt == "csv":
         _emit_csv(header, [row(sol)], cfg.out)
     else:
         _emit_json(to_dict(sol) | {"regime": cfg.regime}, cfg.out)
-    if cfg.series_out and n_periods > 1:
+    if cfg.series_out:  # parse_config refuses it where mu does not act
         _write_m_series(cfg)
 
 
@@ -489,7 +483,7 @@ def _write_m_series(cfg: RunConfig) -> None:
 
 def _node_dict(node: MarketNode) -> dict:
     d = {"history": node.history, "period": node.period,
-         "mass": pool_mass(node.pool), "wage": node.wage,
+         "mass": node.mass(), "wage": node.wage,
          "threshold": node.threshold, "off_market": node.off_market}
     if node.stay_child is not None:
         d["stayed"] = _node_dict(node.stay_child)
@@ -500,12 +494,11 @@ def _node_dict(node: MarketNode) -> dict:
 
 def _run_tree(cfg: RunConfig) -> None:
     tree = build_market_tree(cfg.dist, cfg.mu, cfg.n_periods)
-    nodes = tree.nodes()
     if cfg.fmt == "csv":
         header = ["history", "period", "mass", "mean", "threshold", "off_market"]
         rows = []
-        for n in nodes:
-            mass = pool_mass(n.pool)
+        for n in tree.nodes():
+            mass = n.mass()
             rows.append([n.history, n.period, mass,
                          n.mean() if mass > 0 else None,
                          n.threshold, n.off_market])
@@ -518,13 +511,10 @@ def _run_tree(cfg: RunConfig) -> None:
 
 def _sweep_cell(args) -> list:
     regime, dist, mu = args
-    n_periods, _, row, _ = _REGIMES[regime]
-    return row(solve_regime(dist, mu, n_periods))
+    return _OUTPUTS[regime][1](solve_regime(dist, mu, REGIMES[regime][0]))
 
 
 def _run_sweep(cfg: RunConfig) -> None:
-    if cfg.regime == "one_period":
-        raise ConfigError(["sweep: regime must be two_period or three_period"])
     cells = [(cfg.regime, cfg.dist, mu) for mu in cfg.mu_grid]
     # Under the fork start method the pool starts all its workers at once,
     # so it gets no more than there are cells or usable CPUs.
@@ -534,7 +524,7 @@ def _run_sweep(cfg: RunConfig) -> None:
             rows = list(pool.map(_sweep_cell, cells))  # order-preserving
     else:
         rows = [_sweep_cell(c) for c in cells]
-    header = _REGIMES[cfg.regime][1]
+    header = _OUTPUTS[cfg.regime][0]
     if cfg.fmt == "csv":
         _emit_csv(header, rows, cfg.out)
     else:
@@ -543,17 +533,13 @@ def _run_sweep(cfg: RunConfig) -> None:
 
 
 def _run_simulate(cfg: RunConfig) -> None:
-    if cfg.regime not in ("two_period", "three_period"):
-        raise ConfigError(["simulate: regime must be two_period or three_period"])
-    wages = dict(cfg.wages)
+    n_periods, names = REGIMES[cfg.regime]
+    wages = cfg.wages
     if not wages:
-        if cfg.regime == "two_period":
-            sol = solve_two_period(cfg.dist, cfg.mu)
-            if sol.collapsed:
-                raise ConfigError([f"cannot simulate a collapsed market: {sol.collapse_reason}"])
-            wages = {"w0": sol.w0, "w1": sol.w1}
-        else:
-            wages = solve_three_period(cfg.dist, cfg.mu).wages()
+        sol = solve_regime(cfg.dist, cfg.mu, n_periods)
+        if getattr(sol, "collapsed", False):  # only the two-period market can collapse
+            raise ConfigError([f"cannot simulate a collapsed market: {sol.collapse_reason}"])
+        wages = {k: getattr(sol, k) for k in names}
     try:
         sim_cfg = SimulationConfig(n_agents=cfg.n_agents, seed=cfg.seed,
                                    regime=cfg.regime, dist=cfg.dist, mu=cfg.mu,
@@ -574,14 +560,13 @@ def _run_simulate(cfg: RunConfig) -> None:
 
 def _run_screening(cfg: RunConfig) -> None:
     sc = cfg.screening
-    p = residual_below_average_probability(sc)
-    crit = critical_assessment_periods(sc.m_allowed)
+    d = {"n_total": sc.n_total, "m_allowed": sc.m_allowed,
+         "residual_probability": residual_below_average_probability(sc),
+         "critical_periods": critical_assessment_periods(sc.m_allowed)}
     if cfg.fmt == "csv":
-        _emit_csv(["n_total", "m_allowed", "residual_probability", "critical_periods"],
-                  [[sc.n_total, sc.m_allowed, p, crit]], cfg.out)
+        _emit_csv(list(d), [list(d.values())], cfg.out)
     else:
-        _emit_json({"n_total": sc.n_total, "m_allowed": sc.m_allowed,
-                    "residual_probability": p, "critical_periods": crit}, cfg.out)
+        _emit_json(d, cfg.out)
 
 
 def _run_moral_hazard(cfg: RunConfig) -> None:
@@ -604,27 +589,29 @@ def _run_welfare(cfg: RunConfig) -> None:
     header = ["decile", "theta_low", "theta_high", "two_period_total",
               "three_period_total", "two_period_per_period",
               "three_period_per_period", "per_period_difference"]
-    rows = [[r.decile, r.theta_low, r.theta_high, r.two_period_total,
-             r.three_period_total, r.two_period_per_period,
-             r.three_period_per_period, r.per_period_difference]
-            for r in comp.deciles]
-    _emit_csv(header, rows, cfg.out)
+    _emit_csv(header, [_attrs(r, header) for r in comp.deciles], cfg.out)
 
 
-_HANDLERS = {
-    "solve": _run_solve,
-    "tree": _run_tree,
-    "sweep": _run_sweep,
-    "simulate": _run_simulate,
-    "screening": _run_screening,
-    "moral-hazard": _run_moral_hazard,
-    "welfare": _run_welfare,
+# Per subcommand: its handler, the keys it requires, the other keys it
+# reads (besides out and format) and the regimes it runs (empty: it takes
+# no regime key).
+_SUBCOMMANDS = {
+    "solve": (_run_solve, ("dist", "mu", "regime"), ("series_out",), tuple(REGIMES)),
+    "tree": (_run_tree, ("dist", "mu", "n_periods"), (), ()),
+    "sweep": (_run_sweep, ("dist", "mu_grid", "regime"), ("jobs",), _REVIEWED),
+    "simulate": (_run_simulate, ("dist", "mu", "regime", "n_agents"), ("seed", *_WAGES),
+                 _REVIEWED),
+    "screening": (_run_screening, ("n_total", "m_allowed"), ("theta_low", "theta_high"), ()),
+    "moral-hazard": (_run_moral_hazard,
+                     ("outcomes", "efforts", "density", "costs", "reservation"),
+                     ("agent_utility", "principal_utility", "wage_levels", "wage_grid"), ()),
+    "welfare": (_run_welfare, ("dist", "mu"), (), ()),
 }
 
 
 def run(cfg: RunConfig) -> None:
     """Execute a validated config.  Raises rather than exiting."""
-    _HANDLERS[cfg.subcommand](cfg)
+    _SUBCOMMANDS[cfg.subcommand][0](cfg)
 
 
 # =====================================================================
@@ -649,13 +636,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="labormkt",
                      description="Hiring/firing market laboratory, batch mode")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, (_, _, other, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
         for key, text in _FLAGS.items():
-            if key in _ALLOWED_KEYS[name]:
+            if key in other:
                 p.add_argument(f"--{key}", type=int, help=text)
     return parser
 
@@ -685,13 +672,7 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        cfg = parse_config(text, args.subcommand)
-        cfg = _apply_flags(cfg, args)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 1
-    try:
+        cfg = _apply_flags(parse_config(text, args.subcommand), args)
         run(cfg)
     except ConfigError as exc:
         for problem in exc.problems:

@@ -100,6 +100,7 @@ __all__ = [
     "WelfareComparison",
     "DecileRow",
     "build_market_tree",
+    "REGIMES",
     "wage_schedule",
     "submarket_count",
     "solve_three_period",
@@ -236,6 +237,16 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
     return MarketTree(dist=dist, mu=mu, n_periods=n_periods, root=root)
 
 
+# Per regime: its horizon, as solve_regime and wage_schedule take it, and
+# the wages that price it, in the order its solution lists them.  The
+# one-period market pays one pooled wage and has no schedule.
+REGIMES = {
+    "one_period": (1, ()),
+    "two_period": (2, ("w0", "w1")),
+    "three_period": (3, ("w0", "w1", "w_plus", "w2", "w2p")),
+}
+
+
 def wage_schedule(n_periods: int, w) -> tuple[dict[str, float], dict[str, float]]:
     """build_market_tree's (thresholds, wages) maps for the named wages w of
     a two- or three-period horizon (others are ignored).  The pay map lists
@@ -328,12 +339,10 @@ class ThreePeriodSolution:
         return max(abs(r) for r in self.residuals)
 
     def wages(self) -> dict[str, float]:
-        return {"w0": self.w0, "w1": self.w1, "w_plus": self.w_plus,
-                "w2": self.w2, "w2p": self.w2p}
+        return {k: getattr(self, k) for k in REGIMES["three_period"][1]}
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "mu", "w0", "w1", "w_plus", "w2", "w2p",
+        d = {"mu": self.mu} | self.wages() | {k: getattr(self, k) for k in (
             "theta_bar", "theta_bar_stayed", "theta_bar_kept",
             "mass_entry", "mass_released", "mass_stayed", "mass_late",
             "mass_kept", "mass_twice", "mass_rehired")}
@@ -676,9 +685,8 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
         raise NoConvergenceError("no multi-start run converged")
     sols = [_finish_solution(dist, mu, stage)
             for stage in _stages_from_w_plus(pool0, mu, np.array(converged))]
-    keys = ("w0", "w1", "w_plus", "w2", "w2p")
-    spread = max(max(getattr(s, k) for s in sols) - min(getattr(s, k) for s in sols)
-                 for k in keys)
+    wages = [s.wages() for s in sols]
+    spread = max(max(w[k] for w in wages) - min(w[k] for w in wages) for k in wages[0])
     return MultiStartReport(solutions=tuple(sols), wage_spread=spread,
                             agree=spread <= 1e-6, n_failed=len(final) - len(converged))
 

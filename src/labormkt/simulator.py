@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .multiperiod import LEFT, STAYED, _break_even, _kept, wage_schedule
+from .multiperiod import LEFT, REGIMES, STAYED, _break_even, _kept, wage_schedule
 from .pools import (ProductivityDistribution, _check_count, _check_mu, _is_real,
                     sample_productivities)
 
@@ -40,10 +40,8 @@ __all__ = [
 
 TWO_PERIOD = "two_period"
 THREE_PERIOD = "three_period"
-
-_REQUIRED_WAGES = {TWO_PERIOD: ("w0", "w1"),
-                   THREE_PERIOD: ("w0", "w1", "w_plus", "w2", "w2p")}
-_PERIODS = {TWO_PERIOD: 2, THREE_PERIOD: 3}
+# The regimes the replay runs: those with a wage schedule.
+_REPLAYED = sorted(r for r, (_, wages) in REGIMES.items() if wages)
 # The chunk size fixes the float summation order; see the module docstring.
 _CHUNK = 1 << 18
 # A chunk's draws are read this many workers at a time, so that a chunk in
@@ -81,14 +79,14 @@ class SimulationConfig:
         # would run as 0 or 1, so both must be integers proper.
         _check_count("n_agents", self.n_agents, 1)
         _check_count("seed", self.seed, 0, 2 ** 64 - 1)  # Philox takes 64 bits
-        if not isinstance(self.regime, str) or self.regime not in _REQUIRED_WAGES:
-            raise ValueError(f"regime must be one of {sorted(_REQUIRED_WAGES)}")
+        if not isinstance(self.regime, str) or self.regime not in _REPLAYED:
+            raise ValueError(f"regime must be one of {_REPLAYED}")
         if not isinstance(self.dist, ProductivityDistribution):
             raise ValueError(f"dist must be a ProductivityDistribution, not {self.dist!r}")
         object.__setattr__(self, "mu", _check_mu(self.mu))
         if not isinstance(self.wages, Mapping):
             raise ValueError(f"wages must map wage names to values, not {self.wages!r}")
-        missing = [k for k in _REQUIRED_WAGES[self.regime] if k not in self.wages]
+        missing = [k for k in REGIMES[self.regime][1] if k not in self.wages]
         if missing:
             raise ValueError(f"wages missing for this regime: {missing}")
         bad = [k for k, v in self.wages.items() if not (_is_real(v) and math.isfinite(v))]
@@ -249,7 +247,7 @@ def simulate(cfg: SimulationConfig) -> SimulationReport:
     # thread-pool module (about 0.3 MB) for runs that never simulate.
     from concurrent.futures import ThreadPoolExecutor
 
-    thresholds, pay = wage_schedule(_PERIODS[cfg.regime], cfg.wages)
+    thresholds, pay = wage_schedule(REGIMES[cfg.regime][0], cfg.wages)
     # Market hirers: the entry cohort and every released one that is reviewed.
     hirers = [h for h in thresholds if not h.endswith(STAYED)]
     acc = {h: np.zeros(3) for h in pay}

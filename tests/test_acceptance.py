@@ -11,7 +11,7 @@ forces w0 = 2*mean - w1, which turns the link into w1 > 1/3, i.e.
 mu > 1/4).  The main criterion-1 test asserts everything that is
 mathematically attainable, including the documented tail reversal; the
 companion xfail asserts the chain literally at every grid point so the
-discrepancy stays visible.  Details in notes/decisions.md.
+discrepancy stays visible.  The parenthesis above gives the whole argument.
 """
 
 import json
@@ -72,7 +72,8 @@ def test_criterion_1_two_period_closed_form(capsys):
 
 @pytest.mark.xfail(strict=True,
                    reason="w0 < theta_bar2 is provably false for mu <= 1/4 on "
-                          "uniform [0,1]; see notes/decisions.md")
+                          "uniform [0,1]; see the mu <= 1/4 argument in this "
+                          "module's docstring")
 def test_criterion_1_literal_ordering_chain_all_mu(capsys):
     with capsys.disabled():
         print("[criterion 1] literal ordering chain at every mu: "

@@ -3,6 +3,7 @@ exit codes, and byte-level determinism."""
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ import labormkt as lm
 from labormkt import cli, multiperiod
 from labormkt.errors import ConfigError, NoConvergenceError
 from labormkt.solvers import m_extended
+from test_multiperiod import _load_data_maker
 
 
 def write(tmp_path, name, text):
@@ -443,6 +445,38 @@ def test_problem_order_is_stable():
     ]
 
 
+@pytest.mark.parametrize("subcommand, text, other", [
+    ("sweep", SWEEP_CFG.replace("two_period", "one_period") + "jobs = 0\n",
+     "jobs: must be at least 1 (got 0)"),
+    ("simulate", SIM_CFG.replace("two_period", "one_period").replace("seed = 7", "seed = -1"),
+     "seed: must fit in 64 unsigned bits (got -1)"),
+], ids=["sweep", "simulate"])
+def test_regime_clash_is_reported_with_the_other_problems(subcommand, text, other):
+    """A regime the subcommand does not run is a config problem like any
+    other, listed with the rest rather than found once they are fixed."""
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(text, subcommand)
+    assert exc.value.problems == [f"{subcommand}: regime must be two_period or three_period",
+                                  other]
+
+
+@pytest.mark.parametrize("subcommand, text, problem", [
+    ("solve", TWO_PERIOD_CFG.replace("two_period", "one_period") + "series_out = m.csv\n",
+     "series_out: not read under regime one_period"),
+    ("simulate", SIM_CFG + "w0 = 0.6\nw1 = 0.4\nw_plus = 0.5\n",
+     "w_plus: not read under regime two_period"),
+    ("moral-hazard", MH_CFG + "wage_grid = 0, 1, 4\nwage_levels = 1\n",
+     "wage_levels: not read when wage_grid is set"),
+], ids=["series_out", "w_plus", "wage_levels"])
+def test_keys_a_run_never_reads_are_refused(subcommand, text, problem):
+    """A key the run would skip is refused, not silently ignored: the
+    series of a one-period solve, a wage the regime's replay does not
+    read, and wage_levels beside an explicit wage_grid."""
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(text, subcommand)
+    assert exc.value.problems == [problem]
+
+
 def test_unknown_subcommand(capsys):
     assert cli.main(["frobnicate"]) == 1
 
@@ -468,7 +502,7 @@ READERS = {"seed": {"simulate"}, "jobs": {"sweep"}, "tol": set()}
 
 
 @pytest.mark.parametrize("key", sorted(READERS))
-@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+@pytest.mark.parametrize("subcommand", list(cli._SUBCOMMANDS))
 def test_flag_is_accepted_only_where_its_key_is_read(tmp_path, capsys, subcommand, key):
     """--seed runs only on simulate and --jobs only on sweep; any other
     subcommand, and every subcommand for --tol, refuses the flag as a usage
@@ -483,7 +517,7 @@ def test_flag_is_accepted_only_where_its_key_is_read(tmp_path, capsys, subcomman
 
 
 @pytest.mark.parametrize("key", sorted(READERS))
-@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+@pytest.mark.parametrize("subcommand", list(cli._SUBCOMMANDS))
 def test_config_key_is_accepted_only_where_it_is_read(subcommand, key):
     text = MINIMAL_CFG[subcommand] + f"{key} = 1\n"
     if subcommand in READERS[key]:
@@ -545,3 +579,19 @@ def test_nonconvergence_exits_2_with_diagnostics(tmp_path, monkeypatch, capsys):
     assert data["error"] == "stalled on purpose"
     assert data["best"] == {"w_plus": 0.27}
     assert data["residuals"] == {"rehire_zero_profit": 1e-3}
+
+
+CLI_GOLDEN_MAKER = _load_data_maker("make_cli_golden")
+CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json")
+                        .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_output_matches_golden_bytes(name):
+    """Every subcommand in CSV and JSON, and one single-problem config per
+    error family, writes the bytes and returns the exit code recorded in
+    data/cli_golden.json (see data/make_cli_golden.py)."""
+    case = CLI_GOLDEN[name]
+    assert CLI_GOLDEN_MAKER.cases()[name] == (case["subcommand"], case["config"], case["flags"])
+    got = CLI_GOLDEN_MAKER.run_case(case["subcommand"], case["config"], case["flags"])
+    assert got == {k: case[k] for k in ("exit", "stdout", "stderr", "files")}

@@ -275,6 +275,7 @@ def test_three_period_solvers_reject_malformed_mu(solve, mu):
 
 from labormkt import cli  # noqa: E402
 from labormkt.errors import ConfigError  # noqa: E402
+from labormkt.multiperiod import REGIMES  # noqa: E402
 
 # Small integers only: wage_levels builds a grid of that many points.
 NUMBER = st.sampled_from(["0", "1", "2", "3", "-1", "0.5", "0.1", "-0.5", "1.5", "nan",
@@ -293,13 +294,17 @@ VALUES = {"dist": DIST, "mu_grid": st.one_of(RANGE, NUMBER_LIST), "density": PAI
           "outcomes": NUMBER_LIST, "efforts": NUMBER_LIST, "costs": NUMBER_LIST,
           "wage_grid": NUMBER_LIST, "agent_utility": WORD, "principal_utility": WORD,
           "format": WORD, "regime": WORD}
-KEYS = sorted(set().union(*cli._ALLOWED_KEYS.values()) | cli._COMMON_KEYS) + ["bogus"]
+# Per subcommand, the keys its config reads, and which of them it requires.
+READ = {name: {*required, *other, "out", "format"}
+        for name, (_, required, other, _) in cli._SUBCOMMANDS.items()}
+REQUIRED = {name: set(required) for name, (_, required, _, _) in cli._SUBCOMMANDS.items()}
+KEYS = sorted(set().union(*READ.values())) + ["bogus"]
 
 
 @st.composite
 def config_texts(draw):
-    subcommand = draw(st.sampled_from(cli.SUBCOMMANDS))
-    keys = [k for k in KEYS if k in cli._REQUIRED_KEYS[subcommand] or draw(st.booleans())]
+    subcommand = draw(st.sampled_from(list(READ)))
+    keys = [k for k in KEYS if k in REQUIRED[subcommand] or draw(st.booleans())]
     lines = [f"{k} = {draw(st.one_of(VALUES.get(k, NUMBER), ANY_VALUE))}"
              for k in draw(st.permutations(keys))]
     return subcommand, "\n".join(lines) + "\n"
@@ -334,7 +339,7 @@ OK_DIST = st.sampled_from(["uniform(0, 1)", "uniform(-0.5, 1)", "discrete((0.4,2
 OK_WAGE = st.sampled_from(["0.2", "0.4", "0.5", "0.7"])
 OK_VALUES = {
     "dist": OK_DIST, "mu": st.sampled_from(["0", "0.01", "0.25", "0.5", "0.9", "1"]),
-    "regime": st.sampled_from(cli.REGIMES), "format": st.sampled_from(["csv", "json"]),
+    "regime": st.sampled_from(list(REGIMES)), "format": st.sampled_from(["csv", "json"]),
     "jobs": st.just("1"),
     "mu_grid": st.sampled_from(["0.5", "0.1, 0.9", "0.2:0.8:0.3"]),
     "n_periods": st.integers(1, MAX_TREE_PERIODS).map(str),
@@ -346,7 +351,6 @@ OK_VALUES = {
     "reservation": st.sampled_from(["0", "0.5", "1"]),
     "wage_levels": st.integers(2, MAX_WAGE_LEVELS).map(str),
 }
-WAGE_KEYS = ("w0", "w1", "w_plus", "w2", "w2p")
 # Moral-hazard instances: outcomes, efforts, density rows and costs must agree.
 OK_CONTRACTS = st.sampled_from([
     {"outcomes": "0, 4", "efforts": "0, 1", "density": "0.8, 0.2; 0.2, 0.8",
@@ -358,16 +362,17 @@ OK_CONTRACTS = st.sampled_from([
 
 @st.composite
 def runnable_config_texts(draw):
-    subcommand = draw(st.sampled_from(cli.SUBCOMMANDS))
+    subcommand = draw(st.sampled_from(list(READ)))
     values = {k: draw(v) for k, v in OK_VALUES.items()} | draw(OK_CONTRACTS)
-    # Simulation wages come all or none; the default 21-level contract wage
-    # grid is too large to enumerate here, so wage_levels is always set.
-    required = set(cli._REQUIRED_KEYS[subcommand]) | {"wage_levels"}
+    # Simulation wages come all or none, and only the drawn regime's; the
+    # default 21-level contract wage grid is too large to enumerate here,
+    # so wage_levels is always set.
+    required = REQUIRED[subcommand] | {"wage_levels"}
     if draw(st.booleans()):
-        values |= {k: draw(OK_WAGE) for k in WAGE_KEYS}
-        required |= set(WAGE_KEYS)
-    allowed = sorted(cli._ALLOWED_KEYS[subcommand] & set(values)
-                     | cli._COMMON_KEYS - {"out"})
+        wages = REGIMES[values["regime"]][1]
+        values |= {k: draw(OK_WAGE) for k in wages}
+        required |= set(wages)
+    allowed = sorted(READ[subcommand] & set(values) - {"out"})
     keys = [k for k in allowed if k in required or draw(st.booleans())]
     return subcommand, "".join(f"{k} = {values[k]}\n" for k in draw(st.permutations(keys)))
 

@@ -21,7 +21,7 @@ import pytest
 
 import labormkt as lm
 from labormkt import simulator
-from labormkt.multiperiod import LEFT, STAYED, _kept, wage_schedule
+from labormkt.multiperiod import LEFT, REGIMES, STAYED, _kept, wage_schedule
 from labormkt.pools import sample_productivities
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -76,7 +76,7 @@ def bits(x) -> bytes:
 def replay_both(dist, regime, mu, wages, seed, start, span, block):
     cfg = simulator.SimulationConfig(n_agents=start + span, seed=seed, regime=regime,
                                      dist=dist, mu=mu, wages=wages)
-    thresholds, pay = wage_schedule(simulator._PERIODS[regime], wages)
+    thresholds, pay = wage_schedule(REGIMES[regime][0], wages)
     hirers = [h for h in thresholds if not h.endswith(STAYED)]  # as simulate picks them
     args = (cfg, thresholds, pay, hirers, start, start + span)
     with mock.patch.object(simulator, "_BLOCK", block):
@@ -93,7 +93,7 @@ COUNTS = st.integers(1, 4).map(float)
 @st.composite
 def replay_cases(draw):
     regime = draw(st.sampled_from([simulator.TWO_PERIOD, simulator.THREE_PERIOD]))
-    names = simulator._REQUIRED_WAGES[regime]
+    names = REGIMES[regime][1]
     wages = {k: draw(GRID) for k in names}
     kind = draw(st.sampled_from(["uniform", "discrete", "piecewise"]))
     if kind == "uniform":
