@@ -14,6 +14,17 @@ reduced on its own and the chunk sums are added in chunk index order.
 Chunks are replayed on a thread pool, one thread per CPU this process may
 run on (at most two, which bounds memory), and the fold keeps that order,
 so reports are byte-identical for any number of threads.
+
+Within a chunk, every per-worker step runs on blocks of 2**15 workers,
+which stay in cache.  A first pass over the draw blocks samples the
+productivities (pools.sample_productivities) into one chunk-length array
+theta and fills one chunk-length 0/1 mask per cohort.  Each cohort is then
+gathered block by block into one reused chunk-length buffer, where its sum
+and sum of squares are taken; each hirer's profit book is then written
+block by block into the same buffer and summed there.  So every sum runs
+over one whole contiguous array (theta itself for the entry cohort) that
+holds what a whole-chunk replay would sum, and its bits do not depend on
+the block size.
 """
 
 from __future__ import annotations
@@ -44,9 +55,10 @@ THREE_PERIOD = "three_period"
 _REPLAYED = sorted(r for r, (_, wages) in REGIMES.items() if wages)
 # The chunk size fixes the float summation order; see the module docstring.
 _CHUNK = 1 << 18
-# A chunk's draws are read this many workers at a time, so that a chunk in
-# flight holds its productivities and coin flips, not its raw draws.  Any
-# size gives the same draws: the chunk reads one Philox stream in order.
+# A chunk's per-worker steps run this many workers at a time, so that their
+# operands stay in cache and a chunk in flight holds no whole-chunk
+# temporaries.  Any size gives the same draws, since the chunk reads one
+# Philox stream in order, and the same sums (see the module docstring).
 _BLOCK = 1 << 15
 
 
@@ -57,15 +69,19 @@ def _usable_cpus() -> int:
 
 
 # Threads that replay chunks: the CPUs this process may run on, at most two.
-# Each chunk in flight holds about 11 MB, so memory sets the cap: perfbench
-# crosscheck (seed 1) peaks at 55 MB with one thread, 68 MB with two, 89 MB
-# with four and 111 MB with eight.
+# Each chunk in flight holds about 6 MB, so memory sets the cap: perfbench
+# crosscheck (seed 1) peaks at 53 MB with one thread, 59 MB with two, 73 MB
+# with four and 99 MB with eight.
 _WORKERS = min(2, _usable_cpus())
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One Monte Carlo run: population, randomness, and the wages to test."""
+    """One Monte Carlo run: population, randomness, and the wages to test.
+
+    wages holds exactly the wages the regime is priced by
+    (multiperiod.REGIMES), each kept as a Python float.
+    """
 
     n_agents: int
     seed: int
@@ -86,12 +102,18 @@ class SimulationConfig:
         object.__setattr__(self, "mu", _check_mu(self.mu))
         if not isinstance(self.wages, Mapping):
             raise ValueError(f"wages must map wage names to values, not {self.wages!r}")
-        missing = [k for k in REGIMES[self.regime][1] if k not in self.wages]
+        names = REGIMES[self.regime][1]
+        missing = [k for k in names if k not in self.wages]
         if missing:
             raise ValueError(f"wages missing for this regime: {missing}")
+        unread = [k for k in self.wages if k not in names]
+        if unread:
+            raise ValueError(f"wages this regime does not read: {unread}")
         bad = [k for k, v in self.wages.items() if not (_is_real(v) and math.isfinite(v))]
         if bad:
             raise ValueError(f"wages must be finite real numbers: {bad}")
+        # Python floats, as mu is: a NumPy scalar would reach the report.
+        object.__setattr__(self, "wages", {k: float(v) for k, v in self.wages.items()})
 
 
 @dataclass(frozen=True)
@@ -175,8 +197,40 @@ def _chunk_draws(cfg: SimulationConfig, start: int, stop: int, cols: int):
         yield rows, draws
 
 
-def _stats(x: np.ndarray, count: int) -> tuple[int, float, float]:
-    return count, x.sum(), (x * x).sum()  # count, sum, sum of squares
+def _stats(x: np.ndarray, count: int, squares: np.ndarray) -> tuple[int, float, float]:
+    """count, sum and sum of squares of x; the squares overwrite `squares`,
+    an array of x's length that may be x itself."""
+    total = x.sum()
+    np.multiply(x, x, out=squares)
+    return count, total, squares.sum()
+
+
+def _route(cfg, thresholds, cols, start, stop):
+    """The first pass of _replay_chunk, over the draw blocks: returns the
+    productivities theta of workers [start, stop), the 0/1 mask of each
+    cohort (None for the entry cohort "": every worker) and the blocks."""
+    n = stop - start
+    theta = np.empty(n)
+    masks = {"": None}
+    masks.update((h + step, np.empty(n, dtype=bool))
+                 for h in thresholds for step in (LEFT, STAYED))
+    quits = np.empty((cols - 1, min(_BLOCK, n)), dtype=bool)  # quits[c]: column c + 1
+    blocks = []
+    for rows, draws in _chunk_draws(cfg, start, stop, cols):
+        blocks.append(rows)
+        th, q = theta[rows], quits[:, :len(draws)]
+        th[:] = sample_productivities(cfg.dist, draws[:, 0])
+        np.less(draws[:, 1:].T, cfg.mu, out=q)
+        for h, t in thresholds.items():  # parents come before their children
+            left, stayed, parent = masks[h + LEFT][rows], masks[h + STAYED][rows], masks[h]
+            np.less(th, t, out=left)
+            left |= q[len(h)]  # every worker who would leave at this review
+            if parent is None:
+                np.logical_not(left, out=stayed)
+            else:
+                left &= parent[rows]
+                np.logical_xor(parent[rows], left, out=stayed)  # parent and not left
+    return theta, masks, blocks
 
 
 def _replay_chunk(cfg, thresholds, pay, hirers, start, stop):
@@ -188,39 +242,46 @@ def _replay_chunk(cfg, thresholds, pay, hirers, start, stop):
     of each market hirer's (each history in hirers) profit per worker over
     its own cohort and the cohorts it keeps.
 
+    The first pass (_route) and every later step run on the draw blocks
+    of _chunk_draws; each sum runs over a whole chunk-length array (see
+    the module docstring).
+
     A hirer's profit book is theta - pay times each cohort's 0/1 mask,
     summed over the cohorts.  A worker outside a cohort adds
     (theta - pay) * 0, which is -0.0 where theta < pay: a nonzero partial
     sum is unchanged by it, and NumPy's sum of zeros is +0.0, so the sums
     are those of books that store +0.0 outside the cohorts.
     """
-    cols = max(map(len, pay)) + 1
     n = stop - start
-    theta = np.empty(n)
-    quits = np.empty((cols - 1, n), dtype=bool)  # quits[c]: column c + 1
-    for rows, draws in _chunk_draws(cfg, start, stop, cols):
-        theta[rows] = sample_productivities(cfg.dist, draws[:, 0])
-        np.less(draws[:, 1:].T, cfg.mu, out=quits[:, rows])
-    masks = {"": None}  # None: every worker
-    for h, t in thresholds.items():  # parents come before their children
-        leave = (theta < t) | quits[len(h)]
-        parent = masks[h]
-        masks[h + LEFT] = leave if parent is None else parent & leave
-        masks[h + STAYED] = ~leave if parent is None else parent & ~leave
-    cohorts, books = {}, {}
+    theta, masks, blocks = _route(cfg, thresholds, max(map(len, pay)) + 1, start, stop)
+    buf = np.empty(n)
+    cohorts = {}
     for h in pay:
-        cohort = theta if masks[h] is None else np.compress(masks[h], theta)
-        cohorts[h] = _stats(cohort, cohort.size)
-    d = np.empty(n)
+        if masks[h] is None:
+            cohorts[h] = _stats(theta, n, buf)
+            continue
+        size = 0
+        for rows in blocks:
+            part = masks[h][rows]
+            taken = np.count_nonzero(part)
+            np.compress(part, theta[rows], out=buf[size:size + taken])
+            size += taken
+        cohorts[h] = _stats(buf[:size], size, buf[:size])
+    d = np.empty(min(_BLOCK, n))
+    books = {}
     for h in hirers:
-        profit = theta - pay[h]
-        if masks[h] is not None:
-            profit *= masks[h]
-        for k in _kept(h, pay):
-            np.subtract(theta, pay[k], out=d)
-            d *= masks[k]
-            profit += d
-        books[h] = _stats(profit, cohorts[h][0])
+        kept = _kept(h, pay)
+        for rows in blocks:
+            th, profit = theta[rows], buf[rows]
+            dk = d[:len(th)]
+            np.subtract(th, pay[h], out=profit)
+            if masks[h] is not None:
+                profit *= masks[h][rows]
+            for k in kept:
+                np.subtract(th, pay[k], out=dk)
+                dk *= masks[k][rows]
+                profit += dk
+        books[h] = _stats(buf, cohorts[h][0], buf)
     return cohorts, books
 
 

@@ -720,11 +720,40 @@ def piecewise_sampler_oracle(dist, u):
     return x0 + np.clip(s, 0.0, h)
 
 
+def many_segment_base(seed: int, n_nodes: int) -> lm.ProductivityDistribution:
+    """A piecewise base of n_nodes nodes from a seeded generator, with the
+    node steps of sampler_piecewise_bases: new, same, one ulp up or zero."""
+    rng = np.random.default_rng(seed)
+    xs = -5.0 + np.cumsum(rng.uniform(1e-3, 2.0, n_nodes))
+    ds = rng.uniform(0.0, 5.0, n_nodes)
+    for i, step in enumerate(rng.integers(0, 4, n_nodes)[1:], start=1):
+        ds[i] = (ds[i], ds[i - 1], np.nextafter(ds[i - 1], np.inf), 0.0)[step]
+    ds[rng.integers(n_nodes)] = rng.uniform(0.5, 5.0)  # positive mass
+    return lm.piecewise_linear(list(zip(xs.tolist(), ds.tolist())))
+
+
+def many_atom_base(seed: int, n_atoms: int) -> lm.ProductivityDistribution:
+    """A discrete base of n_atoms atoms on a 1/64 grid from a seeded generator."""
+    rng = np.random.default_rng(seed)
+    thetas = rng.choice(np.arange(-320, 240) / 64, n_atoms, replace=False)
+    counts = rng.choice([1e-300, 0.01, 1.0, 2.5, 5.0], n_atoms)  # 1e-300: tied CDF values
+    return lm.discrete(list(zip(thetas.tolist(), counts.tolist())))
+
+
+def is_long(dist) -> bool:
+    """Whether the sampler looks up dist's segments with np.searchsorted."""
+    return len(dist._inverse[0]) > pools._COUNTED_KEYS
+
+
 @st.composite
 def sampler_piecewise_bases(draw):
     """Piecewise bases with negative supports, zero-density nodes and flat
     segments: equal neighbouring densities (a = 0) or densities one ulp
-    apart (|a| below the 1e-14 flatness cut on wide segments)."""
+    apart (|a| below the 1e-14 flatness cut on wide segments).  One base
+    in eight has enough nodes that its lookup calls np.searchsorted."""
+    if draw(st.integers(0, 7)) == 0:
+        return many_segment_base(draw(st.integers(0, 2 ** 32 - 1)),
+                                 draw(st.integers(pools._COUNTED_KEYS + 3, 200)))
     n = draw(st.integers(2, 7))
     xs = [draw(st.floats(-5.0, 1.0))]
     for _ in range(n - 1):
@@ -739,15 +768,36 @@ def sampler_piecewise_bases(draw):
     return lm.piecewise_linear(list(zip(xs, ds)))
 
 
-def sampler_draws(draw, dist):
-    """Drawn u in [0, 1) plus 0, 1 - 2**-53, a grid, and the CDF at every
-    breakpoint or atom with its float neighbours."""
+def edge_draws(dist):
+    """0, the largest double below 1, and the CDF at every breakpoint or
+    atom with its float neighbours, those in [0, 1)."""
     cdf = dist._arrays[1] / dist._arrays[1][-1]
     edges = np.concatenate([cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0)])
-    edges = edges[(edges >= 0.0) & (edges < 1.0)]
+    return np.concatenate([[0.0, 1.0 - 2.0 ** -53], edges[(edges >= 0.0) & (edges < 1.0)]])
+
+
+def sampler_draws(draw, dist):
+    """edge_draws, a grid and drawn u in [0, 1)."""
     drawn = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
-    return np.concatenate([[0.0, 1.0 - 2.0 ** -53], np.linspace(0.0, 1.0, 101)[:-1],
-                           edges, drawn])
+    return np.concatenate([edge_draws(dist), np.linspace(0.0, 1.0, 101)[:-1], drawn])
+
+
+# Draws outside [0, 1): the sampler keeps the value it had when it looked
+# segments up with np.searchsorted alone, or NaN where that was NaN.
+OUTSIDE = np.array([math.nan, -math.nan, math.inf, -math.inf, 1.0, math.nextafter(1.0, 2.0),
+                    1.5, 2.0, 1e300, -0.0, -5e-324, -1e-300, -0.5, -1.0, -1e300])
+
+
+def assert_same_or_both_nan(got, want):
+    nan = np.isnan(want)
+    assert np.isnan(got).tolist() == nan.tolist()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def discrete_sampler_oracle(dist, u):
+    thetas, cum = dist._arrays[0], dist._arrays[1]
+    return thetas[np.minimum(np.searchsorted(cum[1:] / cum[-1], u, side="right"),
+                             len(thetas) - 1)]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -759,16 +809,63 @@ def test_piecewise_sampler_is_bit_equal_to_whole_array_formula(data):
     assert got.tobytes() == piecewise_sampler_oracle(dist, u).tobytes()
     # One scalar draw at a time gives the same bytes as the whole array.
     assert got.tobytes() == np.array([pools.sample_productivities(dist, x) for x in u]).tobytes()
+    assert_same_or_both_nan(pools.sample_productivities(dist, OUTSIDE),
+                            piecewise_sampler_oracle(dist, OUTSIDE))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_discrete_sampler_is_cdf_search(data):
-    atoms = data.draw(st.lists(st.tuples(st.floats(-5.0, 3.0), st.floats(0.01, 5.0)),
-                               min_size=1, max_size=8))
-    dist = lm.discrete(atoms)
-    u = sampler_draws(data.draw, dist)
-    thetas, cum = dist._arrays[0], dist._arrays[1]
-    expected = thetas[np.minimum(np.searchsorted(cum[1:] / cum[-1], u, side="right"),
-                                 len(thetas) - 1)]
-    assert pools.sample_productivities(dist, u).tobytes() == expected.tobytes()
+    """Up to 8 drawn atoms, or, one base in eight, enough atoms that the
+    lookup calls np.searchsorted."""
+    if data.draw(st.integers(0, 7)) == 0:
+        dist = many_atom_base(data.draw(st.integers(0, 2 ** 32 - 1)),
+                              data.draw(st.integers(pools._COUNTED_KEYS + 2, 200)))
+    else:
+        atoms = data.draw(st.lists(st.tuples(st.floats(-5.0, 3.0), st.floats(0.01, 5.0)),
+                                   min_size=1, max_size=8))
+        dist = lm.discrete(atoms)
+    u = np.concatenate([sampler_draws(data.draw, dist), OUTSIDE])
+    got = pools.sample_productivities(dist, u)
+    assert got.tobytes() == discrete_sampler_oracle(dist, u).tobytes()
+    assert got.tobytes() == np.array([pools.sample_productivities(dist, x) for x in u]).tobytes()
+
+
+# One segment (flat or not), two, and many: one key on each side of the
+# switch from counting to np.searchsorted, and far past it.
+LOOKUP_PIECEWISE = {
+    "1-segment": lm.piecewise_linear([(0.0, 1.0), (1.0, 2.0)]),
+    "1-segment-flat": lm.piecewise_linear([(-1.0, 0.5), (2.0, 0.5)]),
+    "2-segment": lm.piecewise_linear([(0.0, 0.2), (0.3, 1.1), (1.0, 0.1)]),
+    "counted-at-switch": many_segment_base(1, pools._COUNTED_KEYS + 2),
+    "searched-past-switch": many_segment_base(2, pools._COUNTED_KEYS + 3),
+    "searched-300-nodes": many_segment_base(3, 300),
+}
+LOOKUP_DISCRETE = {
+    "1-atom": lm.discrete([(0.5, 2.0)]),
+    "2-atom": lm.discrete([(0.2, 1.0), (0.9, 3.0)]),
+    "tied-cdf": lm.discrete([(0.1, 1e-300), (0.2, 1.0), (0.4, 1e-300), (0.9, 3.0)]),
+    "counted-at-switch": many_atom_base(1, pools._COUNTED_KEYS + 1),
+    "searched-past-switch": many_atom_base(2, pools._COUNTED_KEYS + 2),
+    "searched-300-atoms": many_atom_base(3, 300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_PIECEWISE))
+def test_piecewise_lookup_at_every_breakpoint(name):
+    dist = LOOKUP_PIECEWISE[name]
+    assert is_long(dist) == name.startswith("searched")
+    u = edge_draws(dist)
+    got = pools.sample_productivities(dist, u)
+    assert got.tobytes() == piecewise_sampler_oracle(dist, u).tobytes()
+    assert_same_or_both_nan(pools.sample_productivities(dist, OUTSIDE),
+                            piecewise_sampler_oracle(dist, OUTSIDE))
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_DISCRETE))
+def test_discrete_lookup_at_every_atom(name):
+    dist = LOOKUP_DISCRETE[name]
+    assert is_long(dist) == name.startswith("searched")
+    u = np.concatenate([edge_draws(dist), OUTSIDE])
+    got = pools.sample_productivities(dist, u)
+    assert got.tobytes() == discrete_sampler_oracle(dist, u).tobytes()

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import labormkt as lm
-from labormkt import simulator
+from labormkt import pools, simulator
 from labormkt.multiperiod import LEFT, REGIMES, STAYED, _kept, wage_schedule
 from labormkt.pools import sample_productivities
 
@@ -90,6 +90,17 @@ GRID = st.integers(-4, 20).map(lambda k: k / 16)
 COUNTS = st.integers(1, 4).map(float)
 
 
+def long_table(draw, low: int) -> list[tuple[float, float]]:
+    """pools._COUNTED_KEYS + 3 to 200 points (x, v), the x distinct on a
+    1/256 grid over [0, 1] and the v in low..4, from a drawn seed.  As the
+    nodes or atoms of a base they make a table long enough that the
+    sampler's lookup calls np.searchsorted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(pools._COUNTED_KEYS + 3, 200))
+    xs = np.sort(rng.choice(257, size, replace=False)) / 256
+    return list(zip(xs.tolist(), rng.integers(low, 5, size).astype(float).tolist()))
+
+
 @st.composite
 def replay_cases(draw):
     regime = draw(st.sampled_from([simulator.TWO_PERIOD, simulator.THREE_PERIOD]))
@@ -100,16 +111,23 @@ def replay_cases(draw):
         low = draw(st.sampled_from([-0.5, 0.0, 0.25]))
         dist = lm.uniform(low, low + draw(st.sampled_from([0.5, 1.0])))
     elif kind == "discrete":
-        atoms = draw(st.lists(st.tuples(GRID, COUNTS), max_size=4))
+        if draw(st.booleans()):
+            atoms = draw(st.lists(st.tuples(GRID, COUNTS), max_size=12))
+        else:  # enough atoms that the sampler's lookup calls np.searchsorted
+            atoms = long_table(draw, low=1)
         # An atom exactly at a pay wage: its workers earn exactly zero profit.
         atoms.append((wages[draw(st.sampled_from(names))], draw(COUNTS)))
         dist = lm.discrete(atoms)
     else:
-        xs = sorted(draw(st.sets(st.integers(0, 16), min_size=3, max_size=6)))
-        dens = [float(draw(st.integers(0, 4))) for _ in xs]
-        i = draw(st.integers(0, len(xs) - 2))
-        dens[i] = dens[i + 1] = float(draw(st.integers(1, 4)))  # a flat segment
-        dist = lm.piecewise_linear([(x / 16, d) for x, d in zip(xs, dens)])
+        if draw(st.booleans()):
+            xs = sorted(draw(st.sets(st.integers(0, 16), min_size=3, max_size=6)))
+            nodes = [(x / 16, float(draw(st.integers(0, 4)))) for x in xs]
+        else:  # enough nodes that the sampler's lookup calls np.searchsorted
+            nodes = long_table(draw, low=0)
+        i = draw(st.integers(0, len(nodes) - 2))
+        flat = float(draw(st.integers(1, 4)))  # a flat segment
+        nodes[i:i + 2] = [(nodes[i][0], flat), (nodes[i + 1][0], flat)]
+        dist = lm.piecewise_linear(nodes)
     mu = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
     seed = draw(st.integers(0, 2 ** 64 - 1))
     start = 4 * draw(st.integers(0, 1 << 30))  # chunk starts sit on 4-draw blocks

@@ -2,8 +2,10 @@
 analytic solutions it is meant to audit."""
 
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import labormkt as lm
@@ -123,6 +125,30 @@ def test_sub_block_size_changes_nothing(monkeypatch, base, block):
     assert simulator.simulate(frozen_cfg(cell)).to_dict() == cell["report"]
 
 
+def test_a_full_chunk_traces_under_9_mb():
+    """The chunk's float arrays are theta and one reused buffer, and every
+    other per-worker array is a 0/1 cohort mask or holds one draw block:
+    one full three-period chunk on the README piecewise base traces about
+    6.1 MB at its peak.  When routing, cohorts and books ran on whole-chunk
+    temporaries, it traced 11.9 MB."""
+    import tracemalloc
+
+    from labormkt.multiperiod import REGIMES, STAYED, wage_schedule
+
+    cfg = solved_cfg("piecewise_readme", "three_period", n_agents=simulator._CHUNK)
+    thresholds, pay = wage_schedule(REGIMES[cfg.regime][0], cfg.wages)
+    hirers = [h for h in thresholds if not h.endswith(STAYED)]
+    args = (cfg, thresholds, pay, hirers, 0, simulator._CHUNK)
+    simulator._replay_chunk(*args)  # anything allocated once per process
+    tracemalloc.start()
+    try:
+        simulator._replay_chunk(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_error_in_a_chunk_propagates(monkeypatch, workers):
     """The first failing chunk in chunk order raises its own exception."""
@@ -146,15 +172,44 @@ def test_error_in_a_chunk_propagates(monkeypatch, workers):
     assert err.value is raised[5 * 4096]
 
 
-def test_two_period_replay_ignores_later_wages():
-    """The regime picks the horizon: a two-period run that also carries
-    three-period wages replays the same two rounds."""
-    cell = next(c for c in FROZEN["cells"]
-                if c["regime"] == "two_period" and c["mu"] == 0.5)
-    extra = {"w_plus": 0.1, "w2": 0.9, "w2p": 0.2}
-    got = simulator.simulate(frozen_cfg(cell, wages=cell["wages"] | extra)).to_dict()
-    assert got.pop("wages") == cell["wages"] | extra
-    assert got == {k: v for k, v in cell["report"].items() if k != "wages"}
+@pytest.mark.parametrize("regime, extra", [
+    ("two_period", {"w_plus": 0.1}),
+    ("two_period", {"w2": 0.9, "w2p": 0.2}),
+    ("two_period", {"bogus": 1.0}),
+    ("three_period", {"bogus": 1.0}),
+])
+def test_config_refuses_wages_its_regime_does_not_read(regime, extra):
+    """A wage the regime is not priced by would be echoed in the report
+    without acting; it is refused, as the CLI refuses it."""
+    cell = next(c for c in FROZEN["cells"] if c["regime"] == regime)
+    message = f"wages this regime does not read: {list(extra)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        frozen_cfg(cell, wages=cell["wages"] | extra)
+
+
+@pytest.mark.parametrize("scalar_type", [np.float32, np.float64, np.longdouble])
+def test_config_keeps_each_wage_as_a_python_float(scalar_type):
+    """A NumPy-scalar wage is stored as its float, in the order given, so
+    the report is plain JSON and the run is the float wage's run."""
+    def cfg(wages):
+        return simulator.SimulationConfig(n_agents=5_000, seed=4, regime="three_period",
+                                          dist=lm.uniform(0, 1), mu=0.5, wages=wages)
+
+    floats = {"w2p": 0.625, "w0": 0.5, "w1": 0.375, "w_plus": 0.25, "w2": 0.75}
+    got = cfg({k: scalar_type(v) for k, v in floats.items()})  # exact in each type
+    assert list(got.wages.items()) == list(floats.items())
+    assert {type(v) for v in got.wages.values()} == {float}
+    report = simulator.simulate(got).to_dict()
+    assert json.loads(json.dumps(report)) == report
+    assert report == simulator.simulate(cfg(floats)).to_dict()
+
+
+def test_float32_wage_is_stored_as_its_exact_value():
+    wages = {"w0": np.float32(0.1), "w1": 0.4}
+    cfg = simulator.SimulationConfig(n_agents=10, seed=0, regime="two_period",
+                                     dist=lm.uniform(0, 1), mu=0.5, wages=wages)
+    assert cfg.wages["w0"] == float(np.float32(0.1)) != 0.1
+    assert wages["w0"] is not cfg.wages["w0"]  # the caller's mapping is left as it was
 
 
 # ---------------------------------------------------------------------
