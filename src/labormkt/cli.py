@@ -39,7 +39,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -520,6 +519,8 @@ def _run_sweep(cfg: RunConfig) -> None:
     # so it gets no more than there are cells or usable CPUs.
     workers = min(cfg.jobs, len(cells), _usable_cpus())
     if workers > 1:
+        # Imported here: it loads multiprocessing, socket, subprocess and logging.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))  # order-preserving
     else:

@@ -72,12 +72,10 @@ from .pools import (
     ProductivityDistribution,
     _check_count,
     _check_mu,
-    _moments,
     entry_split_rows,
     firing_split,
     leaver_moments_array,
     pool_inf,
-    pool_mass,
     pool_mean,
     quantile,
     stayer_moments,
@@ -143,7 +141,7 @@ class MarketNode:
         return self.history.endswith(LEFT)
 
     def mass(self) -> float:
-        return pool_mass(self.pool)
+        return self.pool.moments[0]
 
     def mean(self) -> float:
         return pool_mean(self.pool)
@@ -189,8 +187,8 @@ class MarketTree:
         return [n for n in self.nodes() if n.off_market]
 
 
-# The tree holds 2**n - 1 cohorts, each with a pool: n = 16 takes about
-# 150 MB and every two more periods cost 4x that.
+# The tree holds 2**n - 1 cohorts, each with a pool and its piece ends:
+# n = 16 peaks at about 280 MB and every two more periods cost 4x that.
 MAX_TREE_PERIODS = 16
 
 
@@ -208,6 +206,8 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
     if thresholds is not None and not isinstance(thresholds, Mapping):
         raise InvalidThresholdError(
             f"thresholds must map histories to review wages, not {type(thresholds).__name__}")
+    if wages is not None and not isinstance(wages, Mapping):
+        raise ValueError(f"wages must map histories to wage labels, not {wages!r}")
     mu = _check_mu(mu)
     wages = wages or {}
 
@@ -223,10 +223,8 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
         wage = wages.get(history)
         if period == n_periods:
             return MarketNode(history, period, pool, wage=wage)
-        if pool_mass(pool) > 0.0:
-            t = lookup_threshold(history, pool)
-        else:
-            t = pool.base.support_low  # empty cohort: split is a no-op
+        # An empty cohort is split at the support bottom, a no-op.
+        t = lookup_threshold(history, pool) if pool.moments[0] > 0.0 else pool.base.support_low
         leavers, stayers = firing_split(pool, t, mu)
         return MarketNode(
             history, period, pool, wage=wage, threshold=t,
@@ -412,9 +410,10 @@ class _Stage:
 
 def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float) -> _Stage:
     released, stayed = firing_split(pool0, w_plus, mu)
-    if pool_mass(stayed) <= 0.0:
+    n_rel, m1_rel = released.moments
+    if stayed.moments[0] <= 0.0:
         raise DegenerateSystemError(f"no one is retained at w_plus={w_plus}")
-    if pool_mass(released) <= 0.0:
+    if n_rel <= 0.0:
         raise DegenerateSystemError(f"no one is released at w_plus={w_plus}")
     roots_late = m_fixed_points(stayed, mu, points=_INNER_SCAN, tol=_INNER_TOL)
     roots_twice = m_fixed_points(released, mu, points=_INNER_SCAN, tol=_INNER_TOL)
@@ -423,7 +422,6 @@ def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float) -> _Stage:
     w2 = roots_late[-1]
     w2p = roots_twice[-1]
     w1 = w_plus + w2 - w2p  # stay/quit indifference
-    n_rel, m1_rel = _moments(released)
     n_reh, m1_reh = stayer_moments(released, w2p, mu)
     profit = (m1_rel - n_rel * w1) + (m1_reh - n_reh * w2p)
     return _Stage(w_plus, w1, w2, w2p, profit, tuple(roots_late), tuple(roots_twice))
@@ -473,7 +471,7 @@ def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
     # w0 is the unknown here: the entry hirers' pay is not read by the rule.
     thresholds, pay = wage_schedule(3, vars(stage) | {"w0": math.nan})
     tree = build_market_tree(dist, mu, 3, thresholds=thresholds)
-    moments = {node.history: _moments(node.pool) for node in tree.nodes()}
+    moments = {node.history: node.pool.moments for node in tree.nodes()}
 
     def mean(h: str, empty):
         n_h, m1_h = moments[h]
@@ -585,7 +583,7 @@ def _damped_steps(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
     d = _DAMPING
     for _ in range(steps):
         released, stayed = firing_split(pool0, w_plus, mu)
-        n_rel, m1_rel = _moments(released)
+        n_rel, m1_rel = released.moments
         w2_new = w2 + d * (m_extended(stayed, w2, mu) - w2)
         w2p_new = w2p + d * (m_extended(released, w2p, mu) - w2p)
         w1 = w_plus + w2_new - w2p_new

@@ -22,12 +22,13 @@ Conventions
   below x) are taken from it.  Uniform bases use the closed form;
   piecewise-linear and discrete bases read cumulative tables built once per
   distribution.
-* A pool's moments and those of either side of its split
-  (:func:`leaver_moments`, :func:`stayer_moments`) come from one scalar
-  loop over its pieces, :func:`_split_moments_scalar`, which adds the parts
-  of the split pool's pieces in their order without building them, so it
-  is bit for bit the split pool's.  A caller that splits one pool many
-  times passes the pool's piece ends (:func:`_piece_ends`) once.
+* A pool computes its ``ends`` (the base mass and first moment up to the
+  end of each piece) and its ``moments`` once, when it is built, as a
+  :class:`PoolRows` stack holds them.  Those moments and either side's of
+  a split (:func:`leaver_moments`, :func:`stayer_moments`) come from one
+  scalar loop over the pool's pieces and ends, :func:`_split_moments_scalar`,
+  which adds the parts of the split pool's pieces in their order without
+  building them, so it is bit for bit the split pool's.
 * :meth:`ProductivityDistribution.moments_below_array`,
   :func:`leaver_moments_array` and :func:`stayer_moments_array` are the
   same kernels over a float64 array of thresholds, with the same float
@@ -265,11 +266,16 @@ class LaborPool:
 
     `pieces` is an ordered tuple of (lo, hi, multiplier) covering the base
     support contiguously.  Intervals are half-open [lo, hi) except the last,
-    which is closed so the top of the support belongs to it.
+    which is closed so the top of the support belongs to it.  Multipliers
+    are nonnegative real numbers and the pool's moments must be finite.
     """
 
     base: ProductivityDistribution
     pieces: tuple[tuple[float, float, float], ...] = field(default=())
+    # As a PoolRows stack holds them: the base (mass, first moment) up to the
+    # end of each piece (the closed last one holds it all) and the pool's.
+    ends: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    moments: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pieces:
@@ -284,8 +290,14 @@ class LaborPool:
         for lo, hi, w in ps:
             if hi < lo:
                 raise ValueError("piece with negative width")
+            if type(w) is not float and not _is_real(w):  # a float skips the ABC test
+                raise ValueError(f"multipliers must be real numbers, not {w!r}")
             if not (w >= 0.0):
                 raise ValueError("multipliers must be nonnegative")
+        ends = [self.base.moments_below(hi) for _, hi, _ in ps[:-1]] + [self.base._total]
+        object.__setattr__(self, "ends", tuple(ends))
+        object.__setattr__(self, "moments", _moments(self))
+        _require_finite(self.moments, "pool mass and first moment")
 
     @staticmethod
     def entry(dist: ProductivityDistribution) -> "LaborPool":
@@ -307,35 +319,27 @@ def _rescale_pieces(pieces, cut: float, low_factor: float, high_factor: float) -
     return out
 
 
-def _piece_ends(base: ProductivityDistribution, pieces) -> list[tuple[float, float]]:
-    """Base (mass, first moment) up to the right end of each piece.  Pieces
-    are [lo, hi) except the last, which is closed, so it ends with the whole
-    base (a discrete atom at the top of the support included)."""
-    return [base.moments_below(hi) for _, hi, _ in pieces[:-1]] + [base._total]
-
-
 def _moments(pool: LaborPool) -> tuple[float, float]:
-    """(mass, first moment) of the whole pool: every piece is at or above
-    the support bottom, so a split there weights each by w * 1.0 = w."""
-    return _split_moments_scalar(pool, None, pool.base.support_low, 1.0, 1.0)
+    """(mass, first moment) of the whole pool, which its constructor stores
+    as ``pool.moments``: every piece is at or above the support bottom, so
+    a split there weights each by w * 1.0 = w."""
+    return _split_moments_scalar(pool, pool.base.support_low, 1.0, 1.0)
 
 
 def pool_mass(pool: LaborPool) -> float:
     """Total worker mass in the pool."""
-    return _moments(pool)[0]
+    return pool.moments[0]
 
 
 def pool_mean(pool: LaborPool) -> float:
     """Average productivity of the pool; EmptyPoolError on zero mass.
 
     Per row, as an (R, 1) column, for a :class:`PoolRows` stack."""
+    n, m1 = pool.moments
     if isinstance(pool, PoolRows):
-        n, m1 = pool.moments
         if not (n > 0.0).all():
             raise EmptyPoolError("a pool row has no workers")
-        return m1 / n
-    n, m1 = _moments(pool)
-    if n <= 0.0:
+    elif n <= 0.0:
         raise EmptyPoolError("pool has no workers")
     return m1 / n
 
@@ -361,23 +365,21 @@ def firing_split(pool: LaborPool, threshold: float, mu: float) -> tuple[LaborPoo
             LaborPool(pool.base, tuple(_rescale_pieces(pool.pieces, t, 0.0, 1.0 - mu))))
 
 
-def leaver_moments(pool: LaborPool, threshold: float, mu: float, *,
-                   ends=None) -> tuple[float, float]:
+def leaver_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
     """(mass, first moment) of ``firing_split(pool, threshold, mu)[0]``,
-    bit for bit, without building the split pool.  `ends` are the pool's
-    :func:`_piece_ends`, for a caller that splits one pool many times."""
+    bit for bit, without building the split pool."""
     t, mu = _split_threshold(pool, threshold, mu)
-    return _split_moments_scalar(pool, ends, t, 1.0, mu)
+    return _split_moments_scalar(pool, t, 1.0, mu)
 
 
 def stayer_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
     """(mass, first moment) of ``firing_split(pool, threshold, mu)[1]``,
     as :func:`leaver_moments`."""
     t, mu = _split_threshold(pool, threshold, mu)
-    return _split_moments_scalar(pool, None, t, 0.0, 1.0 - mu)
+    return _split_moments_scalar(pool, t, 0.0, 1.0 - mu)
 
 
-def _split_moments_scalar(pool: LaborPool, ends, t: float, low: float,
+def _split_moments_scalar(pool: LaborPool, t: float, low: float,
                           high: float) -> tuple[float, float]:
     """(mass, first moment) of the pool weighted `low` strictly below the
     clamped threshold t and `high` at or above it: the one scalar piece
@@ -387,9 +389,8 @@ def _split_moments_scalar(pool: LaborPool, ends, t: float, low: float,
     their order, zero weights skipped, so the result is bit for bit the
     split pool's moments."""
     base, pieces = pool.base, pool.pieces
-    ends = ends or _piece_ends(base, pieces)
     n = m1 = n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
-    for i, ((lo, hi, w), (n_hi, m1_hi)) in enumerate(zip(pieces, ends)):
+    for i, ((lo, hi, w), (n_hi, m1_hi)) in enumerate(zip(pieces, pool.ends)):
         # As in _rescale_pieces, lo >= t is tested first: a zero-width piece
         # at t goes to the at-or-above side, and the closed last piece holds t.
         if lo >= t:
@@ -412,7 +413,7 @@ def _split_moments_scalar(pool: LaborPool, ends, t: float, low: float,
 def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high, cut=None):
     """:func:`_split_moments_scalar` of `pieces` at every clamped threshold
     of the array t: the one piece loop behind every array moment.  The piece
-    bounds, weights and `ends` (from :func:`_piece_ends`), t and the factors
+    bounds, weights and `ends` (a pool's or a stack's), t and the factors
     may each be a scalar or an array; they broadcast together.  `cut` is
     the base (mass, first moment) below t, if the caller has it.  Each piece
     adds its parts in the scalar loop's order, so every element is bit for
@@ -452,8 +453,7 @@ def _split_side_array(pool, thresholds, mu: float, leavers: bool):
     mu = _check_mu(mu)
     t = _clamped_thresholds(pool.base, thresholds)
     low, high = (1.0, mu) if leavers else (0.0, 1.0 - mu)
-    ends = pool.ends if isinstance(pool, PoolRows) else _piece_ends(pool.base, pool.pieces)
-    return _split_moments(pool.base, pool.pieces, ends, t, low, high)
+    return _split_moments(pool.base, pool.pieces, pool.ends, t, low, high)
 
 
 def leaver_moments_array(pool, thresholds: np.ndarray,
@@ -541,7 +541,7 @@ def pool_inf(pool: LaborPool) -> float:
         return pool.inf
     base, n_lo = pool.base, 0.0
     # The start of the first piece with positive weight and base mass.
-    for (lo, _, w), (n_hi, _) in zip(pool.pieces, _piece_ends(base, pool.pieces)):
+    for (lo, _, w), (n_hi, _) in zip(pool.pieces, pool.ends):
         if w > 0.0 and n_hi > n_lo:
             return base._xs[bisect_left(base._xs, lo)] if base.kind == "discrete" else lo
         n_lo = n_hi

@@ -11,14 +11,15 @@ from the sorted root list.
 float64 array the scalar operator element by element, bit for bit.  So
 :func:`m_fixed_points` fills its grid in one array call and bisects each
 bracket with :func:`bisect_root` and the scalar operator, which reads the
-pool's piece ends computed once per scan.  :func:`m_fixed_points_rows`
-scans every pool of a :class:`~labormkt.pools.PoolRows` stack (the
-three-period outer scan): it fills the grids in blocks of array calls and
-refines every bracket in one :func:`bisect_roots`, the lockstep form of
-bisect_root with its midpoints, stopping tests and fallback.  The lockstep
-keeps the state of the live brackets only and evaluates one stack of
-bracket rows in place, taken again only once half its lanes have ended.
-The roots are bit-for-bit those of the one-pool scans.
+piece ends and moments the pool computed when it was built.
+:func:`m_fixed_points_rows` scans every pool of a
+:class:`~labormkt.pools.PoolRows` stack (the three-period outer scan): it
+fills the grids in blocks of array calls and refines every bracket in one
+:func:`bisect_roots`, the lockstep form of bisect_root with its midpoints,
+stopping tests and fallback.  The lockstep keeps the state of the live
+brackets only and evaluates one stack of bracket rows in place, taken again
+only once half its lanes have ended.  The roots are bit-for-bit those of
+the one-pool scans.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergenceError
-from .pools import (LaborPool, PoolRows, _check_mu, _piece_ends, leaver_moments,
-                    leaver_moments_array, pool_inf, pool_mean)
+from .pools import (LaborPool, PoolRows, _check_mu, leaver_moments, leaver_moments_array,
+                    pool_inf, pool_mean)
 
 __all__ = ["bisect_root", "bisect_roots", "scan_grid", "scan_roots",
            "m_extended", "m_fixed_points", "m_fixed_points_rows"]
@@ -183,7 +184,7 @@ def scan_roots(g, lo: float, hi: float, *, points: int, g_grid, tol: float = _TO
     return _distinct(_grid_roots(g, grid.tolist(), g_grid(grid), tol), lo, hi)
 
 
-def m_extended(pool: LaborPool, w: float, mu: float, *, ends=None) -> float:
+def m_extended(pool: LaborPool, w: float, mu: float) -> float:
     """Leaver-pool mean extended by its limits where the pool empties.
 
     Inside the support this is the plain leaver mean.  When nobody leaves
@@ -192,15 +193,15 @@ def m_extended(pool: LaborPool, w: float, mu: float, *, ends=None) -> float:
     top of the support everyone leaves and the value is the pool mean.
 
     `w` may be a float64 array; the result is then the array of the scalar
-    values, bit for bit.  A scalar w reads the pool's piece `ends`, if given
-    (see :func:`~labormkt.pools.leaver_moments`).
+    values, bit for bit.  `pool` may then also be a
+    :class:`~labormkt.pools.PoolRows` stack.
     """
     if isinstance(w, np.ndarray):
         return _m_extended_array(pool, w, mu)
     if w >= pool.base.support_high:
         _check_mu(mu)  # inside the support the split checks it
         return pool_mean(pool)
-    n, m1 = leaver_moments(pool, w, mu, ends=ends)
+    n, m1 = leaver_moments(pool, w, mu)
     if n <= 0.0:
         return pool_inf(pool)
     return m1 / n
@@ -231,8 +232,7 @@ def m_fixed_points(pool: LaborPool, mu: float, *, points: int = 1024,
     lo = min(pool_inf(pool), 0.0)
     if mean <= lo:
         return [mean]  # degenerate pool concentrated at a single point
-    ends = _piece_ends(pool.base, pool.pieces)
-    g = lambda w: w - m_extended(pool, w, mu, ends=ends)
+    g = lambda w: w - m_extended(pool, w, mu)
     return scan_roots(g, lo, mean, points=points, g_grid=g, tol=tol)
 
 

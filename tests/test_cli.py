@@ -1,7 +1,11 @@
 """End-to-end command-line behavior: config grammar, output schemas,
 exit codes, and byte-level determinism."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -553,7 +557,7 @@ def test_sweep_workers_are_capped_by_cells_and_cpus(tmp_path, monkeypatch, jobs,
     """The sweep asks for at most one worker per grid cell and per usable
     CPU, and runs in this process when that is one; the rows stay the same."""
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     cfg = write(tmp_path, "s.cfg", SWEEP_CFG)
     out = tmp_path / "s.csv"
@@ -562,6 +566,21 @@ def test_sweep_workers_are_capped_by_cells_and_cpus(tmp_path, monkeypatch, jobs,
     serial = tmp_path / "serial.csv"
     assert cli.main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
     assert out.read_bytes() == serial.read_bytes()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only a sweep with more than one worker loads the process pool, so a
+    fresh interpreter that imports the CLI has loaded neither it nor
+    multiprocessing."""
+    code = ("import sys, labormkt.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_nonconvergence_exits_2_with_diagnostics(tmp_path, monkeypatch, capsys):

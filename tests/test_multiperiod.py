@@ -545,6 +545,12 @@ def test_tree_rejects_thresholds_that_are_not_a_mapping(thresholds):
         lm.build_market_tree(lm.uniform(0, 1), 0.5, 2, thresholds=thresholds)
 
 
+@pytest.mark.parametrize("wages", [[1, 2], [], 3, "w0"], ids=["list", "empty", "int", "str"])
+def test_tree_rejects_wages_that_are_not_a_mapping(wages):
+    with pytest.raises(ValueError, match="wages must map histories"):
+        lm.build_market_tree(lm.uniform(0, 1), 0.5, 2, wages=wages)
+
+
 def test_solution_tree_attaches_wages():
     sol = solved(0.5)
     tree = sol.tree(lm.uniform(0, 1))

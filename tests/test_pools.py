@@ -134,6 +134,20 @@ def test_constructor_validation():
             build()
 
 
+def test_pool_refuses_pieces_it_cannot_sum():
+    """A pool's multipliers are real numbers, not bools, and its moments are
+    finite; anything else is a ValueError when the pool is built."""
+    for w in ("1.0", True, None):
+        with pytest.raises(ValueError, match="multipliers must be real numbers"):
+            pools.LaborPool(UNI, ((0.0, 1.0, w),))
+    # An infinite multiplier, and a finite one whose moments overflow.
+    for dist, w in ((UNI, math.inf), (lm.uniform(0.0, 10.0), 1e308)):
+        with pytest.raises(ValueError, match="must be finite"):
+            pools.LaborPool(dist, ((dist.support_low, dist.support_high, w),))
+    for w in (2, np.float64(2.0), Fraction(2)):
+        assert pools.LaborPool(UNI, ((0.0, 1.0, w),)).moments == (2.0, 1.0)
+
+
 def exact_moments_between(nodes, a, b):
     """Exact integrals of N and theta * N over [a, b] for a piecewise-linear
     density, in rational arithmetic from the antiderivative of each segment."""

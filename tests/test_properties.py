@@ -93,6 +93,48 @@ def test_leaver_mean_lies_between_pool_inf_and_pool_mean(case):
 
 
 @st.composite
+def entry_splits(draw):
+    """A uniform, piecewise or discrete base, a threshold at a support end,
+    an atom, a breakpoint or anywhere near the support, and the quit
+    probabilities of that split and of a split of either side."""
+    uniform = st.tuples(THETA, st.floats(1e-3, 3.0), st.floats(0.1, 5.0)).map(
+        lambda a: lm.uniform(a[0], a[0] + a[1], a[2]))
+    dist = draw(st.one_of(uniform, BASES))
+    lo, hi = dist.support_low, dist.support_high
+    marks = [lo, hi] + [t for t, _ in dist.atoms] + [t for t, _ in dist.nodes]
+    t = draw(st.one_of(st.sampled_from(marks), st.floats(lo - 1.0, hi + 1.0)))
+    return dist, t, draw(MU), draw(MU)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(entry_splits())
+def test_split_pool_and_its_stack_row_are_the_same_pool(case):
+    """Each side of firing_split(LaborPool.entry(d), t, mu) and its row of
+    entry_split_rows(d, [t, t], [0, 1], [1 - mu, mu]) have the same
+    moments, mean, infimum and split moments at every piece bound, bit for
+    bit.  Their ends differ: at t = L the split pool has one piece and the
+    row two."""
+    dist, t, mu, mu_inner = case
+    rows = pools.entry_split_rows(dist, [t, t], [0.0, 1.0], [1.0 - mu, mu])
+    sides = pools.firing_split(pools.LaborPool.entry(dist), t, mu)[::-1]  # stayed, released
+    for i, pool in enumerate(sides):
+        row = rows.take(slice(i, i + 1))
+        assert [v.tolist() for v in row.moments] == [[[v]] for v in pool.moments]
+        bounds = sorted({x for lo, hi, _ in pool.pieces for x in (lo, hi)})
+        for kernel in (pools.leaver_moments_array, pools.stayer_moments_array):
+            want = kernel(pool, np.array(bounds), mu_inner)
+            got = kernel(row, np.array([bounds]), mu_inner)
+            assert [v.tolist() for v in got] == [[v.tolist()] for v in want]
+        for limit in (pools.pool_mean, pools.pool_inf):
+            if pool.moments[0] > 0.0:
+                assert limit(row).tolist() == [[limit(pool)]]
+            else:
+                for either in (pool, row):
+                    with pytest.raises(lm.EmptyPoolError):
+                        limit(either)
+
+
+@st.composite
 def flat_zero_bases(draw):
     """A piecewise base with a zero-density segment between two positive
     parts, anywhere on the line (on negative thetas too)."""
@@ -125,8 +167,7 @@ def _split_leaver_mean(pool, w, mu):
 @given(kernel_cases(), st.lists(st.floats(-8.0, 4.0), min_size=1, max_size=20))
 def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
     """Both array split kernels, the moment primitive and the scalar
-    leaver mean, with and without a scan's piece ends, are the scalar
-    results bit for bit."""
+    leaver mean are the scalar results bit for bit."""
     pool, t, mu = case
     base = pool.base
     ts = [t, base.support_low, base.support_high] + extra
@@ -135,12 +176,9 @@ def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
                            (pools.stayer_moments_array, pools.stayer_moments)):
         n, m1 = kernel(pool, np.array(ts), mu)
         assert list(zip(n.tolist(), m1.tolist())) == [scalar(pool, x, mu) for x in ts]
-    ends = pools._piece_ends(base, pool.pieces)
     if pools.pool_mass(pool) > 0.0:
         for w in ts:
-            want = _split_leaver_mean(pool, w, mu)
-            assert m_extended(pool, w, mu) == want
-            assert m_extended(pool, w, mu, ends=ends) == want
+            assert m_extended(pool, w, mu) == _split_leaver_mean(pool, w, mu)
     # Every breakpoint or atom, its float neighbours, and points outside the support.
     marks = [x for x, _ in base.nodes] + [x for x, _ in base.atoms]
     xs = ts + [y for x in marks for y in (math.nextafter(x, -math.inf), x,
