@@ -529,12 +529,14 @@ def _point_mass_solution(dist: ProductivityDistribution, mu: float) -> ThreePeri
 def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriodSolution:
     """Solve the five-wage three-period system.
 
-    Scans the retention offer w_plus over [pool bottom, entry mean] for
-    roots of the period-2 hirers' zero-profit residual (every other wage
-    is determined by w_plus), bisects, and returns the largest root.  The
-    scan widens once toward the support top before giving up.  Each scan
-    grid is evaluated in one batch (:func:`_stages_from_w_plus`) and each
-    bracket is bisected with :func:`_stage_from_w_plus`.  Requires
+    Scans the retention offer w_plus over [pool bottom, entry mean], the
+    multi-start's window, for roots of the period-2 hirers' zero-profit
+    residual (every other wage is determined by w_plus), bisects, and
+    returns the largest root.  The residual is positive at the bottom,
+    where both terminal pools are the entry pool scaled by mu and 1 - mu.
+    The scan grid is evaluated in one batch (:func:`_stages_from_w_plus`)
+    and each bracket is bisected with :func:`_stage_from_w_plus`.  The two
+    zero-profit books, in heads x wage, are gated per head hired.  Requires
     0 < mu < 1; a single-productivity population short-circuits to the
     exact degenerate answer.
     """
@@ -558,9 +560,6 @@ def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriod
 
     roots = scan_roots(g, lo, theta_bar, points=_OUTER_SCAN, g_grid=g_grid)
     if not roots:
-        hi2 = theta_bar + 0.75 * (dist.support_high - theta_bar)
-        roots = scan_roots(g, lo, hi2, points=_OUTER_SCAN, g_grid=g_grid)
-    if not roots:
         probe = scan_grid(lo, theta_bar, 33)
         best_w = min(zip(np.abs(g_grid(probe)).tolist(), probe.tolist()))
         raise NoConvergenceError(
@@ -569,7 +568,11 @@ def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriod
     stage = stages.get(roots[-1]) or _stage_from_w_plus(pool0, mu, roots[-1])
     sol = _finish_solution(dist, mu, stage,
                            extra_diag={"w_plus_candidates": list(roots)})
-    if sol.max_residual > 1e-8:
+    # The two books are in heads x wage: gate them per head hired, never
+    # more strictly than the wage residuals.
+    r = sol.residuals
+    per_head = (*r[:3], r[3] / max(1.0, sol.mass_entry), r[4] / max(1.0, sol.mass_released))
+    if max(map(abs, per_head)) > 1e-8:
         raise NoConvergenceError(
             f"three-period residuals stalled at {sol.max_residual:.3e}",
             best=sol.wages(), residuals=dict(zip(RESIDUAL_NAMES, sol.residuals)))

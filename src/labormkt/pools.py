@@ -278,22 +278,24 @@ class LaborPool:
     moments: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.pieces:
-            object.__setattr__(self, "pieces",
-                               ((self.base.support_low, self.base.support_high, 1.0),))
-        ps = self.pieces
+        ps = self.pieces or ((self.base.support_low, self.base.support_high, 1.0),)
         if ps[0][0] != self.base.support_low or ps[-1][1] != self.base.support_high:
             raise ValueError("pieces must cover the full support")
         for (_, h0, _), (l1, _, _) in zip(ps, ps[1:]):
             if h0 != l1:
                 raise ValueError("pieces must be contiguous")
-        for lo, hi, w in ps:
+        for i, (lo, hi, w) in enumerate(ps):
             if hi < lo:
                 raise ValueError("piece with negative width")
-            if type(w) is not float and not _is_real(w):  # a float skips the ABC test
-                raise ValueError(f"multipliers must be real numbers, not {w!r}")
+            if type(w) is not float:  # a float skips the ABC test
+                if not _is_real(w):
+                    raise ValueError(f"multipliers must be real numbers, not {w!r}")
+                # Stored as a float, or a NumPy float32 sets the pool's precision.
+                w = float(w)
+                ps = (*ps[:i], (lo, hi, w), *ps[i + 1:])
             if not (w >= 0.0):
                 raise ValueError("multipliers must be nonnegative")
+        object.__setattr__(self, "pieces", ps)
         ends = [self.base.moments_below(hi) for _, hi, _ in ps[:-1]] + [self.base._total]
         object.__setattr__(self, "ends", tuple(ends))
         object.__setattr__(self, "moments", _moments(self))
@@ -345,11 +347,13 @@ def pool_mean(pool: LaborPool) -> float:
 
 
 def _split_threshold(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
-    """Validate a split: its threshold clamped to the support, and mu as a float."""
+    """Validate a split: its threshold as a float clamped to the support,
+    and mu as a float."""
     mu = _check_mu(mu)
     if not math.isfinite(threshold):
         raise InvalidThresholdError(f"threshold {threshold!r} is not a finite real")
-    return min(max(threshold, pool.base.support_low), pool.base.support_high), mu
+    t = threshold if type(threshold) is float else float(threshold)
+    return min(max(t, pool.base.support_low), pool.base.support_high), mu
 
 
 def firing_split(pool: LaborPool, threshold: float, mu: float) -> tuple[LaborPool, LaborPool]:

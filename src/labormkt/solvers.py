@@ -1,11 +1,13 @@
 """Scan-and-bisect root finding shared by the equilibrium solvers.
 
 The wage fixed points in this package are roots of well-behaved scalar
-functions on known intervals, but there can be more than one of them and
-the economically selected equilibrium is the largest.  So the strategy is
-always: evaluate on a grid, collect every sign change plus every grid
-point that is already a root, bisect each bracket, and let the caller pick
-from the sorted root list.
+functions on known intervals.  A terminal market's clearing wage is unique
+(w - m_extended(pool, w, mu) rises with slope at least 1 while negative),
+but the three-period outer scan over the retention offer can find more
+than one root, and the economically selected equilibrium is the largest.
+So the strategy is always: evaluate on a grid, collect every sign change
+plus every grid point that is already a root, bisect each bracket, and let
+the caller pick from the sorted root list.
 
 :func:`m_extended`, the package's only leaver-mean operator, is on a
 float64 array the scalar operator element by element, bit for bit.  So
@@ -16,10 +18,9 @@ piece ends and moments the pool computed when it was built.
 :class:`~labormkt.pools.PoolRows` stack (the three-period outer scan): it
 fills the grids in blocks of array calls and refines every bracket in one
 :func:`bisect_roots`, the lockstep form of bisect_root with its midpoints,
-stopping tests and fallback.  The lockstep keeps the state of the live
-brackets only and evaluates one stack of bracket rows in place, taken again
-only once half its lanes have ended.  The roots are bit-for-bit those of
-the one-pool scans.
+stopping tests and fallback.  The lockstep evaluates one stack with a row
+per bracket every round, ended brackets included, so the roots are bit for
+bit those of the one-pool scans.
 """
 
 from __future__ import annotations
@@ -81,48 +82,39 @@ def _bisection_error(best_x: float, best_g: float, tol: float) -> NoConvergenceE
 def bisect_roots(g, a, b, ga, gb, tol: float = _TOL):
     """:func:`bisect_root` on every bracket [a[i], b[i]] at once, in lockstep.
 
-    g(x, idx) evaluates the functions of the brackets `idx` (an index
-    array) at the points x.  Every bracket takes the midpoints, stopping
-    tests and best-x fallback of :func:`bisect_root`.  Returns the arrays
-    (x, best_g, failed): x[i] is bisect_root's result, or where bisect_root
-    raises NoConvergenceError, its best x, with best_g[i] the residual there
-    and failed[i] set.  Raises ValueError, as bisect_root does, for a
-    bracket with no sign change.
+    g(x) evaluates every bracket's function at its own point, x[i] for
+    bracket i.  Every bracket takes the midpoints, stopping tests and best-x
+    fallback of :func:`bisect_root`; its state stays in full-length arrays
+    under the mask `live`, and a bracket that has ended is evaluated again
+    at the last point it was evaluated at (at first b[i]), so it raises no
+    warning.  Returns the arrays (x, best_g, failed): x[i] is bisect_root's
+    result, or where bisect_root raises NoConvergenceError, its best x, with
+    best_g[i] the residual there and failed[i] set.  Raises ValueError, as
+    bisect_root does, for a bracket with no sign change.
     """
     a, b, ga, gb = (np.array(v, dtype=np.float64) for v in (a, b, ga, gb))
-    out = np.where(ga == 0.0, a, b)  # an endpoint root ends the bracket
-    todo = (ga != 0.0) & (gb != 0.0)
-    if ((ga > 0.0) == (gb > 0.0))[todo].any():
+    live = (ga != 0.0) & (gb != 0.0)
+    if ((ga > 0.0) == (gb > 0.0))[live].any():
         raise ValueError("bisect_root needs a sign change")
+    hit = ~live  # an endpoint root ends the bracket
+    root = np.where(ga == 0.0, a, b)
     take_a = np.abs(ga) < np.abs(gb)
-    best_g = np.where(take_a, ga, gb)
-    active = np.flatnonzero(todo)
-    # lo, hi, g(lo), best x and best g of the live brackets, in bracket order;
-    # a bracket that ends leaves its result in out and best_g.
-    lo, hi, glo, bx, bg = (v[active] for v in (a, b, ga, np.where(take_a, a, b), best_g))
+    lo, hi, glo, x, bx, bg = a, b, ga, b, np.where(take_a, a, b), np.where(take_a, ga, gb)
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        ended = (mid <= lo) | (mid >= hi)  # interval at floating-point resolution
-        if ended.any():
-            out[active[ended]], best_g[active[ended]] = bx[ended], bg[ended]
-            active, lo, hi, glo, bx, bg, mid = (
-                v[~ended] for v in (active, lo, hi, glo, bx, bg, mid))
-        if not active.size:
+        live &= ~((mid <= lo) | (mid >= hi))  # interval at floating-point resolution
+        if not live.any():
             break
-        gmid = g(mid, active)
-        size = np.abs(gmid)
-        better = size < np.abs(bg)
-        bx, bg = np.where(better, mid, bx), np.where(better, gmid, bg)
-        same = (gmid > 0.0) == (glo > 0.0)
-        lo, glo, hi = np.where(same, mid, lo), np.where(same, gmid, glo), np.where(same, hi, mid)
-        hit = (gmid == 0.0) | (size <= tol)
-        if hit.any():
-            out[active[hit]], best_g[active[hit]] = mid[hit], bg[hit]
-            active, lo, hi, glo, bx, bg = (v[~hit] for v in (active, lo, hi, glo, bx, bg))
-    failed = np.zeros(out.shape, dtype=bool)
-    failed[active] = True
-    out[active], best_g[active] = bx, bg
-    return out, best_g, failed
+        x = np.where(live, mid, x)
+        gx = g(x)
+        size = np.abs(gx)
+        better = live & (size < np.abs(bg))
+        bx, bg = np.where(better, x, bx), np.where(better, gx, bg)
+        up = live & ((gx > 0.0) == (glo > 0.0))
+        lo, glo, hi = np.where(up, x, lo), np.where(up, gx, glo), np.where(live & ~up, x, hi)
+        ended = live & ((gx == 0.0) | (size <= tol))
+        root, hit, live = np.where(ended, x, root), hit | ended, live & ~ended
+    return np.where(hit, root, bx), bg, live
 
 
 def scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -226,12 +218,13 @@ def m_fixed_points(pool: LaborPool, mu: float, *, points: int = 1024,
     The scan window is [min(pool_inf, 0), pool_mean]: the leaver mean never
     exceeds the pool mean (leavers over-weight the bottom of the pool), and
     the window is stretched down to zero so review wages below a positive
-    support floor are covered.
+    support floor are covered.  A pool at a single point, whose mean may
+    round below that point, clears at its mean.
     """
-    mean = pool_mean(pool)
-    lo = min(pool_inf(pool), 0.0)
-    if mean <= lo:
-        return [mean]  # degenerate pool concentrated at a single point
+    mean, inf = pool_mean(pool), pool_inf(pool)
+    if mean <= inf:
+        return [mean]
+    lo = min(inf, 0.0)
     g = lambda w: w - m_extended(pool, w, mu)
     return scan_roots(g, lo, mean, points=points, g_grid=g, tol=tol)
 
@@ -254,7 +247,7 @@ def m_fixed_points_rows(rows: PoolRows, mu: float, *, points: int, tol: float = 
     mean = pool_mean(rows)[:, 0]
     inf = pool_inf(rows)[:, 0]
     lo = np.where(0.0 < inf, 0.0, inf)  # min(pool_inf, 0.0), as the scalar form
-    scanned = np.flatnonzero(~(mean <= lo))
+    scanned = np.flatnonzero(~(mean <= inf))
     block = max(1, _BLOCK_ELEMENTS // points)
     # Per block, every candidate in row-major (row, then grid) order: its
     # row, its grid point, whether it is a bracket (ending at that point),
@@ -272,8 +265,9 @@ def m_fixed_points_rows(rows: PoolRows, mu: float, *, points: int, tol: float = 
     row, x, is_bracket, a, ga, gb = (np.concatenate(v) for v in zip(*found))
     br = np.flatnonzero(is_bracket)
     best_g, failed = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
-    x[br], best_g[br], failed[br] = bisect_roots(_lockstep(rows.take(row[br]), mu),
-                                                  a[br], x[br], ga[br], gb[br], tol)
+    stack = rows.take(row[br])  # one row per bracket
+    x[br], best_g[br], failed[br] = bisect_roots(
+        lambda p: p - m_extended(stack, p[:, None], mu)[:, 0], a[br], x[br], ga[br], gb[br], tol)
 
     out: list = [[m] for m in mean.tolist()]  # a pool at a single point
     for i in scanned.tolist():
@@ -285,23 +279,3 @@ def m_fixed_points_rows(rows: PoolRows, mu: float, *, points: int, tol: float = 
     return [_distinct(r, lo_l[i], mean_l[i]) if isinstance(r, list) else r
             for i, r in enumerate(out)]
 
-
-def _lockstep(rows: PoolRows, mu: float):
-    """g(x, idx) of :func:`bisect_roots` for a stack with one row per
-    bracket: x - m_extended(row, x, mu) on the rows idx.  Every lane of the
-    kept stack is evaluated in place, an ended bracket's lane at a point it
-    was evaluated at before (so it raises no warning), and the stack is
-    taken again, down to the live brackets, once half its lanes have ended.
-    m_extended is elementwise, so a live lane's value is its row's, bit for bit."""
-    kept = [rows, np.zeros(0, dtype=np.intp), None]  # the stack, its lanes, their points
-
-    def g(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        stack, lanes, points = kept
-        if 2 * len(idx) <= len(lanes) or not len(lanes):
-            kept[:] = stack, lanes, points = rows.take(idx), idx, x.copy()
-            at = slice(None)
-        else:  # idx is ascending and within lanes, as bisect_roots keeps it
-            at = np.searchsorted(lanes, idx)
-            points[at] = x
-        return (points - m_extended(stack, points[:, None], mu)[:, 0])[at]
-    return g

@@ -173,6 +173,18 @@ def test_solve_json_round_trips_three_period(tmp_path):
     assert max(abs(r) for r in sol.residuals) <= 1e-8
 
 
+def test_solve_three_period_large_population(tmp_path):
+    """30,000 heads at wages up to 30,000: the books' rounding is above
+    1e-8 in heads x wage but not per head hired, so the solve succeeds."""
+    cfg = write(tmp_path, "big.cfg",
+                "dist = uniform(0, 30000)\nmu = 0.5\nregime = three_period\n")
+    out = tmp_path / "big.json"
+    assert cli.main(["solve", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["mass_entry"] == 30000.0
+    assert data["w_plus"] == pytest.approx(30000 * 0.2713303702976979, rel=1e-9)
+
+
 def test_solve_three_period_csv_header(tmp_path):
     cfg = write(tmp_path, "b.cfg", THREE_PERIOD_CFG)
     out = tmp_path / "b.csv"

@@ -277,6 +277,44 @@ def test_other_bases_still_balance(dist):
     assert sol.mass_released + sol.mass_stayed == pytest.approx(sol.mass_entry, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [3e4, 1e6])
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
+def test_large_population_solves_at_the_scaled_wages(scale, mu):
+    """uniform(0, s) is uniform(0, 1) stretched by s in productivity and in
+    head count, so its wages are s times the unit wages.  Its two books,
+    in heads x wage, and their rounding grow by s**2, so they are gated per
+    head hired."""
+    unit = lm.solve_three_period(lm.uniform(0, 1), mu).wages()
+    big = lm.solve_three_period(lm.uniform(0, scale), mu).wages()
+    for key, w in unit.items():
+        assert big[key] == pytest.approx(scale * w, rel=1e-9, abs=0.0), key
+
+
+FAR_ATOM = lm.discrete([(0.5321807419284317, 2.5904303823460273),
+                        (0.6772937196136276, 1.6855456080670204),
+                        (9794.031323879735, 0.0008134888709451212)])
+FAR_ATOM_MU = 0.16861864600167548
+
+
+def test_terminal_pool_at_one_far_point_clears_at_its_mean():
+    """At w_plus = theta_bar the stayers are the top atom alone, and their
+    mean rounds 4e-9 below it: that one-point pool clears at its mean, in
+    the scalar and the stacked scan, and the system solves."""
+    from labormkt.solvers import m_fixed_points, m_fixed_points_rows
+
+    entry = pools.LaborPool.entry(FAR_ATOM)
+    theta_bar = pools.pool_mean(entry)
+    stayed = pools.firing_split(entry, theta_bar, FAR_ATOM_MU)[1]
+    mean = pools.pool_mean(stayed)
+    assert mean < pools.pool_inf(stayed)
+    assert m_fixed_points(stayed, FAR_ATOM_MU) == [mean]
+    rows = pools.entry_split_rows(FAR_ATOM, [theta_bar], [0.0], [1.0 - FAR_ATOM_MU])
+    assert m_fixed_points_rows(rows, FAR_ATOM_MU, points=129) == [[mean]]
+    sol = lm.solve_three_period(FAR_ATOM, FAR_ATOM_MU)
+    assert sol.w_plus == pytest.approx(0.55343233, abs=1e-8)
+    assert sol.max_residual <= 1e-8
+
+
 GOLDEN = json.loads((Path(__file__).parent / "data" / "three_period_golden.json")
                     .read_text(encoding="utf-8"))["cells"]
 GOLDEN_BASES = {

@@ -148,6 +148,27 @@ def test_pool_refuses_pieces_it_cannot_sum():
         assert pools.LaborPool(UNI, ((0.0, 1.0, w),)).moments == (2.0, 1.0)
 
 
+def _all_floats(values):
+    return all(type(v) is float for v in values)
+
+
+def test_float32_multiplier_and_threshold_are_used_as_their_floats():
+    """A NumPy float32 multiplier or split threshold is stored and used as
+    its float, so the pool's moments and pieces stay float64 (NumPy keeps
+    float * np.float32 in float32)."""
+    w = np.float32(0.1)
+    pool = pools.LaborPool(UNI, ((0.0, 1.0, w),))
+    assert pool == pools.LaborPool(UNI, ((0.0, 1.0, float(w)),))
+    assert _all_floats(pool.pieces[0]) and _all_floats(pool.moments)
+    entry, t = pools.LaborPool.entry(UNI), np.float32(0.4)
+    for kernel in (pools.leaver_moments, pools.stayer_moments):
+        got = kernel(entry, t, 0.5)
+        assert got == kernel(entry, float(t), 0.5) and _all_floats(got)
+    for side, want in zip(pools.firing_split(entry, t, 0.5),
+                          pools.firing_split(entry, float(t), 0.5)):
+        assert side == want and all(_all_floats(piece) for piece in side.pieces)
+
+
 def exact_moments_between(nodes, a, b):
     """Exact integrals of N and theta * N over [a, b] for a piecewise-linear
     density, in rational arithmetic from the antiderivative of each segment."""
@@ -487,6 +508,20 @@ def test_grid_point_within_tol_is_a_root_and_not_bisected():
     assert len(calls) == 129
 
 
+def test_scan_roots_keep_the_smallest_root_of_each_cluster():
+    """Two spikes 8e-10 wide, at the grid points 0.25 and 0.75, each give
+    two bracket roots closer than 1e-9 of the scale; each pair keeps its
+    smaller root, and the two pairs stay two roots."""
+    from labormkt.solvers import scan_roots
+
+    spike = lambda x, c: 1.0 - np.abs(x - c) / 4e-10
+    g = lambda x: np.maximum(spike(x, 0.25), spike(x, 0.75))
+    roots = scan_roots(g, 0.0, 1.0, points=5, g_grid=g)
+    assert len(roots) == 2
+    for root, centre in zip(roots, (0.25, 0.75)):
+        assert root == pytest.approx(centre - 4e-10, abs=1e-15)
+
+
 def _patched_tol(opts_kw, monkeypatch):
     """The "tol" of opts_kw (default solvers._TOL), with its "max_iter", if
     any, patched into solvers._MAX_ITER."""
@@ -521,7 +556,7 @@ def test_bisect_roots_equals_bisect_root(opts_kw, monkeypatch):
     tol = _patched_tol(opts_kw, monkeypatch)
     fs, a, b = (list(v) for v in zip(*BRACKETS))
     ga, gb = [f(x) for f, x in zip(fs, a)], [f(x) for f, x in zip(fs, b)]
-    g = lambda x, idx: np.array([fs[i](v) for i, v in zip(idx.tolist(), x.tolist())])
+    g = lambda x: np.array([f(v) for f, v in zip(fs, x.tolist())])
     x, best_g, failed = bisect_roots(g, a, b, ga, gb, tol)
     n_failed = 0
     for i, f in enumerate(fs):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import labormkt as lm  # noqa: E402
 from labormkt import pools  # noqa: E402
-from labormkt.solvers import m_extended  # noqa: E402
+from labormkt.solvers import m_extended, m_fixed_points  # noqa: E402
 from test_pools import assert_split_rows_equal_split_pools  # noqa: E402
 
 THETA = st.floats(-2.0, 3.0, allow_nan=False)
@@ -209,6 +209,32 @@ def entry_splits(draw):
 @given(entry_splits())
 def test_split_rows_kernel_equals_scalar_kernel(case):
     assert_split_rows_equal_split_pools(*case)
+
+
+@st.composite
+def resplit_pools(draw):
+    """A pool after 0 to 3 random splits of an entry pool of any kind, and
+    a quit probability of 0, 1, anywhere, or small (1e-4 to 1e-1)."""
+    dist = draw(st.one_of(BASES, UNIFORM_BASES))
+    lo, hi = dist.support_low, dist.support_high
+    marks = [t for t, _ in dist.atoms] + [t for t, _ in dist.nodes] + [lo, hi]
+    points = st.one_of(st.sampled_from(marks), st.floats(lo - 1.0, hi + 1.0))
+    pool = pools.LaborPool.entry(dist)
+    for _ in range(draw(st.integers(0, 3))):
+        pool = pools.firing_split(pool, draw(points), draw(MU))[draw(st.integers(0, 1))]
+    return pool, draw(st.one_of(MU, st.floats(1e-4, 1e-1)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(resplit_pools(), st.sampled_from([{}, {"points": 129, "tol": 1e-12}]))
+def test_released_market_clears_at_exactly_one_wage(case, scan):
+    """g(w) = w - m_extended(pool, w, mu) rises with slope at least 1 while
+    it is negative and has slope 1 at a root; at an atom the leaver mean
+    moves toward the atom, so g never crosses back.  So every terminal
+    market's scan, at both scan settings, finds exactly one wage."""
+    pool, mu = case
+    hypothesis.assume(pools.pool_mass(pool) > 1e-9 * pool.base.total_mass())
+    assert len(m_fixed_points(pool, mu, **scan)) == 1
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
