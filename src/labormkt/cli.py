@@ -460,15 +460,10 @@ _OUTPUTS = {
 }
 
 
-def _run_solve(cfg: RunConfig) -> None:
+def _run_solve(cfg: RunConfig) -> tuple:
     header, row, to_dict = _OUTPUTS[cfg.regime]
     sol = solve_regime(cfg.dist, cfg.mu, REGIMES[cfg.regime][0])
-    if cfg.fmt == "csv":
-        _emit_csv(header, [row(sol)], cfg.out)
-    else:
-        _emit_json(to_dict(sol) | {"regime": cfg.regime}, cfg.out)
-    if cfg.series_out:  # parse_config refuses it where mu does not act
-        _write_m_series(cfg)
+    return header, lambda: [row(sol)], lambda: to_dict(sol) | {"regime": cfg.regime}
 
 
 def _write_m_series(cfg: RunConfig) -> None:
@@ -491,21 +486,19 @@ def _node_dict(node: MarketNode) -> dict:
     return d
 
 
-def _run_tree(cfg: RunConfig) -> None:
+def _run_tree(cfg: RunConfig) -> tuple:
     tree = build_market_tree(cfg.dist, cfg.mu, cfg.n_periods)
-    if cfg.fmt == "csv":
-        header = ["history", "period", "mass", "mean", "threshold", "off_market"]
-        rows = []
+
+    def rows():
         for n in tree.nodes():
             mass = n.mass()
-            rows.append([n.history, n.period, mass,
-                         n.mean() if mass > 0 else None,
-                         n.threshold, n.off_market])
-        _emit_csv(header, rows, cfg.out)
-    else:
-        _emit_json({"n_periods": cfg.n_periods, "mu": cfg.mu,
-                    "off_market_count": len(tree.off_market_nodes()),
-                    "root": _node_dict(tree.root)}, cfg.out)
+            yield [n.history, n.period, mass, n.mean() if mass > 0 else None,
+                   n.threshold, n.off_market]
+
+    return (["history", "period", "mass", "mean", "threshold", "off_market"], rows,
+            lambda: {"n_periods": cfg.n_periods, "mu": cfg.mu,
+                     "off_market_count": len(tree.off_market_nodes()),
+                     "root": _node_dict(tree.root)})
 
 
 def _sweep_cell(args) -> list:
@@ -513,7 +506,7 @@ def _sweep_cell(args) -> list:
     return _OUTPUTS[regime][1](solve_regime(dist, mu, REGIMES[regime][0]))
 
 
-def _run_sweep(cfg: RunConfig) -> None:
+def _run_sweep(cfg: RunConfig) -> tuple:
     cells = [(cfg.regime, cfg.dist, mu) for mu in cfg.mu_grid]
     # Under the fork start method the pool starts all its workers at once,
     # so it gets no more than there are cells or usable CPUs.
@@ -526,14 +519,11 @@ def _run_sweep(cfg: RunConfig) -> None:
     else:
         rows = [_sweep_cell(c) for c in cells]
     header = _OUTPUTS[cfg.regime][0]
-    if cfg.fmt == "csv":
-        _emit_csv(header, rows, cfg.out)
-    else:
-        _emit_json({"regime": cfg.regime,
-                    "rows": [dict(zip(header, row)) for row in rows]}, cfg.out)
+    return header, lambda: rows, lambda: {
+        "regime": cfg.regime, "rows": [dict(zip(header, row)) for row in rows]}
 
 
-def _run_simulate(cfg: RunConfig) -> None:
+def _run_simulate(cfg: RunConfig) -> tuple:
     n_periods, names = REGIMES[cfg.regime]
     wages = cfg.wages
     if not wages:
@@ -548,54 +538,44 @@ def _run_simulate(cfg: RunConfig) -> None:
     except ValueError as exc:
         raise ConfigError([f"simulate: {exc}"])
     report = simulate(sim_cfg)
-    if cfg.fmt == "json":
-        _emit_json(report.to_dict(), cfg.out)
-        return
     header = ["market", "count", "mass_share", "mean", "mean_halfwidth",
               "break_even_wage", "profit_per_capita"]
-    rows = [[m.name or "entry", m.count, m.mass_share, m.mean, m.mean_halfwidth,
-             m.break_even_wage, report.profit_per_capita if m.name == "" else None]
-            for m in report.markets]
-    _emit_csv(header, rows, cfg.out)
+    return header, lambda: [
+        [m.name or "entry", m.count, m.mass_share, m.mean, m.mean_halfwidth,
+         m.break_even_wage, report.profit_per_capita if m.name == "" else None]
+        for m in report.markets], report.to_dict
 
 
-def _run_screening(cfg: RunConfig) -> None:
+def _run_screening(cfg: RunConfig) -> tuple:
     sc = cfg.screening
     d = {"n_total": sc.n_total, "m_allowed": sc.m_allowed,
          "residual_probability": residual_below_average_probability(sc),
          "critical_periods": critical_assessment_periods(sc.m_allowed)}
-    if cfg.fmt == "csv":
-        _emit_csv(list(d), [list(d.values())], cfg.out)
-    else:
-        _emit_json(d, cfg.out)
+    return list(d), lambda: [list(d.values())], lambda: d
 
 
-def _run_moral_hazard(cfg: RunConfig) -> None:
+def _run_moral_hazard(cfg: RunConfig) -> tuple:
     report = welfare_gap(cfg.problem)
-    if cfg.fmt == "json":
-        _emit_json(report.to_dict(), cfg.out)
-        return
     header = ["kind", "effort", "principal_value", "agent_value", "rule", "gap"]
-    rows = [[s.kind, s.effort, s.principal_value, s.agent_value,
-             ";".join(repr(w) for w in s.rule), report.gap]
-            for s in (report.first_best, report.second_best)]
-    _emit_csv(header, rows, cfg.out)
+    return header, lambda: [
+        [s.kind, s.effort, s.principal_value, s.agent_value,
+         ";".join(repr(w) for w in s.rule), report.gap]
+        for s in (report.first_best, report.second_best)], report.to_dict
 
 
-def _run_welfare(cfg: RunConfig) -> None:
+def _run_welfare(cfg: RunConfig) -> tuple:
     comp = welfare_comparison(cfg.dist, cfg.mu)
-    if cfg.fmt == "json":
-        _emit_json(comp.to_dict(), cfg.out)
-        return
     header = ["decile", "theta_low", "theta_high", "two_period_total",
               "three_period_total", "two_period_per_period",
               "three_period_per_period", "per_period_difference"]
-    _emit_csv(header, [_attrs(r, header) for r in comp.deciles], cfg.out)
+    return header, lambda: [_attrs(r, header) for r in comp.deciles], comp.to_dict
 
 
 # Per subcommand: its handler, the keys it requires, the other keys it
 # reads (besides out and format) and the regimes it runs (empty: it takes
-# no regime key).
+# no regime key).  A handler runs the model and returns its CSV header and
+# two callables, one building the CSV rows and one the JSON record, so
+# that run builds only the format asked for.
 _SUBCOMMANDS = {
     "solve": (_run_solve, ("dist", "mu", "regime"), ("series_out",), tuple(REGIMES)),
     "tree": (_run_tree, ("dist", "mu", "n_periods"), (), ()),
@@ -612,7 +592,13 @@ _SUBCOMMANDS = {
 
 def run(cfg: RunConfig) -> None:
     """Execute a validated config.  Raises rather than exiting."""
-    _SUBCOMMANDS[cfg.subcommand][0](cfg)
+    header, rows, record = _SUBCOMMANDS[cfg.subcommand][0](cfg)
+    if cfg.fmt == "csv":
+        _emit_csv(header, rows(), cfg.out)
+    else:
+        _emit_json(record(), cfg.out)
+    if cfg.series_out:  # parse_config refuses it where mu does not act
+        _write_m_series(cfg)
 
 
 # =====================================================================

@@ -20,8 +20,9 @@ than an exception.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
+from ._records import Record
 from .pools import LaborPool, ProductivityDistribution, _check_mu, pool_mass, pool_mean
 from .solvers import m_extended, m_fixed_points
 
@@ -50,12 +51,13 @@ _GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(Record):
     """One evaluated claim of the form lhs < rhs."""
 
     label: str
     lhs: float
     rhs: float
+    _derived = ("strict", "equal")
 
     @property
     def gap(self) -> float:
@@ -73,13 +75,9 @@ class InequalityCheck:
     def holds_weakly(self) -> bool:
         return self.gap >= -_GAP_TOL
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "lhs": self.lhs, "rhs": self.rhs,
-                "strict": self.strict, "equal": self.equal}
-
 
 @dataclass(frozen=True)
-class InequalitySuite:
+class InequalitySuite(Record):
     """A named bundle of inequality checks.
 
     asserted rows are the claims expected to hold in equilibrium;
@@ -90,6 +88,7 @@ class InequalitySuite:
     name: str
     asserted: tuple[InequalityCheck, ...]
     informational: tuple[InequalityCheck, ...] = ()
+    _derived = ("all_strict", "all_weak")
 
     @property
     def all_strict(self) -> bool:
@@ -99,15 +98,9 @@ class InequalitySuite:
     def all_weak(self) -> bool:
         return all(c.holds_weakly for c in self.asserted)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name,
-                "asserted": [c.to_dict() for c in self.asserted],
-                "informational": [c.to_dict() for c in self.informational],
-                "all_strict": self.all_strict, "all_weak": self.all_weak}
-
 
 @dataclass(frozen=True)
-class TwoPeriodSolution:
+class TwoPeriodSolution(Record):
     """Solved two-period equilibrium (or its collapse record).
 
     Residuals are signed: residual_fixed_point = w1 - M(w1) and
@@ -128,9 +121,6 @@ class TwoPeriodSolution:
     collapsed: bool = False
     collapse_reason: str = ""
     fixed_point_roots: tuple[float, ...] = field(default=())
-
-    def to_dict(self) -> dict:
-        return asdict(self) | {"fixed_point_roots": list(self.fixed_point_roots)}
 
     @staticmethod
     def from_dict(d: dict) -> "TwoPeriodSolution":

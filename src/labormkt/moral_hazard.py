@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import Record
 from .errors import InfeasibleError
+from .pools import _require_finite
 
 __all__ = [
     "UtilitySpec",
@@ -124,7 +126,8 @@ class ContractProblem:
     density[i] is the outcome distribution under effort i (rows sum to
     one); effort_costs[i] is the agent's disutility of effort i, required
     non-decreasing in the effort index.  The agent accepts a rule only if
-    its expected utility net of effort cost reaches `reservation`.
+    its expected utility net of effort cost reaches `reservation`.  Every
+    number must be finite: a NaN or an infinity raises ValueError.
     """
 
     outcomes: tuple[float, ...]
@@ -142,6 +145,12 @@ class ContractProblem:
         object.__setattr__(self, "density",
                            tuple(tuple(float(f) for f in row) for row in self.density))
         object.__setattr__(self, "effort_costs", tuple(float(c) for c in self.effort_costs))
+        object.__setattr__(self, "reservation", float(self.reservation))
+        _require_finite(self.outcomes, "outcomes")
+        _require_finite(self.efforts, "efforts")
+        _require_finite([f for row in self.density for f in row], "outcome probabilities")
+        _require_finite(self.effort_costs, "effort costs")
+        _require_finite((self.reservation,), "reservation")
         if not self.outcomes:
             raise ValueError("need at least one outcome")
         if not self.efforts:
@@ -166,6 +175,7 @@ class ContractProblem:
         else:
             _check_rule_count(len(self.wage_grid), len(self.outcomes))
             object.__setattr__(self, "wage_grid", tuple(float(w) for w in self.wage_grid))
+            _require_finite(self.wage_grid, "wage grid levels")
         grid = self.wage_grid
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("wage grid must be strictly increasing")
@@ -181,7 +191,7 @@ class ContractProblem:
 
 
 @dataclass(frozen=True)
-class ContractSolution:
+class ContractSolution(Record):
     """A solved contract: the rule, the implemented effort, both values."""
 
     rule: tuple[float, ...]
@@ -191,18 +201,14 @@ class ContractSolution:
     agent_value: float
     kind: str  # "first_best" | "second_best"
 
-    def to_dict(self) -> dict:
-        return {"rule": list(self.rule), "effort_index": self.effort_index,
-                "effort": self.effort, "principal_value": self.principal_value,
-                "agent_value": self.agent_value, "kind": self.kind}
-
 
 @dataclass(frozen=True)
-class GapReport:
+class GapReport(Record):
     """First-best vs second-best comparison for one instance."""
 
     first_best: ContractSolution
     second_best: ContractSolution
+    _derived = ("gap", "effort_reduced")
 
     @property
     def gap(self) -> float:
@@ -212,11 +218,6 @@ class GapReport:
     def effort_reduced(self) -> bool:
         """True when hiding the effort lowers the implemented effort."""
         return self.second_best.effort < self.first_best.effort
-
-    def to_dict(self) -> dict:
-        return {"first_best": self.first_best.to_dict(),
-                "second_best": self.second_best.to_dict(),
-                "gap": self.gap, "effort_reduced": self.effort_reduced}
 
 
 # =====================================================================

@@ -55,6 +55,7 @@ from operator import add
 
 import numpy as np
 
+from ._records import Record
 from .equilibrium import (
     InequalityCheck,
     InequalitySuite,
@@ -72,9 +73,9 @@ from .pools import (
     ProductivityDistribution,
     _check_count,
     _check_mu,
+    _real_threshold,
     entry_split_rows,
     firing_split,
-    leaver_moments_array,
     pool_inf,
     pool_mean,
     quantile,
@@ -215,7 +216,7 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
         if thresholds is None:
             return pool_mean(pool)
         try:
-            return float(thresholds[history])
+            return _real_threshold(thresholds[history])
         except KeyError:
             raise InvalidThresholdError(f"no review threshold supplied for cohort {history!r}")
 
@@ -305,7 +306,7 @@ RESIDUAL_NAMES = (
 
 
 @dataclass(frozen=True)
-class ThreePeriodSolution:
+class ThreePeriodSolution(Record):
     """Solved three-period equilibrium.
 
     Masses and means are tree-derived (each cohort's pool is the entry
@@ -338,15 +339,6 @@ class ThreePeriodSolution:
 
     def wages(self) -> dict[str, float]:
         return {k: getattr(self, k) for k in REGIMES["three_period"][1]}
-
-    def to_dict(self) -> dict:
-        d = {"mu": self.mu} | self.wages() | {k: getattr(self, k) for k in (
-            "theta_bar", "theta_bar_stayed", "theta_bar_kept",
-            "mass_entry", "mass_released", "mass_stayed", "mass_late",
-            "mass_kept", "mass_twice", "mass_rehired")}
-        d["residuals"] = list(self.residuals)
-        d["diagnostics"] = dict(self.diagnostics)
-        return d
 
     @staticmethod
     def from_dict(d: dict) -> "ThreePeriodSolution":
@@ -386,7 +378,7 @@ _OUTER_SCAN = 257  # grid points of the scan over w_plus
 _MULTISTART_STEPS = 4000  # damped steps per multi-start run
 _DAMPING = 0.5  # step factor of the multi-start iteration
 # Live multi-start runs at or below which each goes on alone with the
-# scalar step: a lockstep step costs about as much as 8 to 13 scalar ones.
+# scalar step: a lockstep step costs about as much as 5.5 to 9.7 scalar ones.
 _MULTISTART_TAIL = 10
 
 
@@ -427,29 +419,35 @@ def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float) -> _Stage:
     return _Stage(w_plus, w1, w2, w2p, profit, tuple(roots_late), tuple(roots_twice))
 
 
+def _split_stack(dist: ProductivityDistribution, mu: float, offers: np.ndarray):
+    """The terminal pools of the entry pool of dist at every retention offer
+    of the float64 array offers, in one PoolRows stack with the rows
+    [stayed(offers[0]), released(offers[0]), stayed(offers[1]), ...]."""
+    t = np.repeat(offers, 2)
+    low, high = np.zeros_like(t), np.full_like(t, 1.0 - mu)  # cheaper than np.tile
+    low[1::2], high[1::2] = 1.0, mu
+    return entry_split_rows(dist, t, low, high)
+
+
 def _stages_from_w_plus(pool0: LaborPool, mu: float, w_plus: np.ndarray) -> list[_Stage]:
     """:func:`_stage_from_w_plus` at every w of the float64 array w_plus,
     bit for bit, one _Stage per w.
 
     Raises what a loop of _stage_from_w_plus calls over w_plus would raise
-    first, with the same message and diagnostics.  Both terminal pools of
-    every w go into one PoolRows stack, as the rows [stayed(w_0),
-    released(w_0), stayed(w_1), ...], so that walking the rows meets the
-    failures in the loop's order.
+    first, with the same message and diagnostics, save that a
+    NoConvergenceError at any w comes before a terminal market without a
+    clearing wage.  Both terminal pools of every w go into one
+    :func:`_split_stack`.
     """
-    n_rel, m1_rel = leaver_moments_array(pool0, w_plus, mu)
-    n_stay, _ = stayer_moments_array(pool0, w_plus, mu)
+    rows = _split_stack(pool0.base, mu, w_plus)
+    n, m1 = (v[:, 0] for v in rows.moments)
+    n_stay, n_rel, m1_rel = n[0::2], n[1::2], m1[1::2]
     empty = np.flatnonzero((n_stay <= 0.0) | (n_rel <= 0.0))
     k = int(empty[0]) if empty.size else len(w_plus)
-    rows = entry_split_rows(pool0.base, np.repeat(w_plus[:k], 2),
-                            np.tile([0.0, 1.0], k), np.tile([1.0 - mu, mu], k))
-    roots = m_fixed_points_rows(rows, mu, points=_INNER_SCAN, tol=_INNER_TOL)
-    for late, twice in zip(roots[0::2], roots[1::2]):
-        for found in (late, twice):
-            if isinstance(found, NoConvergenceError):
-                raise found
-        if not late or not twice:
-            raise DegenerateSystemError("a terminal market has no clearing wage")
+    roots = m_fixed_points_rows(rows.take(slice(0, 2 * k)), mu,
+                                points=_INNER_SCAN, tol=_INNER_TOL)
+    if not all(roots):
+        raise DegenerateSystemError("a terminal market has no clearing wage")
     if k < len(w_plus):
         side = "retained" if n_stay[k] <= 0.0 else "released"
         raise DegenerateSystemError(f"no one is {side} at w_plus={float(w_plus[k])}")
@@ -614,11 +612,8 @@ def _damped_runs(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
     lane leaves; once at most _MULTISTART_TAIL are live, each goes on
     alone with the scalar step and the steps it has left.
     """
-    dist, n = pool0.base, len(w_plus)
-    low, high = np.tile([0.0, 1.0], n), np.tile([1.0 - mu, mu], n)  # [stayed, released]
-    split = lambda offers: entry_split_rows(dist, np.repeat(offers, 2), low[:2 * len(offers)],
-                                            high[:2 * len(offers)])
-    rows = split(w_plus)
+    n = len(w_plus)
+    rows = _split_stack(pool0.base, mu, w_plus)
     w = pool_mean(rows).reshape(-1, 2)  # per lane [w2, w2p], the rows' order
     lane = np.arange(n)
     final: list[float | None] = [None] * n
@@ -626,7 +621,7 @@ def _damped_runs(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
     done = 0
     while done < _MULTISTART_STEPS and len(lane) > _MULTISTART_TAIL:
         if done:
-            rows = split(w_plus)
+            rows = _split_stack(pool0.base, mu, w_plus)
         n_rel, m1_rel = (v[1::2, 0] for v in rows.moments)
         w_new = w + d * (m_extended(rows, w.reshape(-1, 1), mu).reshape(-1, 2) - w)
         w2_new, w2p_new = w_new[:, 0], w_new[:, 1]
@@ -679,7 +674,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     theta_bar = pool_mean(pool0)
     lo = pool_inf(pool0)
     rng = np.random.default_rng(seed)
-    starts = np.array([float(rng.uniform(lo, theta_bar)) for _ in range(n_starts)])
+    starts = rng.uniform(lo, theta_bar, n_starts)
     final = _damped_runs(pool0, mu, lo, theta_bar, starts)
     converged = [w for w in final if w is not None]  # in start order
     if not converged:
@@ -768,7 +763,7 @@ def check_stay_wage_discount(sol: ThreePeriodSolution) -> InequalitySuite:
 # =====================================================================
 
 @dataclass(frozen=True)
-class DecileRow:
+class DecileRow(Record):
     """Expected lifetime pay of one productivity decile under each horizon."""
 
     decile: int
@@ -777,6 +772,7 @@ class DecileRow:
     mass_share: float
     two_period_total: float
     three_period_total: float
+    _derived = ("two_period_per_period", "three_period_per_period", "per_period_difference")
 
     @property
     def two_period_per_period(self) -> float:
@@ -791,18 +787,9 @@ class DecileRow:
         """Three-period minus two-period average pay per period worked."""
         return self.three_period_per_period - self.two_period_per_period
 
-    def to_dict(self) -> dict:
-        return {"decile": self.decile, "theta_low": self.theta_low,
-                "theta_high": self.theta_high, "mass_share": self.mass_share,
-                "two_period_total": self.two_period_total,
-                "three_period_total": self.three_period_total,
-                "two_period_per_period": self.two_period_per_period,
-                "three_period_per_period": self.three_period_per_period,
-                "per_period_difference": self.per_period_difference}
-
 
 @dataclass(frozen=True)
-class WelfareComparison:
+class WelfareComparison(Record):
     """Decile-by-decile lifetime pay under the 2- and 3-period horizons.
 
     Totals are expected wage sums over each horizon's own length; the
@@ -820,20 +807,12 @@ class WelfareComparison:
     deciles: tuple[DecileRow, ...]
     aggregate_two_period_total: float
     aggregate_three_period_total: float
+    _derived = ("aggregate_per_period_difference",)
 
     @property
     def aggregate_per_period_difference(self) -> float:
         return (self.aggregate_three_period_total / 3.0
                 - self.aggregate_two_period_total / 2.0)
-
-    def to_dict(self) -> dict:
-        return {"mu": self.mu,
-                "two_period": self.two_period.to_dict(),
-                "three_period": self.three_period.to_dict(),
-                "deciles": [r.to_dict() for r in self.deciles],
-                "aggregate_two_period_total": self.aggregate_two_period_total,
-                "aggregate_three_period_total": self.aggregate_three_period_total,
-                "aggregate_per_period_difference": self.aggregate_per_period_difference}
 
     @staticmethod
     def from_dict(d: dict) -> "WelfareComparison":

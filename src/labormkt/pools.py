@@ -346,13 +346,23 @@ def pool_mean(pool: LaborPool) -> float:
     return m1 / n
 
 
+def _real_threshold(threshold) -> float:
+    """A threshold as a float, or InvalidThresholdError unless it is a real
+    number that is not a bool (a plain float skips the ABC test)."""
+    if type(threshold) is float:
+        return threshold
+    if not _is_real(threshold):
+        raise InvalidThresholdError(f"threshold {threshold!r} is not a usable real number")
+    return float(threshold)
+
+
 def _split_threshold(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
     """Validate a split: its threshold as a float clamped to the support,
     and mu as a float."""
     mu = _check_mu(mu)
-    if not math.isfinite(threshold):
-        raise InvalidThresholdError(f"threshold {threshold!r} is not a finite real")
-    t = threshold if type(threshold) is float else float(threshold)
+    t = _real_threshold(threshold)
+    if not math.isfinite(t):
+        raise InvalidThresholdError(f"threshold {threshold!r} is not a usable real number")
     return min(max(t, pool.base.support_low), pool.base.support_high), mu
 
 
@@ -445,11 +455,20 @@ def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high, c
     return n, m1
 
 
+def _real_thresholds(thresholds) -> np.ndarray:
+    """An array of thresholds as float64, or InvalidThresholdError for a
+    bool, string or object array."""
+    t = np.asarray(thresholds)
+    if t.dtype.kind not in "fiu":
+        raise InvalidThresholdError(f"thresholds of dtype {t.dtype} are not usable real numbers")
+    return t.astype(np.float64, copy=False)
+
+
 def _clamped_thresholds(base: ProductivityDistribution, thresholds) -> np.ndarray:
-    """:func:`_split_threshold` on a float64 array (mu is checked apart)."""
-    t = np.asarray(thresholds, dtype=np.float64)
+    """:func:`_split_threshold` on an array of thresholds (mu is checked apart)."""
+    t = _real_thresholds(thresholds)
     if not np.isfinite(t).all():
-        raise InvalidThresholdError("thresholds must be finite reals")
+        raise InvalidThresholdError("thresholds must be finite real numbers")
     return np.minimum(np.maximum(t, base.support_low), base.support_high)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OutOfRangeError
-from .pools import _check_count, _is_real
+from .pools import _check_count, _is_real, _require_finite
 
 __all__ = [
     "ScreeningConfig",
@@ -37,6 +37,7 @@ class ScreeningConfig:
         _check_count("m_allowed", self.m_allowed, 0, self.n_total)
         if not (_is_real(self.theta_low) and _is_real(self.theta_high)):
             raise ValueError("theta_low and theta_high must be real numbers")
+        _require_finite((self.theta_low, self.theta_high), "theta_low and theta_high")
         if not self.theta_low < self.theta_high:
             raise ValueError("support must have positive width")
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._records import Record
 from .multiperiod import LEFT, REGIMES, STAYED, _break_even, _kept, wage_schedule
 from .pools import (ProductivityDistribution, _check_count, _check_mu, _is_real,
                     sample_productivities)
@@ -117,7 +118,7 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
-class MarketStats:
+class MarketStats(Record):
     """Empirical statistics of one history cohort.
 
     mean and mean_halfwidth are None for empty cohorts; break_even_wage is
@@ -131,14 +132,9 @@ class MarketStats:
     mean_halfwidth: float | None
     break_even_wage: float | None = None
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "count": self.count, "mass_share": self.mass_share,
-                "mean": self.mean, "mean_halfwidth": self.mean_halfwidth,
-                "break_even_wage": self.break_even_wage}
-
 
 @dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Record):
     """Aggregated outcome of one simulation run."""
 
     config_seed: int
@@ -156,14 +152,6 @@ class SimulationReport:
             if m.name == name:
                 return m
         raise KeyError(f"no cohort named {name!r}")
-
-    def to_dict(self) -> dict:
-        return {"config_seed": self.config_seed, "regime": self.regime,
-                "mu": self.mu, "n_agents": self.n_agents, "wages": dict(self.wages),
-                "markets": [m.to_dict() for m in self.markets],
-                "profit_per_capita": self.profit_per_capita,
-                "profit_halfwidth": self.profit_halfwidth,
-                "rehire_profit_per_capita": self.rehire_profit_per_capita}
 
 
 # =====================================================================

@@ -20,7 +20,8 @@ fills the grids in blocks of array calls and refines every bracket in one
 :func:`bisect_roots`, the lockstep form of bisect_root with its midpoints,
 stopping tests and fallback.  The lockstep evaluates one stack with a row
 per bracket every round, ended brackets included, so the roots are bit for
-bit those of the one-pool scans.
+bit those of the one-pool scans; where a loop of one-pool scans would
+raise NoConvergenceError, it raises that loop's first error.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergenceError
-from .pools import (LaborPool, PoolRows, _check_mu, leaver_moments, leaver_moments_array,
-                    pool_inf, pool_mean)
+from .pools import (LaborPool, PoolRows, _check_mu, _real_threshold, _real_thresholds,
+                    leaver_moments, leaver_moments_array, pool_inf, pool_mean)
 
 __all__ = ["bisect_root", "bisect_roots", "scan_grid", "scan_roots",
            "m_extended", "m_fixed_points", "m_fixed_points_rows"]
@@ -190,6 +191,8 @@ def m_extended(pool: LaborPool, w: float, mu: float) -> float:
     """
     if isinstance(w, np.ndarray):
         return _m_extended_array(pool, w, mu)
+    if type(w) is not float:
+        w = _real_threshold(w)
     if w >= pool.base.support_high:
         _check_mu(mu)  # inside the support the split checks it
         return pool_mean(pool)
@@ -200,6 +203,7 @@ def m_extended(pool: LaborPool, w: float, mu: float) -> float:
 
 
 def _m_extended_array(pool: LaborPool, w: np.ndarray, mu: float) -> np.ndarray:
+    w = _real_thresholds(w)
     top = w >= pool.base.support_high
     # +inf is clamped with the rest of the top; NaN and -inf still raise.
     n, m1 = leaver_moments_array(pool, np.minimum(w, pool.base.support_high), mu)
@@ -234,12 +238,13 @@ def m_fixed_points(pool: LaborPool, mu: float, *, points: int = 1024,
 _BLOCK_ELEMENTS = 4096
 
 
-def m_fixed_points_rows(rows: PoolRows, mu: float, *, points: int, tol: float = _TOL) -> list:
+def m_fixed_points_rows(rows: PoolRows, mu: float, *, points: int,
+                        tol: float = _TOL) -> list[list[float]]:
     """:func:`m_fixed_points` on every pool of a :class:`PoolRows` stack.
 
-    Entry i is m_fixed_points(pool_i, mu, points=points, tol=tol), or the
-    NoConvergenceError that call raises, so a caller that walks the rows in
-    order can raise what a loop of m_fixed_points calls would raise first.
+    Entry i is m_fixed_points(pool_i, mu, points=points, tol=tol).  Where a
+    loop of those calls would raise NoConvergenceError, this raises the
+    loop's first one: that of the first failed bracket in (row, grid) order.
     The grids are filled in blocks of about _BLOCK_ELEMENTS elements, every
     bracket is refined in one :func:`bisect_roots` and each row's roots are
     sorted and deduplicated as :func:`scan_roots` does, bit for bit.
@@ -269,13 +274,15 @@ def m_fixed_points_rows(rows: PoolRows, mu: float, *, points: int, tol: float = 
     x[br], best_g[br], failed[br] = bisect_roots(
         lambda p: p - m_extended(stack, p[:, None], mu)[:, 0], a[br], x[br], ga[br], gb[br], tol)
 
-    out: list = [[m] for m in mean.tolist()]  # a pool at a single point
+    if failed.any():  # candidates are in (row, grid) order
+        j = int(np.argmax(failed))
+        raise _bisection_error(float(x[j]), float(best_g[j]), tol)
+
+    out = [[m] for m in mean.tolist()]  # a pool at a single point
     for i in scanned.tolist():
         out[i] = []
-    for i, root, resid, fail in zip(row.tolist(), x.tolist(), best_g.tolist(), failed.tolist()):
-        if isinstance(out[i], list):  # the scalar scan stops at a failed bracket
-            out[i] = _bisection_error(root, resid, tol) if fail else out[i] + [root]
+    for i, root in zip(row.tolist(), x.tolist()):
+        out[i].append(root)
     lo_l, mean_l = lo.tolist(), mean.tolist()
-    return [_distinct(r, lo_l[i], mean_l[i]) if isinstance(r, list) else r
-            for i, r in enumerate(out)]
+    return [_distinct(r, lo_l[i], mean_l[i]) for i, r in enumerate(out)]
 

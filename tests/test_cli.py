@@ -360,6 +360,19 @@ def test_over_budget_wage_levels_is_a_fast_config_error(tmp_path, capsys):
         cli.parse_config(MH_CFG + f"wage_grid = {grid}\n", "moral-hazard")
 
 
+@pytest.mark.parametrize("text", [MH_CFG.replace("reservation = 0.5", "reservation = nan"),
+                                  MH_CFG.replace("costs = 0, 0.5", "costs = 0, nan")],
+                         ids=["reservation", "costs"])
+def test_moral_hazard_non_finite_number_exits_1(tmp_path, capsys, text):
+    """A NaN reservation made the second-best beat the first-best, and a
+    NaN effort cost dropped that effort, both with exit code 0."""
+    cfg = write(tmp_path, "mh.cfg", text)
+    out = tmp_path / "mh.csv"
+    assert cli.main(["moral-hazard", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: moral-hazard instance: ")
+    assert not out.exists()
+
+
 def test_welfare_csv(tmp_path):
     cfg = write(tmp_path, "w.cfg", "dist = uniform(0, 1)\nmu = 0.5\n")
     out = tmp_path / "w.csv"

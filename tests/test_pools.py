@@ -456,6 +456,28 @@ def test_split_rows_reject_non_finite_thresholds():
             pools.entry_split_rows(PW, np.array([0.2, bad]), 1.0, 0.5)
 
 
+# Every entry point that takes a threshold, scalar or array, and a value
+# that is not a real number: a bool, a numeric string, None or an object.
+THRESHOLD_ENTRY_POINTS = {
+    "firing_split": lambda t: pools.firing_split(pools.LaborPool.entry(PW), t, 0.5),
+    "leaver_moments": lambda t: pools.leaver_moments(pools.LaborPool.entry(PW), t, 0.5),
+    "m_extended": lambda t: m_extended(pools.LaborPool.entry(PW), t, 0.5),
+    "build_market_tree": lambda t: lm.build_market_tree(PW, 0.5, 2, thresholds={"": t}),
+    "leaver_moments_array":
+        lambda t: pools.leaver_moments_array(pools.LaborPool.entry(PW), np.array([t]), 0.5),
+    "m_extended_array": lambda t: m_extended(pools.LaborPool.entry(PW), np.array([t]), 0.5),
+    "entry_split_rows": lambda t: pools.entry_split_rows(PW, [t], 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(THRESHOLD_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [True, False, "0.5", None, object()],
+                         ids=["true", "false", "str", "none", "object"])
+def test_thresholds_that_are_not_real_numbers_are_refused(entry_point, bad):
+    with pytest.raises(InvalidThresholdError, match="not usable real numbers|not a usable"):
+        THRESHOLD_ENTRY_POINTS[entry_point](bad)
+
+
 def scan_roots_by_loop(g, lo, hi, tol, n):
     """Reference scan: scalar g at n grid points, brackets found one by one."""
     from labormkt.solvers import bisect_root
@@ -576,10 +598,11 @@ def test_bisect_roots_equals_bisect_root(opts_kw, monkeypatch):
 @pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, DISC, POINT, DISC41])
 @pytest.mark.parametrize("opts_kw", [{}, {"points": 129, "tol": 1e-12}, {"max_iter": 20}])
 def test_m_fixed_points_rows_equal_per_pool_scans(dist, opts_kw, monkeypatch):
-    """Each row's roots, or the NoConvergenceError, equal m_fixed_points on
-    that row's pool.  On the 41-atom grid the leaver mean jumps at every
-    atom, so brackets there bisect down to float resolution while others
-    stop at tol: the lockstep carries lanes that have ended."""
+    """The rows' roots equal a loop of m_fixed_points over the rows' pools,
+    or the batch raises the loop's first error.  On the 41-atom grid the
+    leaver mean jumps at every atom, so brackets there bisect down to float
+    resolution while others stop at tol: the lockstep carries lanes that
+    have ended."""
     from labormkt.solvers import m_fixed_points, m_fixed_points_rows
 
     n = opts_kw.get("points", 1024)
@@ -587,15 +610,17 @@ def test_m_fixed_points_rows_equal_per_pool_scans(dist, opts_kw, monkeypatch):
     for mu in (0.3, 0.8):
         rows, split = split_rows_and_pools(dist, _thresholds(dist), mu)
         full = [i for i, pool in enumerate(split) if pools.pool_mass(pool) > 0.0]
-        batched = m_fixed_points_rows(rows.take(np.array(full)), mu, points=n, tol=tol)
-        for i, got in zip(full, batched):
-            try:
-                expected = m_fixed_points(split[i], mu, points=n, tol=tol)
-            except lm.NoConvergenceError as exc:
-                assert isinstance(got, lm.NoConvergenceError)
-                assert (str(got), got.best, got.residuals) == (str(exc), exc.best, exc.residuals)
-            else:
-                assert got == expected
+        batch = lambda: m_fixed_points_rows(rows.take(np.array(full)), mu, points=n, tol=tol)
+        try:
+            expected = [m_fixed_points(split[i], mu, points=n, tol=tol) for i in full]
+        except lm.NoConvergenceError as exc:
+            with pytest.raises(lm.NoConvergenceError) as info:
+                batch()
+            got = info.value
+            assert ((type(got), str(got), got.best, got.residuals)
+                    == (type(exc), str(exc), exc.best, exc.residuals))
+        else:
+            assert batch() == expected
 
 
 def test_discrete_split_moments_by_hand():

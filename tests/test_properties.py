@@ -193,7 +193,7 @@ UNIFORM_BASES = st.tuples(THETA, st.floats(0.01, 3.0), st.floats(0.1, 3.0)).map(
 
 
 @st.composite
-def entry_splits(draw):
+def split_and_eval_points(draw):
     """A base of any kind, split points wp and evaluation points w (atoms,
     nodes, support ends or anywhere around the support), and two quit
     probabilities: one for the split at wp, one for the split at w."""
@@ -206,7 +206,7 @@ def entry_splits(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(entry_splits())
+@given(split_and_eval_points())
 def test_split_rows_kernel_equals_scalar_kernel(case):
     assert_split_rows_equal_split_pools(*case)
 
@@ -265,6 +265,13 @@ def _screening(**fields):
     return lm.ScreeningConfig(**{"n_total": 10, "m_allowed": 1, **fields})
 
 
+def _contract(**fields):
+    return lm.ContractProblem(**{"outcomes": (0.0, 4.0), "efforts": (0.0, 1.0),
+                                 "density": ((0.8, 0.2), (0.2, 0.8)),
+                                 "effort_costs": (0.0, 0.5), "reservation": 0.5,
+                                 "wage_grid": (0.0, 1.0, 2.0, 4.0), **fields})
+
+
 # One builder per field: a valid object with that field replaced by v.
 BUILDERS = {
     "SimulationConfig.n_agents": lambda v: _sim(n_agents=v),
@@ -279,6 +286,12 @@ BUILDERS = {
     "ScreeningConfig.m_allowed": lambda v: _screening(m_allowed=v),
     "ScreeningConfig.theta_low": lambda v: _screening(theta_low=v),
     "ScreeningConfig.theta_high": lambda v: _screening(theta_high=v),
+    "ContractProblem.outcomes": lambda v: _contract(outcomes=(0.0, v)),
+    "ContractProblem.efforts": lambda v: _contract(efforts=(0.0, v)),
+    "ContractProblem.density": lambda v: _contract(density=((0.8, 0.2), (0.2, v))),
+    "ContractProblem.effort_costs": lambda v: _contract(effort_costs=(0.0, v)),
+    "ContractProblem.reservation": lambda v: _contract(reservation=v),
+    "ContractProblem.wage_grid": lambda v: _contract(wage_grid=(0.0, 1.0, 2.0, v)),
     "solve_two_period.mu": lambda v: lm.solve_two_period(lm.uniform(0, 1), v),
     "build_market_tree.n_periods": lambda v: lm.build_market_tree(lm.uniform(0, 1), 0.5, v),
     "submarket_count.n_periods": lm.submarket_count,
@@ -310,6 +323,11 @@ def test_malformed_field_builds_or_raises_value_error(field, value):
     ("SimulationConfig.wages.w1", True), ("SimulationConfig.wages.w1", "0.4"),
     ("ScreeningConfig.n_total", 2.5), ("ScreeningConfig.n_total", True),
     ("ScreeningConfig.m_allowed", False), ("ScreeningConfig.theta_low", "0"),
+    ("ScreeningConfig.theta_high", math.inf), ("ScreeningConfig.theta_low", -math.inf),
+    ("ContractProblem.outcomes", math.inf), ("ContractProblem.efforts", math.nan),
+    ("ContractProblem.density", math.nan), ("ContractProblem.effort_costs", math.nan),
+    ("ContractProblem.reservation", math.nan), ("ContractProblem.reservation", math.inf),
+    ("ContractProblem.wage_grid", math.inf),
     ("solve_two_period.mu", True), ("solve_two_period.mu", "0.5"),
     ("SimulationConfig.wages", True), ("SimulationConfig.regime", ["two_period"]),
     ("SimulationConfig.dist", "uniform"),
