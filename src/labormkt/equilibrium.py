@@ -147,10 +147,18 @@ def one_period_wage(dist: ProductivityDistribution) -> float | MarketCollapse:
 
 
 def secondhand_fixed_points(dist: ProductivityDistribution, mu: float) -> tuple[float, ...]:
-    """All fixed points of the leaver-mean operator, sorted ascending.
+    """The fixed point of the leaver-mean operator on the entry pool, as a
+    tuple of at most one wage.
 
-    Diagnostic companion to :func:`secondhand_fixed_point`; includes roots
-    that are inadmissible as market wages (negative ones).
+    g(w) = w - M(w) rises through zero once, so the released market clears
+    at the one sign change of g on the 1,024-point scan grid, found by
+    halving grid indices and bisected to |g| <= 1e-10
+    (:func:`~labormkt.solvers.m_fixed_points`).  A grid point where g only
+    comes within 1e-10 above zero is not a second root.  The tuple is
+    empty if the grid ends do not straddle zero and neither is within
+    1e-10.  Diagnostic companion to :func:`secondhand_fixed_point`; the
+    root is reported even when it is inadmissible as a market wage
+    (negative).
     """
     mu = _check_mu(mu)
     return tuple(m_fixed_points(LaborPool.entry(dist), mu))
@@ -159,8 +167,8 @@ def secondhand_fixed_points(dist: ProductivityDistribution, mu: float) -> tuple[
 def secondhand_fixed_point(dist: ProductivityDistribution, mu: float) -> float | MarketCollapse:
     """Equilibrium wage of the released-worker market.
 
-    Solves w = M(w) where M is the leaver-pool mean and returns the largest
-    nonnegative root.  With mu = 0 the only candidate is the degenerate
+    Solves w = M(w) where M is the leaver-pool mean and returns its root
+    if that is nonnegative.  With mu = 0 the only candidate is the degenerate
     boundary root at the bottom of the support (the released pool empties
     there); it is returned when it is a nonnegative wage and reported as a
     collapse otherwise, matching the mu = 0 shutdown of the market.

@@ -28,12 +28,16 @@ the indifference wage follow, leaving one scalar zero-profit condition to
 bisect.  A damped multi-start iteration provides an independent route to
 the same solution for cross-checking.
 
-The outer scan over ``w_plus`` is evaluated as one batch: the two terminal
+Each terminal market clears at the one sign change of its leaver-mean
+residual on the scan grid, which both forms find by halving grid indices
+(see :mod:`labormkt.solvers`), so a stage evaluates 9 of each market's
+129 grid points.  The outer scan over ``w_plus`` fills its whole grid, as
+one batch, because it is not known to cross zero once: the two terminal
 pools of every grid point form one :class:`~labormkt.pools.PoolRows`
-stack, whose fixed points :func:`~labormkt.solvers.m_fixed_points_rows`
-finds together, bit for bit what :func:`_stage_from_w_plus` finds point by
-point.  The multi-start runs finish all their converged starts in one such
-batch; the bisection of the outer brackets and the final stage use
+stack, whose clearing wages :func:`~labormkt.solvers.m_fixed_points_rows`
+finds in lockstep, bit for bit what :func:`_stage_from_w_plus` finds point
+by point.  The multi-start runs finish all their converged starts in one
+such batch; the bisection of the outer brackets and the final stage use
 _stage_from_w_plus, the one-point form.  The multi-start's damped steps
 run every start in lockstep on one stack of the same kind, and the last
 few stragglers alone with the scalar step (:func:`_damped_runs`).
@@ -355,7 +359,14 @@ class ThreePeriodSolution(Record):
 
 @dataclass(frozen=True)
 class MultiStartReport:
-    """Agreement report for the damped multi-start solver."""
+    """Agreement report for the damped multi-start solver.
+
+    `solutions` holds one solution per converged start, in start order,
+    and `agree` says only that their wages lie within 1e-6 of each other.
+    A start that never converges (one may cycle for all its steps) is
+    counted in `n_failed` and compared with nothing, so `agree` can be true
+    while some starts failed.
+    """
 
     solutions: tuple[ThreePeriodSolution, ...]
     wage_spread: float
@@ -388,16 +399,14 @@ def _is_point_mass(dist: ProductivityDistribution) -> bool:
 
 @dataclass
 class _Stage:
-    """The wages, the period-2 hirers' profit and the terminal fixed points
-    implied by a candidate retention offer w_plus."""
+    """The wages and the period-2 hirers' profit implied by a candidate
+    retention offer w_plus."""
 
     w_plus: float
     w1: float
     w2: float
     w2p: float
     rehire_profit: float
-    roots_late: tuple[float, ...]
-    roots_twice: tuple[float, ...]
 
 
 def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float) -> _Stage:
@@ -407,16 +416,15 @@ def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float) -> _Stage:
         raise DegenerateSystemError(f"no one is retained at w_plus={w_plus}")
     if n_rel <= 0.0:
         raise DegenerateSystemError(f"no one is released at w_plus={w_plus}")
-    roots_late = m_fixed_points(stayed, mu, points=_INNER_SCAN, tol=_INNER_TOL)
-    roots_twice = m_fixed_points(released, mu, points=_INNER_SCAN, tol=_INNER_TOL)
-    if not roots_late or not roots_twice:
+    roots = [m_fixed_points(pool, mu, points=_INNER_SCAN, tol=_INNER_TOL)
+             for pool in (stayed, released)]
+    if not all(roots):
         raise DegenerateSystemError("a terminal market has no clearing wage")
-    w2 = roots_late[-1]
-    w2p = roots_twice[-1]
+    (w2,), (w2p,) = roots  # each terminal market clears at one wage
     w1 = w_plus + w2 - w2p  # stay/quit indifference
     n_reh, m1_reh = stayer_moments(released, w2p, mu)
     profit = (m1_rel - n_rel * w1) + (m1_reh - n_reh * w2p)
-    return _Stage(w_plus, w1, w2, w2p, profit, tuple(roots_late), tuple(roots_twice))
+    return _Stage(w_plus, w1, w2, w2p, profit)
 
 
 def _split_stack(dist: ProductivityDistribution, mu: float, offers: np.ndarray):
@@ -451,14 +459,12 @@ def _stages_from_w_plus(pool0: LaborPool, mu: float, w_plus: np.ndarray) -> list
     if k < len(w_plus):
         side = "retained" if n_stay[k] <= 0.0 else "released"
         raise DegenerateSystemError(f"no one is {side} at w_plus={float(w_plus[k])}")
-    w2 = np.array([r[-1] for r in roots[0::2]])
-    w2p = np.array([r[-1] for r in roots[1::2]])
+    w2, w2p = np.array(roots).reshape(-1, 2).T  # each row's one clearing wage
     w1 = w_plus + w2 - w2p  # stay/quit indifference
     n_reh, m1_reh = stayer_moments_array(rows.take(slice(1, None, 2)), w2p[:, None], mu)
     profit = (m1_rel - n_rel * w1) + (m1_reh[:, 0] - n_reh[:, 0] * w2p)
     return [_Stage(*fields) for fields in zip(
-        w_plus.tolist(), w1.tolist(), w2.tolist(), w2p.tolist(), profit.tolist(),
-        map(tuple, roots[0::2]), map(tuple, roots[1::2]))]
+        w_plus.tolist(), w1.tolist(), w2.tolist(), w2p.tolist(), profit.tolist())]
 
 
 def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
@@ -486,8 +492,8 @@ def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
     r_entry = (n * (theta_bar - w0) + (m1_stay - n_stay * stage.w_plus)
                + (m1_kept - n_kept * stage.w2))
     diag = {
-        "fixed_point_roots_late": list(stage.roots_late),
-        "fixed_point_roots_twice": list(stage.roots_twice),
+        "fixed_point_roots_late": [stage.w2],
+        "fixed_point_roots_twice": [stage.w2p],
         "market_means": {"released": mean("L", None), "late": mean("SL", None),
                          "twice": mean("LL", None), "rehired": mean("LS", None)},
     }

@@ -1,36 +1,54 @@
-"""Scan-and-bisect root finding shared by the equilibrium solvers.
+"""Root finding shared by the equilibrium solvers.
 
-The wage fixed points in this package are roots of well-behaved scalar
-functions on known intervals.  A terminal market's clearing wage is unique
-(w - m_extended(pool, w, mu) rises with slope at least 1 while negative),
-but the three-period outer scan over the retention offer can find more
-than one root, and the economically selected equilibrium is the largest.
-So the strategy is always: evaluate on a grid, collect every sign change
-plus every grid point that is already a root, bisect each bracket, and let
-the caller pick from the sorted root list.
+A released market clears where the wage equals the mean productivity of
+the workers released into it, the lemons fixed point w = m(w) with m the
+leaver mean :func:`m_extended`.  Its residual g(w) = w - m_extended(pool,
+w, mu) changes sign once: between atoms dm/dw = (1 - mu) f(w) (w - m) /
+n(w), so g rises with slope at least 1 while it is negative and cannot
+fall back to 0 once positive (its slope tends to 1 as it falls to 0); at
+an atom the leaver mean jumps toward the atom, never past it, so g keeps
+its sign.  Along any scan grid g is <= 0 and then > 0, and the clearing
+wage is that one sign change.
+
+:func:`m_fixed_points` finds it by halving grid indices: g at the two
+grid ends, then at the middle index of the bracket until it is one grid
+step wide (7 more evaluations for 129 points, 10 for 1,024).  The sign
+pattern is monotone, so that is the bracket a scan of the whole grid
+would bisect, and its ends are the grid points :func:`scan_grid` builds,
+so :func:`bisect_root` returns that scan's root, bit for bit.  A bracket
+end with |g| <= tol is itself the root, the lower end first; if the grid
+ends do not straddle zero, the first end with |g| <= tol is the root, and
+there is none otherwise.  A grid point where g comes within tol above
+zero without crossing it (just above a heavy atom) is not a root.
+:func:`m_fixed_points_rows` does the same in lockstep on every pool of a
+:class:`~labormkt.pools.PoolRows` stack (the three-period outer scan),
+computing each row's grid points on demand, and refines every bracket in
+one :func:`bisect_roots`, the lockstep form of bisect_root with its
+midpoints, stopping tests and fallback.  Where a loop of one-pool
+searches would raise NoConvergenceError, it raises that loop's first
+error.
+
+The three-period outer scan over the retention offer is not known to
+cross zero once, and the economically selected equilibrium is the largest
+root.  So :func:`scan_roots` evaluates it on the whole grid, collects
+every sign change plus every grid point that is already a root, bisects
+each bracket, and lets the caller pick from the sorted root list.
 
 :func:`m_extended`, the package's only leaver-mean operator, is on a
-float64 array the scalar operator element by element, bit for bit.  So
-:func:`m_fixed_points` fills its grid in one array call and bisects each
-bracket with :func:`bisect_root` and the scalar operator, which reads the
-piece ends and moments the pool computed when it was built.
-:func:`m_fixed_points_rows` scans every pool of a
-:class:`~labormkt.pools.PoolRows` stack (the three-period outer scan): it
-fills the grids in blocks of array calls and refines every bracket in one
-:func:`bisect_roots`, the lockstep form of bisect_root with its midpoints,
-stopping tests and fallback.  The lockstep evaluates one stack with a row
-per bracket every round, ended brackets included, so the roots are bit for
-bit those of the one-pool scans; where a loop of one-pool scans would
-raise NoConvergenceError, it raises that loop's first error.
+float64 array the scalar operator element by element, bit for bit; the
+scalar form reads the piece ends and moments the pool computed when it
+was built.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NoConvergenceError
-from .pools import (LaborPool, PoolRows, _check_mu, _real_threshold, _real_thresholds,
-                    leaver_moments, leaver_moments_array, pool_inf, pool_mean)
+from .pools import (LaborPool, PoolRows, _check_count, _check_mu, _is_real, _real_threshold,
+                    _real_thresholds, leaver_moments, leaver_moments_array, pool_inf, pool_mean)
 
 __all__ = ["bisect_root", "bisect_roots", "scan_grid", "scan_roots",
            "m_extended", "m_fixed_points", "m_fixed_points_rows"]
@@ -123,58 +141,45 @@ def scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * np.arange(n) / (n - 1)
 
 
-def _grid_candidates(gs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(small, bracket) masks of grid values gs along their last axis.
+def _check_scan(points, tol) -> None:
+    """Raise ValueError unless points is an integer >= 2 and tol a finite
+    real number >= 0, neither a bool."""
+    _check_count("points", points, 2)
+    if not (_is_real(tol) and math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite real number >= 0, not {tol!r}")
 
-    A grid point with |g| <= tol is a root; a sign change from a point that
-    is not to the next point that is not either is a bracket, marked at its
-    right end.
+
+def scan_roots(g, lo: float, hi: float, *, points: int, g_grid, tol: float = _TOL) -> list[float]:
+    """All roots of g on [lo, hi] found by a scan of `points` grid points
+    plus bracket bisection, sorted, each cluster within 1e-9 of the scale
+    kept as its smallest root.
+
+    g_grid evaluates g on the whole float64 scan grid in one call and must
+    equal g element by element.  A grid point with |g| <= tol is a root; a
+    sign change from a point that is not to the next point that is not
+    either is a bracket, bisected with the scalar g, which also serves a
+    one-point interval.  points must be an integer >= 2 and tol a finite
+    real number >= 0.
     """
+    _check_scan(points, tol)
+    if hi < lo:
+        raise ValueError("empty scan interval")
+    if hi == lo:
+        return [lo] if abs(g(lo)) <= tol else []
+    grid = scan_grid(lo, hi, points)
+    gs = np.asarray(g_grid(grid), dtype=np.float64)
     small = np.abs(gs) <= tol
-    pos = gs > 0.0
     bracket = np.zeros_like(small)
-    bracket[..., 1:] = (~small[..., 1:] & (pos[..., 1:] != pos[..., :-1])
-                        & (np.abs(gs[..., :-1]) > tol))
-    return small, bracket
-
-
-def _grid_roots(g, xs: list[float], gs, tol: float) -> list[float]:
-    """Roots of g from its values gs on the grid xs, in grid order; each
-    bracket is bisected with the scalar g."""
-    gs = np.asarray(gs, dtype=np.float64)
-    small, bracket = _grid_candidates(gs, tol)
-    g_at = gs.tolist()
-    return [xs[i] if small[i] else bisect_root(g, xs[i - 1], xs[i], g_at[i - 1], g_at[i], tol)
-            for i in np.flatnonzero(small | bracket).tolist()]
-
-
-def _distinct(roots: list[float], lo: float, hi: float) -> list[float]:
-    """Sorted roots with near-identical ones dropped: each cluster within
-    1e-9 of the interval scale keeps its first (smallest) root."""
-    if len(roots) < 2:
-        return list(roots)
+    bracket[1:] = ~small[1:] & ((gs[1:] > 0.0) != (gs[:-1] > 0.0)) & (np.abs(gs[:-1]) > tol)
+    xs, g_at = grid.tolist(), gs.tolist()
+    roots = [xs[i] if small[i] else bisect_root(g, xs[i - 1], xs[i], g_at[i - 1], g_at[i], tol)
+             for i in np.flatnonzero(small | bracket).tolist()]
     scale = max(abs(lo), abs(hi), 1.0)
     out: list[float] = []
     for r in sorted(roots):
         if not out or r - out[-1] > 1e-9 * scale:
             out.append(r)
     return out
-
-
-def scan_roots(g, lo: float, hi: float, *, points: int, g_grid, tol: float = _TOL) -> list[float]:
-    """All roots of g on [lo, hi] found by a scan of `points` grid points
-    plus bracket bisection.
-
-    g_grid evaluates g on the whole float64 scan grid in one call and must
-    equal g element by element; the scalar g bisects the brackets and
-    serves a one-point interval.
-    """
-    if hi < lo:
-        raise ValueError("empty scan interval")
-    if hi == lo:
-        return [lo] if abs(g(lo)) <= tol else []
-    grid = scan_grid(lo, hi, points)
-    return _distinct(_grid_roots(g, grid.tolist(), g_grid(grid), tol), lo, hi)
 
 
 def m_extended(pool: LaborPool, w: float, mu: float) -> float:
@@ -216,73 +221,90 @@ def _m_extended_array(pool: LaborPool, w: np.ndarray, mu: float) -> np.ndarray:
 
 def m_fixed_points(pool: LaborPool, mu: float, *, points: int = 1024,
                    tol: float = _TOL) -> list[float]:
-    """Sorted fixed points of w = m_extended(pool, w, mu), scanned on
-    `points` grid points.
+    """The fixed point of w = m_extended(pool, w, mu), as a list of at
+    most one wage: the sign change of g(w) = w - m_extended(pool, w, mu)
+    on a scan grid of `points` points, found by halving grid indices and
+    then bisected (module docstring).
 
     The scan window is [min(pool_inf, 0), pool_mean]: the leaver mean never
     exceeds the pool mean (leavers over-weight the bottom of the pool), and
     the window is stretched down to zero so review wages below a positive
-    support floor are covered.  A pool at a single point, whose mean may
-    round below that point, clears at its mean.
+    support floor are covered.  A bracket end with |g| <= tol is the root,
+    the lower end first.  If the grid ends do not straddle zero, the first
+    end with |g| <= tol is the root, and there is none otherwise.  A pool
+    at a single point, whose mean may round below that point, clears at
+    its mean.  points must be an integer >= 2 and tol a finite real number
+    >= 0.
     """
+    _check_scan(points, tol)
     mean, inf = pool_mean(pool), pool_inf(pool)
     if mean <= inf:
         return [mean]
     lo = min(inf, 0.0)
     g = lambda w: w - m_extended(pool, w, mu)
-    return scan_roots(g, lo, mean, points=points, g_grid=g, tol=tol)
-
-
-# Scan-grid elements filled per array call of m_fixed_points_rows: enough to
-# amortise the call, small enough that the grids add little to peak memory.
-_BLOCK_ELEMENTS = 4096
+    x = lambda k: lo + (mean - lo) * k / (points - 1)  # scan_grid's point k
+    a, b = 0, points - 1
+    ga, gb = g(x(a)), g(x(b))
+    straddle = (ga > 0.0) != (gb > 0.0)
+    while straddle and b - a > 1:
+        k = (a + b) // 2
+        gk = g(x(k))
+        if (gk > 0.0) == (ga > 0.0):
+            a, ga = k, gk
+        else:
+            b, gb = k, gk
+    ends = [x(k) for k, gk in ((a, ga), (b, gb)) if abs(gk) <= tol]
+    if ends or not straddle:
+        return ends[:1]
+    return [bisect_root(g, x(a), x(b), ga, gb, tol)]
 
 
 def m_fixed_points_rows(rows: PoolRows, mu: float, *, points: int,
                         tol: float = _TOL) -> list[list[float]]:
     """:func:`m_fixed_points` on every pool of a :class:`PoolRows` stack.
 
-    Entry i is m_fixed_points(pool_i, mu, points=points, tol=tol).  Where a
-    loop of those calls would raise NoConvergenceError, this raises the
-    loop's first one: that of the first failed bracket in (row, grid) order.
-    The grids are filled in blocks of about _BLOCK_ELEMENTS elements, every
-    bracket is refined in one :func:`bisect_roots` and each row's roots are
-    sorted and deduplicated as :func:`scan_roots` does, bit for bit.
+    Entry i is m_fixed_points(pool_i, mu, points=points, tol=tol), bit for
+    bit.  Every row halves its grid indices in lockstep, with its grid
+    points computed as it needs them, and every bracket left to bisect is
+    refined in one :func:`bisect_roots`.  Where a loop of m_fixed_points
+    calls would raise NoConvergenceError, this raises the loop's first one:
+    that of the first row whose bisection fails.
     """
+    _check_scan(points, tol)
     mean = pool_mean(rows)[:, 0]
     inf = pool_inf(rows)[:, 0]
-    lo = np.where(0.0 < inf, 0.0, inf)  # min(pool_inf, 0.0), as the scalar form
     scanned = np.flatnonzero(~(mean <= inf))
-    block = max(1, _BLOCK_ELEMENTS // points)
-    # Per block, every candidate in row-major (row, then grid) order: its
-    # row, its grid point, whether it is a bracket (ending at that point),
-    # and the bracket's left end and both residuals.
-    found = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=bool),
-              np.zeros(0), np.zeros(0), np.zeros(0))]
-    for start in range(0, len(scanned), block):
-        idx = scanned[start:start + block]
-        xs = scan_grid(lo[idx, None], mean[idx, None], points)
-        gs = xs - m_extended(rows.take(idx), xs, mu)
-        small, bracket = _grid_candidates(gs, tol)
-        r, c = np.nonzero(small | bracket)
-        left = np.maximum(c - 1, 0)
-        found.append((idx[r], xs[r, c], bracket[r, c], xs[r, left], gs[r, left], gs[r, c]))
-    row, x, is_bracket, a, ga, gb = (np.concatenate(v) for v in zip(*found))
-    br = np.flatnonzero(is_bracket)
-    best_g, failed = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
-    stack = rows.take(row[br])  # one row per bracket
-    x[br], best_g[br], failed[br] = bisect_roots(
-        lambda p: p - m_extended(stack, p[:, None], mu)[:, 0], a[br], x[br], ga[br], gb[br], tol)
-
-    if failed.any():  # candidates are in (row, grid) order
+    stack, hi, inf = rows.take(scanned), mean[scanned], inf[scanned]
+    lo = np.where(0.0 < inf, 0.0, inf)  # min(pool_inf, 0.0), as the scalar form
+    g = lambda s, w: w - m_extended(s, w[:, None], mu)[:, 0]  # g on every row of s
+    x = lambda k: lo + (hi - lo) * k / (points - 1)  # scan_grid's point k of every row
+    # Grid indices as float64, exact for up to 2**53 points: integer index
+    # arrays page in NumPy's integer loops, 0.3 MB more peak RSS on perfbench
+    # solve-closed-form.
+    a, b = np.zeros(len(scanned)), np.full(len(scanned), float(points - 1))
+    ga, gb = g(stack, x(a)), g(stack, x(b))
+    straddle = (ga > 0.0) != (gb > 0.0)
+    while (straddle & (b - a > 1)).any():
+        # A row that does not straddle zero, or whose bracket is one step
+        # wide, probes its lower end again and keeps its bracket.
+        k = np.where(straddle, np.floor(0.5 * (a + b)), a)
+        gk = g(stack, x(k))
+        up = (gk > 0.0) == (ga > 0.0)
+        a, ga = np.where(up, k, a), np.where(up, gk, ga)
+        b, gb = np.where(up, b, k), np.where(up, gb, gk)
+    xa, xb = x(a), x(b)
+    small_a = np.abs(ga) <= tol
+    found = small_a | (np.abs(gb) <= tol)
+    root = np.where(small_a, xa, xb)  # the first end with |g| <= tol
+    br = np.flatnonzero(straddle & ~found)
+    sub = stack.take(br)
+    root[br], best_g, failed = bisect_roots(
+        lambda w: g(sub, w), xa[br], xb[br], ga[br], gb[br], tol)
+    if failed.any():  # brackets are in row order
         j = int(np.argmax(failed))
-        raise _bisection_error(float(x[j]), float(best_g[j]), tol)
+        raise _bisection_error(float(root[br[j]]), float(best_g[j]), tol)
 
     out = [[m] for m in mean.tolist()]  # a pool at a single point
-    for i in scanned.tolist():
-        out[i] = []
-    for i, root in zip(row.tolist(), x.tolist()):
-        out[i].append(root)
-    lo_l, mean_l = lo.tolist(), mean.tolist()
-    return [_distinct(r, lo_l[i], mean_l[i]) for i, r in enumerate(out)]
-
+    for i, r, ok in zip(scanned.tolist(), root.tolist(), (found | straddle).tolist()):
+        out[i] = [r] if ok else []
+    return out

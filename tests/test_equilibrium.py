@@ -86,6 +86,36 @@ def test_secondhand_fixed_point_is_largest_root():
     assert w1 == max(roots)
 
 
+# g(w) = w - m(w) comes within 1e-10 above zero at the grid point
+# 0.300469483561745, 1e-11 above the heavy atom, and never crosses it there.
+HEAVY_ATOM = lm.discrete([(0.0, 1.0), (0.300469483551745, 1e12), (1.0, 5e11)])
+
+
+def test_market_clears_at_its_sign_change_not_where_g_only_nears_zero():
+    """The one sign change of g is the only fixed point; the grid point
+    where g dips to within tol above zero is not a second one, so the
+    largest-root rule cannot pick it."""
+    from labormkt import pools
+
+    mu = 1e-18
+    pool = pools.LaborPool.entry(HEAVY_ATOM)
+    near = 0.300469483561745
+    for w in np.linspace(near - 1e-9, near + 1e-9, 201).tolist() + [near]:
+        assert w - lm.m_extended(pool, w, mu) > 0.0
+    assert lm.secondhand_fixed_points(HEAVY_ATOM, mu) == (8.004496479214029e-07,)
+    assert lm.solve_two_period(HEAVY_ATOM, mu).w1 == 8.004496479214029e-07
+
+
+def test_narrow_market_clears_at_its_sign_change_not_the_first_point_within_tol():
+    """On a base 1e-8 wide the 1,024 grid points are 4.9e-12 apart, so a
+    run of about 20 of them below the root lies within tol = 1e-10.  The
+    market clears at the bracket of the one sign change, here the exact
+    fixed point 1e-8 / 3 with g = 0, not at the smallest point of that run
+    (3.235581622678397e-09, where g = -9.8e-11)."""
+    narrow = lm.discrete([(0.0, 1.0), (1e-08, 1.0)])
+    assert lm.secondhand_fixed_points(narrow, 0.5) == (3.3333333333333334e-09,)
+
+
 # ---------------------------------------------------------------------
 # Entry wage and the zero-profit ledger
 # ---------------------------------------------------------------------

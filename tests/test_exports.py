@@ -15,7 +15,8 @@ MODULES = ["labormkt", *(f"labormkt.{m.name}" for m in pkgutil.iter_modules(lm._
 # carried a residual target that is now a solver constant.
 REMOVED = ("_restricted_moments", "truncated_mean", "pool_sup", "_occupied_pieces",
            "entry_wage_two_period", "empirical_zero_profit", "_MAX_TREE_PERIODS",
-           "SolverOptions", "DEFAULT_OPTIONS", "MAX_TOL", "_inner_opts")
+           "SolverOptions", "DEFAULT_OPTIONS", "MAX_TOL", "_inner_opts",
+           "_BLOCK_ELEMENTS", "_grid_candidates", "_grid_roots", "_distinct")
 REMOVED_MEMBERS = (
     (lm.ProductivityDistribution, ("mass_between", "first_moment_between", "cdf")),
     (lm.GapReport, ("__float__",)),

@@ -169,6 +169,16 @@ def test_wage_spread_across_multistarts():
     assert rep.wage_spread <= 1e-6
 
 
+def test_multistart_agreement_speaks_only_for_the_converged_starts():
+    """One of these 16 starts cycles through w_plus of about 0.233, 1.244
+    and 0.595 for all its steps: it counts as failed, and `agree` compares
+    the other 15 solutions alone."""
+    rep = lm.solve_three_period_multistart(
+        lm.uniform(0.2343124581717, 3.1905669300626993), 0.023975332132585975,
+        n_starts=16, seed=726991936)
+    assert (rep.agree, rep.n_failed, len(rep.solutions)) == (True, 1, 15)
+
+
 def test_mass_accounting():
     sol = solved(0.5)
     assert sol.mass_released + sol.mass_stayed == pytest.approx(sol.mass_entry, abs=1e-12)

@@ -544,6 +544,34 @@ def test_scan_roots_keep_the_smallest_root_of_each_cluster():
         assert root == pytest.approx(centre - 4e-10, abs=1e-15)
 
 
+# Every fixed-point scan on a small case, called with the scan setting given.
+SCANS = {
+    "m_fixed_points": lambda **kw: solvers.m_fixed_points(pools.LaborPool.entry(UNI), 0.5, **kw),
+    "m_fixed_points_rows": lambda **kw: solvers.m_fixed_points_rows(
+        split_rows_and_pools(UNI, [0.3, 0.7], 0.5)[0], 0.5, **kw),
+    "scan_roots": lambda **kw: solvers.scan_roots(
+        lambda x: x - 0.3, 0.0, 1.0, g_grid=lambda x: x - 0.3, **kw),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(SCANS))
+@pytest.mark.parametrize("bad", [
+    {"points": 0}, {"points": -3}, {"points": 1}, {"points": True}, {"points": 2.5},
+    {"points": "129"}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-10},
+    {"tol": True}, {"tol": "1e-10"}, {"tol": None}])
+def test_scans_refuse_points_and_tol_they_cannot_use(scan, bad):
+    """A scan needs at least two grid points, as an integer, and a finite
+    tolerance >= 0; anything else would scan a NaN grid, find no root or
+    take every grid point as one."""
+    with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+        SCANS[scan](**{"points": 129, "tol": 1e-10, **bad})
+
+
+@pytest.mark.parametrize("scan", sorted(SCANS))
+def test_scans_take_the_smallest_setting_as_numpy_scalars(scan):
+    assert SCANS[scan](points=np.int64(2), tol=np.float64(0.0)) == SCANS[scan](points=2, tol=0.0)
+
+
 def _patched_tol(opts_kw, monkeypatch):
     """The "tol" of opts_kw (default solvers._TOL), with its "max_iter", if
     any, patched into solvers._MAX_ITER."""

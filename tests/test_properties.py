@@ -19,8 +19,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 import labormkt as lm  # noqa: E402
 from labormkt import pools  # noqa: E402
-from labormkt.solvers import m_extended, m_fixed_points  # noqa: E402
-from test_pools import assert_split_rows_equal_split_pools  # noqa: E402
+from labormkt.solvers import m_extended, m_fixed_points, m_fixed_points_rows  # noqa: E402
+from test_pools import (assert_split_rows_equal_split_pools, scan_roots_by_loop,  # noqa: E402
+                        split_rows_and_pools)
 
 THETA = st.floats(-2.0, 3.0, allow_nan=False)
 # Positive quit probabilities start at 1e-6: with a subnormal mu the
@@ -235,6 +236,78 @@ def test_released_market_clears_at_exactly_one_wage(case, scan):
     pool, mu = case
     hypothesis.assume(pools.pool_mass(pool) > 1e-9 * pool.base.total_mass())
     assert len(m_fixed_points(pool, mu, **scan)) == 1
+
+
+@st.composite
+def heavy_discrete_bases(draw):
+    """Up to 8 atoms weighing 1e-8 to 1e12 each."""
+    weights = st.floats(-8.0, 12.0).map(lambda e: 10.0 ** e)
+    return lm.discrete(draw(st.lists(st.tuples(THETA, weights), min_size=1, max_size=8)))
+
+
+@st.composite
+def clearing_cases(draw):
+    """A uniform, piecewise or heavy-atom discrete base, a quit probability
+    of 0, 1, anywhere, or down to 1e-18, a pool (the entry pool or one
+    twice split at that mu), and split points for a stack of both sides of
+    the entry pool split at each."""
+    dist = draw(st.one_of(UNIFORM_BASES, piecewise_bases(), heavy_discrete_bases()))
+    mu = draw(st.one_of(MU, st.floats(-18.0, -6.0).map(lambda e: 10.0 ** e)))
+    lo, hi = dist.support_low, dist.support_high
+    marks = [t for t, _ in dist.atoms] + [t for t, _ in dist.nodes] + [lo, hi]
+    points = st.one_of(st.sampled_from(marks), st.floats(lo - 1.0, hi + 1.0))
+    pool = pools.LaborPool.entry(dist)
+    if draw(st.booleans()):
+        for _ in range(2):
+            pool = pools.firing_split(pool, draw(points), mu)[draw(st.integers(0, 1))]
+    return dist, pool, mu, draw(st.lists(points, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(clearing_cases(), st.sampled_from([(1024, 1e-10), (129, 1e-12)]))
+def test_market_clears_at_the_one_sign_change_of_the_full_grid(case, scan):
+    """The full grid (scan_roots_by_loop) is the oracle.  m_fixed_points
+    finds exactly the oracle's roots beside a sign change of g on the grid
+    (with no sign change, the first grid end within tol); any other oracle
+    root is a grid point where g comes within tol above zero between two
+    positive neighbours, so a second crossing fails here.  The lockstep
+    form on a stack equals a loop of the scalar form, or raises its first
+    error."""
+    dist, pool, mu, wps = case
+    n, tol = scan
+    hypothesis.assume(pools.pool_mass(pool) > 0.0)
+    got = m_fixed_points(pool, mu, points=n, tol=tol)
+    mean, inf = pools.pool_mean(pool), pools.pool_inf(pool)
+    if mean <= inf:  # a pool at a single point
+        assert got == [mean]
+    else:
+        lo = min(inf, 0.0)
+        g = lambda w: w - m_extended(pool, w, mu)
+        xs = [lo + (mean - lo) * i / (n - 1) for i in range(n)]
+        gs = [g(x) for x in xs]
+        changes = [i for i in range(1, n) if (gs[i - 1] > 0.0) != (gs[i] > 0.0)]
+        oracle = scan_roots_by_loop(g, lo, mean, tol, n)
+        expected = ([r for r in oracle if any(xs[i - 1] <= r <= xs[i] for i in changes)]
+                    if changes else [xs[i] for i in (0, n - 1) if abs(gs[i]) <= tol][:1])
+        assert got == expected
+        for r in oracle:
+            if r not in expected:
+                i = xs.index(r)
+                assert all(gs[j] > 0.0 for j in (i - 1, i + 1) if 0 <= j < n)
+
+    rows, split = split_rows_and_pools(dist, wps, mu)
+    full = [i for i, p in enumerate(split) if pools.pool_mass(p) > 0.0]
+    batch = lambda: m_fixed_points_rows(rows.take(np.array(full, dtype=np.intp)), mu,
+                                        points=n, tol=tol)
+    try:
+        loop = [m_fixed_points(split[i], mu, points=n, tol=tol) for i in full]
+    except lm.NoConvergenceError as exc:
+        with pytest.raises(lm.NoConvergenceError) as info:
+            batch()
+        assert (str(info.value), info.value.best, info.value.residuals) == (
+            str(exc), exc.best, exc.residuals)
+    else:
+        assert batch() == loop
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
