@@ -29,18 +29,16 @@ bisect.  A damped multi-start iteration provides an independent route to
 the same solution for cross-checking.
 
 Each terminal market clears at the one sign change of its leaver-mean
-residual on the scan grid, which both forms find by halving grid indices
-(see :mod:`labormkt.solvers`), so a stage evaluates 9 of each market's
-129 grid points.  The outer scan over ``w_plus`` fills its whole grid, as
-one batch, because it is not known to cross zero once: the two terminal
-pools of every grid point form one :class:`~labormkt.pools.PoolRows`
-stack, whose clearing wages :func:`~labormkt.solvers.m_fixed_points_rows`
-finds in lockstep, bit for bit what :func:`_stage_from_w_plus` finds point
-by point.  The multi-start runs finish all their converged starts in one
-such batch; the bisection of the outer brackets and the final stage use
-_stage_from_w_plus, the one-point form.  The multi-start's damped steps
-run every start in lockstep on one stack of the same kind, and the last
-few stragglers alone with the scalar step (:func:`_damped_runs`).
+residual on the scan grid, and the zero-profit condition in ``w_plus``
+is solved the same way, with :func:`~labormkt.solvers.grid_root` (see
+:mod:`labormkt.solvers`): a stage (:func:`_stage_from_w_plus`) evaluates 9
+of each terminal market's 129 grid points, and the outer search 10 stages
+of its 257, then bisects the one bracket.  That the period-2 hirers'
+profit crosses zero once along that grid is observed and tested, not
+proven.  The multi-start's damped steps run every start in lockstep on one
+:class:`~labormkt.pools.PoolRows` stack of its [stayed, released] pools,
+and the last few stragglers alone with the scalar step
+(:func:`_damped_runs`); each converged start is finished with a stage.
 
 The solution is read off its market tree, the one
 :meth:`ThreePeriodSolution.tree` rebuilds: every cohort mass and mean, the
@@ -88,11 +86,10 @@ from .pools import (
 )
 from .solvers import (
     _TOL,
+    grid_root,
     m_extended,
     m_fixed_points,
-    m_fixed_points_rows,
     scan_grid,
-    scan_roots,
 )
 
 __all__ = [
@@ -437,36 +434,6 @@ def _split_stack(dist: ProductivityDistribution, mu: float, offers: np.ndarray):
     return entry_split_rows(dist, t, low, high)
 
 
-def _stages_from_w_plus(pool0: LaborPool, mu: float, w_plus: np.ndarray) -> list[_Stage]:
-    """:func:`_stage_from_w_plus` at every w of the float64 array w_plus,
-    bit for bit, one _Stage per w.
-
-    Raises what a loop of _stage_from_w_plus calls over w_plus would raise
-    first, with the same message and diagnostics, save that a
-    NoConvergenceError at any w comes before a terminal market without a
-    clearing wage.  Both terminal pools of every w go into one
-    :func:`_split_stack`.
-    """
-    rows = _split_stack(pool0.base, mu, w_plus)
-    n, m1 = (v[:, 0] for v in rows.moments)
-    n_stay, n_rel, m1_rel = n[0::2], n[1::2], m1[1::2]
-    empty = np.flatnonzero((n_stay <= 0.0) | (n_rel <= 0.0))
-    k = int(empty[0]) if empty.size else len(w_plus)
-    roots = m_fixed_points_rows(rows.take(slice(0, 2 * k)), mu,
-                                points=_INNER_SCAN, tol=_INNER_TOL)
-    if not all(roots):
-        raise DegenerateSystemError("a terminal market has no clearing wage")
-    if k < len(w_plus):
-        side = "retained" if n_stay[k] <= 0.0 else "released"
-        raise DegenerateSystemError(f"no one is {side} at w_plus={float(w_plus[k])}")
-    w2, w2p = np.array(roots).reshape(-1, 2).T  # each row's one clearing wage
-    w1 = w_plus + w2 - w2p  # stay/quit indifference
-    n_reh, m1_reh = stayer_moments_array(rows.take(slice(1, None, 2)), w2p[:, None], mu)
-    profit = (m1_rel - n_rel * w1) + (m1_reh[:, 0] - n_reh[:, 0] * w2p)
-    return [_Stage(*fields) for fields in zip(
-        w_plus.tolist(), w1.tolist(), w2.tolist(), w2p.tolist(), profit.tolist())]
-
-
 def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
                      extra_diag: dict | None = None) -> ThreePeriodSolution:
     """The solution at a stage, read off its market tree: every cohort's
@@ -533,16 +500,17 @@ def _point_mass_solution(dist: ProductivityDistribution, mu: float) -> ThreePeri
 def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriodSolution:
     """Solve the five-wage three-period system.
 
-    Scans the retention offer w_plus over [pool bottom, entry mean], the
-    multi-start's window, for roots of the period-2 hirers' zero-profit
-    residual (every other wage is determined by w_plus), bisects, and
-    returns the largest root.  The residual is positive at the bottom,
-    where both terminal pools are the entry pool scaled by mu and 1 - mu.
-    The scan grid is evaluated in one batch (:func:`_stages_from_w_plus`)
-    and each bracket is bisected with :func:`_stage_from_w_plus`.  The two
-    zero-profit books, in heads x wage, are gated per head hired.  Requires
-    0 < mu < 1; a single-productivity population short-circuits to the
-    exact degenerate answer.
+    Searches the retention offer w_plus over [pool bottom, entry mean],
+    the multi-start's window, for the root of the period-2 hirers'
+    zero-profit residual (every other wage is determined by w_plus, in
+    :func:`_stage_from_w_plus`) with :func:`~labormkt.solvers.grid_root`:
+    10 stages of a 257-point grid find the bracket, which is bisected.  The
+    residual is positive at the bottom, where both terminal pools are the
+    entry pool scaled by mu and 1 - mu, and has been observed to cross
+    zero once along the grid (tested against a scan of the whole grid, not
+    proven).  The two zero-profit books, in heads x wage, are gated per
+    head hired.  Requires 0 < mu < 1; a single-productivity population
+    short-circuits to the exact degenerate answer.
     """
     mu = _check_mu(mu)
     if not 0.0 < mu < 1.0:
@@ -559,19 +527,13 @@ def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriod
         stages[w_plus] = _stage_from_w_plus(pool0, mu, w_plus)
         return stages[w_plus].rehire_profit
 
-    def g_grid(w_plus: np.ndarray) -> np.ndarray:
-        return np.array([s.rehire_profit for s in _stages_from_w_plus(pool0, mu, w_plus)])
-
-    roots = scan_roots(g, lo, theta_bar, points=_OUTER_SCAN, g_grid=g_grid)
+    roots = grid_root(g, lo, theta_bar, points=_OUTER_SCAN)
     if not roots:
-        probe = scan_grid(lo, theta_bar, 33)
-        best_w = min(zip(np.abs(g_grid(probe)).tolist(), probe.tolist()))
+        best_g, best_w = min((abs(g(w)), w) for w in scan_grid(lo, theta_bar, 33).tolist())
         raise NoConvergenceError(
             "no retention offer balances the period-2 hirers' books",
-            best={"w_plus": best_w[1]}, residuals={"rehire_zero_profit": best_w[0]})
-    stage = stages.get(roots[-1]) or _stage_from_w_plus(pool0, mu, roots[-1])
-    sol = _finish_solution(dist, mu, stage,
-                           extra_diag={"w_plus_candidates": list(roots)})
+            best={"w_plus": best_w}, residuals={"rehire_zero_profit": best_g})
+    sol = _finish_solution(dist, mu, stages[roots[0]], extra_diag={"w_plus_candidates": roots})
     # The two books are in heads x wage: gate them per head hired, never
     # more strictly than the wage residuals.
     r = sol.residuals
@@ -665,8 +627,9 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
 
     The starts run in lockstep, as arrays, and the last few stragglers run
     on one at a time with the scalar step (:func:`_damped_runs`); every
-    start ends bit for bit where a run of its own would.  The converged
-    starts are finished in start order, in one batch.
+    start ends bit for bit where a run of its own would.  Each converged
+    start is finished, in start order, with :func:`_stage_from_w_plus`, the
+    stage :func:`solve_three_period` finishes with.
     """
     _check_count("n_starts", n_starts, 1)
     _check_count("seed", seed, 0)
@@ -685,8 +648,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     converged = [w for w in final if w is not None]  # in start order
     if not converged:
         raise NoConvergenceError("no multi-start run converged")
-    sols = [_finish_solution(dist, mu, stage)
-            for stage in _stages_from_w_plus(pool0, mu, np.array(converged))]
+    sols = [_finish_solution(dist, mu, _stage_from_w_plus(pool0, mu, w)) for w in converged]
     wages = [s.wages() for s in sols]
     spread = max(max(w[k] for w in wages) - min(w[k] for w in wages) for k in wages[0])
     return MultiStartReport(solutions=tuple(sols), wage_spread=spread,

@@ -516,14 +516,6 @@ class PoolRows:
     moments: tuple[np.ndarray, np.ndarray]
     inf: np.ndarray
 
-    def take(self, rows) -> "PoolRows":
-        """The stack of the selected rows (an index array or a slice)."""
-        pick = lambda v: v[rows] if isinstance(v, np.ndarray) else v
-        return PoolRows(self.base,
-                        tuple(tuple(map(pick, piece)) for piece in self.pieces),
-                        tuple(tuple(map(pick, end)) for end in self.ends),
-                        tuple(map(pick, self.moments)), pick(self.inf))
-
 
 def entry_split_rows(dist: ProductivityDistribution, thresholds, low, high) -> PoolRows:
     """The entry pool of `dist` weighted `low` strictly below each threshold

@@ -11,16 +11,20 @@ import labormkt as lm
 
 MODULES = ["labormkt", *(f"labormkt.{m.name}" for m in pkgutil.iter_modules(lm.__path__))]
 
-# Each of these re-derived what another function returns, or (the last four)
-# carried a residual target that is now a solver constant.
+# Each of these re-derived what another function returns, carried a residual
+# target that is now a solver constant, or (from "_BLOCK_ELEMENTS" on) served
+# a scan of a whole grid or a lockstep batch that the index search replaced.
 REMOVED = ("_restricted_moments", "truncated_mean", "pool_sup", "_occupied_pieces",
            "entry_wage_two_period", "empirical_zero_profit", "_MAX_TREE_PERIODS",
            "SolverOptions", "DEFAULT_OPTIONS", "MAX_TOL", "_inner_opts",
-           "_BLOCK_ELEMENTS", "_grid_candidates", "_grid_roots", "_distinct")
+           "_BLOCK_ELEMENTS", "_grid_candidates", "_grid_roots", "_distinct",
+           "_stages_from_w_plus", "m_fixed_points_rows", "bisect_roots", "scan_roots",
+           "_bisection_error")
 REMOVED_MEMBERS = (
     (lm.ProductivityDistribution, ("mass_between", "first_moment_between", "cdf")),
     (lm.GapReport, ("__float__",)),
     (lm.MarketNode, ("is_market",)),
+    (lm.pools.PoolRows, ("take",)),
 )
 
 

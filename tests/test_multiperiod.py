@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 import labormkt as lm
-from labormkt import multiperiod, pools, solvers
-from labormkt.multiperiod import RESIDUAL_NAMES, _stage_from_w_plus, _stages_from_w_plus
+from labormkt import multiperiod, pools
+from labormkt.multiperiod import RESIDUAL_NAMES, _stage_from_w_plus
 from labormkt.solvers import scan_grid
 
 
@@ -308,9 +308,9 @@ FAR_ATOM_MU = 0.16861864600167548
 
 def test_terminal_pool_at_one_far_point_clears_at_its_mean():
     """At w_plus = theta_bar the stayers are the top atom alone, and their
-    mean rounds 4e-9 below it: that one-point pool clears at its mean, in
-    the scalar and the stacked scan, and the system solves."""
-    from labormkt.solvers import m_fixed_points, m_fixed_points_rows
+    mean rounds 4e-9 below it: that one-point pool clears at its mean, and
+    the system solves."""
+    from labormkt.solvers import m_fixed_points
 
     entry = pools.LaborPool.entry(FAR_ATOM)
     theta_bar = pools.pool_mean(entry)
@@ -318,11 +318,27 @@ def test_terminal_pool_at_one_far_point_clears_at_its_mean():
     mean = pools.pool_mean(stayed)
     assert mean < pools.pool_inf(stayed)
     assert m_fixed_points(stayed, FAR_ATOM_MU) == [mean]
-    rows = pools.entry_split_rows(FAR_ATOM, [theta_bar], [0.0], [1.0 - FAR_ATOM_MU])
-    assert m_fixed_points_rows(rows, FAR_ATOM_MU, points=129) == [[mean]]
     sol = lm.solve_three_period(FAR_ATOM, FAR_ATOM_MU)
     assert sol.w_plus == pytest.approx(0.55343233, abs=1e-8)
     assert sol.max_residual <= 1e-8
+
+
+def test_narrow_outer_window_takes_its_sign_change_not_its_top_point_within_tol():
+    """On uniform(0, 1e-6) the period-2 hirers' books are within tol =
+    1e-10 at all 257 outer grid points, and change sign once, from grid
+    point 138 to 139.  The search takes the lower end of that bracket, one
+    grid step below the unit solution scaled by 1e-6; a scan of the whole
+    grid took every point as a root, and its largest-root rule the top of
+    the window, theta_bar = 5e-07."""
+    dist, mu = lm.uniform(0.0, 1e-6), 0.5
+    pool0 = pools.LaborPool.entry(dist)
+    grid = scan_grid(0.0, 5e-07, 257).tolist()
+    gs = [_stage_from_w_plus(pool0, mu, w).rehire_profit for w in grid]
+    assert max(map(abs, gs)) <= 1e-10
+    assert [i for i in range(1, 257) if (gs[i - 1] > 0.0) != (gs[i] > 0.0)] == [139]
+    sol = lm.solve_three_period(dist, mu)
+    assert (sol.w_plus, sol.diagnostics["w_plus_candidates"]) == (grid[138], [grid[138]])
+    assert grid[138] < 1e-6 * solved(mu).w_plus < grid[139]
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "three_period_golden.json")
@@ -387,41 +403,6 @@ def test_two_period_and_welfare_golden_cells_regenerate_exactly(table, cell):
     fresh = {"base": cell["base"], "mu": cell["mu"]} | make_cell(
         TWO_PERIOD_MAKER.BASES[cell["base"]](), cell["mu"])
     assert json.dumps(fresh) == json.dumps(cell)
-
-
-@pytest.mark.parametrize("base", sorted(GOLDEN_BASES))
-@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
-def test_batched_outer_scan_equals_stage_loop(base, mu):
-    """At every point of the outer scan grid the batched stages equal
-    _stage_from_w_plus, with ==."""
-    pool0 = pools.LaborPool.entry(GOLDEN_BASES[base])
-    grid = scan_grid(pools.pool_inf(pool0), pools.pool_mean(pool0), 257)
-    assert _stages_from_w_plus(pool0, mu, grid) == [
-        _stage_from_w_plus(pool0, mu, w) for w in grid.tolist()]
-
-
-# opts maps solvers module constants to the values patched in for the case.
-@pytest.mark.parametrize("dist, mu, opts, w_plus", [
-    (GOLDEN_BASES["piecewise_readme"], 0.5, {"_MAX_ITER": 20}, [0.1, 0.3]),
-    (GOLDEN_BASES["discrete_41"], 0.3, {"_MAX_ITER": 20}, [0.0, 0.5]),
-    (lm.uniform(0.0, 1.0), 0.5, {}, [0.2, 0.5, 1.0, 0.3, 1.5]),
-    (GOLDEN_BASES["piecewise_readme"], 0.5, {}, [0.1, 2.0, 1.0]),
-    (lm.uniform(0.0, 1.0), 0.0, {}, [-1.0, 0.5]),
-])
-def test_batched_outer_scan_raises_what_the_stage_loop_raises_first(dist, mu, opts, w_plus,
-                                                                    monkeypatch):
-    """The first failure in grid order: an inner bisection out of steps, no
-    one retained at the support top, no one released without quits."""
-    for name, value in opts.items():
-        monkeypatch.setattr(solvers, name, value)
-    pool0 = pools.LaborPool.entry(dist)
-    with pytest.raises(lm.LaborMarketError) as loop:
-        for w in w_plus:
-            _stage_from_w_plus(pool0, mu, w)
-    with pytest.raises(type(loop.value)) as batch:
-        _stages_from_w_plus(pool0, mu, np.array(w_plus))
-    facts = lambda exc: (str(exc), getattr(exc, "best", None), getattr(exc, "residuals", None))
-    assert facts(batch.value) == facts(loop.value)
 
 
 MULTISTART_FROZEN = json.loads((Path(__file__).parent / "data" / "multistart_frozen.json")

@@ -397,13 +397,14 @@ def test_m_extended_rejects_bad_mu_in_scalar_and_array_form_alike(where, bad_mu)
     assert str(scalar.value) == str(array.value)
 
 
-def split_rows_and_pools(dist, wps, mu):
+def split_rows_and_pools(dist, wps, mu, keep=slice(None)):
     """entry_split_rows holding both sides of firing_split(entry, wp, mu) at
     every wp, as the rows [leavers(wp_0), stayers(wp_0), ...], and the
-    scalar split pools in the same order."""
+    scalar split pools in the same order.  With keep, an index list, the
+    stack holds only those rows."""
     k = len(wps)
-    rows = pools.entry_split_rows(dist, np.repeat(wps, 2), np.tile([1.0, 0.0], k),
-                                  np.tile([mu, 1.0 - mu], k))
+    t, low, high = np.repeat(wps, 2), np.tile([1.0, 0.0], k), np.tile([mu, 1.0 - mu], k)
+    rows = pools.entry_split_rows(dist, t[keep], low[keep], high[keep])
     entry = pools.LaborPool.entry(dist)
     return rows, [side for wp in wps for side in pools.firing_split(entry, wp, mu)]
 
@@ -431,7 +432,7 @@ def assert_split_rows_equal_split_pools(dist, wps, ws, mu, mu_inner):
                 limit(rows)
     if not full:
         return
-    sub = rows.take(np.array(full))
+    sub = split_rows_and_pools(dist, wps, mu, keep=full)[0]
     assert pools.pool_inf(sub)[:, 0].tolist() == [pools.pool_inf(split[i]) for i in full]
     assert pools.pool_mean(sub)[:, 0].tolist() == [pools.pool_mean(split[i]) for i in full]
     ws_top = ws + [math.inf]
@@ -501,23 +502,23 @@ def scan_roots_by_loop(g, lo, hi, tol, n):
 @pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, DISC])
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
 def test_m_fixed_points_matches_scalar_scan(dist, mu):
-    """Oracle: the array-filled scan finds exactly the roots of a scan that
-    evaluates the scalar operator point by point."""
-    from labormkt.solvers import m_fixed_points, scan_roots
+    """Oracle: the index search finds exactly the roots of a scan that
+    evaluates the scalar operator at every grid point."""
+    from labormkt.solvers import m_fixed_points
 
     for tol, n in ((solvers._TOL, 1024), (1e-12, 129)):
         for pool in (pools.LaborPool.entry(dist), _twice_split(dist)):
             g = lambda w: w - m_extended(pool, w, mu)
             lo, mean = min(pools.pool_inf(pool), 0.0), pools.pool_mean(pool)
-            roots = m_fixed_points(pool, mu, points=n, tol=tol)
-            assert roots == scan_roots(g, lo, mean, points=n, g_grid=g, tol=tol)
-            assert roots == scan_roots_by_loop(g, lo, mean, tol, n)
+            assert m_fixed_points(pool, mu, points=n, tol=tol) == scan_roots_by_loop(
+                g, lo, mean, tol, n)
 
 
 def test_grid_point_within_tol_is_a_root_and_not_bisected():
-    """A grid value with |g| <= tol is taken as a root; the sign change
-    from it to the next grid point is not a second bracket."""
-    from labormkt.solvers import scan_roots
+    """A grid value with |g| <= tol at a bracket end is taken as the root:
+    the search evaluates the two grid ends and 7 halvings of 129 points,
+    and bisects nothing."""
+    from labormkt.solvers import grid_root
 
     calls = []
 
@@ -525,44 +526,61 @@ def test_grid_point_within_tol_is_a_root_and_not_bisected():
         calls.append(x)
         return x - 0.5 - 1e-12  # -1e-12 at the grid point 0.5
 
-    g_grid = lambda xs: np.array([g(x) for x in xs.tolist()])
-    assert scan_roots(g, 0.0, 1.0, points=129, g_grid=g_grid) == [0.5]
-    assert len(calls) == 129
+    assert grid_root(g, 0.0, 1.0, points=129) == [0.5]
+    assert len(calls) == 9
 
 
-def test_scan_roots_keep_the_smallest_root_of_each_cluster():
-    """Two spikes 8e-10 wide, at the grid points 0.25 and 0.75, each give
-    two bracket roots closer than 1e-9 of the scale; each pair keeps its
-    smaller root, and the two pairs stay two roots."""
-    from labormkt.solvers import scan_roots
+@pytest.mark.parametrize("points", [2, 3, 129, 257, 1025])
+def test_grid_root_halves_grid_indices_to_the_full_scan_root(points):
+    """g at both grid ends and log2(points - 1) halvings, all at scan_grid
+    points, find the bracket the full scan bisects, and the root is that
+    scan's."""
+    from labormkt.solvers import grid_root
 
-    spike = lambda x, c: 1.0 - np.abs(x - c) / 4e-10
-    g = lambda x: np.maximum(spike(x, 0.25), spike(x, 0.75))
-    roots = scan_roots(g, 0.0, 1.0, points=5, g_grid=g)
-    assert len(roots) == 2
-    for root, centre in zip(roots, (0.25, 0.75)):
-        assert root == pytest.approx(centre - 4e-10, abs=1e-15)
+    calls = []
+    f = lambda x: x ** 3 - 0.2
+    g = lambda x: calls.append(x) or f(x)
+    assert grid_root(g, 0.0, 1.0, points=points) == scan_roots_by_loop(
+        f, 0.0, 1.0, solvers._TOL, points)
+    grid, halvings = set(solvers.scan_grid(0.0, 1.0, points).tolist()), int(math.log2(points - 1))
+    assert calls[:2] == [0.0, 1.0] and set(calls[2:2 + halvings]) <= grid
+    assert not set(calls[2 + halvings:]) & grid  # the bisection of the bracket
 
 
-# Every fixed-point scan on a small case, called with the scan setting given.
+def test_grid_root_without_a_straddle_takes_the_first_end_within_tol():
+    """Grid ends of one sign: the first end with |g| <= tol is the root, a
+    touch between them is not, and there is none otherwise; an interval
+    whose ends meet is one point, and one that runs backwards is refused."""
+    from labormkt.solvers import grid_root
+
+    assert grid_root(lambda x: x * x, 0.0, 1.0, points=129) == [0.0]
+    assert grid_root(lambda x: (x - 1.0) ** 2, 0.0, 1.0, points=129) == [1.0]
+    assert grid_root(lambda x: (x - 0.5) ** 2, 0.0, 1.0, points=129) == []
+    assert grid_root(lambda x: x - 0.25, 0.25, 0.25, points=129) == [0.25]
+    with pytest.raises(ValueError, match="empty scan interval"):
+        grid_root(lambda x: x, 1.0, 0.0, points=129)
+
+
+# Every scan on a small case, called with the scan setting given;
+# scan_grid takes points and no tol.
 SCANS = {
     "m_fixed_points": lambda **kw: solvers.m_fixed_points(pools.LaborPool.entry(UNI), 0.5, **kw),
-    "m_fixed_points_rows": lambda **kw: solvers.m_fixed_points_rows(
-        split_rows_and_pools(UNI, [0.3, 0.7], 0.5)[0], 0.5, **kw),
-    "scan_roots": lambda **kw: solvers.scan_roots(
-        lambda x: x - 0.3, 0.0, 1.0, g_grid=lambda x: x - 0.3, **kw),
+    "grid_root": lambda **kw: solvers.grid_root(lambda x: x - 0.3, 0.0, 1.0, **kw),
+    "scan_grid": lambda points, tol: solvers.scan_grid(0.0, 1.0, points).tolist(),
 }
-
-
-@pytest.mark.parametrize("scan", sorted(SCANS))
-@pytest.mark.parametrize("bad", [
+BAD_SCAN_SETTINGS = [
     {"points": 0}, {"points": -3}, {"points": 1}, {"points": True}, {"points": 2.5},
     {"points": "129"}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-10},
-    {"tol": True}, {"tol": "1e-10"}, {"tol": None}])
+    {"tol": True}, {"tol": "1e-10"}, {"tol": None}]
+
+
+@pytest.mark.parametrize("scan, bad", [
+    pytest.param(scan, bad, id=f"bad{i}-{scan}") for i, bad in enumerate(BAD_SCAN_SETTINGS)
+    for scan in sorted(SCANS) if "points" in bad or scan != "scan_grid"])
 def test_scans_refuse_points_and_tol_they_cannot_use(scan, bad):
     """A scan needs at least two grid points, as an integer, and a finite
-    tolerance >= 0; anything else would scan a NaN grid, find no root or
-    take every grid point as one."""
+    tolerance >= 0; anything else would scan a NaN grid or a point past
+    its end, find no root or take every grid point as one."""
     with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
         SCANS[scan](**{"points": 129, "tol": 1e-10, **bad})
 
@@ -581,9 +599,9 @@ def _patched_tol(opts_kw, monkeypatch):
 
 
 # (g, a, b): smooth roots, roots on either end, a jump that bisects down to
-# floating-point resolution, a root 1e-13 from the left end, and a jump at 1e6
+# floating-point resolution, a root 1e-13 from the left end, a jump at 1e6
 # that reaches resolution about 10 halvings before the steep root after it
-# reaches tol, so the lockstep drops a bracket while a later one goes on.
+# reaches tol, and that steep root.
 BRACKETS = [
     (lambda x: x - 0.3, 0.0, 1.0),
     (lambda x: x ** 3 - 0.2, 0.0, 1.0),
@@ -598,57 +616,26 @@ BRACKETS = [
 
 
 @pytest.mark.parametrize("opts_kw", [{}, {"tol": 1e-6}, {"max_iter": 8}, {"max_iter": 1}])
-def test_bisect_roots_equals_bisect_root(opts_kw, monkeypatch):
-    """The lockstep bisection gives bisect_root's result on every bracket,
-    and where bisect_root raises, its best x and residual."""
-    from labormkt.solvers import bisect_root, bisect_roots
+def test_bisect_root_raises_its_best_point_when_out_of_steps(opts_kw, monkeypatch):
+    """Every bracket ends inside itself; where _MAX_ITER halvings reach
+    neither tol nor floating-point resolution, bisect_root raises
+    NoConvergenceError with the best x it evaluated and g there."""
+    from labormkt.solvers import bisect_root
 
     tol = _patched_tol(opts_kw, monkeypatch)
-    fs, a, b = (list(v) for v in zip(*BRACKETS))
-    ga, gb = [f(x) for f, x in zip(fs, a)], [f(x) for f, x in zip(fs, b)]
-    g = lambda x: np.array([f(v) for f, v in zip(fs, x.tolist())])
-    x, best_g, failed = bisect_roots(g, a, b, ga, gb, tol)
     n_failed = 0
-    for i, f in enumerate(fs):
+    for f, a, b in BRACKETS:
         try:
-            expected = bisect_root(f, a[i], b[i], ga[i], gb[i], tol)
+            x = bisect_root(f, a, b, f(a), f(b), tol)
         except lm.NoConvergenceError as exc:
             n_failed += 1
-            assert failed[i]
-            assert (exc.best, exc.residuals) == ({"x": x[i]}, {"g": best_g[i]})
-        else:
-            assert not failed[i] and x[i] == expected
+            x = exc.best["x"]
+            assert str(exc) == f"bisection did not reach tol={tol} in {solvers._MAX_ITER} steps"
+            assert exc.residuals == {"g": f(x)}
+        assert a <= x <= b
     assert (n_failed > 0) == (solvers._MAX_ITER < 10)
     with pytest.raises(ValueError, match="sign change"):
-        bisect_roots(g, [0.0], [1.0], [1.0], [2.0], tol)
-
-
-@pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, DISC, POINT, DISC41])
-@pytest.mark.parametrize("opts_kw", [{}, {"points": 129, "tol": 1e-12}, {"max_iter": 20}])
-def test_m_fixed_points_rows_equal_per_pool_scans(dist, opts_kw, monkeypatch):
-    """The rows' roots equal a loop of m_fixed_points over the rows' pools,
-    or the batch raises the loop's first error.  On the 41-atom grid the
-    leaver mean jumps at every atom, so brackets there bisect down to float
-    resolution while others stop at tol: the lockstep carries lanes that
-    have ended."""
-    from labormkt.solvers import m_fixed_points, m_fixed_points_rows
-
-    n = opts_kw.get("points", 1024)
-    tol = _patched_tol(opts_kw, monkeypatch)
-    for mu in (0.3, 0.8):
-        rows, split = split_rows_and_pools(dist, _thresholds(dist), mu)
-        full = [i for i, pool in enumerate(split) if pools.pool_mass(pool) > 0.0]
-        batch = lambda: m_fixed_points_rows(rows.take(np.array(full)), mu, points=n, tol=tol)
-        try:
-            expected = [m_fixed_points(split[i], mu, points=n, tol=tol) for i in full]
-        except lm.NoConvergenceError as exc:
-            with pytest.raises(lm.NoConvergenceError) as info:
-                batch()
-            got = info.value
-            assert ((type(got), str(got), got.best, got.residuals)
-                    == (type(exc), str(exc), exc.best, exc.residuals))
-        else:
-            assert batch() == expected
+        bisect_root(lambda x: x, 1.0, 2.0, 1.0, 2.0, tol)
 
 
 def test_discrete_split_moments_by_hand():

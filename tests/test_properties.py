@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import labormkt as lm  # noqa: E402
-from labormkt import pools  # noqa: E402
-from labormkt.solvers import m_extended, m_fixed_points, m_fixed_points_rows  # noqa: E402
-from test_pools import (assert_split_rows_equal_split_pools, scan_roots_by_loop,  # noqa: E402
-                        split_rows_and_pools)
+from labormkt import multiperiod, pools, solvers  # noqa: E402
+from labormkt.solvers import m_extended, m_fixed_points  # noqa: E402
+from test_pools import assert_split_rows_equal_split_pools, scan_roots_by_loop  # noqa: E402
 
 THETA = st.floats(-2.0, 3.0, allow_nan=False)
 # Positive quit probabilities start at 1e-6: with a subnormal mu the
@@ -111,15 +110,14 @@ def entry_splits(draw):
 @given(entry_splits())
 def test_split_pool_and_its_stack_row_are_the_same_pool(case):
     """Each side of firing_split(LaborPool.entry(d), t, mu) and its row of
-    entry_split_rows(d, [t, t], [0, 1], [1 - mu, mu]) have the same
-    moments, mean, infimum and split moments at every piece bound, bit for
-    bit.  Their ends differ: at t = L the split pool has one piece and the
-    row two."""
+    entry_split_rows(d, [t], [low], [high]) with (low, high) = (0, 1 - mu)
+    or (1, mu) have the same moments, mean, infimum and split moments at
+    every piece bound, bit for bit.  Their ends differ: at t = L the split
+    pool has one piece and the row two."""
     dist, t, mu, mu_inner = case
-    rows = pools.entry_split_rows(dist, [t, t], [0.0, 1.0], [1.0 - mu, mu])
     sides = pools.firing_split(pools.LaborPool.entry(dist), t, mu)[::-1]  # stayed, released
-    for i, pool in enumerate(sides):
-        row = rows.take(slice(i, i + 1))
+    for pool, low, high in zip(sides, (0.0, 1.0), (1.0 - mu, mu)):
+        row = pools.entry_split_rows(dist, [t], [low], [high])
         assert [v.tolist() for v in row.moments] == [[[v]] for v in pool.moments]
         bounds = sorted({x for lo, hi, _ in pool.pieces for x in (lo, hi)})
         for kernel in (pools.leaver_moments_array, pools.stayer_moments_array):
@@ -249,8 +247,7 @@ def heavy_discrete_bases(draw):
 def clearing_cases(draw):
     """A uniform, piecewise or heavy-atom discrete base, a quit probability
     of 0, 1, anywhere, or down to 1e-18, a pool (the entry pool or one
-    twice split at that mu), and split points for a stack of both sides of
-    the entry pool split at each."""
+    twice split at that mu)."""
     dist = draw(st.one_of(UNIFORM_BASES, piecewise_bases(), heavy_discrete_bases()))
     mu = draw(st.one_of(MU, st.floats(-18.0, -6.0).map(lambda e: 10.0 ** e)))
     lo, hi = dist.support_low, dist.support_high
@@ -260,7 +257,7 @@ def clearing_cases(draw):
     if draw(st.booleans()):
         for _ in range(2):
             pool = pools.firing_split(pool, draw(points), mu)[draw(st.integers(0, 1))]
-    return dist, pool, mu, draw(st.lists(points, min_size=1, max_size=4))
+    return pool, mu
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -270,10 +267,8 @@ def test_market_clears_at_the_one_sign_change_of_the_full_grid(case, scan):
     finds exactly the oracle's roots beside a sign change of g on the grid
     (with no sign change, the first grid end within tol); any other oracle
     root is a grid point where g comes within tol above zero between two
-    positive neighbours, so a second crossing fails here.  The lockstep
-    form on a stack equals a loop of the scalar form, or raises its first
-    error."""
-    dist, pool, mu, wps = case
+    positive neighbours, so a second crossing fails here."""
+    pool, mu = case
     n, tol = scan
     hypothesis.assume(pools.pool_mass(pool) > 0.0)
     got = m_fixed_points(pool, mu, points=n, tol=tol)
@@ -295,19 +290,82 @@ def test_market_clears_at_the_one_sign_change_of_the_full_grid(case, scan):
                 i = xs.index(r)
                 assert all(gs[j] > 0.0 for j in (i - 1, i + 1) if 0 <= j < n)
 
-    rows, split = split_rows_and_pools(dist, wps, mu)
-    full = [i for i, p in enumerate(split) if pools.pool_mass(p) > 0.0]
-    batch = lambda: m_fixed_points_rows(rows.take(np.array(full, dtype=np.intp)), mu,
-                                        points=n, tol=tol)
-    try:
-        loop = [m_fixed_points(split[i], mu, points=n, tol=tol) for i in full]
-    except lm.NoConvergenceError as exc:
-        with pytest.raises(lm.NoConvergenceError) as info:
-            batch()
-        assert (str(info.value), info.value.best, info.value.residuals) == (
-            str(exc), exc.best, exc.residuals)
+
+@st.composite
+def three_period_cases(draw):
+    """A uniform, piecewise or heavy-atom discrete base and a quit
+    probability anywhere in [1e-3, 0.999], its ends included."""
+    dist = draw(st.one_of(UNIFORM_BASES, piecewise_bases(), heavy_discrete_bases()))
+    return dist, draw(st.one_of(st.sampled_from([1e-3, 0.999]), st.floats(1e-3, 0.999)))
+
+
+# The entry mean of this base rounds to its bottom atom, so the outer
+# window is one point.
+ONE_POINT_WINDOW = (lm.discrete([(-1.0, 2e10), (-7.27836839810417e-128, 1.3450903119634369e-08)]),
+                    1e-3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(three_period_cases())
+@example(ONE_POINT_WINDOW)
+def test_outer_search_finds_the_one_sign_change_of_the_full_grid(case):
+    """The period-2 hirers' profit g(w_plus) at every point of the outer
+    scan grid is the oracle.  It is positive at the bottom and changes sign
+    exactly once, and solve_three_period is the solution finished at that
+    crossing's root (a bracket end within tol, the lower first, or the
+    bisection of the bracket), or raises the gate's error for that
+    solution, or the error the full scan's bisection raises.  Where no grid
+    point but one end of that bracket is within tol, the root is the
+    largest of the full scan (scan_roots_by_loop); a window so narrow that
+    a run of grid points is within tol is pinned in test_multiperiod.  A
+    window of one point has the full scan's roots."""
+    dist, mu = case
+    hypothesis.assume(not multiperiod._is_point_mass(dist))  # solved in closed form
+    pool0 = pools.LaborPool.entry(dist)
+    lo, hi = pools.pool_inf(pool0), pools.pool_mean(pool0)
+    stages = {}
+
+    def g(w):
+        if w not in stages:
+            stages[w] = multiperiod._stage_from_w_plus(pool0, mu, w)
+        return stages[w].rehire_profit
+
+    n, tol = multiperiod._OUTER_SCAN, solvers._TOL
+    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    gs = [g(x) for x in xs]
+    facts = lambda exc: (type(exc), str(exc), exc.best, exc.residuals)
+    if lo == hi:
+        roots = scan_roots_by_loop(g, lo, hi, tol, n)
     else:
-        assert batch() == loop
+        assert gs[0] > 0.0
+        changes = [i for i in range(1, n) if (gs[i - 1] > 0.0) != (gs[i] > 0.0)]
+        assert len(changes) == 1
+        a, b = changes[0] - 1, changes[0]
+        try:
+            oracle = scan_roots_by_loop(g, lo, hi, tol, n)
+        except lm.NoConvergenceError as exc:
+            with pytest.raises(lm.NoConvergenceError) as info:
+                lm.solve_three_period(dist, mu)
+            assert facts(info.value) == facts(exc)
+            return
+        ends = [xs[i] for i in (a, b) if abs(gs[i]) <= tol]
+        roots = ends[:1] or [solvers.bisect_root(g, xs[a], xs[b], gs[a], gs[b], tol)]
+        small = {i for i, v in enumerate(gs) if abs(v) <= tol}
+        if small <= {a} or small <= {b}:
+            assert roots == oracle[-1:]
+    if not roots:
+        with pytest.raises(lm.NoConvergenceError, match="no retention offer"):
+            lm.solve_three_period(dist, mu)
+        return
+    want = multiperiod._finish_solution(dist, mu, stages[roots[0]],
+                                        extra_diag={"w_plus_candidates": roots})
+    try:
+        got = lm.solve_three_period(dist, mu)
+    except lm.NoConvergenceError as exc:
+        assert (exc.best, exc.residuals) == (
+            want.wages(), dict(zip(multiperiod.RESIDUAL_NAMES, want.residuals)))
+    else:
+        assert got.to_dict() == want.to_dict()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
