@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import labormkt as lm
-from labormkt import multiperiod, pools
+from labormkt import multiperiod, pools, solvers
 from labormkt.multiperiod import RESIDUAL_NAMES, _stage_from_w_plus
 from labormkt.solvers import scan_grid
 
@@ -403,6 +403,62 @@ def test_two_period_and_welfare_golden_cells_regenerate_exactly(table, cell):
     fresh = {"base": cell["base"], "mu": cell["mu"]} | make_cell(
         TWO_PERIOD_MAKER.BASES[cell["base"]](), cell["mu"])
     assert json.dumps(fresh) == json.dumps(cell)
+
+
+@pytest.mark.parametrize("base", sorted(GOLDEN_BASES))
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
+def test_outer_search_takes_the_one_sign_change_of_the_whole_grid(base, mu):
+    """The period-2 hirers' profit at every point of the outer scan grid is
+    positive at the bottom and changes sign once, and the solution's w_plus
+    is that bracket's root: an end within tol, the lower first, or the
+    bisection of the bracket.  Where the residual gate refuses the solution
+    (discrete_41 at mu = 0.1), its error carries that w_plus."""
+    dist = GOLDEN_BASES[base]
+    pool0 = pools.LaborPool.entry(dist)
+    grid = scan_grid(pools.pool_inf(pool0), pools.pool_mean(pool0),
+                     multiperiod._OUTER_SCAN).tolist()
+    g = lambda w: _stage_from_w_plus(pool0, mu, w).rehire_profit
+    gs = [g(w) for w in grid]
+    changes = [i for i in range(1, len(grid)) if (gs[i - 1] > 0.0) != (gs[i] > 0.0)]
+    assert gs[0] > 0.0 and len(changes) == 1
+    a, b = changes[0] - 1, changes[0]
+    ends = [grid[i] for i in (a, b) if abs(gs[i]) <= solvers._TOL]
+    root = ends[0] if ends else solvers.bisect_root(g, grid[a], grid[b], gs[a], gs[b])
+    try:
+        w_plus = lm.solve_three_period(dist, mu).w_plus
+    except lm.NoConvergenceError as exc:
+        assert str(exc).startswith("three-period residuals stalled")
+        w_plus = exc.best["w_plus"]
+    assert w_plus == root
+
+
+# opts maps solvers module constants to the values patched in for the case.
+@pytest.mark.parametrize("dist, mu, opts, w_plus, error", [
+    (GOLDEN_BASES["piecewise_readme"], 0.5, {"_MAX_ITER": 20}, 0.0,
+     "bisection did not reach tol=1e-12 in 20 steps"),
+    (GOLDEN_BASES["discrete_41"], 0.3, {"_MAX_ITER": 20}, 0.0,
+     "bisection did not reach tol=1e-12 in 20 steps"),
+    (lm.uniform(0.0, 1.0), 0.5, {}, 1.0, "no one is retained at w_plus=1.0"),
+    (GOLDEN_BASES["piecewise_readme"], 0.5, {}, 2.0, "no one is retained at w_plus=2.0"),
+    (lm.uniform(0.0, 1.0), 0.0, {}, -1.0, "no one is released at w_plus=-1.0"),
+])
+def test_failing_stage_raises_and_the_outer_search_passes_its_error_on(dist, mu, opts, w_plus,
+                                                                       error, monkeypatch):
+    """A stage fails on an inner bisection out of steps, on no one retained
+    at or above the support top, and on no one released without quits.
+    Where it fails at the bottom of the outer grid, the first point the
+    search evaluates, solve_three_period raises that error unchanged."""
+    for name, value in opts.items():
+        monkeypatch.setattr(solvers, name, value)
+    pool0 = pools.LaborPool.entry(dist)
+    with pytest.raises(lm.LaborMarketError) as stage:
+        _stage_from_w_plus(pool0, mu, w_plus)
+    assert str(stage.value) == error
+    if w_plus == pools.pool_inf(pool0) and 0.0 < mu < 1.0:
+        with pytest.raises(type(stage.value)) as solve:
+            lm.solve_three_period(dist, mu)
+        facts = lambda exc: (str(exc), getattr(exc, "best", None), getattr(exc, "residuals", None))
+        assert facts(solve.value) == facts(stage.value)
 
 
 MULTISTART_FROZEN = json.loads((Path(__file__).parent / "data" / "multistart_frozen.json")

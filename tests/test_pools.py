@@ -638,6 +638,40 @@ def test_bisect_root_raises_its_best_point_when_out_of_steps(opts_kw, monkeypatc
         bisect_root(lambda x: x, 1.0, 2.0, 1.0, 2.0, tol)
 
 
+@pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, DISC, POINT, DISC41])
+@pytest.mark.parametrize("opts_kw", [{}, {"points": 129, "tol": 1e-12}, {"max_iter": 20}])
+def test_m_fixed_points_on_split_pools_equal_full_scalar_scans(dist, opts_kw, monkeypatch):
+    """On both sides of the entry split at every threshold, m_fixed_points
+    finds the roots of a scan that evaluates the scalar operator at every
+    grid point, or raises the error that scan's bisection raises.  On the
+    41-atom grid the leaver mean jumps at every atom, so brackets there
+    bisect down to float resolution; with 20 halvings most of them raise."""
+    from labormkt.solvers import m_fixed_points
+
+    n = opts_kw.get("points", 1024)
+    tol = _patched_tol(opts_kw, monkeypatch)
+    facts = lambda exc: (type(exc), str(exc), exc.best, exc.residuals)
+    entry = pools.LaborPool.entry(dist)
+    for mu in (0.3, 0.8):
+        for pool in (side for wp in _thresholds(dist) for side in pools.firing_split(entry, wp, mu)):
+            if pools.pool_mass(pool) <= 0.0:
+                continue
+            mean, inf = pools.pool_mean(pool), pools.pool_inf(pool)
+            search = lambda: m_fixed_points(pool, mu, points=n, tol=tol)
+            if mean <= inf:  # a pool at a single point clears at its mean
+                assert search() == [mean]
+                continue
+            try:
+                expected = scan_roots_by_loop(lambda w: w - m_extended(pool, w, mu),
+                                              min(inf, 0.0), mean, tol, n)
+            except lm.NoConvergenceError as exc:
+                with pytest.raises(lm.NoConvergenceError) as info:
+                    search()
+                assert facts(info.value) == facts(exc)
+            else:
+                assert search() == expected
+
+
 def test_discrete_split_moments_by_hand():
     """Atom at the threshold goes to the at-or-above side; outside the
     support the threshold is clamped."""
