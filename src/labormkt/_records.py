@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import cache
 
 __all__ = ["Record"]
 
@@ -20,11 +21,22 @@ class Record:
     _derived: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        names = [f.name for f in fields(self)] + list(self._derived)
-        return {name: _plain(getattr(self, name)) for name in names}
+        return {name: _plain(getattr(self, name)) for name in _names(type(self))}
+
+
+@cache
+def _names(cls) -> tuple[str, ...]:
+    """A record class's dict keys, listed once per class."""
+    return tuple(f.name for f in fields(cls)) + tuple(cls._derived)
+
+
+# Most values are these; they are their own plain form.
+_LEAVES = frozenset((float, int, bool, str, type(None)))
 
 
 def _plain(value):
+    if type(value) in _LEAVES:
+        return value
     if isinstance(value, Record):
         return value.to_dict()
     if isinstance(value, (tuple, list)):

@@ -26,9 +26,11 @@ Conventions
   end of each piece) and its ``moments`` once, when it is built, as a
   :class:`PoolRows` stack holds them.  Those moments and either side's of
   a split (:func:`leaver_moments`, :func:`stayer_moments`) come from one
-  scalar loop over the pool's pieces and ends, :func:`_split_moments_scalar`,
-  which adds the parts of the split pool's pieces in their order without
-  building them, so it is bit for bit the split pool's.
+  scalar loop over the pool's pieces beside their ends,
+  :func:`_split_moments_scalar`, which adds the parts of the split pool's
+  pieces in their order without building them, so it is bit for bit the
+  split pool's.  A caller that splits one pool many times pairs the pieces
+  with their ends once.
 * :meth:`ProductivityDistribution.moments_below_array`,
   :func:`leaver_moments_array` and :func:`stayer_moments_array` are the
   same kernels over a float64 array of thresholds, with the same float
@@ -146,7 +148,8 @@ class ProductivityDistribution:
         lo = self.support_low
         if x <= lo:
             return 0.0, 0.0
-        x = min(x, self.support_high)
+        if x > self.support_high:  # min(x, high), without min()'s costlier call
+            x = self.support_high
         if self.kind == "uniform":
             h = x - lo
             return self.level * h, self.level * h * (x + lo) / 2.0
@@ -325,7 +328,8 @@ def _moments(pool: LaborPool) -> tuple[float, float]:
     """(mass, first moment) of the whole pool, which its constructor stores
     as ``pool.moments``: every piece is at or above the support bottom, so
     a split there weights each by w * 1.0 = w."""
-    return _split_moments_scalar(pool, pool.base.support_low, 1.0, 1.0)
+    base = pool.base
+    return _split_moments_scalar(base, zip(pool.pieces, pool.ends), base.support_low, 1.0, 1.0)
 
 
 def pool_mass(pool: LaborPool) -> float:
@@ -383,35 +387,37 @@ def leaver_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float,
     """(mass, first moment) of ``firing_split(pool, threshold, mu)[0]``,
     bit for bit, without building the split pool."""
     t, mu = _split_threshold(pool, threshold, mu)
-    return _split_moments_scalar(pool, t, 1.0, mu)
+    return _split_moments_scalar(pool.base, zip(pool.pieces, pool.ends), t, 1.0, mu)
 
 
 def stayer_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
     """(mass, first moment) of ``firing_split(pool, threshold, mu)[1]``,
     as :func:`leaver_moments`."""
     t, mu = _split_threshold(pool, threshold, mu)
-    return _split_moments_scalar(pool, t, 0.0, 1.0 - mu)
+    return _split_moments_scalar(pool.base, zip(pool.pieces, pool.ends), t, 0.0, 1.0 - mu)
 
 
-def _split_moments_scalar(pool: LaborPool, t: float, low: float,
+def _split_moments_scalar(base: ProductivityDistribution, rows, t: float, low: float,
                           high: float) -> tuple[float, float]:
-    """(mass, first moment) of the pool weighted `low` strictly below the
-    clamped threshold t and `high` at or above it: the one scalar piece
-    loop (:func:`_moments` splits at the support bottom), twin of
-    :func:`_split_moments`.  A piece straddling t adds [lo, t), then
-    [t, hi): the parts of ``_rescale_pieces(pool.pieces, t, low, high)`` in
-    their order, zero weights skipped, so the result is bit for bit the
-    split pool's moments."""
-    base, pieces = pool.base, pool.pieces
+    """(mass, first moment) of a pool over `base` whose pieces beside their
+    ends, ``zip(pool.pieces, pool.ends)``, are `rows`, weighted `low`
+    strictly below the clamped threshold t and `high` at or above it: the
+    one scalar piece loop (:func:`_moments` splits at the support bottom),
+    twin of :func:`_split_moments`.  A piece straddling t adds [lo, t),
+    then [t, hi): the parts of ``_rescale_pieces(pool.pieces, t, low,
+    high)`` in their order, zero weights skipped, so the result is bit for
+    bit the split pool's moments."""
+    top = base.support_high
     n = m1 = n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
-    for i, ((lo, hi, w), (n_hi, m1_hi)) in enumerate(zip(pieces, pool.ends)):
+    for (lo, hi, w), (n_hi, m1_hi) in rows:
         # As in _rescale_pieces, lo >= t is tested first: a zero-width piece
-        # at t goes to the at-or-above side, and the closed last piece holds t.
+        # at t goes to the at-or-above side.  The closed last piece holds t,
+        # and an earlier piece ending at t = top adds a zero [t, hi) part.
         if lo >= t:
             w_part = w * high
         else:
             w_part = w * low
-            if hi > t or i == len(pieces) - 1:  # [lo, t), then [t, hi) below
+            if hi > t or hi == top:  # [lo, t), then [t, hi) below
                 n_cut, m1_cut = base.moments_below(t)
                 if w_part > 0.0:
                     n += w_part * (n_cut - n_lo)

@@ -33,7 +33,9 @@ residual gate, though not necessarily the largest.
 :func:`m_extended`, the package's only leaver-mean operator, is on a
 float64 array the scalar operator element by element, bit for bit; the
 scalar form reads the piece ends and moments the pool computed when it
-was built.
+was built.  It checks its inputs, then calls one unchecked core, which the
+residual bound by :func:`m_fixed_points` also calls: a search checks mu and
+reads the pool's mean and infimum once, not at every evaluation.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ import math
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import InvalidThresholdError, NoConvergenceError
 from .pools import (LaborPool, _check_count, _check_mu, _is_real, _real_threshold,
-                    _real_thresholds, leaver_moments, leaver_moments_array, pool_inf, pool_mean)
+                    _real_thresholds, _split_moments_scalar, leaver_moments_array, pool_inf,
+                    pool_mean)
 
 __all__ = ["bisect_root", "grid_root", "scan_grid", "m_extended", "m_fixed_points"]
 
@@ -148,12 +151,24 @@ def m_extended(pool: LaborPool, w: float, mu: float) -> float:
         return _m_extended_array(pool, w, mu)
     if type(w) is not float:
         w = _real_threshold(w)
-    if w >= pool.base.support_high:
-        _check_mu(mu)  # inside the support the split checks it
-        return pool_mean(pool)
-    n, m1 = leaver_moments(pool, w, mu)
+    return _leaver_mean(pool, zip(pool.pieces, pool.ends), w, _check_mu(mu))
+
+
+def _leaver_mean(pool: LaborPool, rows, w: float, mu: float, mean=None, inf=None) -> float:
+    """:func:`m_extended` at a float w, with mu checked and `rows` the
+    pool's pieces beside their ends: its unchecked core, which the
+    fixed-point residual calls with the pool's mean and infimum in hand.
+    w is checked and clamped as :func:`~labormkt.pools.leaver_moments`
+    checks and clamps it."""
+    base = pool.base
+    if w >= base.support_high:
+        return pool_mean(pool) if mean is None else mean
+    if not math.isfinite(w):
+        raise InvalidThresholdError(f"threshold {w!r} is not a usable real number")
+    low = base.support_low  # max(w, low), without max()'s costlier call
+    n, m1 = _split_moments_scalar(base, rows, low if low > w else w, 1.0, mu)
     if n <= 0.0:
-        return pool_inf(pool)
+        return pool_inf(pool) if inf is None else inf
     return m1 / n
 
 
@@ -175,6 +190,11 @@ def m_fixed_points(pool: LaborPool, mu: float, *, points: int = 1024,
     most one wage: the :func:`grid_root` of g(w) = w - m_extended(pool, w,
     mu) on a scan grid of `points` points.
 
+    g is bound once per search: mu is checked, the pool's mean and
+    infimum are read and its pieces paired with their ends before the
+    first evaluation, and each evaluation calls m_extended's core, so it
+    is bit for bit ``w - m_extended(pool, w, mu)``.
+
     The scan window is [min(pool_inf, 0), pool_mean]: the leaver mean never
     exceeds the pool mean (leavers over-weight the bottom of the pool), and
     the window is stretched down to zero so review wages below a positive
@@ -186,5 +206,7 @@ def m_fixed_points(pool: LaborPool, mu: float, *, points: int = 1024,
     mean, inf = pool_mean(pool), pool_inf(pool)
     if mean <= inf:
         return [mean]
-    return grid_root(lambda w: w - m_extended(pool, w, mu), min(inf, 0.0), mean,
-                     points=points, tol=tol)
+    mu, rows = _check_mu(mu), list(zip(pool.pieces, pool.ends))
+    g = lambda w: w - _leaver_mean(pool, rows, w if type(w) is float else _real_threshold(w),
+                                   mu, mean, inf)
+    return grid_root(g, min(inf, 0.0), mean, points=points, tol=tol)

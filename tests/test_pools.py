@@ -561,6 +561,39 @@ def test_grid_root_without_a_straddle_takes_the_first_end_within_tol():
         grid_root(lambda x: x, 1.0, 0.0, points=129)
 
 
+README_PW = lm.piecewise_linear([(0.0, 0.5), (0.4, 1.6), (1.0, 0.8)])
+
+
+@pytest.mark.parametrize("dist, points, tol, counts", [
+    (UNI, 129, 1e-12, (39, 40, 39)), (UNI, 1024, 1e-10, (32, 32, 32)),
+    (README_PW, 129, 1e-12, (40, 37, 34)), (README_PW, 1024, 1e-10, (32, 32, 34)),
+    (DISC, 129, 1e-12, (37, 40, 37)), (DISC, 1024, 1e-10, (33, 33, 31))])
+def test_m_fixed_points_evaluates_g_ends_halvings_and_bisection_steps(dist, points, tol,
+                                                                      counts, monkeypatch):
+    """Each search evaluates its residual at the two grid ends, log2(points
+    - 1) halvings (7 of 129 points, 10 of 1,024) and the bisection's steps,
+    on the entry pool and both sides of its split at 0.5.  The residual
+    does not go through m_extended, so only a counter on the g that
+    grid_root receives sees these; a scan of the whole grid fails here."""
+    calls, grid_root = [], solvers.grid_root
+
+    def counting_grid_root(g, lo, hi, **kw):
+        return grid_root(lambda w: calls.append(w) or g(w), lo, hi, **kw)
+
+    monkeypatch.setattr(solvers, "grid_root", counting_grid_root)
+    entry = pools.LaborPool.entry(dist)
+    got = []
+    for pool in (entry, *pools.firing_split(entry, 0.5, 0.5)):
+        calls.clear()
+        assert len(solvers.m_fixed_points(pool, 0.5, points=points, tol=tol)) == 1
+        grid = set(solvers.scan_grid(min(pools.pool_inf(pool), 0.0), pools.pool_mean(pool),
+                                     points).tolist())
+        halvings = math.ceil(math.log2(points - 1))
+        assert set(calls[:2 + halvings]) <= grid and not set(calls[2 + halvings:]) & grid
+        got.append(len(calls))
+    assert tuple(got) == counts
+
+
 # Every scan on a small case, called with the scan setting given;
 # scan_grid takes points and no tol.
 SCANS = {

@@ -9,6 +9,7 @@ checks the same cases; raise max_examples locally to search further.
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -185,6 +186,61 @@ def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
     xs += [base.support_low - 1.0, base.support_high + 1.0, -math.inf, math.inf]
     n, m1 = base.moments_below_array(np.array(xs))
     assert list(zip(n.tolist(), m1.tolist())) == [base.moments_below(x) for x in xs]
+
+
+@st.composite
+def residual_cases(draw):
+    """The entry pool of a uniform, piecewise or discrete base, or either
+    side of its split at a support end, a node, an atom or anywhere (a
+    split at mu 0 or 1 leaves a zero-weight piece), and the search's mu."""
+    dist, t, mu_split, mu = draw(entry_splits())
+    pool = pools.LaborPool.entry(dist)
+    if draw(st.booleans()):
+        pool = pools.firing_split(pool, t, mu_split)[draw(st.integers(0, 1))]
+    return pool, mu
+
+
+def _bound_residual(pool, mu):
+    """The g that m_fixed_points hands grid_root."""
+    bound = []
+    with mock.patch.object(solvers, "grid_root", lambda g, lo, hi, **kw: bound.append(g) or []):
+        m_fixed_points(pool, mu)
+    return bound[0]
+
+
+def _error(f, *args):
+    try:
+        f(*args)
+    except Exception as exc:  # noqa: BLE001 -- the error is the result
+        return type(exc), str(exc)
+    raise AssertionError(f"{f.__name__}{args} raised nothing")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(residual_cases())
+def test_bound_residual_is_w_minus_m_extended(case):
+    """m_fixed_points checks mu and reads the pool's mean and infimum once
+    per search; the residual it binds is still w - m_extended(pool, w, mu)
+    bit for bit, in value and type, at float, int and np.float64 wages
+    below, at the ends of, inside and above the support, and refuses what
+    m_extended refuses with the same error."""
+    pool, mu = case
+    hypothesis.assume(pools.pool_mass(pool) > 0.0)
+    mean, inf = pools.pool_mean(pool), pools.pool_inf(pool)
+    hypothesis.assume(mean > inf)  # a pool at a single point clears at its mean, unsearched
+    g = _bound_residual(pool, mu)
+    lo, hi = pool.base.support_low, pool.base.support_high
+    ws = [lo - 1.0, lo, hi, hi + 1.0, math.inf, min(inf, 0.0), mean]
+    ws += [x for p_lo, p_hi, _ in pool.pieces for x in (p_lo, p_hi)]
+    ws += [np.float64(w) for w in ws] + [math.floor(lo) - 1, math.floor(lo), math.ceil(hi), 0]
+    for w in ws:
+        assert repr(g(w)) == repr(w - m_extended(pool, w, mu))
+    for w in (math.nan, -math.inf, np.float64(math.nan), np.float64(-math.inf)):
+        assert _error(g, w) == _error(m_extended, pool, w, mu)
+        assert _error(g, w)[0] is lm.InvalidThresholdError
+    for bad in (-0.5, 1.5, math.nan, True, "0.5"):
+        assert _error(m_fixed_points, pool, bad) == _error(m_extended, pool, lo, bad)
+        assert _error(m_fixed_points, pool, bad)[0] is ValueError
 
 
 UNIFORM_BASES = st.tuples(THETA, st.floats(0.01, 3.0), st.floats(0.1, 3.0)).map(
