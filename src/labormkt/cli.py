@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -469,10 +470,8 @@ def _run_solve(cfg: RunConfig) -> tuple:
 def _write_m_series(cfg: RunConfig) -> None:
     """Plot-ready (w, leaver-mean) series used to picture the fixed point."""
     pool = LaborPool.entry(cfg.dist)
-    ws = scan_grid(cfg.dist.support_low, cfg.dist.support_high, 201)
-    # tolist() keeps every cell a Python float, formatted as before.
-    rows = zip(ws.tolist(), m_extended(pool, ws, cfg.mu).tolist())
-    _emit_csv(["w", "m_of_w"], rows, cfg.series_out)
+    ws = scan_grid(cfg.dist.support_low, cfg.dist.support_high, 201).tolist()
+    _emit_csv(["w", "m_of_w"], [(w, m_extended(pool, w, cfg.mu)) for w in ws], cfg.series_out)
 
 
 def _node_dict(node: MarketNode) -> dict:
@@ -619,7 +618,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser, built on the first call: parse_args keeps no state
+    between calls, so every main() call may share it."""
     parser = _Parser(prog="labormkt",
                      description="Hiring/firing market laboratory, batch mode")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._records import Record
 from .errors import InfeasibleError
-from .pools import _require_finite
+from .pools import _is_integer, _is_real, _require_finite
 
 __all__ = [
     "UtilitySpec",
@@ -72,6 +72,8 @@ class UtilitySpec:
     def __post_init__(self):
         if self.family not in ("linear", "sqrt", "log1p", "crra"):
             raise ValueError(f"unknown utility family {self.family!r}")
+        if not _is_real(self.param):
+            raise ValueError(f"utility parameter must be a real number, not {self.param!r}")
         if self.family == "crra" and not 0.0 <= self.param < 1.0:
             raise ValueError("crra coefficient must lie in [0, 1)")
 
@@ -105,7 +107,10 @@ def _check_rule_count(n_levels: int, n_outcomes: int) -> None:
 
 
 def default_wage_grid(outcomes, n_levels: int = 21) -> tuple[float, ...]:
-    """Evenly spaced wage levels from 0 to the largest outcome."""
+    """Evenly spaced wage levels from 0 to the largest outcome; n_levels
+    must be an integer >= 2, not a bool."""
+    if not _is_integer(n_levels):
+        raise ValueError(f"the number of wage levels must be an integer, not {n_levels!r}")
     if n_levels < 2:
         raise ValueError(f"a wage grid needs at least 2 wage levels (got {n_levels})")
     _check_rule_count(n_levels, len(outcomes))

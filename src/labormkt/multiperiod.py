@@ -36,9 +36,10 @@ of each terminal market's 129 grid points, and the outer search 10 stages
 of its 257, then bisects the one bracket.  That the period-2 hirers'
 profit crosses zero once along that grid is observed and tested, not
 proven.  The multi-start's damped steps run every start in lockstep on one
-:class:`~labormkt.pools.PoolRows` stack of its [stayed, released] pools,
-and the last few stragglers alone with the scalar step
-(:func:`_damped_runs`); each converged start is finished with a stage.
+stack of its [stayed, released] pools (:func:`_split_stack`), with the
+pools' array piece loop :func:`~labormkt.pools._split_moments`, and the
+last few stragglers alone with the scalar step (:func:`_damped_runs`);
+each converged start is finished with a stage.
 
 The solution is read off its market tree, the one
 :meth:`ThreePeriodSolution.tree` rebuilds: every cohort mass and mean, the
@@ -67,6 +68,7 @@ from .equilibrium import (
 )
 from .errors import (
     DegenerateSystemError,
+    EmptyPoolError,
     InvalidThresholdError,
     NoConvergenceError,
 )
@@ -76,13 +78,12 @@ from .pools import (
     _check_count,
     _check_mu,
     _real_threshold,
-    entry_split_rows,
+    _split_moments,
     firing_split,
     pool_inf,
     pool_mean,
     quantile,
     stayer_moments,
-    stayer_moments_array,
 )
 from .solvers import (
     _TOL,
@@ -355,7 +356,7 @@ class ThreePeriodSolution(Record):
 
 
 @dataclass(frozen=True)
-class MultiStartReport:
+class MultiStartReport(Record):
     """Agreement report for the damped multi-start solver.
 
     `solutions` holds one solution per converged start, in start order,
@@ -365,15 +366,10 @@ class MultiStartReport:
     while some starts failed.
     """
 
-    solutions: tuple[ThreePeriodSolution, ...]
     wage_spread: float
     agree: bool
     n_failed: int = 0
-
-    def to_dict(self) -> dict:
-        return {"wage_spread": self.wage_spread, "agree": self.agree,
-                "n_failed": self.n_failed,
-                "solutions": [s.to_dict() for s in self.solutions]}
+    solutions: tuple[ThreePeriodSolution, ...] = ()
 
 
 # =====================================================================
@@ -426,12 +422,34 @@ def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float) -> _Stage:
 
 def _split_stack(dist: ProductivityDistribution, mu: float, offers: np.ndarray):
     """The terminal pools of the entry pool of dist at every retention offer
-    of the float64 array offers, in one PoolRows stack with the rows
-    [stayed(offers[0]), released(offers[0]), stayed(offers[1]), ...]."""
-    t = np.repeat(offers, 2)
+    of the float64 array offers, as one stack with the rows [stayed(offers[0]),
+    released(offers[0]), stayed(offers[1]), ...]: the (pieces, ends) that
+    :func:`~labormkt.pools._split_moments` takes, each row's moments and
+    each row's :func:`~labormkt.pools.pool_inf`, as (R, 1) columns.
+
+    Row i holds the pieces ``[(L, t, low), (t, H, high)]`` that firing_split
+    makes at the clamped offer t, with (low, high) = (0, 1 - mu) or (1, mu);
+    at t = L it makes only the second, and the empty first piece adds only
+    zeros, so every value is bit for bit the split pool's.  A row with no
+    workers raises EmptyPoolError, as pool_mean of its pool would.
+    """
+    lo, hi = dist.support_low, dist.support_high
+    t = np.minimum(np.maximum(np.repeat(offers, 2), lo), hi)
     low, high = np.zeros_like(t), np.full_like(t, 1.0 - mu)  # cheaper than np.tile
     low[1::2], high[1::2] = 1.0, mu
-    return entry_split_rows(dist, t, low, high)
+    n_t, m1_t = dist._moments_below_clamped(t)
+    n, m1 = _split_moments(dist, ((lo, hi, 1.0),), (dist._total,), t, low, high, (n_t, m1_t))
+    if not (n > 0.0).all():
+        raise EmptyPoolError("a pool row has no workers")
+    # pool_inf: the start of the first piece holding workers, snapped up to
+    # an atom on a discrete base.
+    inf = np.where((low > 0.0) & (n_t > 0.0), lo, t)
+    if dist.kind == "discrete":
+        xs = dist._arrays[0]
+        inf = xs[np.searchsorted(xs, inf, side="left")]
+    col = lambda v: v[:, None]
+    return (((lo, col(t), col(low)), (col(t), hi, col(high))),
+            ((col(n_t), col(m1_t)), dist._total), (col(n), col(m1)), col(inf))
 
 
 def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
@@ -575,28 +593,37 @@ def _damped_runs(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
     _MULTISTART_STEPS steps, bit for bit.
 
     The live starts ("lanes") step in lockstep: their [stayed, released]
-    pools form one :class:`~labormkt.pools.PoolRows` stack, and each
-    update is the scalar step's float operations on arrays.  A converged
-    lane leaves; once at most _MULTISTART_TAIL are live, each goes on
-    alone with the scalar step and the steps it has left.
+    pools form one :func:`_split_stack`, and each update is the scalar
+    step's float operations on arrays, m_extended's limits included (the
+    pool mean at or above the support top, the infimum where no one
+    leaves).  A converged lane leaves; once at most _MULTISTART_TAIL are
+    live, each goes on alone with the scalar step and the steps it has left.
     """
-    n = len(w_plus)
-    rows = _split_stack(pool0.base, mu, w_plus)
-    w = pool_mean(rows).reshape(-1, 2)  # per lane [w2, w2p], the rows' order
-    lane = np.arange(n)
-    final: list[float | None] = [None] * n
+    base = pool0.base
+    bottom, top = base.support_low, base.support_high
+    final: list[float | None] = [None] * len(w_plus)
+    lane = np.arange(len(w_plus))
     d, floor = _DAMPING, lo - abs(lo)
+    pieces, ends, (n, m1), inf = _split_stack(base, mu, w_plus)
+    w = (m1 / n).reshape(-1, 2)  # per lane [w2, w2p], the rows' order
     done = 0
     while done < _MULTISTART_STEPS and len(lane) > _MULTISTART_TAIL:
         if done:
-            rows = _split_stack(pool0.base, mu, w_plus)
-        n_rel, m1_rel = (v[1::2, 0] for v in rows.moments)
-        w_new = w + d * (m_extended(rows, w.reshape(-1, 1), mu).reshape(-1, 2) - w)
+            pieces, ends, (n, m1), inf = _split_stack(base, mu, w_plus)
+        n_rel, m1_rel = n[1::2, 0], m1[1::2, 0]
+        # Each row's leaver mean at its lane's [w2, w2p], as m_extended.
+        t = w.reshape(-1, 1)
+        n_out, m1_out = _split_moments(base, pieces, ends, np.minimum(np.maximum(t, bottom), top),
+                                       1.0, mu)
+        empty = n_out <= 0.0  # an empty leaver pool divides by 1 and takes the infimum
+        m = np.where(t >= top, m1 / n, np.where(empty, inf, m1_out / np.where(empty, 1.0, n_out)))
+        w_new = w + d * (m.reshape(-1, 2) - w)
         w2_new, w2p_new = w_new[:, 0], w_new[:, 1]
         w1 = w_plus + w2_new - w2p_new
         # Every row's stayers at its lane's new [w2, w2p]; the released
         # rows' are the rehired.
-        n_reh, m1_reh = (v[1::2, 0] for v in stayer_moments_array(rows, w_new.reshape(-1, 1), mu))
+        t = np.minimum(np.maximum(w_new.reshape(-1, 1), bottom), top)
+        n_reh, m1_reh = (v[1::2, 0] for v in _split_moments(base, pieces, ends, t, 0.0, 1.0 - mu))
         profit = (m1_rel - n_rel * w1) + (m1_reh - n_reh * w2p_new)
         w_plus_new = w_plus + d * profit / n_rel
         w_plus_new = np.minimum(np.maximum(w_plus_new, floor), theta_bar)
@@ -638,7 +665,7 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
         raise ValueError("three-period system needs 0 < mu < 1")
     if _is_point_mass(dist):
         sol = _point_mass_solution(dist, mu)
-        return MultiStartReport(solutions=(sol,), wage_spread=0.0, agree=True)
+        return MultiStartReport(wage_spread=0.0, agree=True, solutions=(sol,))
     pool0 = LaborPool.entry(dist)
     theta_bar = pool_mean(pool0)
     lo = pool_inf(pool0)
@@ -651,8 +678,8 @@ def solve_three_period_multistart(dist: ProductivityDistribution, mu: float,
     sols = [_finish_solution(dist, mu, _stage_from_w_plus(pool0, mu, w)) for w in converged]
     wages = [s.wages() for s in sols]
     spread = max(max(w[k] for w in wages) - min(w[k] for w in wages) for k in wages[0])
-    return MultiStartReport(solutions=tuple(sols), wage_spread=spread,
-                            agree=spread <= 1e-6, n_failed=len(final) - len(converged))
+    return MultiStartReport(wage_spread=spread, agree=spread <= 1e-6,
+                            n_failed=len(final) - len(converged), solutions=tuple(sols))
 
 
 def solve_regime(dist: ProductivityDistribution, mu: float, n_periods: int):

@@ -23,25 +23,20 @@ Conventions
   piecewise-linear and discrete bases read cumulative tables built once per
   distribution.
 * A pool computes its ``ends`` (the base mass and first moment up to the
-  end of each piece) and its ``moments`` once, when it is built, as a
-  :class:`PoolRows` stack holds them.  Those moments and either side's of
-  a split (:func:`leaver_moments`, :func:`stayer_moments`) come from one
-  scalar loop over the pool's pieces beside their ends,
-  :func:`_split_moments_scalar`, which adds the parts of the split pool's
-  pieces in their order without building them, so it is bit for bit the
-  split pool's.  A caller that splits one pool many times pairs the pieces
-  with their ends once.
-* :meth:`ProductivityDistribution.moments_below_array`,
-  :func:`leaver_moments_array` and :func:`stayer_moments_array` are the
-  same kernels over a float64 array of thresholds, with the same float
-  operations in the same order, so each element is bit-for-bit equal to
-  the scalar result.  The primitive gathers its per-segment constants in
-  one call; one piece loop, :func:`_split_moments`, serves every array
-  moment.
-* A :class:`PoolRows` stack holds many pools that differ only in where
-  their pieces end (:func:`entry_split_rows`), with array piece bounds that
-  the same kernels broadcast.  The leaver-mean operator built on these
-  moments is :func:`labormkt.solvers.m_extended`, the only one.
+  end of each piece) and its ``moments`` once, when it is built.  Those
+  moments and either side's of a split (:func:`leaver_moments`,
+  :func:`stayer_moments`) come from one scalar loop over the pool's pieces
+  beside their ends, :func:`_split_moments_scalar`, which adds the parts of
+  the split pool's pieces in their order without building them, so it is
+  bit for bit the split pool's.  A caller that splits one pool many times
+  pairs the pieces with their ends once.  The leaver-mean operator built
+  on these moments is :func:`labormkt.solvers.m_extended`, the only one.
+  Every public operator takes one pool and one scalar threshold.
+* :func:`_split_moments` is the same loop over arrays: piece bounds,
+  weights and ends that may be (R, 1) columns, one pool per row, and an
+  array of thresholds, with the same float operations in the same order,
+  so each element is bit-for-bit the scalar result.  Its one caller is the
+  damped multi-start's lockstep (:mod:`labormkt.multiperiod`).
 
 All values are immutable; operations return new pools.
 """
@@ -67,11 +62,7 @@ __all__ = [
     "pool_mean",
     "firing_split",
     "leaver_moments",
-    "leaver_moments_array",
     "stayer_moments",
-    "stayer_moments_array",
-    "PoolRows",
-    "entry_split_rows",
     "pool_inf",
     "quantile",
     "sample_productivities",
@@ -159,19 +150,10 @@ class ProductivityDistribution:
         return (cum_n + h * (d0 + dx) / 2.0,
                 cum_m1 + h / 6.0 * (x0 * (2.0 * d0 + dx) + x * (d0 + 2.0 * dx)))
 
-    def moments_below_array(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`moments_below` at every element of a float64 array.
-
-        The same formulas in the same order of float operations, so each
-        element is bit-for-bit equal to the scalar result.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind != "discrete":
-            x = np.minimum(np.maximum(x, self.support_low), self.support_high)
-        return self._moments_below_clamped(x)
-
     def _moments_below_clamped(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """moments_below_array of a float64 array already clamped to the support."""
+        """:meth:`moments_below` at every element of a float64 array already
+        clamped to the support, with the same float operations in the same
+        order, so each element is bit-for-bit the scalar result."""
         keys, table, _, _ = self._segments
         if self.kind == "discrete":
             n, m1 = table.take(np.searchsorted(keys, x, side="left"), axis=1)  # bisect_left
@@ -275,8 +257,8 @@ class LaborPool:
 
     base: ProductivityDistribution
     pieces: tuple[tuple[float, float, float], ...] = field(default=())
-    # As a PoolRows stack holds them: the base (mass, first moment) up to the
-    # end of each piece (the closed last one holds it all) and the pool's.
+    # The base (mass, first moment) up to the end of each piece (the closed
+    # last one holds it all), and the pool's.
     ends: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     moments: tuple[float, float] = field(init=False, repr=False, compare=False)
 
@@ -338,14 +320,9 @@ def pool_mass(pool: LaborPool) -> float:
 
 
 def pool_mean(pool: LaborPool) -> float:
-    """Average productivity of the pool; EmptyPoolError on zero mass.
-
-    Per row, as an (R, 1) column, for a :class:`PoolRows` stack."""
+    """Average productivity of the pool; EmptyPoolError on zero mass."""
     n, m1 = pool.moments
-    if isinstance(pool, PoolRows):
-        if not (n > 0.0).all():
-            raise EmptyPoolError("a pool row has no workers")
-    elif n <= 0.0:
+    if n <= 0.0:
         raise EmptyPoolError("pool has no workers")
     return m1 / n
 
@@ -433,9 +410,10 @@ def _split_moments_scalar(base: ProductivityDistribution, rows, t: float, low: f
 def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high, cut=None):
     """:func:`_split_moments_scalar` of `pieces` at every clamped threshold
     of the array t: the one piece loop behind every array moment.  The piece
-    bounds, weights and `ends` (a pool's or a stack's), t and the factors
-    may each be a scalar or an array; they broadcast together.  `cut` is
-    the base (mass, first moment) below t, if the caller has it.  Each piece
+    bounds, weights and `ends` (a pool's, or (R, 1) columns of a stack of
+    pools, one per row), t and the factors may each be a scalar or an
+    array; they broadcast together.  `cut` is the base (mass, first moment)
+    below t, if the caller has it.  Each piece
     adds its parts in the scalar loop's order, so every element is bit for
     bit the scalar result."""
     n_cut, m1_cut = base._moments_below_clamped(t) if cut is None else cut
@@ -461,105 +439,8 @@ def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high, c
     return n, m1
 
 
-def _real_thresholds(thresholds) -> np.ndarray:
-    """An array of thresholds as float64, or InvalidThresholdError for a
-    bool, string or object array."""
-    t = np.asarray(thresholds)
-    if t.dtype.kind not in "fiu":
-        raise InvalidThresholdError(f"thresholds of dtype {t.dtype} are not usable real numbers")
-    return t.astype(np.float64, copy=False)
-
-
-def _clamped_thresholds(base: ProductivityDistribution, thresholds) -> np.ndarray:
-    """:func:`_split_threshold` on an array of thresholds (mu is checked apart)."""
-    t = _real_thresholds(thresholds)
-    if not np.isfinite(t).all():
-        raise InvalidThresholdError("thresholds must be finite real numbers")
-    return np.minimum(np.maximum(t, base.support_low), base.support_high)
-
-
-def _split_side_array(pool, thresholds, mu: float, leavers: bool):
-    mu = _check_mu(mu)
-    t = _clamped_thresholds(pool.base, thresholds)
-    low, high = (1.0, mu) if leavers else (0.0, 1.0 - mu)
-    return _split_moments(pool.base, pool.pieces, pool.ends, t, low, high)
-
-
-def leaver_moments_array(pool, thresholds: np.ndarray,
-                         mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`leaver_moments` at every element of a float64 array of thresholds.
-
-    `pool` is a :class:`LaborPool` or a :class:`PoolRows` stack, whose (R, 1)
-    columns broadcast against an (R, k) array of thresholds.  Every element
-    is bit-for-bit equal to the scalar result.
-    """
-    return _split_side_array(pool, thresholds, mu, leavers=True)
-
-
-def stayer_moments_array(pool, thresholds: np.ndarray,
-                         mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`stayer_moments` at every element of a float64 array of
-    thresholds, as :func:`leaver_moments_array`."""
-    return _split_side_array(pool, thresholds, mu, leavers=False)
-
-
-@dataclass(frozen=True)
-class PoolRows:
-    """A stack of pools over one base, one per row, built by
-    :func:`entry_split_rows`.
-
-    Each piece bound, weight and piece end is a scalar shared by every row
-    or an (R, 1) column, so a row's pool broadcasts against the row of an
-    (R, k) threshold array.  `moments` and `inf` are each row's pool
-    moments and :func:`pool_inf`, as (R, 1) columns.  The array kernels,
-    :func:`pool_mean`, :func:`pool_inf` and :func:`labormkt.solvers.m_extended`
-    on arrays accept a stack wherever they accept a pool.
-    """
-
-    base: ProductivityDistribution
-    pieces: tuple
-    ends: tuple
-    moments: tuple[np.ndarray, np.ndarray]
-    inf: np.ndarray
-
-
-def entry_split_rows(dist: ProductivityDistribution, thresholds, low, high) -> PoolRows:
-    """The entry pool of `dist` weighted `low` strictly below each threshold
-    and `high` at or above it, one row per threshold.
-
-    With (low, high) = (1, mu) row i is the leaver side of
-    ``firing_split(LaborPool.entry(dist), thresholds[i], mu)``, with
-    (0, 1 - mu) the stayer side; `low` and `high` may be arrays, so one
-    stack can hold both sides.  Thresholds are clamped to the support, as
-    the split clamps them.  Each row has the pieces ``[(L, t, low),
-    (t, H, high)]``, as firing_split makes them; at t = L it makes only the
-    second, and the empty first piece adds only zeros.
-    """
-    t = _clamped_thresholds(dist, thresholds)
-    low, high = np.broadcast_arrays(t, np.asarray(low, dtype=np.float64),
-                                    np.asarray(high, dtype=np.float64))[1:]
-    lo, hi = dist.support_low, dist.support_high
-    n_t, m1_t = dist._moments_below_clamped(t)
-    n, m1 = _split_moments(dist, ((lo, hi, 1.0),), (dist._total,), t, low, high, (n_t, m1_t))
-    # pool_inf: the start of the first piece holding workers, snapped up to
-    # an atom on a discrete base.
-    inf = np.where((low > 0.0) & (n_t > 0.0), lo, t)
-    if dist.kind == "discrete":
-        xs = dist._arrays[0]
-        inf = xs[np.searchsorted(xs, inf, side="left")]
-    col = lambda v: v[:, None]
-    return PoolRows(dist, ((lo, col(t), col(low)), (col(t), hi, col(high))),
-                    ((col(n_t), col(m1_t)), dist._total),
-                    (col(n), col(m1)), col(inf))
-
-
 def pool_inf(pool: LaborPool) -> float:
-    """Lowest productivity carrying positive weight (per row, as an (R, 1)
-    column, for a :class:`PoolRows` stack)."""
-    if isinstance(pool, PoolRows):
-        if not (pool.moments[0] > 0.0).all():
-            raise EmptyPoolError("a pool row has no workers")
-        return pool.inf
+    """Lowest productivity carrying positive weight."""
     base, n_lo = pool.base, 0.0
     # The start of the first piece with positive weight and base mass.
     for (lo, _, w), (n_hi, _) in zip(pool.pieces, pool.ends):
@@ -574,9 +455,14 @@ def _is_real(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, numbers.Real)
 
 
+def _is_integer(v) -> bool:
+    """An integer that is not a bool (bools pass numbers.Integral)."""
+    return not isinstance(v, bool) and isinstance(v, numbers.Integral)
+
+
 def _check_count(name: str, v, low: int, high: int | None = None) -> None:
     """Raise ValueError unless v is an integer, not a bool, in [low, high]."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+    if not _is_integer(v):
         raise ValueError(f"{name} must be an integer, not {v!r}")
     if v < low or (high is not None and v > high):
         bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
@@ -599,9 +485,9 @@ def _check_mu(mu: float) -> float:
 # =====================================================================
 
 def quantile(dist: ProductivityDistribution, q: float) -> float:
-    """Inverse CDF at mass fraction q in [0, 1]."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
+    """Inverse CDF at mass fraction q, a real number in [0, 1] (not a bool)."""
+    if not (_is_real(q) and 0.0 <= q <= 1.0):
+        raise ValueError(f"q must be a real number in [0, 1], not {q!r}")
     return float(sample_productivities(dist, np.asarray([q]))[0])
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OutOfRangeError
-from .pools import _check_count, _is_real, _require_finite
+from .pools import _check_count, _is_integer, _is_real, _require_finite
 
 __all__ = [
     "ScreeningConfig",
@@ -46,8 +46,11 @@ def distinguishable_interval(t: int, cfg: ScreeningConfig) -> tuple[float, float
     """Productivity slice a worker can be placed in after trial period t.
 
     Slices count from the bottom: slice t covers
-    [low + t/n * width, low + (t+1)/n * width].
+    [low + t/n * width, low + (t+1)/n * width].  t must be an integer, not
+    a bool (ValueError); one outside 0..n-1 raises OutOfRangeError.
     """
+    if not _is_integer(t):
+        raise ValueError(f"slice index must be an integer, not {t!r}")
     if not 0 <= t < cfg.n_total:
         raise OutOfRangeError(f"slice index {t} outside 0..{cfg.n_total - 1}")
     width = cfg.theta_high - cfg.theta_low
@@ -76,8 +79,8 @@ def critical_assessment_periods(m: int) -> int:
     """Largest slice count n at which m trial periods still clear every
     below-average worker (residual probability exactly zero).
 
-    Zero residual needs m/n >= 1/2, i.e. n <= 2m.
+    Zero residual needs m/n >= 1/2, i.e. n <= 2m.  m must be an integer
+    >= 0, not a bool.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_count("m", m, 0)
     return 2 * m

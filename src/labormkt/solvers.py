@@ -30,12 +30,12 @@ against a scan of the whole grid on random bases in
 :func:`grid_root` would still return a root that passes the solver's
 residual gate, though not necessarily the largest.
 
-:func:`m_extended`, the package's only leaver-mean operator, is on a
-float64 array the scalar operator element by element, bit for bit; the
-scalar form reads the piece ends and moments the pool computed when it
-was built.  It checks its inputs, then calls one unchecked core, which the
-residual bound by :func:`m_fixed_points` also calls: a search checks mu and
-reads the pool's mean and infimum once, not at every evaluation.
+:func:`m_extended`, the package's only leaver-mean operator, takes one
+pool and one scalar wage and reads the piece ends and moments the pool
+computed when it was built.  It checks its inputs, then calls one
+unchecked core, which the residual bound by :func:`m_fixed_points` also
+calls: a search checks mu and reads the pool's mean and infimum once, not
+at every evaluation.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ import numpy as np
 
 from .errors import InvalidThresholdError, NoConvergenceError
 from .pools import (LaborPool, _check_count, _check_mu, _is_real, _real_threshold,
-                    _real_thresholds, _split_moments_scalar, leaver_moments_array, pool_inf,
-                    pool_mean)
+                    _split_moments_scalar, pool_inf, pool_mean)
 
 __all__ = ["bisect_root", "grid_root", "scan_grid", "m_extended", "m_fixed_points"]
 
@@ -143,12 +142,9 @@ def m_extended(pool: LaborPool, w: float, mu: float) -> float:
     the pool infimum, which is its limit from the right; at or above the
     top of the support everyone leaves and the value is the pool mean.
 
-    `w` may be a float64 array; the result is then the array of the scalar
-    values, bit for bit.  `pool` may then also be a
-    :class:`~labormkt.pools.PoolRows` stack.
+    `w` is a real number, not a bool; anything else, a NumPy array
+    included, raises InvalidThresholdError.
     """
-    if isinstance(w, np.ndarray):
-        return _m_extended_array(pool, w, mu)
     if type(w) is not float:
         w = _real_threshold(w)
     return _leaver_mean(pool, zip(pool.pieces, pool.ends), w, _check_mu(mu))
@@ -170,18 +166,6 @@ def _leaver_mean(pool: LaborPool, rows, w: float, mu: float, mean=None, inf=None
     if n <= 0.0:
         return pool_inf(pool) if inf is None else inf
     return m1 / n
-
-
-def _m_extended_array(pool: LaborPool, w: np.ndarray, mu: float) -> np.ndarray:
-    w = _real_thresholds(w)
-    top = w >= pool.base.support_high
-    # +inf is clamped with the rest of the top; NaN and -inf still raise.
-    n, m1 = leaver_moments_array(pool, np.minimum(w, pool.base.support_high), mu)
-    empty = n <= 0.0  # an empty leaver pool divides by 1 and takes pool_inf
-    out = np.where(empty, pool_inf(pool), m1 / np.where(empty, 1.0, n)) if empty.any() else m1 / n
-    if top.any():
-        out = np.where(top, pool_mean(pool), out)
-    return out
 
 
 def m_fixed_points(pool: LaborPool, mu: float, *, points: int = 1024,

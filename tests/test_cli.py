@@ -516,6 +516,32 @@ def test_invalid_flag_value(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error: ")
 
 
+def test_shared_parser_keeps_no_flag_between_calls(tmp_path, capsys):
+    """The one parser main() reuses does not carry a flag from one call to
+    the next: after simulate takes --seed, solve still refuses it."""
+    sim = write(tmp_path, "sim.cfg", MINIMAL_CFG["simulate"])
+    solve = write(tmp_path, "solve.cfg", MINIMAL_CFG["solve"])
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", sim, "--out", out, "--seed", "3"]) == 0
+    assert cli.main(["solve", "--config", solve, "--out", out, "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert cli.main(["solve", "--config", solve, "--out", out]) == 0
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    """main() builds the argparse parser on its first call only."""
+    built = []
+    add_subparsers = cli._Parser.add_subparsers
+    monkeypatch.setattr(cli._Parser, "add_subparsers",
+                        lambda self, **kw: built.append(self) or add_subparsers(self, **kw))
+    cli._build_parser.cache_clear()
+    cfg = write(tmp_path, "a.cfg", MINIMAL_CFG["screening"])
+    for _ in range(3):
+        assert cli.main(["screening", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert cli.main(["frobnicate"]) == 1
+    assert len(built) == 1
+
+
 # A small runnable config per subcommand.
 MINIMAL_CFG = {
     "solve": TWO_PERIOD_CFG,

@@ -12,19 +12,24 @@ import labormkt as lm
 MODULES = ["labormkt", *(f"labormkt.{m.name}" for m in pkgutil.iter_modules(lm.__path__))]
 
 # Each of these re-derived what another function returns, carried a residual
-# target that is now a solver constant, or (from "_BLOCK_ELEMENTS" on) served
-# a scan of a whole grid or a lockstep batch that the index search replaced.
+# target that is now a solver constant, (from "_BLOCK_ELEMENTS" on) served
+# a scan of a whole grid or a lockstep batch that the index search replaced,
+# or (from "PoolRows" on) was an array or stack form of a pool operator,
+# whose one user, the multi-start's lockstep, now builds its own stack.
 REMOVED = ("_restricted_moments", "truncated_mean", "pool_sup", "_occupied_pieces",
            "entry_wage_two_period", "empirical_zero_profit", "_MAX_TREE_PERIODS",
            "SolverOptions", "DEFAULT_OPTIONS", "MAX_TOL", "_inner_opts",
            "_BLOCK_ELEMENTS", "_grid_candidates", "_grid_roots", "_distinct",
            "_stages_from_w_plus", "m_fixed_points_rows", "bisect_roots", "scan_roots",
-           "_bisection_error")
+           "_bisection_error",
+           "PoolRows", "entry_split_rows", "leaver_moments_array", "stayer_moments_array",
+           "_split_side_array", "_clamped_thresholds", "_real_thresholds",
+           "_m_extended_array")
 REMOVED_MEMBERS = (
-    (lm.ProductivityDistribution, ("mass_between", "first_moment_between", "cdf")),
+    (lm.ProductivityDistribution, ("mass_between", "first_moment_between", "cdf",
+                                   "moments_below_array")),
     (lm.GapReport, ("__float__",)),
     (lm.MarketNode, ("is_market",)),
-    (lm.pools.PoolRows, ("take",)),
 )
 
 

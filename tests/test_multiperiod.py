@@ -486,7 +486,11 @@ THREE_ATOMS = lm.discrete([(0.2, 1.0), (0.5, 2.0), (0.9, 1.5)])
     (NINE_NODES, 0.01, 16),  # two starts fail
     (THREE_ATOMS, 0.5, 16),
     (THREE_ATOMS, 0.1, 2),  # every start fails: NoConvergenceError
-], ids=["uniform-64", "nine_nodes-mu0.01", "three_atoms", "three_atoms-all_fail"])
+    # Some starts retain the top atom alone, whose leaver mean at w2 = H is
+    # the pool mean (m_extended's top limit), not the leavers' m1 / n.
+    (lm.discrete([(0.184, 1.0), (0.669, 3.0), (1.223, 3.0)]), 0.1, 8),
+], ids=["uniform-64", "nine_nodes-mu0.01", "three_atoms", "three_atoms-all_fail",
+        "top_atom_alone"])
 def test_multistart_report_is_the_same_in_lockstep_and_scalar(dist, mu, n_starts,
                                                                monkeypatch):
     """Every start stepped in lockstep to the end (tail 0), every start

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import labormkt as lm
-from labormkt import pools, solvers
+from labormkt import multiperiod, pools, solvers
 from labormkt.errors import EmptyPoolError, InvalidThresholdError
 from labormkt.solvers import m_extended
 
@@ -344,10 +344,18 @@ def _array_thresholds(pool):
 PW_NODES_ROUND = lm.piecewise_linear([(0.0, 0.2), (0.4, 0.9), (0.8, 0.1), (1.0, 0.5)])
 
 
+def _clamped(dist, ts):
+    """The float64 array of ts clamped to the support, as a split clamps them."""
+    return np.minimum(np.maximum(np.array(ts, dtype=np.float64), dist.support_low),
+                      dist.support_high)
+
+
 @pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, PW_NODES_ROUND, DISC, POINT])
 @pytest.mark.parametrize("shape", ["entry", "split", "twice_split", "zero_width"])
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
 def test_array_kernels_equal_scalar_kernels(dist, shape, mu):
+    """The array piece loop on a pool's own pieces and ends, and the moment
+    primitive on a clamped array, are the scalar kernels bit for bit."""
     entry = pools.LaborPool.entry(dist)
     pool = {"entry": entry,
             "split": pools.firing_split(entry, dist.support_low + 0.45 *
@@ -355,127 +363,84 @@ def test_array_kernels_equal_scalar_kernels(dist, shape, mu):
             "twice_split": _twice_split(dist),
             "zero_width": _zero_width_pool(dist)}[shape]
     ts = _array_thresholds(pool)
-    arr = np.array(ts)
-    n, m1 = dist.moments_below_array(arr)
-    assert [(a, b) for a, b in zip(n.tolist(), m1.tolist())] == [
-        dist.moments_below(t) for t in ts]
-    n, m1 = pools.leaver_moments_array(pool, arr, mu)
-    assert [(a, b) for a, b in zip(n.tolist(), m1.tolist())] == [
-        pools.leaver_moments(pool, t, mu) for t in ts]
-    if pools.pool_mass(pool) > 0.0:
-        ws = np.array(ts + [math.inf])
-        assert m_extended(pool, ws, mu).tolist() == [
-            m_extended(pool, w, mu) for w in ws.tolist()]
-
-
-def test_array_kernels_reject_what_scalar_kernels_reject():
-    pool = _twice_split(PW)
-    for bad in (math.nan, -math.inf):
-        ts = np.array([0.2, bad, 0.5])
-        with pytest.raises(InvalidThresholdError):
-            pools.leaver_moments_array(pool, ts, 0.5)
-        with pytest.raises(InvalidThresholdError):
-            m_extended(pool, ts, 0.5)
-    with pytest.raises(InvalidThresholdError):
-        pools.leaver_moments_array(pool, np.array([math.inf]), 0.5)
-    for bad_mu in (-0.1, 1.5, math.nan):
-        with pytest.raises(ValueError):
-            pools.leaver_moments_array(pool, np.array([0.5]), bad_mu)
+    t = _clamped(dist, ts)
+    n, m1 = dist._moments_below_clamped(t)
+    assert list(zip(n.tolist(), m1.tolist())) == [dist.moments_below(x) for x in t.tolist()]
+    for scalar, low, high in ((pools.leaver_moments, 1.0, mu),
+                              (pools.stayer_moments, 0.0, 1.0 - mu)):
+        n, m1 = pools._split_moments(dist, pool.pieces, pool.ends, t, low, high)
+        assert list(zip(n.tolist(), m1.tolist())) == [scalar(pool, x, mu) for x in ts]
 
 
 @pytest.mark.parametrize("bad_mu", [5.0, -0.1, math.nan, "0.5"])
 @pytest.mark.parametrize("where", ["inside", "top", "above_top"])
-def test_m_extended_rejects_bad_mu_in_scalar_and_array_form_alike(where, bad_mu):
-    """The scalar operator checks mu at and above the support top, where it
-    returns the pool mean without a split, as the array form does."""
+def test_m_extended_rejects_bad_mu_inside_at_and_above_the_top(where, bad_mu):
+    """The operator checks mu at and above the support top too, where it
+    returns the pool mean without a split."""
     pool = pools.LaborPool.entry(UNI)
     w = {"inside": 0.5, "top": 1.0, "above_top": 2.0}[where]
-    with pytest.raises(ValueError) as scalar:
+    with pytest.raises(ValueError, match="quit probability"):
         m_extended(pool, w, bad_mu)
-    with pytest.raises(ValueError) as array:
-        m_extended(pool, np.array([w]), bad_mu)
-    assert str(scalar.value) == str(array.value)
-
-
-def split_rows_and_pools(dist, wps, mu, keep=slice(None)):
-    """entry_split_rows holding both sides of firing_split(entry, wp, mu) at
-    every wp, as the rows [leavers(wp_0), stayers(wp_0), ...], and the
-    scalar split pools in the same order.  With keep, an index list, the
-    stack holds only those rows."""
-    k = len(wps)
-    t, low, high = np.repeat(wps, 2), np.tile([1.0, 0.0], k), np.tile([mu, 1.0 - mu], k)
-    rows = pools.entry_split_rows(dist, t[keep], low[keep], high[keep])
-    entry = pools.LaborPool.entry(dist)
-    return rows, [side for wp in wps for side in pools.firing_split(entry, wp, mu)]
 
 
 def assert_split_rows_equal_split_pools(dist, wps, ws, mu, mu_inner):
-    """Every moment, leaver mean and limit of the stack equals the scalar
-    one of the split pool in its row, with ==."""
-    rows, split = split_rows_and_pools(dist, wps, mu)
-    grid = np.tile(ws, (len(split), 1))
-    for kernel, scalar in ((pools.leaver_moments_array, pools.leaver_moments),
-                           (pools.stayer_moments_array, pools.stayer_moments)):
-        n, m1 = kernel(rows, grid, mu_inner)
-        assert [list(zip(a, b)) for a, b in zip(n.tolist(), m1.tolist())] == [
-            [scalar(pool, w, mu_inner) for w in ws] for pool in split]
-        n, m1 = kernel(rows, grid[:, :1], mu_inner)  # one threshold per row
-        assert list(zip(n[:, 0].tolist(), m1[:, 0].tolist())) == [
-            scalar(pool, ws[0], mu_inner) for pool in split]
-    n, m1 = rows.moments
-    assert list(zip(n[:, 0].tolist(), m1[:, 0].tolist())) == [
-        pools._moments(pool) for pool in split]
-    full = [i for i, pool in enumerate(split) if pools.pool_mass(pool) > 0.0]
-    if len(full) < len(split):
-        for limit in (pools.pool_inf, pools.pool_mean):
-            with pytest.raises(EmptyPoolError):
-                limit(rows)
+    """multiperiod._split_stack at the offers wps holds, row by row, the
+    stayed and released pools of firing_split(entry, wp, mu): their moments
+    and infima, and pools._split_moments on the stack gives either side's
+    split moments of each at every w, with ==.  A stack with an empty row
+    raises EmptyPoolError, as pool_mean of that pool does; the offers whose
+    sides both hold workers are then checked alone."""
+    entry = pools.LaborPool.entry(dist)
+    sides = {wp: pools.firing_split(entry, wp, mu)[::-1] for wp in wps}  # stayed, released
+    full = [wp for wp in wps if min(pools.pool_mass(pool) for pool in sides[wp]) > 0.0]
+    if len(full) < len(wps):
+        with pytest.raises(EmptyPoolError):
+            multiperiod._split_stack(dist, mu, np.array(wps, dtype=np.float64))
     if not full:
         return
-    sub = split_rows_and_pools(dist, wps, mu, keep=full)[0]
-    assert pools.pool_inf(sub)[:, 0].tolist() == [pools.pool_inf(split[i]) for i in full]
-    assert pools.pool_mean(sub)[:, 0].tolist() == [pools.pool_mean(split[i]) for i in full]
-    ws_top = ws + [math.inf]
-    assert m_extended(sub, np.tile(ws_top, (len(full), 1)), mu_inner).tolist() == [
-        [m_extended(split[i], w, mu_inner) for w in ws_top] for i in full]
+    split = [pool for wp in full for pool in sides[wp]]
+    pieces, ends, (n, m1), inf = multiperiod._split_stack(dist, mu, np.array(full))
+    assert list(zip(n[:, 0].tolist(), m1[:, 0].tolist())) == [pool.moments for pool in split]
+    assert inf[:, 0].tolist() == [pools.pool_inf(pool) for pool in split]
+    grid = np.tile(_clamped(dist, ws), (len(split), 1))
+    for scalar, low, high in ((pools.leaver_moments, 1.0, mu_inner),
+                              (pools.stayer_moments, 0.0, 1.0 - mu_inner)):
+        n, m1 = pools._split_moments(dist, pieces, ends, grid, low, high)
+        assert [list(zip(a, b)) for a, b in zip(n.tolist(), m1.tolist())] == [
+            [scalar(pool, w, mu_inner) for w in ws] for pool in split]
+        n, m1 = pools._split_moments(dist, pieces, ends, grid[:, :1], low, high)  # one per row
+        assert list(zip(n[:, 0].tolist(), m1[:, 0].tolist())) == [
+            scalar(pool, ws[0], mu_inner) for pool in split]
 
 
 @pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, PW_NODES_ROUND, DISC, POINT])
 @pytest.mark.parametrize("mu", [0.0, 1e-6, 0.3, 1.0])
 def test_split_rows_equal_scalar_split_pools(dist, mu):
-    """The broadcast kernel on the entry split at every wp equals the scalar
-    kernels on firing_split's pools: wp and w on nodes, on atoms, at both
-    support ends and outside the support."""
+    """The multi-start's stack of the entry split at every wp, under the
+    array piece loop, equals the scalar kernels on firing_split's pools: wp
+    and w on nodes, on atoms, at both support ends and outside the
+    support."""
     ts = _thresholds(dist)
     assert_split_rows_equal_split_pools(dist, ts, ts, mu, mu)
     assert_split_rows_equal_split_pools(dist, ts, ts, mu, 0.45)
 
 
-def test_split_rows_reject_non_finite_thresholds():
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(InvalidThresholdError):
-            pools.entry_split_rows(PW, np.array([0.2, bad]), 1.0, 0.5)
-
-
-# Every entry point that takes a threshold, scalar or array, and a value
-# that is not a real number: a bool, a numeric string, None or an object.
+# Every entry point that takes a threshold, and a value that is not a real
+# number: a bool, a numeric string, None, an object or a NumPy array.
 THRESHOLD_ENTRY_POINTS = {
     "firing_split": lambda t: pools.firing_split(pools.LaborPool.entry(PW), t, 0.5),
     "leaver_moments": lambda t: pools.leaver_moments(pools.LaborPool.entry(PW), t, 0.5),
     "m_extended": lambda t: m_extended(pools.LaborPool.entry(PW), t, 0.5),
     "build_market_tree": lambda t: lm.build_market_tree(PW, 0.5, 2, thresholds={"": t}),
-    "leaver_moments_array":
-        lambda t: pools.leaver_moments_array(pools.LaborPool.entry(PW), np.array([t]), 0.5),
-    "m_extended_array": lambda t: m_extended(pools.LaborPool.entry(PW), np.array([t]), 0.5),
-    "entry_split_rows": lambda t: pools.entry_split_rows(PW, [t], 1.0, 0.5),
 }
 
 
 @pytest.mark.parametrize("entry_point", sorted(THRESHOLD_ENTRY_POINTS))
-@pytest.mark.parametrize("bad", [True, False, "0.5", None, object()],
-                         ids=["true", "false", "str", "none", "object"])
+@pytest.mark.parametrize("bad", [True, False, "0.5", None, object(), np.array(0.5),
+                                 np.array([0.5])],
+                         ids=["true", "false", "str", "none", "object", "array0d", "array1d"])
 def test_thresholds_that_are_not_real_numbers_are_refused(entry_point, bad):
-    with pytest.raises(InvalidThresholdError, match="not usable real numbers|not a usable"):
+    with pytest.raises(InvalidThresholdError, match="not a usable real number"):
         THRESHOLD_ENTRY_POINTS[entry_point](bad)
 
 
@@ -731,14 +696,11 @@ def test_split_at_the_top_atom_keeps_it(dist, mu):
     tree = lm.build_market_tree(dist, mu, 2, thresholds={"": top})
     assert pools._moments(tree.node("S").pool) == ((1.0 - mu) * n_top, (1.0 - mu) * m1_top)
     pool = pools.LaborPool.entry(dist)
-    for scalar, kernel, low, high in (
-            (pools.leaver_moments, pools.leaver_moments_array, 1.0, mu),
-            (pools.stayer_moments, pools.stayer_moments_array, 0.0, 1.0 - mu)):
+    for scalar, low, high in ((pools.leaver_moments, 1.0, mu),
+                              (pools.stayer_moments, 0.0, 1.0 - mu)):
         expected = scalar(pool, top, mu)
-        n, m1 = kernel(pool, np.array([top]), mu)
+        n, m1 = pools._split_moments(dist, pool.pieces, pool.ends, np.array([top]), low, high)
         assert (n.tolist(), m1.tolist()) == ([expected[0]], [expected[1]])
-        n, m1 = pools.entry_split_rows(dist, np.array([top]), low, high).moments
-        assert (n[0, 0], m1[0, 0]) == expected
     assert_split_rows_equal_split_pools(dist, [top], _thresholds(dist), mu, mu)
     replay = lm.simulate(lm.SimulationConfig(n_agents=10_000, seed=0, regime=lm.TWO_PERIOD,
                                              dist=dist, mu=mu, wages={"w0": 0.5, "w1": top}))

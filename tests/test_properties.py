@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 import labormkt as lm  # noqa: E402
 from labormkt import multiperiod, pools, solvers  # noqa: E402
 from labormkt.solvers import m_extended, m_fixed_points  # noqa: E402
-from test_pools import assert_split_rows_equal_split_pools, scan_roots_by_loop  # noqa: E402
+from test_pools import _clamped, assert_split_rows_equal_split_pools, scan_roots_by_loop  # noqa: E402
 
 THETA = st.floats(-2.0, 3.0, allow_nan=False)
 # Positive quit probabilities start at 1e-6: with a subnormal mu the
@@ -111,27 +111,15 @@ def entry_splits(draw):
 @given(entry_splits())
 def test_split_pool_and_its_stack_row_are_the_same_pool(case):
     """Each side of firing_split(LaborPool.entry(d), t, mu) and its row of
-    entry_split_rows(d, [t], [low], [high]) with (low, high) = (0, 1 - mu)
-    or (1, mu) have the same moments, mean, infimum and split moments at
-    every piece bound, bit for bit.  Their ends differ: at t = L the split
-    pool has one piece and the row two."""
+    the multi-start's stack multiperiod._split_stack(d, mu, [t]) have the
+    same moments, infimum and split moments at every piece bound of
+    either side, bit for bit (a stack with an empty row raises
+    EmptyPoolError).  Their ends differ: at t = L the split pool has one
+    piece and the row two."""
     dist, t, mu, mu_inner = case
-    sides = pools.firing_split(pools.LaborPool.entry(dist), t, mu)[::-1]  # stayed, released
-    for pool, low, high in zip(sides, (0.0, 1.0), (1.0 - mu, mu)):
-        row = pools.entry_split_rows(dist, [t], [low], [high])
-        assert [v.tolist() for v in row.moments] == [[[v]] for v in pool.moments]
-        bounds = sorted({x for lo, hi, _ in pool.pieces for x in (lo, hi)})
-        for kernel in (pools.leaver_moments_array, pools.stayer_moments_array):
-            want = kernel(pool, np.array(bounds), mu_inner)
-            got = kernel(row, np.array([bounds]), mu_inner)
-            assert [v.tolist() for v in got] == [[v.tolist()] for v in want]
-        for limit in (pools.pool_mean, pools.pool_inf):
-            if pool.moments[0] > 0.0:
-                assert limit(row).tolist() == [[limit(pool)]]
-            else:
-                for either in (pool, row):
-                    with pytest.raises(lm.EmptyPoolError):
-                        limit(either)
+    sides = pools.firing_split(pools.LaborPool.entry(dist), t, mu)
+    bounds = sorted({x for pool in sides for lo, hi, _ in pool.pieces for x in (lo, hi)})
+    assert_split_rows_equal_split_pools(dist, [t], bounds, mu, mu_inner)
 
 
 @st.composite
@@ -166,15 +154,16 @@ def _split_leaver_mean(pool, w, mu):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(kernel_cases(), st.lists(st.floats(-8.0, 4.0), min_size=1, max_size=20))
 def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
-    """Both array split kernels, the moment primitive and the scalar
-    leaver mean are the scalar results bit for bit."""
+    """The array piece loop on either side of a split and the moment
+    primitive on a clamped array are the scalar results bit for bit, and
+    the scalar leaver mean is the split leaver pool's."""
     pool, t, mu = case
     base = pool.base
     ts = [t, base.support_low, base.support_high] + extra
     ts += [x for lo, hi, _ in pool.pieces for x in (lo, hi)]
-    for kernel, scalar in ((pools.leaver_moments_array, pools.leaver_moments),
-                           (pools.stayer_moments_array, pools.stayer_moments)):
-        n, m1 = kernel(pool, np.array(ts), mu)
+    for scalar, low, high in ((pools.leaver_moments, 1.0, mu),
+                              (pools.stayer_moments, 0.0, 1.0 - mu)):
+        n, m1 = pools._split_moments(base, pool.pieces, pool.ends, _clamped(base, ts), low, high)
         assert list(zip(n.tolist(), m1.tolist())) == [scalar(pool, x, mu) for x in ts]
     if pools.pool_mass(pool) > 0.0:
         for w in ts:
@@ -183,9 +172,10 @@ def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
     marks = [x for x, _ in base.nodes] + [x for x, _ in base.atoms]
     xs = ts + [y for x in marks for y in (math.nextafter(x, -math.inf), x,
                                           math.nextafter(x, math.inf))]
-    xs += [base.support_low - 1.0, base.support_high + 1.0, -math.inf, math.inf]
-    n, m1 = base.moments_below_array(np.array(xs))
-    assert list(zip(n.tolist(), m1.tolist())) == [base.moments_below(x) for x in xs]
+    xs = _clamped(base, xs + [base.support_low - 1.0, base.support_high + 1.0,
+                              -math.inf, math.inf])
+    n, m1 = base._moments_below_clamped(xs)
+    assert list(zip(n.tolist(), m1.tolist())) == [base.moments_below(x) for x in xs.tolist()]
 
 
 @st.composite
@@ -487,6 +477,12 @@ BUILDERS = {
         lambda v: lm.solve_three_period_multistart(lm.uniform(0, 1), 0.5, n_starts=v),
     "solve_three_period_multistart.seed":
         lambda v: lm.solve_three_period_multistart(lm.uniform(0, 1), 0.5, seed=v),
+    "quantile.q": lambda v: lm.quantile(lm.uniform(0, 1), v),
+    "critical_assessment_periods.m": lm.critical_assessment_periods,
+    "distinguishable_interval.t":
+        lambda v: lm.distinguishable_interval(v, lm.ScreeningConfig(n_total=10, m_allowed=3)),
+    "default_wage_grid.n_levels": lambda v: lm.default_wage_grid((0.0, 4.0), v),
+    "UtilitySpec.param": lambda v: lm.UtilitySpec("crra", v),
 }
 MALFORMED = st.one_of(st.booleans(), st.text(max_size=4),
                       st.sampled_from(["0.5", "1e-8", "3", "nan"]), st.just(float("nan")),
@@ -525,6 +521,11 @@ def test_malformed_field_builds_or_raises_value_error(field, value):
     ("solve_three_period_multistart.n_starts", True),
     ("solve_three_period_multistart.n_starts", 0),
     ("solve_three_period_multistart.seed", 2.5), ("solve_three_period_multistart.seed", -1),
+    ("quantile.q", "0.5"), ("quantile.q", None), ("quantile.q", True),
+    ("critical_assessment_periods.m", "3"), ("critical_assessment_periods.m", True),
+    ("critical_assessment_periods.m", 2.5),
+    ("distinguishable_interval.t", True), ("distinguishable_interval.t", 2.5),
+    ("default_wage_grid.n_levels", 2.5), ("UtilitySpec.param", "0.5"),
 ])
 def test_malformed_field_raises_value_error(field, value):
     with pytest.raises(ValueError):
