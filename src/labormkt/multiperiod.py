@@ -36,10 +36,10 @@ of each terminal market's 129 grid points, and the outer search 10 stages
 of its 257, then bisects the one bracket.  That the period-2 hirers'
 profit crosses zero once along that grid is observed and tested, not
 proven.  The multi-start's damped steps run every start in lockstep on one
-stack of its [stayed, released] pools (:func:`_split_stack`), with the
-pools' array piece loop :func:`~labormkt.pools._split_moments`, and the
-last few stragglers alone with the scalar step (:func:`_damped_runs`);
-each converged start is finished with a stage.
+stack of its [stayed, released] pools (:func:`_split_stack`), with array
+twins of the split moments and the leaver mean, and the last few
+stragglers alone with the scalar step (:func:`_damped_runs`); each
+converged start is finished with a stage.
 
 The solution is read off its market tree, the one
 :meth:`ThreePeriodSolution.tree` rebuilds: every cohort mass and mean, the
@@ -87,6 +87,7 @@ from .pools import (
 )
 from .solvers import (
     _TOL,
+    _leaver_mean_rows,
     grid_root,
     m_extended,
     m_fixed_points,
@@ -594,10 +595,10 @@ def _damped_runs(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
 
     The live starts ("lanes") step in lockstep: their [stayed, released]
     pools form one :func:`_split_stack`, and each update is the scalar
-    step's float operations on arrays, m_extended's limits included (the
-    pool mean at or above the support top, the infimum where no one
-    leaves).  A converged lane leaves; once at most _MULTISTART_TAIL are
-    live, each goes on alone with the scalar step and the steps it has left.
+    step's float operations on arrays (m_extended's by its array twin
+    :func:`~labormkt.solvers._leaver_mean_rows`).  A converged lane leaves;
+    once at most _MULTISTART_TAIL are live, each goes on alone with the
+    scalar step and the steps it has left.
     """
     base = pool0.base
     bottom, top = base.support_low, base.support_high
@@ -612,11 +613,7 @@ def _damped_runs(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
             pieces, ends, (n, m1), inf = _split_stack(base, mu, w_plus)
         n_rel, m1_rel = n[1::2, 0], m1[1::2, 0]
         # Each row's leaver mean at its lane's [w2, w2p], as m_extended.
-        t = w.reshape(-1, 1)
-        n_out, m1_out = _split_moments(base, pieces, ends, np.minimum(np.maximum(t, bottom), top),
-                                       1.0, mu)
-        empty = n_out <= 0.0  # an empty leaver pool divides by 1 and takes the infimum
-        m = np.where(t >= top, m1 / n, np.where(empty, inf, m1_out / np.where(empty, 1.0, n_out)))
+        m = _leaver_mean_rows(base, pieces, ends, (n, m1), inf, w.reshape(-1, 1), mu)
         w_new = w + d * (m.reshape(-1, 2) - w)
         w2_new, w2p_new = w_new[:, 0], w_new[:, 1]
         w1 = w_plus + w2_new - w2p_new

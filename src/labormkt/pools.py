@@ -30,8 +30,9 @@ Conventions
   the split pool's pieces in their order without building them, so it is
   bit for bit the split pool's.  A caller that splits one pool many times
   pairs the pieces with their ends once.  The leaver-mean operator built
-  on these moments is :func:`labormkt.solvers.m_extended`, the only one.
-  Every public operator takes one pool and one scalar threshold.
+  on these moments is :func:`labormkt.solvers.m_extended`, with one array
+  twin for the multi-start's lockstep beside its scalar core.  Every public
+  operator takes one pool and one scalar threshold.
 * :func:`_split_moments` is the same loop over arrays: piece bounds,
   weights and ends that may be (R, 1) columns, one pool per row, and an
   array of thresholds, with the same float operations in the same order,

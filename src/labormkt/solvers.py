@@ -30,12 +30,12 @@ against a scan of the whole grid on random bases in
 :func:`grid_root` would still return a root that passes the solver's
 residual gate, though not necessarily the largest.
 
-:func:`m_extended`, the package's only leaver-mean operator, takes one
-pool and one scalar wage and reads the piece ends and moments the pool
+:func:`m_extended`, the package's leaver-mean operator, takes one pool
+and one scalar wage and reads the piece ends and moments the pool
 computed when it was built.  It checks its inputs, then calls one
 unchecked core, which the residual bound by :func:`m_fixed_points` also
 calls: a search checks mu and reads the pool's mean and infimum once, not
-at every evaluation.
+at every evaluation.  The multi-start's lockstep uses its array twin.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InvalidThresholdError, NoConvergenceError
 from .pools import (LaborPool, _check_count, _check_mu, _is_real, _real_threshold,
-                    _split_moments_scalar, pool_inf, pool_mean)
+                    _split_moments, _split_moments_scalar, pool_inf, pool_mean)
 
 __all__ = ["bisect_root", "grid_root", "scan_grid", "m_extended", "m_fixed_points"]
 
@@ -166,6 +166,18 @@ def _leaver_mean(pool: LaborPool, rows, w: float, mu: float, mean=None, inf=None
     if n <= 0.0:
         return pool_inf(pool) if inf is None else inf
     return m1 / n
+
+
+def _leaver_mean_rows(base, pieces, ends, moments, inf, t, mu: float) -> np.ndarray:
+    """:func:`_leaver_mean`, limits included, on each row of a stack of pools
+    (the (R, 1) columns of :func:`~labormkt.multiperiod._split_stack`, or
+    one pool's values) at its float thresholds t, unchecked, bit for bit."""
+    top = base.support_high
+    t_in = np.minimum(np.maximum(t, base.support_low), top)
+    n_out, m1_out = _split_moments(base, pieces, ends, t_in, 1.0, mu)
+    empty = n_out <= 0.0  # an empty leaver pool divides by 1 and takes the infimum
+    out = np.where(empty, inf, m1_out / np.where(empty, 1.0, n_out))
+    return np.where(t >= top, moments[1] / moments[0], out)
 
 
 def m_fixed_points(pool: LaborPool, mu: float, *, points: int = 1024,

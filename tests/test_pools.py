@@ -354,8 +354,9 @@ def _clamped(dist, ts):
 @pytest.mark.parametrize("shape", ["entry", "split", "twice_split", "zero_width"])
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
 def test_array_kernels_equal_scalar_kernels(dist, shape, mu):
-    """The array piece loop on a pool's own pieces and ends, and the moment
-    primitive on a clamped array, are the scalar kernels bit for bit."""
+    """The array piece loop on a pool's own pieces and ends, the moment
+    primitive on a clamped array and the array leaver mean (up to w = inf)
+    are the scalar kernels bit for bit."""
     entry = pools.LaborPool.entry(dist)
     pool = {"entry": entry,
             "split": pools.firing_split(entry, dist.support_low + 0.45 *
@@ -370,6 +371,11 @@ def test_array_kernels_equal_scalar_kernels(dist, shape, mu):
                               (pools.stayer_moments, 0.0, 1.0 - mu)):
         n, m1 = pools._split_moments(dist, pool.pieces, pool.ends, t, low, high)
         assert list(zip(n.tolist(), m1.tolist())) == [scalar(pool, x, mu) for x in ts]
+    if pools.pool_mass(pool) > 0.0:
+        ws = ts + [math.inf]
+        m = solvers._leaver_mean_rows(dist, pool.pieces, pool.ends, pool.moments,
+                                      pools.pool_inf(pool), np.array(ws), mu)
+        assert m.tolist() == [m_extended(pool, w, mu) for w in ws]
 
 
 @pytest.mark.parametrize("bad_mu", [5.0, -0.1, math.nan, "0.5"])
@@ -387,9 +393,11 @@ def assert_split_rows_equal_split_pools(dist, wps, ws, mu, mu_inner):
     """multiperiod._split_stack at the offers wps holds, row by row, the
     stayed and released pools of firing_split(entry, wp, mu): their moments
     and infima, and pools._split_moments on the stack gives either side's
-    split moments of each at every w, with ==.  A stack with an empty row
-    raises EmptyPoolError, as pool_mean of that pool does; the offers whose
-    sides both hold workers are then checked alone."""
+    split moments of each at every w, and solvers._leaver_mean_rows on it
+    gives m_extended of each at every w and at inf (both of its limits),
+    with ==.  A stack with an empty row raises EmptyPoolError, as pool_mean
+    of that pool does; the offers whose sides both hold workers are then
+    checked alone."""
     entry = pools.LaborPool.entry(dist)
     sides = {wp: pools.firing_split(entry, wp, mu)[::-1] for wp in wps}  # stayed, released
     full = [wp for wp in wps if min(pools.pool_mass(pool) for pool in sides[wp]) > 0.0]
@@ -399,8 +407,9 @@ def assert_split_rows_equal_split_pools(dist, wps, ws, mu, mu_inner):
     if not full:
         return
     split = [pool for wp in full for pool in sides[wp]]
-    pieces, ends, (n, m1), inf = multiperiod._split_stack(dist, mu, np.array(full))
-    assert list(zip(n[:, 0].tolist(), m1[:, 0].tolist())) == [pool.moments for pool in split]
+    pieces, ends, (n_rows, m1_rows), inf = multiperiod._split_stack(dist, mu, np.array(full))
+    assert list(zip(n_rows[:, 0].tolist(), m1_rows[:, 0].tolist())) == [
+        pool.moments for pool in split]
     assert inf[:, 0].tolist() == [pools.pool_inf(pool) for pool in split]
     grid = np.tile(_clamped(dist, ws), (len(split), 1))
     for scalar, low, high in ((pools.leaver_moments, 1.0, mu_inner),
@@ -411,6 +420,13 @@ def assert_split_rows_equal_split_pools(dist, wps, ws, mu, mu_inner):
         n, m1 = pools._split_moments(dist, pieces, ends, grid[:, :1], low, high)  # one per row
         assert list(zip(n[:, 0].tolist(), m1[:, 0].tolist())) == [
             scalar(pool, ws[0], mu_inner) for pool in split]
+    ws_top = ws + [math.inf]
+    m = solvers._leaver_mean_rows(dist, pieces, ends, (n_rows, m1_rows), inf,
+                                  np.tile(ws_top, (len(split), 1)), mu_inner)
+    assert m.tolist() == [[m_extended(pool, w, mu_inner) for w in ws_top] for pool in split]
+    m = solvers._leaver_mean_rows(dist, pieces, ends, (n_rows, m1_rows), inf,
+                                  np.array(ws_top[:1] * len(split))[:, None], mu_inner)
+    assert m[:, 0].tolist() == [m_extended(pool, ws_top[0], mu_inner) for pool in split]
 
 
 @pytest.mark.parametrize("dist", [UNI, UNI_WIDE, PW, PW_NODES_ROUND, DISC, POINT])

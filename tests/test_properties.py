@@ -154,9 +154,9 @@ def _split_leaver_mean(pool, w, mu):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(kernel_cases(), st.lists(st.floats(-8.0, 4.0), min_size=1, max_size=20))
 def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
-    """The array piece loop on either side of a split and the moment
-    primitive on a clamped array are the scalar results bit for bit, and
-    the scalar leaver mean is the split leaver pool's."""
+    """The array piece loop on either side of a split, the array leaver
+    mean and the moment primitive on a clamped array are the scalar results
+    bit for bit, and the scalar leaver mean is the split leaver pool's."""
     pool, t, mu = case
     base = pool.base
     ts = [t, base.support_low, base.support_high] + extra
@@ -168,6 +168,10 @@ def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
     if pools.pool_mass(pool) > 0.0:
         for w in ts:
             assert m_extended(pool, w, mu) == _split_leaver_mean(pool, w, mu)
+        ws = ts + [math.inf]
+        m = solvers._leaver_mean_rows(base, pool.pieces, pool.ends, pool.moments,
+                                      pools.pool_inf(pool), np.array(ws), mu)
+        assert m.tolist() == [m_extended(pool, w, mu) for w in ws]
     # Every breakpoint or atom, its float neighbours, and points outside the support.
     marks = [x for x, _ in base.nodes] + [x for x, _ in base.atoms]
     xs = ts + [y for x in marks for y in (math.nextafter(x, -math.inf), x,
