@@ -42,10 +42,10 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .equilibrium import MarketCollapse, TwoPeriodSolution
 from .errors import ConfigError, LaborMarketError, NoConvergenceError
-from .moral_hazard import ContractProblem, UtilitySpec, default_wage_grid, welfare_gap
 from .multiperiod import (
     MAX_TREE_PERIODS,
     REGIMES,
@@ -59,17 +59,19 @@ from .multiperiod import (
 from .pools import (
     LaborPool,
     ProductivityDistribution,
+    _usable_cpus,
     discrete,
     piecewise_linear,
     uniform,
 )
-from .screening import (
-    ScreeningConfig,
-    critical_assessment_periods,
-    residual_below_average_probability,
-)
-from .simulator import SimulationConfig, _usable_cpus, simulate
 from .solvers import m_extended, scan_grid
+
+# moral_hazard, screening and simulator are imported by the parse branches
+# and handlers that use them, so that a solve, sweep, tree or welfare run
+# never loads them.
+if TYPE_CHECKING:
+    from .moral_hazard import ContractProblem, UtilitySpec
+    from .screening import ScreeningConfig
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -227,6 +229,8 @@ def _parse_mu_grid(raw: str, problems: list[str]) -> tuple[float, ...]:
 
 
 def _parse_utility(raw: str, key: str, problems: list[str]) -> UtilitySpec | None:
+    from .moral_hazard import UtilitySpec
+
     m = _UTIL_RE.match(raw.strip())
     if not m:
         problems.append(f"{key}: expected sqrt, log1p, linear or crra(g), got {raw!r}")
@@ -335,6 +339,8 @@ def parse_config(text: str, subcommand: str = "solve") -> RunConfig:
         t_lo = _parse_float(pairs.get("theta_low", "0"), "theta_low", problems)
         t_hi = _parse_float(pairs.get("theta_high", "1"), "theta_high", problems)
         if None not in (n, m, t_lo, t_hi):
+            from .screening import ScreeningConfig
+
             try:
                 cfg.screening = ScreeningConfig(n, m, t_lo, t_hi)
             except ValueError as exc:
@@ -352,6 +358,8 @@ def parse_config(text: str, subcommand: str = "solve") -> RunConfig:
 
 
 def _parse_problem(pairs: dict[str, str], problems: list[str]) -> ContractProblem | None:
+    from .moral_hazard import ContractProblem, UtilitySpec, default_wage_grid
+
     outcomes = _parse_number_list(pairs["outcomes"], "outcomes", problems)
     efforts = _parse_number_list(pairs["efforts"], "efforts", problems)
     costs = _parse_number_list(pairs["costs"], "costs", problems)
@@ -523,6 +531,8 @@ def _run_sweep(cfg: RunConfig) -> tuple:
 
 
 def _run_simulate(cfg: RunConfig) -> tuple:
+    from .simulator import SimulationConfig, simulate
+
     n_periods, names = REGIMES[cfg.regime]
     wages = cfg.wages
     if not wages:
@@ -546,6 +556,8 @@ def _run_simulate(cfg: RunConfig) -> tuple:
 
 
 def _run_screening(cfg: RunConfig) -> tuple:
+    from .screening import critical_assessment_periods, residual_below_average_probability
+
     sc = cfg.screening
     d = {"n_total": sc.n_total, "m_allowed": sc.m_allowed,
          "residual_probability": residual_below_average_probability(sc),
@@ -554,6 +566,8 @@ def _run_screening(cfg: RunConfig) -> tuple:
 
 
 def _run_moral_hazard(cfg: RunConfig) -> tuple:
+    from .moral_hazard import welfare_gap
+
     report = welfare_gap(cfg.problem)
     header = ["kind", "effort", "principal_value", "agent_value", "rule", "gap"]
     return header, lambda: [

@@ -60,7 +60,8 @@ class UtilitySpec:
 
     family is one of ``"linear"`` (u(s) = s), ``"sqrt"``, ``"log1p"``
     (u(s) = ln(1 + s)) or ``"crra"`` with coefficient `param` = gamma in
-    [0, 1): u(s) = s**(1-gamma) / (1-gamma).  All are increasing and
+    [0, 1): u(s) = s**(1-gamma) / (1-gamma).  Only crra reads `param`;
+    the other families refuse a nonzero one.  All are increasing and
     concave on s >= 0.  For payoffs that can go negative (a principal's
     net), the curved families extend linearly below zero so losses are
     penalized at least one-for-one.
@@ -76,6 +77,8 @@ class UtilitySpec:
             raise ValueError(f"utility parameter must be a real number, not {self.param!r}")
         if self.family == "crra" and not 0.0 <= self.param < 1.0:
             raise ValueError("crra coefficient must lie in [0, 1)")
+        if self.family != "crra" and self.param != 0.0:
+            raise ValueError(f"the {self.family} family takes no parameter (got {self.param!r})")
 
     def __call__(self, s: float) -> float:
         if self.family == "linear":
@@ -108,11 +111,18 @@ def _check_rule_count(n_levels: int, n_outcomes: int) -> None:
 
 def default_wage_grid(outcomes, n_levels: int = 21) -> tuple[float, ...]:
     """Evenly spaced wage levels from 0 to the largest outcome; n_levels
-    must be an integer >= 2, not a bool."""
+    must be an integer >= 2, not a bool, and outcomes at least one finite
+    real number."""
     if not _is_integer(n_levels):
         raise ValueError(f"the number of wage levels must be an integer, not {n_levels!r}")
     if n_levels < 2:
         raise ValueError(f"a wage grid needs at least 2 wage levels (got {n_levels})")
+    outcomes = tuple(outcomes)
+    if not outcomes:
+        raise ValueError("a wage grid needs at least one outcome (got none)")
+    bad = [x for x in outcomes if not (_is_real(x) and math.isfinite(x))]
+    if bad:
+        raise ValueError(f"outcomes must be finite real numbers (got {bad!r})")
     _check_rule_count(n_levels, len(outcomes))
     top = max(outcomes)
     if top <= 0.0:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -479,6 +480,13 @@ def _check_mu(mu: float) -> float:
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"quit probability mu={mu} must lie in [0, 1]")
     return mu if type(mu) is float else float(mu)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: the simulator's replay
+    threads and the CLI sweep's worker processes are capped by it."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 # =====================================================================

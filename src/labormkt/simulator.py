@@ -30,7 +30,6 @@ the block size.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -39,7 +38,7 @@ import numpy as np
 from ._records import Record
 from .multiperiod import LEFT, REGIMES, STAYED, _break_even, _kept, wage_schedule
 from .pools import (ProductivityDistribution, _check_count, _check_mu, _is_real,
-                    sample_productivities)
+                    _usable_cpus, sample_productivities)
 
 __all__ = [
     "TWO_PERIOD",
@@ -61,12 +60,6 @@ _CHUNK = 1 << 18
 # temporaries.  Any size gives the same draws, since the chunk reads one
 # Philox stream in order, and the same sums (see the module docstring).
 _BLOCK = 1 << 15
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 
 # Threads that replay chunks: the CPUs this process may run on, at most two.

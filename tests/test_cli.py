@@ -619,19 +619,59 @@ def test_sweep_workers_are_capped_by_cells_and_cpus(tmp_path, monkeypatch, jobs,
     assert out.read_bytes() == serial.read_bytes()
 
 
+def fresh_stdout(code: str) -> str:
+    """What a new interpreter running code prints, with this package first
+    on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     """Only a sweep with more than one worker loads the process pool, so a
     fresh interpreter that imports the CLI has loaded neither it nor
     multiprocessing."""
-    code = ("import sys, labormkt.cli; "
-            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
-            "if m in sys.modules])")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert fresh_stdout(
+        "import sys, labormkt.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules])") == "[]"
+
+
+def test_package_import_loads_no_submodule_until_a_name_is_read():
+    """import labormkt runs no submodule, yet dir() lists every public name;
+    reading a name imports the module that defines it."""
+    assert fresh_stdout(
+        "import sys, labormkt; "
+        "print(sorted(m for m in sys.modules if m.startswith('labormkt.'))); "
+        "print(set(labormkt.__all__) <= set(dir(labormkt))); "
+        "labormkt.simulate; "
+        "print('labormkt.simulator' in sys.modules)").splitlines() == ["[]", "True", "True"]
+
+
+# The modules that only some subcommands run.
+ON_DEMAND = ("moral_hazard", "screening", "simulator")
+
+
+@pytest.mark.parametrize("subcommand, loaded", [
+    ("solve", []), ("sweep", []), ("tree", []), ("welfare", []),
+    ("moral-hazard", ["moral_hazard"]), ("screening", ["screening"]),
+    ("simulate", ["simulator"]),
+])
+def test_a_cli_run_loads_only_the_modules_it_runs(tmp_path, subcommand, loaded):
+    cfg_text = {**MINIMAL_CFG, "solve": THREE_PERIOD_CFG}[subcommand]
+    argv = [subcommand, "--config", write(tmp_path, "run.cfg", cfg_text),
+            "--out", str(tmp_path / "out")]
+    out = fresh_stdout(
+        f"import sys; from labormkt import cli; assert cli.main({argv!r}) == 0; "
+        f"print([m for m in {ON_DEMAND!r} if 'labormkt.' + m in sys.modules])")
+    assert out == repr(loaded)
+
+
+def test_package_refuses_a_name_it_does_not_export():
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        lm.not_a_name
 
 
 def test_nonconvergence_exits_2_with_diagnostics(tmp_path, monkeypatch, capsys):

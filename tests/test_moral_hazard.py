@@ -384,6 +384,16 @@ def test_wage_grid_needs_two_levels(n_levels):
         lm.default_wage_grid((0.0, 4.0), n_levels)
 
 
+@pytest.mark.parametrize("outcomes, named", [
+    ((), "none"), ((math.nan, 1.0), "nan"), ((1.0, math.inf), "inf"), ((1.0, -math.inf), "-inf"),
+])
+def test_wage_grid_names_the_outcomes_it_refuses(outcomes, named):
+    """No outcome or a non-finite one is refused where the grid is asked
+    for, not spanned into a grid of NaNs or infinities."""
+    with pytest.raises(ValueError, match=rf"outcome.*\(got \[?{named}"):
+        lm.default_wage_grid(outcomes, 3)
+
+
 def test_rule_budget_is_checked_before_any_grid_is_built():
     """More than 10**7 wage rules is refused where the instance is stated."""
     with pytest.raises(ValueError, match="wage rules"):

@@ -486,7 +486,11 @@ BUILDERS = {
     "distinguishable_interval.t":
         lambda v: lm.distinguishable_interval(v, lm.ScreeningConfig(n_total=10, m_allowed=3)),
     "default_wage_grid.n_levels": lambda v: lm.default_wage_grid((0.0, 4.0), v),
+    "default_wage_grid.outcomes": lambda v: lm.default_wage_grid((1.0, v), 3),
     "UtilitySpec.param": lambda v: lm.UtilitySpec("crra", v),
+    "UtilitySpec.param.linear": lambda v: lm.UtilitySpec("linear", v),
+    "UtilitySpec.param.sqrt": lambda v: lm.UtilitySpec("sqrt", v),
+    "UtilitySpec.param.log1p": lambda v: lm.UtilitySpec("log1p", v),
 }
 MALFORMED = st.one_of(st.booleans(), st.text(max_size=4),
                       st.sampled_from(["0.5", "1e-8", "3", "nan"]), st.just(float("nan")),
@@ -530,6 +534,10 @@ def test_malformed_field_builds_or_raises_value_error(field, value):
     ("critical_assessment_periods.m", 2.5),
     ("distinguishable_interval.t", True), ("distinguishable_interval.t", 2.5),
     ("default_wage_grid.n_levels", 2.5), ("UtilitySpec.param", "0.5"),
+    ("default_wage_grid.outcomes", math.nan), ("default_wage_grid.outcomes", math.inf),
+    ("default_wage_grid.outcomes", "4"),
+    ("UtilitySpec.param.linear", -3.0), ("UtilitySpec.param.sqrt", 0.7),
+    ("UtilitySpec.param.log1p", math.nan),
 ])
 def test_malformed_field_raises_value_error(field, value):
     with pytest.raises(ValueError):
