@@ -91,7 +91,6 @@ from .solvers import (
     grid_root,
     m_extended,
     m_fixed_points,
-    scan_grid,
 )
 
 __all__ = [
@@ -191,8 +190,10 @@ class MarketTree:
         return [n for n in self.nodes() if n.off_market]
 
 
-# The tree holds 2**n - 1 cohorts, each with a pool and its piece ends:
-# n = 16 peaks at about 280 MB and every two more periods cost 4x that.
+# The tree holds 2**n - 1 cohorts, each with a pool; a split shares its
+# parent's piece ends and untouched pieces.  At n = 16 building the tree
+# adds about 103 MB to a process (a CLI tree run peaks at about 150 MB
+# writing CSV, 250 MB writing JSON), and every two more periods cost 4x that.
 MAX_TREE_PERIODS = 16
 
 
@@ -204,14 +205,23 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
     history string to the review wage applied at the end of that cohort's
     period; the default uses each cohort's own pool mean, enough for
     structural work like counting markets.  wages, if given, maps histories
-    to the wage label attached to each node.
+    to the wage label attached to each node.  A key of either map that
+    names no cohort the tree reviews (thresholds) or holds (wages) raises
+    InvalidThresholdError or ValueError.
     """
     _check_count("n_periods", n_periods, 1, MAX_TREE_PERIODS)
-    if thresholds is not None and not isinstance(thresholds, Mapping):
-        raise InvalidThresholdError(
-            f"thresholds must map histories to review wages, not {type(thresholds).__name__}")
-    if wages is not None and not isinstance(wages, Mapping):
-        raise ValueError(f"wages must map histories to wage labels, not {wages!r}")
+    if thresholds is not None:
+        if not isinstance(thresholds, Mapping):
+            raise InvalidThresholdError(
+                f"thresholds must map histories to review wages, not {type(thresholds).__name__}")
+        # Every cohort but the last period's is reviewed, an empty one too.
+        if unread := _not_histories(thresholds, n_periods - 2):
+            raise InvalidThresholdError(f"thresholds name no cohort the tree reviews: {unread}")
+    if wages is not None:
+        if not isinstance(wages, Mapping):
+            raise ValueError(f"wages must map histories to wage labels, not {wages!r}")
+        if unread := _not_histories(wages, n_periods - 1):
+            raise ValueError(f"wages name no cohort of the tree: {unread}")
     mu = _check_mu(mu)
     wages = wages or {}
 
@@ -237,6 +247,12 @@ def build_market_tree(dist: ProductivityDistribution, mu: float, n_periods: int,
 
     root = grow("", 1, LaborPool.entry(dist))
     return MarketTree(dist=dist, mu=mu, n_periods=n_periods, root=root)
+
+
+def _not_histories(keys, longest: int) -> list:
+    """The keys that are not a history of at most `longest` steps."""
+    return [k for k in keys
+            if not (isinstance(k, str) and len(k) <= longest and set(k) <= {STAYED, LEFT})]
 
 
 # Per regime: its horizon, as solve_regime and wage_schedule take it, and
@@ -548,7 +564,9 @@ def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriod
 
     roots = grid_root(g, lo, theta_bar, points=_OUTER_SCAN)
     if not roots:
-        best_g, best_w = min((abs(g(w)), w) for w in scan_grid(lo, theta_bar, 33).tolist())
+        # scan_grid(lo, theta_bar, 33)'s points, as grid_root computes them.
+        probe = (lo + (theta_bar - lo) * k / 32 for k in range(33))
+        best_g, best_w = min((abs(g(w)), w) for w in probe)
         raise NoConvergenceError(
             "no retention offer balances the period-2 hirers' books",
             best={"w_plus": best_w}, residuals={"rehire_zero_profit": best_g})

@@ -23,7 +23,11 @@ Conventions
   piecewise-linear and discrete bases read cumulative tables built once per
   distribution.
 * A pool computes its ``ends`` (the base mass and first moment up to the
-  end of each piece) and its ``moments`` once, when it is built.  Those
+  end of each piece) and its ``moments`` once, when it is built.  The two
+  sides of a :func:`firing_split` share one ``ends`` tuple: the parent's
+  end tuples, the same objects, plus the one new end at the cut, and every
+  piece a side weights by 1.0 is the parent's piece tuple.  So a split
+  computes one end, and a market tree holds each end once.  Those
   moments and either side's of a split (:func:`leaver_moments`,
   :func:`stayer_moments`) come from one scalar loop over the pool's pieces
   beside their ends, :func:`_split_moments_scalar`, which adds the parts of
@@ -49,6 +53,7 @@ import numbers
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -195,7 +200,7 @@ class ProductivityDistribution:
 
 
 def _require_finite(values, what: str) -> None:
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{what} must be finite real numbers")
 
 
@@ -294,18 +299,16 @@ class LaborPool:
         return LaborPool(dist)
 
 
-def _rescale_pieces(pieces, cut: float, low_factor: float, high_factor: float) -> list:
-    """`pieces` with weights scaled by `low_factor` strictly below `cut`,
-    `high_factor` at or above; a piece straddling `cut` is cut in two.  The
-    last piece is closed, so a cut at the support top H splits it into
-    [lo, H) and [H, H], and an atom at H stays at or above the cut."""
-    out = []
-    for i, (lo, hi, w) in enumerate(pieces):
-        if lo < cut and (hi > cut or i == len(pieces) - 1):  # straddles the cut
-            out += [(lo, cut, w * low_factor), (cut, hi, w * high_factor)]
-        else:
-            out.append((lo, hi, w * (high_factor if lo >= cut else low_factor)))
-    return out
+def _rescale_pieces(pieces, j: int, low_factor: float, high_factor: float) -> tuple:
+    """`pieces` with weights scaled by `low_factor` in the first j pieces
+    and `high_factor` in the rest.  A factor of 1.0 keeps the piece tuples,
+    since w * 1.0 == w."""
+    below, above = pieces[:j], pieces[j:]
+    if low_factor != 1.0:
+        below = tuple([(lo, hi, w * low_factor) for lo, hi, w in below])
+    if high_factor != 1.0:
+        above = tuple([(lo, hi, w * high_factor) for lo, hi, w in above])
+    return below + above
 
 
 def _moments(pool: LaborPool) -> tuple[float, float]:
@@ -358,8 +361,31 @@ def firing_split(pool: LaborPool, threshold: float, mu: float) -> tuple[LaborPoo
     Thresholds outside the support are clamped to its endpoints.
     """
     t, mu = _split_threshold(pool, threshold, mu)
-    return (LaborPool(pool.base, tuple(_rescale_pieces(pool.pieces, t, 1.0, mu))),
-            LaborPool(pool.base, tuple(_rescale_pieces(pool.pieces, t, 0.0, 1.0 - mu))))
+    base, pieces, ends = pool.base, pool.pieces, pool.ends
+    j = bisect_left(pieces, t, key=itemgetter(0))  # the pieces starting below t
+    # The last of them straddles t if it ends above t or is the closed last
+    # piece: a cut at the support top H splits that into [lo, H) and
+    # [H, H], and an atom at H stays at or above the cut.  It is cut in two,
+    # and the one new end, at t, goes before its own.
+    if j > 0 and (pieces[j - 1][1] > t or j == len(pieces)):
+        lo, hi, w = pieces[j - 1]
+        pieces = (*pieces[:j - 1], (lo, t, w), (t, hi, w), *pieces[j:])
+        ends = (*ends[:j - 1], base.moments_below(t), *ends[j - 1:])
+    return (_split_side(base, _rescale_pieces(pieces, j, 1.0, mu), ends),
+            _split_side(base, _rescale_pieces(pieces, j, 0.0, 1.0 - mu), ends))
+
+
+def _split_side(base: ProductivityDistribution, pieces: tuple, ends: tuple) -> LaborPool:
+    """One side of a split, as ``LaborPool(base, pieces)`` builds it, bit
+    for bit: a split of a valid pool leaves valid pieces, whose ends are
+    the parent's plus the one at the cut, so only the moments are new."""
+    pool = object.__new__(LaborPool)
+    object.__setattr__(pool, "base", base)
+    object.__setattr__(pool, "pieces", pieces)
+    object.__setattr__(pool, "ends", ends)
+    object.__setattr__(pool, "moments", _moments(pool))
+    _require_finite(pool.moments, "pool mass and first moment")
+    return pool
 
 
 def leaver_moments(pool: LaborPool, threshold: float, mu: float) -> tuple[float, float]:
@@ -383,13 +409,13 @@ def _split_moments_scalar(base: ProductivityDistribution, rows, t: float, low: f
     strictly below the clamped threshold t and `high` at or above it: the
     one scalar piece loop (:func:`_moments` splits at the support bottom),
     twin of :func:`_split_moments`.  A piece straddling t adds [lo, t),
-    then [t, hi): the parts of ``_rescale_pieces(pool.pieces, t, low,
-    high)`` in their order, zero weights skipped, so the result is bit for
-    bit the split pool's moments."""
+    then [t, hi): the parts of the split pool's pieces in their order, zero
+    weights skipped, so the result is bit for bit the split pool's
+    moments."""
     top = base.support_high
     n = m1 = n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
     for (lo, hi, w), (n_hi, m1_hi) in rows:
-        # As in _rescale_pieces, lo >= t is tested first: a zero-width piece
+        # As in firing_split, lo >= t is tested first: a zero-width piece
         # at t goes to the at-or-above side.  The closed last piece holds t,
         # and an earlier piece ending at t = top adds a zero [t, hi) part.
         if lo >= t:
@@ -423,7 +449,7 @@ def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high, c
     n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
     for i, ((lo, hi, w), (n_hi, m1_hi)) in enumerate(zip(pieces, ends)):
         w_above = w * high
-        # As in _rescale_pieces, lo >= t is tested first: a zero-width piece
+        # As in firing_split, lo >= t is tested first: a zero-width piece
         # at t goes to the at-or-above side, and the closed last piece holds t.
         above = lo >= t
         split = ~above if i == len(pieces) - 1 else ~above & (hi > t)

@@ -13,6 +13,7 @@ import functools
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -622,9 +623,41 @@ def test_tree_lookup_and_flags():
         tree.node("xy")
 
 
-def test_tree_rejects_threshold_outside_support():
-    with pytest.raises(lm.InvalidThresholdError):
-        lm.build_market_tree(lm.uniform(0, 1), 0.5, 2, thresholds={(): 5.0})
+def test_tree_refuses_a_missing_threshold_and_clamps_one_outside_the_support():
+    u = lm.uniform(0, 1)
+    with pytest.raises(lm.InvalidThresholdError, match="no review threshold supplied for cohort 'S'"):
+        lm.build_market_tree(u, 0.5, 3, thresholds={"": 0.5, "L": 0.4})
+    for outside, end in ((5.0, 1.0), (-5.0, 0.0)):
+        tree = lm.build_market_tree(u, 0.5, 2, thresholds={"": outside})
+        at_end = lm.build_market_tree(u, 0.5, 2, thresholds={"": end})
+        assert tree.root.threshold == outside
+        assert [node.pool for node in tree.nodes()] == [node.pool for node in at_end.nodes()]
+    # S is empty after a review above the support, and still reviewed: its
+    # key is read by no split, but names a reviewed cohort.
+    tree = lm.build_market_tree(u, 0.5, 3, thresholds={"": 5.0, "S": 0.5, "L": 0.5})
+    assert tree.node("S").mass() == 0.0 and tree.node("S").threshold == 0.0
+
+
+@pytest.mark.parametrize("n, thresholds, unread", [
+    (2, {(): 5.0}, "[()]"),
+    (2, {"": 0.5, "S": 0.6}, "['S']"),
+    (3, {"": 0.5, "S": 0.6, "L": 0.4, "SS": 9.9, "typo": 1.0}, "['SS', 'typo']"),
+    (1, {"": 0.5}, "['']"),
+], ids=["tuple", "terminal", "deep-and-typo", "one-period"])
+def test_tree_refuses_threshold_keys_of_no_reviewed_cohort(n, thresholds, unread):
+    with pytest.raises(lm.InvalidThresholdError,
+                       match=re.escape(f"thresholds name no cohort the tree reviews: {unread}")):
+        lm.build_market_tree(lm.uniform(0, 1), 0.5, n, thresholds=thresholds)
+
+
+@pytest.mark.parametrize("n, wages, unread", [
+    (3, {"": 1.0, "SSS": 2.0}, "['SSS']"),
+    (2, {"x": 1.0, 0: 2.0, "L": 0.5}, "['x', 0]"),
+    (1, {"": 1.0, "S": 2.0}, "['S']"),
+], ids=["too-deep", "not-histories", "one-period"])
+def test_tree_refuses_wage_keys_of_no_cohort(n, wages, unread):
+    with pytest.raises(ValueError, match=re.escape(f"wages name no cohort of the tree: {unread}")):
+        lm.build_market_tree(lm.uniform(0, 1), 0.5, n, wages=wages)
 
 
 @pytest.mark.parametrize("thresholds", [lambda h: 0.5, [0.5, 0.4], 3],

@@ -274,6 +274,42 @@ def resplit_pools(draw):
     return pool, draw(st.one_of(MU, st.floats(1e-4, 1e-1)))
 
 
+@st.composite
+def resplits(draw):
+    """A pool of resplit_pools() and one more split of it: a threshold at
+    the support bottom or top, a breakpoint, an atom or anywhere around the
+    support, and a quit probability."""
+    pool, mu = draw(resplit_pools())
+    dist = pool.base
+    lo, hi = dist.support_low, dist.support_high
+    marks = [t for t, _ in dist.atoms] + [t for t, _ in dist.nodes] + [lo, hi]
+    return pool, draw(st.one_of(st.sampled_from(marks), st.floats(lo - 1.0, hi + 1.0))), mu
+
+
+def _pool_hex(pool):
+    hexed = lambda rows: [tuple(map(float.hex, row)) for row in rows]
+    return hexed(pool.pieces), hexed(pool.ends), hexed([pool.moments])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(resplits())
+def test_split_sides_are_their_pieces_pools_on_the_parents_ends(case):
+    """Each side of firing_split is LaborPool(base, its pieces): the same
+    pieces, ends and moments, bit for bit.  Both sides hold one ends
+    tuple, and every end in it but the one at the cut is the parent's own
+    object."""
+    pool, t, mu = case
+    sides = pools.firing_split(pool, t, mu)
+    for side in sides:
+        assert _pool_hex(side) == _pool_hex(pools.LaborPool(side.base, side.pieces))
+    assert sides[0].ends is sides[1].ends
+    ends, added = sides[0].ends, len(sides[0].ends) - len(pool.ends)
+    assert added in (0, 1)
+    new = next((i for i, (e, p) in enumerate(zip(ends, pool.ends)) if e is not p), len(pool.ends))
+    kept = ends[:new] + ends[new + added:]
+    assert len(kept) == len(pool.ends) and all(e is p for e, p in zip(kept, pool.ends))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(resplit_pools(), st.sampled_from([{}, {"points": 129, "tol": 1e-12}]))
 def test_released_market_clears_at_exactly_one_wage(case, scan):
