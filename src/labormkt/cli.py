@@ -478,14 +478,24 @@ def _run_solve(cfg: RunConfig) -> tuple:
 def _write_m_series(cfg: RunConfig) -> None:
     """Plot-ready (w, leaver-mean) series used to picture the fixed point."""
     pool = LaborPool.entry(cfg.dist)
-    ws = scan_grid(cfg.dist.support_low, cfg.dist.support_high, 201).tolist()
+    ws = scan_grid(cfg.dist.support_low, cfg.dist.support_high, 201)
     _emit_csv(["w", "m_of_w"], [(w, m_extended(pool, w, cfg.mu)) for w in ws], cfg.series_out)
 
 
+_TREE_HEADER = ["history", "period", "mass", "mean", "threshold", "off_market"]
+
+
+def _tree_row(node: MarketNode) -> list:
+    """A cohort's CSV row, in _TREE_HEADER's order; its mean is None when
+    it is empty."""
+    mass = node.mass()
+    return [node.history, node.period, mass, node.mean() if mass > 0 else None,
+            node.threshold, node.off_market]
+
+
 def _node_dict(node: MarketNode) -> dict:
-    d = {"history": node.history, "period": node.period,
-         "mass": node.mass(), "wage": node.wage,
-         "threshold": node.threshold, "off_market": node.off_market}
+    """A cohort's CSV row as a JSON object, then its children."""
+    d = dict(zip(_TREE_HEADER, _tree_row(node)))
     if node.stay_child is not None:
         d["stayed"] = _node_dict(node.stay_child)
     if node.leave_child is not None:
@@ -495,14 +505,7 @@ def _node_dict(node: MarketNode) -> dict:
 
 def _run_tree(cfg: RunConfig) -> tuple:
     tree = build_market_tree(cfg.dist, cfg.mu, cfg.n_periods)
-
-    def rows():
-        for n in tree.nodes():
-            mass = n.mass()
-            yield [n.history, n.period, mass, n.mean() if mass > 0 else None,
-                   n.threshold, n.off_market]
-
-    return (["history", "period", "mass", "mean", "threshold", "off_market"], rows,
+    return (_TREE_HEADER, lambda: map(_tree_row, tree.nodes()),
             lambda: {"n_periods": cfg.n_periods, "mu": cfg.mu,
                      "off_market_count": len(tree.off_market_nodes()),
                      "root": _node_dict(tree.root)})

@@ -36,10 +36,11 @@ of each terminal market's 129 grid points, and the outer search 10 stages
 of its 257, then bisects the one bracket.  That the period-2 hirers'
 profit crosses zero once along that grid is observed and tested, not
 proven.  The multi-start's damped steps run every start in lockstep on one
-stack of its [stayed, released] pools (:func:`_split_stack`), with array
-twins of the split moments and the leaver mean, and the last few
-stragglers alone with the scalar step (:func:`_damped_runs`); each
-converged start is finished with a stage.
+stack of its [stayed, released] pools (:func:`_split_stack`), and the last
+few stragglers alone with the scalar step (:func:`_damped_runs`); each
+converged start is finished with a stage.  The lockstep holds its own
+array forms of the moment primitive, the split moments and the leaver
+mean, each bit for bit the scalar kernel it mirrors.
 
 The solution is read off its market tree, the one
 :meth:`ThreePeriodSolution.tree` rebuilds: every cohort mass and mean, the
@@ -78,20 +79,13 @@ from .pools import (
     _check_count,
     _check_mu,
     _real_threshold,
-    _split_moments,
     firing_split,
     pool_inf,
     pool_mean,
     quantile,
     stayer_moments,
 )
-from .solvers import (
-    _TOL,
-    _leaver_mean_rows,
-    grid_root,
-    m_extended,
-    m_fixed_points,
-)
+from .solvers import _TOL, grid_root, m_extended, m_fixed_points, scan_grid
 
 __all__ = [
     "MarketNode",
@@ -173,6 +167,10 @@ class MarketTree:
         return out
 
     def node(self, history: str) -> MarketNode:
+        """The cohort with this history, a string of S and L steps; any
+        other history raises KeyError."""
+        if not isinstance(history, str):
+            raise KeyError(f"history {history!r} is not a string")
         cur = self.root
         for step in history:
             if step == STAYED:
@@ -437,38 +435,6 @@ def _stage_from_w_plus(pool0: LaborPool, mu: float, w_plus: float) -> _Stage:
     return _Stage(w_plus, w1, w2, w2p, profit)
 
 
-def _split_stack(dist: ProductivityDistribution, mu: float, offers: np.ndarray):
-    """The terminal pools of the entry pool of dist at every retention offer
-    of the float64 array offers, as one stack with the rows [stayed(offers[0]),
-    released(offers[0]), stayed(offers[1]), ...]: the (pieces, ends) that
-    :func:`~labormkt.pools._split_moments` takes, each row's moments and
-    each row's :func:`~labormkt.pools.pool_inf`, as (R, 1) columns.
-
-    Row i holds the pieces ``[(L, t, low), (t, H, high)]`` that firing_split
-    makes at the clamped offer t, with (low, high) = (0, 1 - mu) or (1, mu);
-    at t = L it makes only the second, and the empty first piece adds only
-    zeros, so every value is bit for bit the split pool's.  A row with no
-    workers raises EmptyPoolError, as pool_mean of its pool would.
-    """
-    lo, hi = dist.support_low, dist.support_high
-    t = np.minimum(np.maximum(np.repeat(offers, 2), lo), hi)
-    low, high = np.zeros_like(t), np.full_like(t, 1.0 - mu)  # cheaper than np.tile
-    low[1::2], high[1::2] = 1.0, mu
-    n_t, m1_t = dist._moments_below_clamped(t)
-    n, m1 = _split_moments(dist, ((lo, hi, 1.0),), (dist._total,), t, low, high, (n_t, m1_t))
-    if not (n > 0.0).all():
-        raise EmptyPoolError("a pool row has no workers")
-    # pool_inf: the start of the first piece holding workers, snapped up to
-    # an atom on a discrete base.
-    inf = np.where((low > 0.0) & (n_t > 0.0), lo, t)
-    if dist.kind == "discrete":
-        xs = dist._arrays[0]
-        inf = xs[np.searchsorted(xs, inf, side="left")]
-    col = lambda v: v[:, None]
-    return (((lo, col(t), col(low)), (col(t), hi, col(high))),
-            ((col(n_t), col(m1_t)), dist._total), (col(n), col(m1)), col(inf))
-
-
 def _finish_solution(dist: ProductivityDistribution, mu: float, stage: _Stage,
                      extra_diag: dict | None = None) -> ThreePeriodSolution:
     """The solution at a stage, read off its market tree: every cohort's
@@ -564,9 +530,7 @@ def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriod
 
     roots = grid_root(g, lo, theta_bar, points=_OUTER_SCAN)
     if not roots:
-        # scan_grid(lo, theta_bar, 33)'s points, as grid_root computes them.
-        probe = (lo + (theta_bar - lo) * k / 32 for k in range(33))
-        best_g, best_w = min((abs(g(w)), w) for w in probe)
+        best_g, best_w = min((abs(g(w)), w) for w in scan_grid(lo, theta_bar, 33))
         raise NoConvergenceError(
             "no retention offer balances the period-2 hirers' books",
             best={"w_plus": best_w}, residuals={"rehire_zero_profit": best_g})
@@ -581,6 +545,10 @@ def solve_three_period(dist: ProductivityDistribution, mu: float) -> ThreePeriod
             best=sol.wages(), residuals=dict(zip(RESIDUAL_NAMES, sol.residuals)))
     return sol
 
+
+# ---------------------------------------------------------------------
+# Damped multi-start: the scalar step, and the lockstep's own array forms
+# ---------------------------------------------------------------------
 
 def _damped_steps(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
                   w_plus: float, w2: float, w2p: float, steps: int) -> float | None:
@@ -605,6 +573,103 @@ def _damped_steps(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
     return None
 
 
+def _moments_below_clamped(dist: ProductivityDistribution, x: np.ndarray) -> tuple:
+    """dist's :meth:`~labormkt.pools.ProductivityDistribution.moments_below`
+    at every element of a float64 array already clamped to the support,
+    with the same float operations in the same order, so each element is
+    bit-for-bit the scalar result."""
+    keys, table, _, _ = dist._segments
+    if dist.kind == "discrete":
+        n, m1 = table.take(np.searchsorted(keys, x, side="left"), axis=1)  # bisect_left
+        return n, m1
+    lo = dist.support_low
+    if dist.kind == "uniform":
+        n = dist.level * (x - lo)  # +0.0 at lo
+        return n, np.where(x <= lo, 0.0, n * (x + lo) / 2.0)
+    k = np.searchsorted(keys, x, side="right")
+    x0, d0, dd, width, cum_n, cum_m1 = table.take(k, axis=1)
+    h = x - x0
+    dx = d0 + dd * h / width
+    return (cum_n + h * (d0 + dx) / 2.0,
+            cum_m1 + h / 6.0 * (x0 * (2.0 * d0 + dx) + x * (d0 + 2.0 * dx)))
+
+
+def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high, cut=None):
+    """:func:`~labormkt.pools._split_moments_scalar` of `pieces` at every
+    clamped threshold of the array t: the one piece loop behind every array
+    moment.  The piece bounds, weights and `ends` (a pool's, or (R, 1)
+    columns of a stack of pools, one per row), t and the factors may each
+    be a scalar or an array; they broadcast together.  `cut` is the base
+    (mass, first moment) below t, if the caller has it.  Each piece adds
+    its parts in the scalar loop's order, so every element is bit for bit
+    the scalar result."""
+    n_cut, m1_cut = _moments_below_clamped(base, t) if cut is None else cut
+    n = m1 = 0.0
+    n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
+    for i, ((lo, hi, w), (n_hi, m1_hi)) in enumerate(zip(pieces, ends)):
+        w_above = w * high
+        # As in firing_split, lo >= t is tested first: a zero-width piece
+        # at t goes to the at-or-above side, and the closed last piece holds t.
+        above = lo >= t
+        split = ~above if i == len(pieces) - 1 else ~above & (hi > t)
+        # Each piece adds [lo, hi), or [lo, t) then [t, hi) if it straddles
+        # t.  Where the scalar loop skips a zero weight this adds a zero
+        # product, which leaves the sum (never -0.0) as it is.  A product
+        # commutes exactly, so each part is (end - start) * w.
+        w_part = np.where(above, w_above, w * low)
+        n = n + (np.where(split, n_cut, n_hi) - n_lo) * w_part
+        m1 = m1 + (np.where(split, m1_cut, m1_hi) - m1_lo) * w_part
+        w_part = np.where(split, w_above, 0.0)
+        n += (n_hi - n_cut) * w_part
+        m1 += (m1_hi - m1_cut) * w_part
+        n_lo, m1_lo = n_hi, m1_hi
+    return n, m1
+
+
+def _split_stack(dist: ProductivityDistribution, mu: float, offers: np.ndarray):
+    """The terminal pools of the entry pool of dist at every retention offer
+    of the float64 array offers, as one stack with the rows [stayed(offers[0]),
+    released(offers[0]), stayed(offers[1]), ...]: the (pieces, ends) that
+    :func:`_split_moments` takes, each row's moments and each row's
+    :func:`~labormkt.pools.pool_inf`, as (R, 1) columns.
+
+    Row i holds the pieces ``[(L, t, low), (t, H, high)]`` that firing_split
+    makes at the clamped offer t, with (low, high) = (0, 1 - mu) or (1, mu);
+    at t = L it makes only the second, and the empty first piece adds only
+    zeros, so every value is bit for bit the split pool's.  A row with no
+    workers raises EmptyPoolError, as pool_mean of its pool would.
+    """
+    lo, hi = dist.support_low, dist.support_high
+    t = np.minimum(np.maximum(np.repeat(offers, 2), lo), hi)
+    low, high = np.zeros_like(t), np.full_like(t, 1.0 - mu)  # cheaper than np.tile
+    low[1::2], high[1::2] = 1.0, mu
+    n_t, m1_t = _moments_below_clamped(dist, t)
+    n, m1 = _split_moments(dist, ((lo, hi, 1.0),), (dist._total,), t, low, high, (n_t, m1_t))
+    if not (n > 0.0).all():
+        raise EmptyPoolError("a pool row has no workers")
+    # pool_inf: the start of the first piece holding workers, snapped up to
+    # an atom on a discrete base.
+    inf = np.where((low > 0.0) & (n_t > 0.0), lo, t)
+    if dist.kind == "discrete":
+        atoms = dist._segments[0]
+        inf = atoms[np.searchsorted(atoms, inf, side="left")]
+    col = lambda v: v[:, None]
+    return (((lo, col(t), col(low)), (col(t), hi, col(high))),
+            ((col(n_t), col(m1_t)), dist._total), (col(n), col(m1)), col(inf))
+
+
+def _leaver_mean_rows(base, pieces, ends, moments, inf, t, mu: float) -> np.ndarray:
+    """:func:`~labormkt.solvers._leaver_mean`, limits included, on each row
+    of a stack of pools (the (R, 1) columns of :func:`_split_stack`, or one
+    pool's values) at its float thresholds t, unchecked, bit for bit."""
+    top = base.support_high
+    t_in = np.minimum(np.maximum(t, base.support_low), top)
+    n_out, m1_out = _split_moments(base, pieces, ends, t_in, 1.0, mu)
+    empty = n_out <= 0.0  # an empty leaver pool divides by 1 and takes the infimum
+    out = np.where(empty, inf, m1_out / np.where(empty, 1.0, n_out))
+    return np.where(t >= top, moments[1] / moments[0], out)
+
+
 def _damped_runs(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
                  w_plus: np.ndarray) -> list[float | None]:
     """:func:`_damped_steps` from every start offer of the float64 array
@@ -613,10 +678,10 @@ def _damped_runs(pool0: LaborPool, mu: float, lo: float, theta_bar: float,
 
     The live starts ("lanes") step in lockstep: their [stayed, released]
     pools form one :func:`_split_stack`, and each update is the scalar
-    step's float operations on arrays (m_extended's by its array twin
-    :func:`~labormkt.solvers._leaver_mean_rows`).  A converged lane leaves;
-    once at most _MULTISTART_TAIL are live, each goes on alone with the
-    scalar step and the steps it has left.
+    step's float operations on arrays (m_extended's by
+    :func:`_leaver_mean_rows`).  A converged lane leaves; once at most
+    _MULTISTART_TAIL are live, each goes on alone with the scalar step and
+    the steps it has left.
     """
     base = pool0.base
     bottom, top = base.support_low, base.support_high

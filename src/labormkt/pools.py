@@ -34,14 +34,8 @@ Conventions
   the split pool's pieces in their order without building them, so it is
   bit for bit the split pool's.  A caller that splits one pool many times
   pairs the pieces with their ends once.  The leaver-mean operator built
-  on these moments is :func:`labormkt.solvers.m_extended`, with one array
-  twin for the multi-start's lockstep beside its scalar core.  Every public
+  on these moments is :func:`labormkt.solvers.m_extended`.  Every public
   operator takes one pool and one scalar threshold.
-* :func:`_split_moments` is the same loop over arrays: piece bounds,
-  weights and ends that may be (R, 1) columns, one pool per row, and an
-  array of thresholds, with the same float operations in the same order,
-  so each element is bit-for-bit the scalar result.  Its one caller is the
-  damped multi-start's lockstep (:mod:`labormkt.multiperiod`).
 
 All values are immutable; operations return new pools.
 """
@@ -96,10 +90,6 @@ class ProductivityDistribution:
     level: float = 1.0
     atoms: tuple[tuple[float, float], ...] = ()
     nodes: tuple[tuple[float, float], ...] = ()
-    # The sorted atoms or breakpoints, and as float64 arrays those, the (mass,
-    # first moment) strictly below each and the node densities.
-    _xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     # The moment primitive's search keys and table (see _segment_tables).
     _segments: tuple = field(init=False, repr=False, compare=False)
     _total: tuple[float, float] = field(init=False, repr=False, compare=False)
@@ -124,17 +114,17 @@ class ProductivityDistribution:
                 cum_n.append(cum_n[-1] + h * (d0 + d1) / 2.0)
                 cum_m1.append(cum_m1[-1] + h / 6.0 * (x0 * (2.0 * d0 + d1)
                                                       + x1 * (d0 + 2.0 * d1)))
-        object.__setattr__(self, "_xs", tuple(xs))
-        object.__setattr__(self, "_arrays", tuple(
-            np.array(v, dtype=np.float64)
-            for v in (xs, cum_n, cum_m1, [d for _, d in self.nodes])))
-        object.__setattr__(self, "_segments", _segment_tables(self))
+        # The sorted atoms or breakpoints, the (mass, first moment) strictly
+        # below each and the node densities, as float64 arrays.
+        arrays = tuple(np.array(v, dtype=np.float64)
+                       for v in (xs, cum_n, cum_m1, [d for _, d in self.nodes]))
+        object.__setattr__(self, "_segments", _segment_tables(self, arrays))
         object.__setattr__(self, "_total", self._moments_at_or_below(self.support_high))
         # Partial sums are monotone in mass, so an overflow anywhere in the
         # tables shows up in the totals.
         if not all(map(math.isfinite, self._total)):
             raise ValueError(f"total mass and first moment must be finite (got {self._total})")
-        object.__setattr__(self, "_inverse", _inverse_cdf_tables(self))
+        object.__setattr__(self, "_inverse", _inverse_cdf_tables(self, arrays))
 
     # -- the moment primitive -------------------------------------------
 
@@ -152,25 +142,6 @@ class ProductivityDistribution:
             h = x - lo
             return self.level * h, self.level * h * (x + lo) / 2.0
         x0, d0, dd, width, cum_n, cum_m1 = columns[bisect_right(keys, x)]
-        h = x - x0
-        dx = d0 + dd * h / width
-        return (cum_n + h * (d0 + dx) / 2.0,
-                cum_m1 + h / 6.0 * (x0 * (2.0 * d0 + dx) + x * (d0 + 2.0 * dx)))
-
-    def _moments_below_clamped(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`moments_below` at every element of a float64 array already
-        clamped to the support, with the same float operations in the same
-        order, so each element is bit-for-bit the scalar result."""
-        keys, table, _, _ = self._segments
-        if self.kind == "discrete":
-            n, m1 = table.take(np.searchsorted(keys, x, side="left"), axis=1)  # bisect_left
-            return n, m1
-        lo = self.support_low
-        if self.kind == "uniform":
-            n = self.level * (x - lo)  # +0.0 at lo
-            return n, np.where(x <= lo, 0.0, n * (x + lo) / 2.0)
-        k = np.searchsorted(keys, x, side="right")
-        x0, d0, dd, width, cum_n, cum_m1 = table.take(k, axis=1)
         h = x - x0
         dx = d0 + dd * h / width
         return (cum_n + h * (d0 + dx) / 2.0,
@@ -407,11 +378,10 @@ def _split_moments_scalar(base: ProductivityDistribution, rows, t: float, low: f
     """(mass, first moment) of a pool over `base` whose pieces beside their
     ends, ``zip(pool.pieces, pool.ends)``, are `rows`, weighted `low`
     strictly below the clamped threshold t and `high` at or above it: the
-    one scalar piece loop (:func:`_moments` splits at the support bottom),
-    twin of :func:`_split_moments`.  A piece straddling t adds [lo, t),
-    then [t, hi): the parts of the split pool's pieces in their order, zero
-    weights skipped, so the result is bit for bit the split pool's
-    moments."""
+    one scalar piece loop (:func:`_moments` splits at the support bottom).
+    A piece straddling t adds [lo, t), then [t, hi): the parts of the split
+    pool's pieces in their order, zero weights skipped, so the result is
+    bit for bit the split pool's moments."""
     top = base.support_high
     n = m1 = n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
     for (lo, hi, w), (n_hi, m1_hi) in rows:
@@ -435,45 +405,14 @@ def _split_moments_scalar(base: ProductivityDistribution, rows, t: float, low: f
     return n, m1
 
 
-def _split_moments(base: ProductivityDistribution, pieces, ends, t, low, high, cut=None):
-    """:func:`_split_moments_scalar` of `pieces` at every clamped threshold
-    of the array t: the one piece loop behind every array moment.  The piece
-    bounds, weights and `ends` (a pool's, or (R, 1) columns of a stack of
-    pools, one per row), t and the factors may each be a scalar or an
-    array; they broadcast together.  `cut` is the base (mass, first moment)
-    below t, if the caller has it.  Each piece
-    adds its parts in the scalar loop's order, so every element is bit for
-    bit the scalar result."""
-    n_cut, m1_cut = base._moments_below_clamped(t) if cut is None else cut
-    n = m1 = 0.0
-    n_lo = m1_lo = 0.0  # the first piece starts at the support bottom
-    for i, ((lo, hi, w), (n_hi, m1_hi)) in enumerate(zip(pieces, ends)):
-        w_above = w * high
-        # As in firing_split, lo >= t is tested first: a zero-width piece
-        # at t goes to the at-or-above side, and the closed last piece holds t.
-        above = lo >= t
-        split = ~above if i == len(pieces) - 1 else ~above & (hi > t)
-        # Each piece adds [lo, hi), or [lo, t) then [t, hi) if it straddles
-        # t.  Where the scalar loop skips a zero weight this adds a zero
-        # product, which leaves the sum (never -0.0) as it is.  A product
-        # commutes exactly, so each part is (end - start) * w.
-        w_part = np.where(above, w_above, w * low)
-        n = n + (np.where(split, n_cut, n_hi) - n_lo) * w_part
-        m1 = m1 + (np.where(split, m1_cut, m1_hi) - m1_lo) * w_part
-        w_part = np.where(split, w_above, 0.0)
-        n += (n_hi - n_cut) * w_part
-        m1 += (m1_hi - m1_cut) * w_part
-        n_lo, m1_lo = n_hi, m1_hi
-    return n, m1
-
-
 def pool_inf(pool: LaborPool) -> float:
     """Lowest productivity carrying positive weight."""
     base, n_lo = pool.base, 0.0
+    atoms = base._segments[2]  # on a discrete base, its sorted atoms
     # The start of the first piece with positive weight and base mass.
     for (lo, _, w), (n_hi, _) in zip(pool.pieces, pool.ends):
         if w > 0.0 and n_hi > n_lo:
-            return base._xs[bisect_left(base._xs, lo)] if base.kind == "discrete" else lo
+            return atoms[bisect_left(atoms, lo)] if base.kind == "discrete" else lo
         n_lo = n_hi
     raise EmptyPoolError("pool has no workers")
 
@@ -526,13 +465,16 @@ def quantile(dist: ProductivityDistribution, q: float) -> float:
     return float(sample_productivities(dist, np.asarray([q]))[0])
 
 
-def _segment_tables(dist: ProductivityDistribution) -> tuple:
-    """The moment primitive's search keys and table, as float64 arrays and
-    tuples.  Discrete: per atom, the (mass, first moment) below it.
+def _segment_tables(dist: ProductivityDistribution, arrays: tuple) -> tuple:
+    """The moment primitive's search keys and table from the distribution's
+    `arrays` (see its __post_init__), as float64 arrays, which the
+    multi-start's lockstep reads, and as tuples, which
+    :meth:`~ProductivityDistribution.moments_below` reads.  Discrete: the
+    atoms are the keys and, per atom, the (mass, first moment) below it.
     Piecewise: per segment, x0, d0, d1 - d0, x1 - x0 and the (mass, first
     moment) below x0; keys [nextafter(L, inf), x_1, ..., H] send x <= L and
     x >= H to zero-width, zero-density segments: (0, 0) and the totals."""
-    xs, cum_n, cum_m1, ds = dist._arrays
+    xs, cum_n, cum_m1, ds = arrays
     if dist.kind == "discrete":
         keys, table = xs, np.array([cum_n, cum_m1])
     elif dist.kind == "piecewise":
@@ -547,8 +489,9 @@ def _segment_tables(dist: ProductivityDistribution) -> tuple:
     return keys, table, tuple(keys.tolist()), tuple(map(tuple, table.T.tolist()))
 
 
-def _inverse_cdf_tables(dist: ProductivityDistribution) -> tuple:
-    """The constants sample_productivities reads per draw, built once.
+def _inverse_cdf_tables(dist: ProductivityDistribution, arrays: tuple) -> tuple:
+    """The constants sample_productivities reads per draw, built once from
+    the distribution's `arrays`, as _segment_tables.
 
     Each kind's first entry is the keys of its segment lookup (see
     _count_at_or_below).  Discrete: the CDF at each atom but the top one,
@@ -558,7 +501,7 @@ def _inverse_cdf_tables(dist: ProductivityDistribution) -> tuple:
     offset s, whose mass up to s is a*s*s + d0*s, and last whether each
     segment is flat (|a| < 1e-14), or None where none is.
     """
-    thetas, cum, _, ds = dist._arrays
+    thetas, cum, _, ds = arrays
     if dist.kind == "discrete":
         with np.errstate(divide="ignore", invalid="ignore"):
             return (cum[1:-1] / cum[-1], thetas)

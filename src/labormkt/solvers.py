@@ -35,18 +35,16 @@ and one scalar wage and reads the piece ends and moments the pool
 computed when it was built.  It checks its inputs, then calls one
 unchecked core, which the residual bound by :func:`m_fixed_points` also
 calls: a search checks mu and reads the pool's mean and infimum once, not
-at every evaluation.  The multi-start's lockstep uses its array twin.
+at every evaluation.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import InvalidThresholdError, NoConvergenceError
 from .pools import (LaborPool, _check_count, _check_mu, _is_real, _real_threshold,
-                    _split_moments, _split_moments_scalar, pool_inf, pool_mean)
+                    _split_moments_scalar, pool_inf, pool_mean)
 
 __all__ = ["bisect_root", "grid_root", "scan_grid", "m_extended", "m_fixed_points"]
 
@@ -90,11 +88,12 @@ def bisect_root(g, a: float, b: float, ga: float, gb: float, tol: float = _TOL) 
                              best={"x": best_x}, residuals={"g": best_g})
 
 
-def scan_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    """`points` evenly spaced points from lo to hi, both included; points
-    must be an integer >= 2."""
+def scan_grid(lo: float, hi: float, points: int) -> list[float]:
+    """`points` evenly spaced points from lo to hi, both included, as a
+    list: point k is lo + (hi - lo) * k / (points - 1).  points must be an
+    integer >= 2."""
     _check_count("points", points, 2)
-    return lo + (hi - lo) * np.arange(points) / (points - 1)
+    return [lo + (hi - lo) * k / (points - 1) for k in range(points)]
 
 
 def _check_scan(points, tol) -> None:
@@ -166,18 +165,6 @@ def _leaver_mean(pool: LaborPool, rows, w: float, mu: float, mean=None, inf=None
     if n <= 0.0:
         return pool_inf(pool) if inf is None else inf
     return m1 / n
-
-
-def _leaver_mean_rows(base, pieces, ends, moments, inf, t, mu: float) -> np.ndarray:
-    """:func:`_leaver_mean`, limits included, on each row of a stack of pools
-    (the (R, 1) columns of :func:`~labormkt.multiperiod._split_stack`, or
-    one pool's values) at its float thresholds t, unchecked, bit for bit."""
-    top = base.support_high
-    t_in = np.minimum(np.maximum(t, base.support_low), top)
-    n_out, m1_out = _split_moments(base, pieces, ends, t_in, 1.0, mu)
-    empty = n_out <= 0.0  # an empty leaver pool divides by 1 and takes the infimum
-    out = np.where(empty, inf, m1_out / np.where(empty, 1.0, n_out))
-    return np.where(t >= top, moments[1] / moments[0], out)
 
 
 def m_fixed_points(pool: LaborPool, mu: float, *, points: int = 1024,

@@ -300,6 +300,28 @@ def test_tree_json_counts_submarkets(tmp_path):
     assert data["root"]["history"] == ""
 
 
+@pytest.mark.parametrize("mu", ["0", "0.3"])
+def test_tree_json_nodes_are_the_csv_rows(tmp_path, mu):
+    """Each JSON cohort holds the CSV row's columns, with the same values,
+    then its children.  At mu = 0 some cohorts are empty: their mean is
+    null and an empty cell."""
+    cfg = write(tmp_path, "t.cfg", "dist = discrete((0.2,1);(0.5,2);(0.9,1.5))\n"
+                f"mu = {mu}\nn_periods = 4\n")
+    assert cli.main(["tree", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+    assert cli.main(["tree", "--config", cfg, "--format", "json",
+                     "--out", str(tmp_path / "t.json")]) == 0
+    header, *rows = (tmp_path / "t.csv").read_text().splitlines()
+    nodes, todo = [], [json.loads((tmp_path / "t.json").read_text())["root"]]
+    while todo:  # depth first, stayed before left, as the CSV lists cohorts
+        node = todo.pop()
+        todo += [node.pop(k) for k in ("left", "stayed") if k in node]
+        nodes.append(node)
+    columns = header.split(",")
+    assert [sorted(node) for node in nodes] == [sorted(columns)] * len(rows)
+    assert [",".join(cli._cell(node[k]) for k in columns) for node in nodes] == rows
+    assert (None in [node["mean"] for node in nodes]) == (mu == "0")
+
+
 @pytest.mark.parametrize("n", ["17", "30"])
 def test_tree_n_periods_is_bounded(tmp_path, capsys, n):
     """2**n - 1 cohorts: n = 30 would exhaust memory, so it is refused

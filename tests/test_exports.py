@@ -1,6 +1,6 @@
-"""The package's names: every module's ``__all__`` resolves, and the helpers
-that computed a quantity a second time, and the solver settings that became
-constants, stay removed."""
+"""The package's names: every module's ``__all__`` resolves, the helpers
+that computed a quantity a second time and the solver settings that became
+constants stay removed, and the lockstep's array forms stay in its module."""
 
 import importlib
 import pkgutil
@@ -31,6 +31,13 @@ REMOVED_MEMBERS = (
     (lm.GapReport, ("__float__",)),
     (lm.MarketNode, ("is_market",)),
 )
+# The array forms of the pool and leaver-mean kernels moved to their one
+# reader, the multi-start's lockstep in multiperiod: the kernel modules keep
+# the scalar path only, and solvers needs no NumPy.
+MOVED_OUT = {
+    "labormkt.pools": ("_split_moments",),
+    "labormkt.solvers": ("_leaver_mean_rows", "np"),
+}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -51,3 +58,20 @@ def test_removed_names_are_gone(module):
 def test_removed_members_are_gone():
     assert [(cls.__name__, name) for cls, names in REMOVED_MEMBERS
             for name in names if hasattr(cls, name)] == []
+
+
+@pytest.mark.parametrize("module", sorted(MOVED_OUT))
+def test_array_forms_are_gone_from_the_kernel_modules(module):
+    mod = importlib.import_module(module)
+    assert [name for name in MOVED_OUT[module] if hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("dist", [lm.uniform(0, 1), lm.discrete([(0.2, 1), (0.5, 2)]),
+                                  lm.piecewise_linear([(0, 0.5), (0.4, 1.6), (1, 0.8)])],
+                         ids=["uniform", "discrete", "piecewise"])
+def test_a_distribution_stores_each_table_once(dist):
+    """The atoms or breakpoints and their cumulative moments live in the
+    moment primitive's tables only, and the array primitive is the
+    lockstep's."""
+    assert [name for name in ("_xs", "_arrays", "_moments_below_clamped")
+            if hasattr(dist, name)] == []

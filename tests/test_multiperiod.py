@@ -333,7 +333,7 @@ def test_narrow_outer_window_takes_its_sign_change_not_its_top_point_within_tol(
     the window, theta_bar = 5e-07."""
     dist, mu = lm.uniform(0.0, 1e-6), 0.5
     pool0 = pools.LaborPool.entry(dist)
-    grid = scan_grid(0.0, 5e-07, 257).tolist()
+    grid = scan_grid(0.0, 5e-07, 257)
     gs = [_stage_from_w_plus(pool0, mu, w).rehire_profit for w in grid]
     assert max(map(abs, gs)) <= 1e-10
     assert [i for i in range(1, 257) if (gs[i - 1] > 0.0) != (gs[i] > 0.0)] == [139]
@@ -416,8 +416,7 @@ def test_outer_search_takes_the_one_sign_change_of_the_whole_grid(base, mu):
     (discrete_41 at mu = 0.1), its error carries that w_plus."""
     dist = GOLDEN_BASES[base]
     pool0 = pools.LaborPool.entry(dist)
-    grid = scan_grid(pools.pool_inf(pool0), pools.pool_mean(pool0),
-                     multiperiod._OUTER_SCAN).tolist()
+    grid = scan_grid(pools.pool_inf(pool0), pools.pool_mean(pool0), multiperiod._OUTER_SCAN)
     g = lambda w: _stage_from_w_plus(pool0, mu, w).rehire_profit
     gs = [g(w) for w in grid]
     changes = [i for i in range(1, len(grid)) if (gs[i - 1] > 0.0) != (gs[i] > 0.0)]
@@ -621,6 +620,16 @@ def test_tree_lookup_and_flags():
         tree.node("SSS")
     with pytest.raises(KeyError):
         tree.node("xy")
+
+
+@pytest.mark.parametrize("history", [["S", "L"], ("S", "L"), 5, None],
+                         ids=["list", "tuple", "int", "none"])
+def test_tree_lookup_refuses_a_history_that_is_not_a_string(history):
+    """A list or tuple of steps is not read as its string, and a history
+    that is no sequence raises KeyError, not a bare TypeError."""
+    tree = lm.build_market_tree(lm.uniform(0, 1), 0.5, 3)
+    with pytest.raises(KeyError, match=f"history {re.escape(repr(history))} is not a string"):
+        tree.node(history)
 
 
 def test_tree_refuses_a_missing_threshold_and_clamps_one_outside_the_support():

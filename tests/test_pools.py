@@ -365,16 +365,16 @@ def test_array_kernels_equal_scalar_kernels(dist, shape, mu):
             "zero_width": _zero_width_pool(dist)}[shape]
     ts = _array_thresholds(pool)
     t = _clamped(dist, ts)
-    n, m1 = dist._moments_below_clamped(t)
+    n, m1 = multiperiod._moments_below_clamped(dist, t)
     assert list(zip(n.tolist(), m1.tolist())) == [dist.moments_below(x) for x in t.tolist()]
     for scalar, low, high in ((pools.leaver_moments, 1.0, mu),
                               (pools.stayer_moments, 0.0, 1.0 - mu)):
-        n, m1 = pools._split_moments(dist, pool.pieces, pool.ends, t, low, high)
+        n, m1 = multiperiod._split_moments(dist, pool.pieces, pool.ends, t, low, high)
         assert list(zip(n.tolist(), m1.tolist())) == [scalar(pool, x, mu) for x in ts]
     if pools.pool_mass(pool) > 0.0:
         ws = ts + [math.inf]
-        m = solvers._leaver_mean_rows(dist, pool.pieces, pool.ends, pool.moments,
-                                      pools.pool_inf(pool), np.array(ws), mu)
+        m = multiperiod._leaver_mean_rows(dist, pool.pieces, pool.ends, pool.moments,
+                                          pools.pool_inf(pool), np.array(ws), mu)
         assert m.tolist() == [m_extended(pool, w, mu) for w in ws]
 
 
@@ -392,9 +392,9 @@ def test_m_extended_rejects_bad_mu_inside_at_and_above_the_top(where, bad_mu):
 def assert_split_rows_equal_split_pools(dist, wps, ws, mu, mu_inner):
     """multiperiod._split_stack at the offers wps holds, row by row, the
     stayed and released pools of firing_split(entry, wp, mu): their moments
-    and infima, and pools._split_moments on the stack gives either side's
-    split moments of each at every w, and solvers._leaver_mean_rows on it
-    gives m_extended of each at every w and at inf (both of its limits),
+    and infima, and the lockstep's _split_moments on the stack gives either
+    side's split moments of each at every w, and its _leaver_mean_rows on
+    it gives m_extended of each at every w and at inf (both of its limits),
     with ==.  A stack with an empty row raises EmptyPoolError, as pool_mean
     of that pool does; the offers whose sides both hold workers are then
     checked alone."""
@@ -414,18 +414,19 @@ def assert_split_rows_equal_split_pools(dist, wps, ws, mu, mu_inner):
     grid = np.tile(_clamped(dist, ws), (len(split), 1))
     for scalar, low, high in ((pools.leaver_moments, 1.0, mu_inner),
                               (pools.stayer_moments, 0.0, 1.0 - mu_inner)):
-        n, m1 = pools._split_moments(dist, pieces, ends, grid, low, high)
+        n, m1 = multiperiod._split_moments(dist, pieces, ends, grid, low, high)
         assert [list(zip(a, b)) for a, b in zip(n.tolist(), m1.tolist())] == [
             [scalar(pool, w, mu_inner) for w in ws] for pool in split]
-        n, m1 = pools._split_moments(dist, pieces, ends, grid[:, :1], low, high)  # one per row
+        # One threshold per row.
+        n, m1 = multiperiod._split_moments(dist, pieces, ends, grid[:, :1], low, high)
         assert list(zip(n[:, 0].tolist(), m1[:, 0].tolist())) == [
             scalar(pool, ws[0], mu_inner) for pool in split]
     ws_top = ws + [math.inf]
-    m = solvers._leaver_mean_rows(dist, pieces, ends, (n_rows, m1_rows), inf,
-                                  np.tile(ws_top, (len(split), 1)), mu_inner)
+    m = multiperiod._leaver_mean_rows(dist, pieces, ends, (n_rows, m1_rows), inf,
+                                      np.tile(ws_top, (len(split), 1)), mu_inner)
     assert m.tolist() == [[m_extended(pool, w, mu_inner) for w in ws_top] for pool in split]
-    m = solvers._leaver_mean_rows(dist, pieces, ends, (n_rows, m1_rows), inf,
-                                  np.array(ws_top[:1] * len(split))[:, None], mu_inner)
+    m = multiperiod._leaver_mean_rows(dist, pieces, ends, (n_rows, m1_rows), inf,
+                                      np.array(ws_top[:1] * len(split))[:, None], mu_inner)
     assert m[:, 0].tolist() == [m_extended(pool, ws_top[0], mu_inner) for pool in split]
 
 
@@ -523,9 +524,20 @@ def test_grid_root_halves_grid_indices_to_the_full_scan_root(points):
     g = lambda x: calls.append(x) or f(x)
     assert grid_root(g, 0.0, 1.0, points=points) == scan_roots_by_loop(
         f, 0.0, 1.0, solvers._TOL, points)
-    grid, halvings = set(solvers.scan_grid(0.0, 1.0, points).tolist()), int(math.log2(points - 1))
+    grid, halvings = set(solvers.scan_grid(0.0, 1.0, points)), int(math.log2(points - 1))
     assert calls[:2] == [0.0, 1.0] and set(calls[2:2 + halvings]) <= grid
     assert not set(calls[2 + halvings:]) & grid  # the bisection of the bracket
+
+
+@pytest.mark.parametrize("points", [2, 33, 129, 201, 257])
+def test_scan_grid_is_the_numpy_grid_as_a_list(points):
+    """scan_grid builds its points in pure Python with NumPy's order of
+    operations, lo + (hi - lo) * k / (points - 1), bit for bit."""
+    for lo, hi in ((0.0, 1.0), (0.05, 0.96), (-0.3, 0.7123456789), (0.2, 0.2), (1e-300, 3e-300)):
+        got = solvers.scan_grid(lo, hi, points)
+        want = lo + (hi - lo) * np.arange(points) / (points - 1)
+        assert type(got) is list
+        assert list(map(float.hex, got)) == list(map(float.hex, want.tolist()))
 
 
 def test_grid_root_without_a_straddle_takes_the_first_end_within_tol():
@@ -568,7 +580,7 @@ def test_m_fixed_points_evaluates_g_ends_halvings_and_bisection_steps(dist, poin
         calls.clear()
         assert len(solvers.m_fixed_points(pool, 0.5, points=points, tol=tol)) == 1
         grid = set(solvers.scan_grid(min(pools.pool_inf(pool), 0.0), pools.pool_mean(pool),
-                                     points).tolist())
+                                     points))
         halvings = math.ceil(math.log2(points - 1))
         assert set(calls[:2 + halvings]) <= grid and not set(calls[2 + halvings:]) & grid
         got.append(len(calls))
@@ -580,7 +592,7 @@ def test_m_fixed_points_evaluates_g_ends_halvings_and_bisection_steps(dist, poin
 SCANS = {
     "m_fixed_points": lambda **kw: solvers.m_fixed_points(pools.LaborPool.entry(UNI), 0.5, **kw),
     "grid_root": lambda **kw: solvers.grid_root(lambda x: x - 0.3, 0.0, 1.0, **kw),
-    "scan_grid": lambda points, tol: solvers.scan_grid(0.0, 1.0, points).tolist(),
+    "scan_grid": lambda points, tol: solvers.scan_grid(0.0, 1.0, points),
 }
 BAD_SCAN_SETTINGS = [
     {"points": 0}, {"points": -3}, {"points": 1}, {"points": True}, {"points": 2.5},
@@ -715,7 +727,8 @@ def test_split_at_the_top_atom_keeps_it(dist, mu):
     for scalar, low, high in ((pools.leaver_moments, 1.0, mu),
                               (pools.stayer_moments, 0.0, 1.0 - mu)):
         expected = scalar(pool, top, mu)
-        n, m1 = pools._split_moments(dist, pool.pieces, pool.ends, np.array([top]), low, high)
+        n, m1 = multiperiod._split_moments(dist, pool.pieces, pool.ends, np.array([top]),
+                                           low, high)
         assert (n.tolist(), m1.tolist()) == ([expected[0]], [expected[1]])
     assert_split_rows_equal_split_pools(dist, [top], _thresholds(dist), mu, mu)
     replay = lm.simulate(lm.SimulationConfig(n_agents=10_000, seed=0, regime=lm.TWO_PERIOD,
@@ -754,7 +767,8 @@ def test_moments_at_or_above_match_oracles(dist):
     and points outside the support: the atom sums at or above x for a
     discrete base, the midpoint rule over [x, top] for the others."""
     lo, hi = dist.support_low, dist.support_high
-    probes = [lo - 1.0, lo, (lo + hi) / 2.0, hi, hi + 1.0, *dist._xs]
+    probes = [lo - 1.0, lo, (lo + hi) / 2.0, hi, hi + 1.0]
+    probes += [x for x, _ in dist.atoms + dist.nodes]
     probes += [math.nextafter(x, d) for x in probes for d in (-math.inf, math.inf)]
     for x in probes:
         if dist.kind == "discrete":
@@ -831,11 +845,22 @@ def test_sampling_matches_quantile_map():
         assert draws[i] == pytest.approx(pools.quantile(PW, u[i]), abs=1e-9)
 
 
+def marks_and_masses(dist):
+    """The sorted atoms or breakpoints of dist, the mass strictly below
+    each (on a discrete base, then the total) and the node densities, as
+    float64 arrays: the tables the sampler is built from."""
+    marks = [x for x, _ in dist.atoms + dist.nodes]
+    cum = [dist.moments_below(x)[0] for x in marks]
+    if dist.kind == "discrete":
+        cum.append(dist.total_mass())
+    return np.array(marks), np.array(cum), np.array([d for _, d in dist.nodes])
+
+
 def piecewise_sampler_oracle(dist, u):
     """The per-draw piecewise inverse CDF as one whole-array formula: find
     each draw's segment, then evaluate both the quadratic and the linear
     solution everywhere and pick one."""
-    thetas, cum, _, ds = dist._arrays
+    thetas, cum, ds = marks_and_masses(dist)
     total = cum[-1]
     target = u * total
     idx = np.searchsorted(cum, target, side="right") - 1
@@ -905,7 +930,8 @@ def sampler_piecewise_bases(draw):
 def edge_draws(dist):
     """0, the largest double below 1, and the CDF at every breakpoint or
     atom with its float neighbours, those in [0, 1)."""
-    cdf = dist._arrays[1] / dist._arrays[1][-1]
+    cum = marks_and_masses(dist)[1]
+    cdf = cum / cum[-1]
     edges = np.concatenate([cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0)])
     return np.concatenate([[0.0, 1.0 - 2.0 ** -53], edges[(edges >= 0.0) & (edges < 1.0)]])
 
@@ -929,7 +955,7 @@ def assert_same_or_both_nan(got, want):
 
 
 def discrete_sampler_oracle(dist, u):
-    thetas, cum = dist._arrays[0], dist._arrays[1]
+    thetas, cum, _ = marks_and_masses(dist)
     return thetas[np.minimum(np.searchsorted(cum[1:] / cum[-1], u, side="right"),
                              len(thetas) - 1)]
 

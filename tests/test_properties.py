@@ -163,14 +163,15 @@ def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
     ts += [x for lo, hi, _ in pool.pieces for x in (lo, hi)]
     for scalar, low, high in ((pools.leaver_moments, 1.0, mu),
                               (pools.stayer_moments, 0.0, 1.0 - mu)):
-        n, m1 = pools._split_moments(base, pool.pieces, pool.ends, _clamped(base, ts), low, high)
+        n, m1 = multiperiod._split_moments(base, pool.pieces, pool.ends, _clamped(base, ts),
+                                            low, high)
         assert list(zip(n.tolist(), m1.tolist())) == [scalar(pool, x, mu) for x in ts]
     if pools.pool_mass(pool) > 0.0:
         for w in ts:
             assert m_extended(pool, w, mu) == _split_leaver_mean(pool, w, mu)
         ws = ts + [math.inf]
-        m = solvers._leaver_mean_rows(base, pool.pieces, pool.ends, pool.moments,
-                                      pools.pool_inf(pool), np.array(ws), mu)
+        m = multiperiod._leaver_mean_rows(base, pool.pieces, pool.ends, pool.moments,
+                                          pools.pool_inf(pool), np.array(ws), mu)
         assert m.tolist() == [m_extended(pool, w, mu) for w in ws]
     # Every breakpoint or atom, its float neighbours, and points outside the support.
     marks = [x for x, _ in base.nodes] + [x for x, _ in base.atoms]
@@ -178,7 +179,7 @@ def test_array_leaver_kernel_equals_scalar_kernel(case, extra):
                                           math.nextafter(x, math.inf))]
     xs = _clamped(base, xs + [base.support_low - 1.0, base.support_high + 1.0,
                               -math.inf, math.inf])
-    n, m1 = base._moments_below_clamped(xs)
+    n, m1 = multiperiod._moments_below_clamped(base, xs)
     assert list(zip(n.tolist(), m1.tolist())) == [base.moments_below(x) for x in xs.tolist()]
 
 
